@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ModelError, PreconditionError
 from .invariants import compute_B, log_pi
-from .kernel import compute_P, gf_integral_to_one, solve_F
+from .kernel import compute_P_grid, flow_on_grid, gf_integral_to_one
 from .laws import ModelSpec
 from .quadrature import doubling_quadrature
 from .rvcalc import SlowlyVaryingSpec
@@ -89,24 +89,6 @@ def fit_loglog(t, err, predicted_slope, slope_tol=0.1, rsq_min=0.99,
                    rsq_min=rsq_min, window=window, label=label)
 
 
-def _logP_grid(model, s, t_grid, rtol, method, f_rtol=1e-12, f_atol=1e-300):
-    """log P(t; s) and R(t; s) along a time grid.
-
-    The flow is solved tighter than the quadrature (f_rtol, with pure
-    relative error control since R stays strictly positive): the transient
-    checks compare T(t) against R**(-|gamma|), a difference of two large
-    numbers whose cancellation amplifies any error in R.
-    """
-    logp = np.empty(len(t_grid))
-    Rs = np.empty(len(t_grid))
-    for k, t in enumerate(t_grid):
-        gv = compute_P(model, float(t), s, rtol=rtol, method=method,
-                       f_rtol=f_rtol, f_atol=f_atol)
-        logp[k] = float(np.real(gv.logP))
-        Rs[k] = float(np.real(gv.R))
-    return logp, Rs
-
-
 def rate_theorem1(model: ModelSpec, s: float, t_grid, rtol: float = 1e-10,
                   slope_tol: float = 0.1, rsq_min: float = 0.99,
                   method: str = "quad", window_decades: float = 2.0,
@@ -123,17 +105,13 @@ def rate_theorem1(model: ModelSpec, s: float, t_grid, rtol: float = 1e-10,
         raise ModelError("theorem-1 rate check expects s in [0, 0.95]")
     t_grid = np.asarray(t_grid, dtype=float)
     ctx = model.context()
-    errors = np.empty(len(t_grid))
-    envelope = np.empty(len(t_grid))
-    fmethod = "ode" if method == "quad" else "auto"
-    for k, t in enumerate(t_grid):
-        gv = solve_F(model, float(t), s, rtol=min(rtol, 1e-12), atol=1e-300,
-                     method=fmethod)
-        tail, _ = gf_integral_to_one(model, rtol=rtol, one_minus_s=gv.R)
-        errors[k] = abs(np.expm1(-np.real(tail)))
-        lam = ctx.lam_shift(float(t), s)
-        envelope[k] = (1.0 / model.gamma) / lam ** (model.gamma / model.nu) \
-            * ctx.K(ctx.tau(float(t)))
+    R = flow_on_grid(model, [s], t_grid, method="ode" if method == "quad" else "auto",
+                     rtol=min(rtol, 1e-12), atol=1e-300)[:, 0]
+    tail, _ = gf_integral_to_one(model, rtol=rtol, one_minus_s=R)
+    errors = np.abs(np.expm1(-np.real(tail)))
+    tau = np.array([ctx.tau(float(t)) for t in t_grid])
+    lam = ctx.lam_shift(t_grid, s)
+    envelope = (1.0 / model.gamma) / lam ** (model.gamma / model.nu) * ctx.K(tau)
     fit = fit_loglog(t_grid, errors, predicted_slope=-model.gamma / model.nu,
                      slope_tol=slope_tol, rsq_min=rsq_min,
                      window_decades=window_decades, floor=floor,
@@ -144,14 +122,18 @@ def rate_theorem1(model: ModelSpec, s: float, t_grid, rtol: float = 1e-10,
     return fit
 
 
-def _transient_log_ratio(model: ModelSpec, s: float, t_grid, rtol, method):
-    """log( exp(T(t)) P(t;s) / pi(s) ) along the grid, all in log space."""
+def _transient_log_ratio(model: ModelSpec, s_batch, t_grid, rtol, method):
+    """log( exp(T(t)) P(t;s) / pi(s) ), shape (len(t_grid), len(s_batch)), in
+    log space.  The flow is solved to 1e-12 relative: T(t) + log P(t;s)
+    cancels T(t) against R**(-|gamma|), which amplifies any error in R."""
     model.require_transient_limit()
     ctx = model.context()
-    lpi = float(np.real(log_pi(model, s, rtol=rtol)))
-    logp, _ = _logP_grid(model, s, t_grid, rtol, method)
+    s_arr = np.atleast_1d(np.asarray(s_batch, dtype=float))
+    lpi = np.real(log_pi(model, s_arr, rtol=rtol))
+    logp, _, _ = compute_P_grid(model, s_arr, t_grid, rtol=rtol, method=method,
+                                f_rtol=1e-12)
     T = np.array([ctx.big_T(float(t)) for t in t_grid])
-    return T + logp - lpi
+    return T[:, None] + np.real(logp) - lpi[None, :]
 
 
 def transient_predicted_slope(model: ModelSpec) -> float:
@@ -167,10 +149,12 @@ def transient_predicted_slope(model: ModelSpec) -> float:
 def rate_theorem2(model: ModelSpec, s: float, t_grid, rtol: float = 1e-10,
                   slope_tol: float = 0.1, rsq_min: float = 0.99,
                   method: str = "quad", window_decades: float = 2.0,
-                  floor: float = 1e-8) -> RateFit:
-    """Convergence rate of exp(T(t)) P(t; s) to pi(s) in the transient regime."""
+                  floor: float = 1e-8, log_ratio=None) -> RateFit:
+    """Convergence rate of exp(T(t)) P(t; s) to pi(s) in the transient regime;
+    ``log_ratio`` reuses the column for s of a :func:`_transient_log_ratio`."""
     t_grid = np.asarray(t_grid, dtype=float)
-    log_ratio = _transient_log_ratio(model, s, t_grid, rtol, method)
+    if log_ratio is None:
+        log_ratio = _transient_log_ratio(model, [s], t_grid, rtol, method)[:, 0]
     errors = np.abs(np.expm1(log_ratio))
     ctx = model.context()
     tau = np.array([ctx.tau(float(t)) for t in t_grid])
@@ -190,29 +174,27 @@ def rate_theorem2(model: ModelSpec, s: float, t_grid, rtol: float = 1e-10,
 def rate_corollary1(model: ModelSpec, t_grid, rtol: float = 1e-10,
                     slope_tol: float = 0.15, rsq_min: float = 0.99,
                     method: str = "quad", window_decades: float = 2.0,
-                    floor: float = 1e-8) -> RateFit:
-    """Rate of exp(T(t)) p_00(t) toward pi(0) = e * B(0), via p_00 = P(t; 0)."""
+                    floor: float = 1e-8, log_ratio=None) -> RateFit:
+    """Rate of exp(T(t)) p_00(t) toward pi(0) = e * B(0), via p_00 = P(t; 0):
+    theorem 2 at s = 0 (``log_ratio`` as there), labelled."""
     fit = rate_theorem2(model, 0.0, t_grid, rtol=rtol, slope_tol=slope_tol,
                         rsq_min=rsq_min, method=method,
-                        window_decades=window_decades, floor=floor)
+                        window_decades=window_decades, floor=floor,
+                        log_ratio=log_ratio)
     fit.label = "corollary1"
     fit.extras["B0"] = float(np.real(compute_B(model, 0.0, rtol=rtol)))
     return fit
 
 
 def uniformity_ratio(model: ModelSpec, s_values, t_grid, rtol: float = 1e-10,
-                     method: str = "quad") -> np.ndarray:
-    """max over s of rho(t; s)/rho(t; 0) along the grid (transient case)."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    base = np.abs(np.expm1(_transient_log_ratio(model, 0.0, t_grid, rtol, method)))
-    worst = np.ones_like(base)
-    for s in s_values:
-        if s == 0.0:
-            continue
-        rho = np.abs(np.expm1(_transient_log_ratio(model, float(s), t_grid,
-                                                   rtol, method)))
-        worst = np.maximum(worst, rho / base)
-    return worst
+                     method: str = "quad", log_ratio=None) -> np.ndarray:
+    """max over s of rho(t; s)/rho(t; 0) along the grid (transient case);
+    ``log_ratio`` reuses marched columns for 0, then the nonzero s_values."""
+    if log_ratio is None:
+        s_batch = [0.0] + [float(s) for s in s_values if s != 0.0]
+        log_ratio = _transient_log_ratio(model, s_batch, t_grid, rtol, method)
+    rho = np.abs(np.expm1(log_ratio))
+    return np.max(rho[:, 1:] / rho[:, :1], axis=1, initial=1.0)
 
 
 @dataclass
@@ -244,14 +226,12 @@ def check_lemma1(model: ModelSpec, s_grid, t_grid, rtol: float = 1e-10,
     ctx = model.context()
     t_grid = np.asarray(t_grid, dtype=float)
     s_grid = np.asarray(s_grid, dtype=float)
-    dev = np.empty((s_grid.size, t_grid.size))
-    for a, s in enumerate(s_grid):
-        Ms = ctx.M(float(s), rtol=rtol)
-        for b, t in enumerate(t_grid):
-            gv = solve_F(model, float(t), float(s), rtol=rtol, method=method)
-            rhs = ((ctx.nu * t) ** (1.0 / ctx.nu) / ctx.script_N(float(t))
-                   * (1.0 + Ms / t) ** (1.0 / ctx.nu))
-            dev[a, b] = abs(float(np.real(gv.R)) * rhs - 1.0)
+    R = np.real(flow_on_grid(model, s_grid, t_grid, method=method, rtol=rtol)).T
+    Ms = np.array([ctx.M(float(s), rtol=rtol) for s in s_grid])
+    N = np.array([ctx.script_N(float(t)) for t in t_grid])
+    rhs = ((ctx.nu * t_grid) ** (1.0 / ctx.nu) / N
+           * (1.0 + Ms[:, None] / t_grid) ** (1.0 / ctx.nu))
+    dev = np.abs(R * rhs - 1.0)
     decreasing = bool(np.all(np.diff(dev, axis=1) <= 1e-12 + dev[:, :-1] * 1e-6))
     report = LemmaReport(name="lemma1", t_grid=t_grid, values=dev[:, -1],
                          bound=final_tol,
@@ -269,15 +249,10 @@ def check_lemma2(model: ModelSpec, s: float, t_grid, rtol: float = 1e-10,
     ctx = model.context()
     t_grid = np.asarray(t_grid, dtype=float)
     lam0 = 1.0 / float(ctx.Lambda(1.0 - s))
-    stats = np.empty(t_grid.size)
-    remainders = np.empty(t_grid.size)
-    for k, t in enumerate(t_grid):
-        gv = solve_F(model, float(t), float(s), rtol=rtol, method=method)
-        R = float(np.real(gv.R))
-        remainder = abs(1.0 / float(ctx.Lambda(R)) - lam0 - ctx.nu * t)
-        lognu = np.log(float(ctx.nu_shift(float(t), s)))
-        remainders[k] = remainder
-        stats[k] = remainder / lognu if lognu > 0 else 0.0
+    R = np.real(flow_on_grid(model, [s], t_grid, method=method, rtol=rtol)[:, 0])
+    remainders = np.abs(1.0 / ctx.Lambda(R) - lam0 - ctx.nu * t_grid)
+    lognu = np.log(ctx.nu_shift(t_grid, s))
+    stats = np.where(lognu > 0, remainders / np.where(lognu > 0, lognu, 1.0), 0.0)
     return LemmaReport(name="lemma2", t_grid=t_grid, values=stats, bound=bound,
                        details={"remainders": remainders, "s": s})
 

@@ -75,9 +75,6 @@ _TASK_KEYS = {
 
 _OUTPUT_KEYS = {"dir": "mbpilab-out"}
 
-_TASKS = ("validate", "kernel", "invariant", "rates", "lemmas",
-          "simulate", "compare")
-
 
 def _resolve_section(parser, name, defaults, path):
     if not parser.has_section(name):
@@ -110,9 +107,9 @@ def load_config(path: str) -> dict:
     model = _resolve_section(parser, "model", _MODEL_KEYS, path)
     task = _resolve_section(parser, "task", _TASK_KEYS, path)
     output = _resolve_section(parser, "output", _OUTPUT_KEYS, path)
-    if task["name"] not in _TASKS:
+    if task["name"] not in _TASK_RUNNERS:
         raise ConfigError(f"{path}: unknown task {task['name']!r} "
-                          f"(expected one of {', '.join(_TASKS)})")
+                          f"(expected one of {', '.join(_TASK_RUNNERS)})")
     return {"model": model, "task": task, "output": output}
 
 
@@ -194,17 +191,20 @@ def _task_validate(model, task, out, verdicts):
 
 def _task_kernel(model, task, out, verdicts):
     tol = _float(task, "tol")
-    values = []
-    worst = 0.0
-    for t in _floats(task["t_list"]):
-        for s in _floats(task["s_list"]):
-            gv = kernel.compute_P(model, t, s, method="quad")
-            values.append(gv)
-            if model.offspring.closed_form:
-                exact = kernel.exact_R(model.offspring, t, complex(s))
-                worst = max(worst, abs(gv.R - exact) / abs(exact))
+    t_list, s_list = _floats(task["t_list"]), _floats(task["s_list"])
+    if not (t_list and s_list):
+        raise ConfigError("t_list and s_list need at least one value each")
+    rtol = 1e-10
+    logp, R, err = kernel.compute_P_grid(model, s_list, t_list, rtol=rtol,
+                                         method="quad")
+    values = [kernel.GFValue(t=t, s=s, F=1.0 - R[a, b] if t else s, R=R[a, b],
+                             P=np.exp(logp[a, b]), logP=logp[a, b],
+                             error_estimate=float(err) + rtol)
+              for a, t in enumerate(t_list) for b, s in enumerate(s_list)]
     (out / "kernel.csv").write_text(kernel.gf_table_csv(values))
     if model.offspring.closed_form:
+        exact = kernel.flow_on_grid(model, s_list, t_list, method="exact")
+        worst = float(np.max(np.abs(R - exact) / np.maximum(np.abs(exact), 1e-300)))
         verdicts.record("kernel_oracle", worst <= tol,
                         f"max_rel_err {worst:.3e} (tol {tol:g})")
     else:
@@ -250,15 +250,20 @@ def _task_rates(model, task, out, verdicts):
         verdicts.line(fit.summary(), ok=fit.verdict)
     else:
         model.require_transient_limit()
+        uniform = (0.0, 0.25, 0.5, 0.75)
+        batch = uniform + ((s,) if s not in uniform else ())
+        log_ratio = asymptotics._transient_log_ratio(model, batch, grid, 1e-10, "quad")
         fit = asymptotics.rate_theorem2(model, s, grid, slope_tol=slope_tol,
-                                        rsq_min=rsq_min)
+                                        rsq_min=rsq_min,
+                                        log_ratio=log_ratio[:, batch.index(s)])
         (out / "rate_theorem2.csv").write_text(asymptotics.rate_csv(fit))
         verdicts.line(fit.summary(), ok=fit.verdict)
         cor = asymptotics.rate_corollary1(model, grid, slope_tol=max(slope_tol, 0.15),
-                                          rsq_min=rsq_min)
+                                          rsq_min=rsq_min, log_ratio=log_ratio[:, 0])
         (out / "rate_corollary1.csv").write_text(asymptotics.rate_csv(cor))
         verdicts.line(cor.summary(), ok=cor.verdict)
-        ratio = asymptotics.uniformity_ratio(model, (0.0, 0.25, 0.5, 0.75), grid)
+        ratio = asymptotics.uniformity_ratio(model, uniform, grid,
+                                             log_ratio=log_ratio[:, :len(uniform)])
         ok = bool(np.all(ratio <= 10.0))
         verdicts.record("uniformity_ratio", ok, f"max {ratio.max():.2f} (bound 10)")
 
@@ -338,6 +343,12 @@ def _task_compare(model, task, out, verdicts, threads, seed_override, strict):
                     f"max |z| {worst:.2f} over {len(rows)} states (bound {z_max:g})")
 
 
+_TASK_RUNNERS = {"validate": _task_validate, "kernel": _task_kernel,
+                 "invariant": _task_invariant, "rates": _task_rates,
+                 "lemmas": _task_lemmas, "simulate": _task_simulate,
+                 "compare": _task_compare}
+
+
 def _manifest_text(cfg: dict, extra: dict) -> str:
     lines = []
     for section in ("model", "task", "output"):
@@ -370,20 +381,8 @@ def run_config(path: str, out_dir=None, threads: int = 1, seed=None,
         task = cfg["task"]
         verdicts = Verdicts()
         name = task["name"]
-        if name == "validate":
-            _task_validate(model, task, out, verdicts)
-        elif name == "kernel":
-            _task_kernel(model, task, out, verdicts)
-        elif name == "invariant":
-            _task_invariant(model, task, out, verdicts)
-        elif name == "rates":
-            _task_rates(model, task, out, verdicts)
-        elif name == "lemmas":
-            _task_lemmas(model, task, out, verdicts)
-        elif name == "simulate":
-            _task_simulate(model, task, out, verdicts, threads, seed, strict)
-        elif name == "compare":
-            _task_compare(model, task, out, verdicts, threads, seed, strict)
+        sim_args = (threads, seed, strict) if name in ("simulate", "compare") else ()
+        _TASK_RUNNERS[name](model, task, out, verdicts, *sim_args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -422,7 +421,8 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to the INI configuration")
     run_p.add_argument("--out", default=None, help="output directory override")
     run_p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent grid points")
+                       help="simulator worker threads (simulate and compare tasks "
+                            "only; no other task uses threads)")
     run_p.add_argument("--seed", type=int, default=None,
                        help="seed override for simulation tasks")
     run_p.add_argument("--strict", action="store_true",

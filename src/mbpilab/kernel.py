@@ -42,16 +42,23 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
 
 
-def _rk45(rhs, y0, t_end, rtol, atol, max_steps=200_000):
-    """Adaptive Dormand-Prince integration of a complex batch from 0 to t_end."""
+def _rk45(rhs, y0, t_out, rtol, atol, max_steps=200_000):
+    """Adaptive Dormand-Prince integration of a complex batch from 0 through
+    the sorted positive times t_out, landing exactly on each (dense output's
+    lower order would cost the transient checks their relative accuracy);
+    returns the states there, shape (len(t_out),) + y0.shape."""
     y = np.array(y0, dtype=complex, copy=True)
+    out = np.empty((len(t_out),) + y.shape, dtype=complex)
+    done = 0
     t = 0.0
     k1 = rhs(y)
     d0 = max(float(np.max(np.abs(y))), atol)
     d1 = float(np.max(np.abs(k1)))
-    h = min(t_end, 0.01 * d0 / d1) if d1 > 0 else t_end
+    h = min(t_out[-1], 0.01 * d0 / d1) if d1 > 0 else t_out[-1]
     ks = [None] * 7
     for _ in range(max_steps):
+        t_end = t_out[done]
+        h_free = h               # resumed after landing on an inner time
         h = min(h, t_end - t)
         ks[0] = k1
         for i in range(1, 7):
@@ -69,7 +76,13 @@ def _rk45(rhs, y0, t_end, rtol, atol, max_steps=200_000):
             y = y5
             k1 = ks[6]           # first-same-as-last
             if t >= t_end:
-                return y
+                while done < len(t_out) and t >= t_out[done]:
+                    out[done] = y
+                    done += 1
+                if done == len(t_out):
+                    return out
+                h = max(h, h_free)
+                continue
         factor = 0.9 * err ** -0.2 if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
         if h <= 4.0 * np.finfo(float).eps * max(t, 1e-6):
@@ -149,29 +162,49 @@ def solve_F(model, t: float, s, rtol: float = 1e-10, atol: float = 1e-300,
     orders of magnitude but never reaches 0 for s != 1, and any absolute
     floor would cap the attainable relative accuracy of the far tail.
     """
-    law = _offspring(model)
-    if t < 0:
-        raise ModelError("time must be nonnegative")
     s_arr, scalar = _as_batch(s)
-    if np.any(np.abs(s_arr) > 1 + 1e-12):
-        raise ModelError("solve_F needs |s| <= 1")
+    R = flow_on_grid(model, s_arr, [t], method=method, rtol=rtol, atol=atol)[0]
     if t == 0:
         return GFValue(t=t, s=s, F=_unbatch(s_arr, scalar),
-                       R=_unbatch(1.0 - s_arr, scalar), error_estimate=0.0)
+                       R=_unbatch(R, scalar), error_estimate=0.0)
+    exact = method == "exact" or (method == "auto" and _offspring(model).closed_form)
+    err = 4.0 * np.finfo(float).eps if exact else rtol
+    return GFValue(t=t, s=s, F=_unbatch(1.0 - R, scalar),
+                   R=_unbatch(R, scalar), error_estimate=err)
+
+
+def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
+                 rtol: float = 1e-10, atol: float = 1e-300) -> np.ndarray:
+    """R(t; s), shape (len(t_grid), len(s_batch)), rows in the caller's order.
+
+    The flow is autonomous, F(t2; s) = F(t2 - t1; F(t1; s)), so the ODE routes
+    march once along the sorted distinct times for the whole batch.  ``method``
+    follows :func:`solve_F`."""
+    law = _offspring(model)
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    s_arr = np.atleast_1d(np.asarray(s_batch, dtype=complex))
+    if np.any(t_grid < 0):
+        raise ModelError("time must be nonnegative")
+    if np.any(np.abs(s_arr) > 1 + 1e-12):
+        raise ModelError("the flow needs |s| <= 1")
     if method == "auto":
         method = "exact" if law.closed_form else "ode"
+    times, order = np.unique(t_grid, return_inverse=True)
+    R = np.empty((times.size, s_arr.size), dtype=complex)
+    R[times == 0] = 1.0 - s_arr
+    positive = times > 0
     if method == "exact":
-        R = exact_R(law, t, s_arr)
-        err = 4.0 * np.finfo(float).eps
+        for row in np.flatnonzero(positive):
+            R[row] = exact_R(law, float(times[row]), s_arr)
     elif method in ("ode", "ode-series"):
         mode = "series" if method == "ode-series" else "auto"
         rhs = lambda R: -law.gf_at_one_minus(R, mode=mode)
-        R = _rk45(rhs, 1.0 - s_arr, t, rtol, atol)
-        err = rtol
+        if positive.any():
+            R[positive] = _rk45(rhs, 1.0 - s_arr, times[positive].tolist(),
+                                rtol, atol)
     else:
         raise ModelError(f"unknown method {method!r}")
-    return GFValue(t=t, s=s, F=_unbatch(1.0 - R, scalar),
-                   R=_unbatch(R, scalar), error_estimate=err)
+    return R[order]
 
 
 def _sv_available(model: ModelSpec) -> bool:
@@ -308,6 +341,52 @@ def _closed_logP(model: ModelSpec, w0, R):
     return val
 
 
+# Flow method behind each compute_P method ("quad" and unknown: the ODE).
+_FLOW_METHOD = {"series": "ode-series", "auto": "auto", "closed": "auto"}
+
+
+def _logP_from_R(model: ModelSpec, s, R, rtol: float = 1e-10,
+                method: str = "auto"):
+    """log P(t; s) from matching batches of s and R(t; s) = 1 - F(t; s), in
+    one closed-form evaluation or one batched quadrature (methods as in
+    :func:`compute_P`); returns (logP, error estimate)."""
+    s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
+    R_arr = np.atleast_1d(R)
+    at_one = np.abs(1.0 - s_arr) == 0
+    if method == "auto":
+        method = ("closed" if model.has_closed_form and not model.offspring.kappa
+                  else "quad")
+    if method == "closed":
+        if not model.has_closed_form or model.offspring.kappa:
+            raise ModelError("closed-form P needs canonical offspring paired "
+                             "with a stable immigration law")
+        w0 = 1.0 - s_arr
+        logp = _closed_logP(model, np.where(at_one, 1.0, w0),
+                            np.where(at_one, 1.0, R_arr))
+        err = 8.0 * np.finfo(float).eps
+    elif method in ("quad", "series"):
+        logp, err = gf_segment_integral(
+            model, rtol=rtol,
+            integrand="series" if method == "series" else "auto",
+            one_minus_s=np.where(at_one, 1.0, 1.0 - s_arr),
+            one_minus_F=np.where(at_one, 1.0, R_arr))
+    else:
+        raise ModelError(f"unknown method {method!r}")
+    return np.where(at_one, 0.0, np.atleast_1d(logp)), err
+
+
+def compute_P_grid(model: ModelSpec, s_batch, t_grid, rtol: float = 1e-10,
+                   method: str = "auto", f_rtol: float = None, f_atol: float = 1e-300):
+    """(log P, R, quadrature error) on a (len(t_grid), len(s_batch)) grid, from
+    one :func:`flow_on_grid` march and one :func:`_logP_from_R` call."""
+    s_arr = np.atleast_1d(np.asarray(s_batch, dtype=complex))
+    R = flow_on_grid(model, s_arr, t_grid, method=_FLOW_METHOD.get(method, "ode"),
+                     rtol=f_rtol if f_rtol else rtol, atol=f_atol)
+    logp, err = _logP_from_R(model, np.broadcast_to(s_arr, R.shape).ravel(),
+                            R.ravel(), rtol=rtol, method=method)
+    return logp.reshape(R.shape), R, err
+
+
 def compute_P(model: ModelSpec, t: float, s, rtol: float = 1e-10,
               method: str = "auto", route: str = "space",
               f_rtol: float = None, f_atol: float = 1e-300) -> GFValue:
@@ -324,39 +403,14 @@ def compute_P(model: ModelSpec, t: float, s, rtol: float = 1e-10,
     s_arr, scalar = _as_batch(s)
     if np.any(np.abs(s_arr) > 1 + 1e-12):
         raise ModelError("compute_P needs |s| <= 1")
-    if method == "series":
-        fmethod = "ode-series"
-    elif method in ("auto", "closed"):
-        fmethod = "auto"
-    else:
-        fmethod = "ode"
     gv = solve_F(model, t, s_arr, rtol=f_rtol if f_rtol else rtol,
-                 atol=f_atol, method=fmethod)
+                 atol=f_atol, method=_FLOW_METHOD.get(method, "ode"))
     F_arr, R_arr = np.atleast_1d(gv.F), np.atleast_1d(gv.R)
-    at_one = np.abs(1.0 - s_arr) == 0
-    if method == "auto":
-        method = ("closed" if model.has_closed_form and not model.offspring.kappa
-                  else "quad")
     if route == "time":
         logp, err = _time_route_logP(model, t, s_arr, rtol)
-    elif method == "closed":
-        if not model.has_closed_form or model.offspring.kappa:
-            raise ModelError("closed-form P needs canonical offspring paired "
-                             "with a stable immigration law")
-        w0 = 1.0 - s_arr
-        logp = _closed_logP(model, np.where(at_one, 1.0, w0),
-                            np.where(at_one, 1.0, R_arr))
-        err = 8.0 * np.finfo(float).eps
-    elif method in ("quad", "series"):
-        logp, err = gf_segment_integral(
-            model, rtol=rtol,
-            integrand="series" if method == "series" else "auto",
-            one_minus_s=np.where(at_one, 1.0, 1.0 - s_arr),
-            one_minus_F=np.where(at_one, 1.0, R_arr))
-        logp = np.atleast_1d(logp)
+        logp = np.where(np.abs(1.0 - s_arr) == 0, 0.0, logp)
     else:
-        raise ModelError(f"unknown method {method!r}")
-    logp = np.where(at_one, 0.0, np.atleast_1d(logp))
+        logp, err = _logP_from_R(model, s_arr, R_arr, rtol=rtol, method=method)
     P = np.exp(logp)
     return GFValue(t=t, s=s, F=_unbatch(F_arr, scalar), R=_unbatch(R_arr, scalar),
                    P=_unbatch(P, scalar), logP=_unbatch(logp, scalar),

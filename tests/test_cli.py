@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mbpilab.cli import load_config, main, run_config
+from mbpilab import rate_theorem2
+from mbpilab.cli import build_model, load_config, main, run_config
 from mbpilab.cli import ConfigError
 
 RECURRENT = """
@@ -107,6 +108,30 @@ def test_kernel_task(tmp_path):
     assert "kernel_oracle" in (tmp_path / "out" / "summary.txt").read_text()
 
 
+def _kernel_rows(tmp_path, t_list):
+    out = tmp_path / t_list
+    cfg = write(tmp_path, RECURRENT.format(
+        task="kernel", extra=f"t_list = {t_list}\ns_list = 0,0.5", out=out),
+        name=f"{t_list}.ini")
+    assert run_config(cfg) == 0
+    lines = (out / "kernel.csv").read_text().splitlines()[1:]
+    return [[float(v) for v in line.split(",")] for line in lines]
+
+
+def test_kernel_task_keeps_t_list_order(tmp_path):
+    given = _kernel_rows(tmp_path, "100,0.5,2")
+    ordered = _kernel_rows(tmp_path, "0.5,2,100")
+    assert [row[0] for row in given] == [100.0] * 2 + [0.5] * 2 + [2.0] * 2
+    for row, k in zip(given, (4, 5, 0, 1, 2, 3)):
+        assert row == pytest.approx(ordered[k], rel=1e-12)
+
+
+def test_kernel_task_negative_time_exits_3(tmp_path):
+    cfg = write(tmp_path, RECURRENT.format(
+        task="kernel", extra="t_list = 1,-2\ns_list = 0", out=tmp_path / "out"))
+    assert run_config(cfg) == 3
+
+
 def test_rates_task_summary_format(tmp_path):
     cfg = write(tmp_path, RECURRENT.format(
         task="rates", extra="t_min = 1e2\nt_max = 1e5\npoints = 13",
@@ -125,6 +150,24 @@ def test_rates_transient_task(tmp_path):
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "theorem2" in summary and "corollary1" in summary
     assert "uniformity_ratio" in summary
+
+
+def test_rates_transient_task_off_uniformity_set(tmp_path):
+    # The CLI marches s = 0.3 together with the uniformity set (0, 0.25, 0.5,
+    # 0.75); its theorem-2 column must match a fit of s = 0.3 alone.  The
+    # family carries an immigration-tail remainder, so rho(t) stays far above
+    # the roundoff floor eps * T(t) of the cancellation T(t) + log P(t; s).
+    cfg = write(tmp_path, TRANSIENT.format(
+        task="rates", d="0.25\nkappa_immigration = 1.0",
+        extra="s = 0.3\nt_min = 1e2\nt_max = 1e5\npoints = 13",
+        out=tmp_path / "out"))
+    assert run_config(cfg) == 0
+    lines = (tmp_path / "out" / "rate_theorem2.csv").read_text().splitlines()
+    errors = [float(line.split(",")[1]) for line in lines
+              if line and line[0].isdigit()]
+    model = build_model(load_config(cfg)["model"])
+    fit = rate_theorem2(model, 0.3, np.logspace(2, 5, 13))
+    assert errors == pytest.approx(fit.errors, rel=1e-12)
 
 
 def test_lemmas_task_reports_skip_for_transient(tmp_path):

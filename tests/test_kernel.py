@@ -3,9 +3,11 @@ import pytest
 
 from mbpilab import (ModelError, compute_P, compute_P_i, exact_R, solve_F,
                      transition_probs)
+from mbpilab import kernel
 from mbpilab.inversion import circle_points
-from mbpilab.kernel import (gf_integral_to_one, gf_segment_integral,
-                            gf_table_csv, transition_csv, transition_rows)
+from mbpilab.kernel import (flow_on_grid, gf_integral_to_one,
+                            gf_segment_integral, gf_table_csv, transition_csv,
+                            transition_rows)
 
 from oracles import scipy_R, scipy_gf_integral
 
@@ -229,3 +231,67 @@ def test_transition_probs_alias_tolerance(g025):
         transition_probs(g025, 0, 1.0, 4, r=0.99, M=16, alias_tol=1e-12)
     series = transition_probs(g025, 0, 1.0, 4, r=0.5, M=256, alias_tol=1e-12)
     assert series.aliasing_bound <= 1e-12
+
+
+GRID_2_6 = np.logspace(2, 6, 25)
+S_BATCH = (0.0, 0.25, 0.5, 0.75)
+
+
+@pytest.mark.parametrize("name", ["g025", "gneg_pert"])
+def test_flow_on_grid_march_matches_closed_form(name, request):
+    model = request.getfixturevalue(name)
+    R = flow_on_grid(model, S_BATCH, GRID_2_6, method="ode", rtol=1e-12)
+    assert R.shape == (GRID_2_6.size, len(S_BATCH))
+    exact = np.array([exact_R(model.offspring, t, np.array(S_BATCH, dtype=complex))
+                      for t in GRID_2_6])
+    assert np.max(np.abs(R - exact) / np.abs(exact)) <= 1e-11
+
+
+def test_flow_on_grid_keeps_caller_order(g025):
+    s = np.array([0.0, 0.3, 0.7])
+    grid = [100.0, 0.5, 0.0, 2.0, 100.0]
+    R = flow_on_grid(g025, s, grid, method="ode")
+    assert np.array_equal(R[2], 1.0 - s)
+    assert np.array_equal(R[0], R[4])
+    ordered = flow_on_grid(g025, s, [0.5, 2.0, 100.0], method="ode")
+    assert np.array_equal(R[[1, 3, 0]], ordered)
+    exact = np.array([exact_R(g025.offspring, t, s.astype(complex)) for t in grid])
+    assert np.max(np.abs(R - exact) / np.abs(exact)) <= 1e-8
+
+
+def test_flow_on_grid_rejects_bad_input(g025):
+    with pytest.raises(ModelError):
+        flow_on_grid(g025, [0.0], [1.0, -1.0])
+    with pytest.raises(ModelError):
+        flow_on_grid(g025, [1.5], [1.0])
+    with pytest.raises(ModelError):
+        flow_on_grid(g025, [0.0], [1.0], method="bogus")
+
+
+def test_flow_on_grid_one_point_equals_solve_F(g025, g025_pert_off):
+    s = np.array([0.0, 0.4, 0.3 + 0.4j])
+    for model in (g025, g025_pert_off):
+        for t in (0.5, 30.0, 1e4):
+            R = flow_on_grid(model, s, [t], method="ode")[0]
+            assert np.array_equal(R, solve_F(model, t, s, method="ode").R)
+
+
+@pytest.mark.parametrize("name", ["g025", "gneg_pert"])
+def test_flow_on_grid_marches_instead_of_restarting(name, request, monkeypatch):
+    """Marching the 25-point grid costs about one integration to its end; a
+    return to per-point restarts would cost about 4x as many evaluations."""
+    model = request.getfixturevalue(name)
+    calls = [0]
+    integrate = kernel._rk45
+
+    def counting(rhs, *args, **kwargs):
+        def counted(y):
+            calls[0] += 1
+            return rhs(y)
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "_rk45", counting)
+    flow_on_grid(model, S_BATCH, [GRID_2_6[-1]], method="ode", rtol=1e-12)
+    single, calls[0] = calls[0], 0
+    flow_on_grid(model, S_BATCH, GRID_2_6, method="ode", rtol=1e-12)
+    assert calls[0] <= 1.1 * single
