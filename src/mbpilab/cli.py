@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import ModelError, NumericsError, PreconditionError
 from . import asymptotics, invariants, kernel, laws, sim
-from .inversion import suggest_radius
+from .inversion import sample_count, suggest_radius
 
 
 class ConfigError(Exception):
@@ -214,6 +214,8 @@ def _task_kernel(model, task, out, verdicts):
 def _task_invariant(model, task, out, verdicts):
     j_out = _int(task, "j_out")
     M = _int(task, "samples")
+    if M < 4 or M & (M - 1):
+        raise ConfigError(f"field 'samples' must be a power of two >= 4, got {M}")
     if task["radius"] == "auto":
         r = suggest_radius(j_out, M, target=1e-10)
     else:
@@ -327,11 +329,9 @@ def _task_compare(model, task, out, verdicts, threads, seed_override, strict):
                             strict)
     t = _float(task, "horizon")
     j_out = _int(task, "j_out")
-    M = 4
-    while M < 4 * (j_out + 1):
-        M *= 2
     series = kernel.transition_probs(model, _int(task, "initial"), t, j_out,
-                                     r=0.9, M=max(M, 256), method="series")
+                                     r=0.9, M=sample_count(j_out, 256),
+                                     method="series")
     rows = sim.zscore_table(result, series.values, _float(task, "min_prob"))
     lines = ["j,p_hat,se,p_kernel,z"]
     for j, p_hat, se, p, z in rows:
@@ -421,8 +421,9 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to the INI configuration")
     run_p.add_argument("--out", default=None, help="output directory override")
     run_p.add_argument("--threads", type=int, default=1,
-                       help="simulator worker threads (simulate and compare tasks "
-                            "only; no other task uses threads)")
+                       help="accepted for compatibility; changes neither the "
+                            "results nor the speed (the simulator runs in one "
+                            "thread)")
     run_p.add_argument("--seed", type=int, default=None,
                        help="seed override for simulation tasks")
     run_p.add_argument("--strict", action="store_true",

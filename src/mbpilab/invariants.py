@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import ModelError, PreconditionError
 from .inversion import (CoefficientSeries, circle_points,
-                        coefficients_from_samples, complete_circle)
+                        coefficients_from_samples, complete_circle,
+                        sample_count)
 from .kernel import (gf_integral_to_one, regularized_integral_to_one,
                      transition_rows, transition_probs)
 from .laws import ModelSpec, _signed_binomials
@@ -182,10 +183,7 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
     if j_max is None:
         j_max = I // 2
     if M is None:
-        M = 4
-        while M < 4 * (j_max + 1):
-            M *= 2
-        M = max(M, 1024)
+        M = sample_count(j_max, 1024)
     rows = transition_rows(model, I, tau, J_out=j_max, r=r, M=M, rtol=rtol,
                            method=method)
     predicted = m @ rows.values
@@ -237,10 +235,7 @@ def ratio_limits(model: ModelSpec, j_max: int, t_grid, r: float = 0.9,
     if np.any(np.diff(t_grid) <= 0):
         raise ModelError("t_grid must be increasing")
     if M is None:
-        M = 4
-        while M < 4 * (j_max + 1):
-            M *= 2
-        M = max(M, 1024)
+        M = sample_count(j_max, 1024)
     rows = []
     for t in t_grid:
         series = transition_probs(model, 0, float(t), j_max, r=r, M=M,

@@ -24,6 +24,14 @@ from .errors import ModelError
 NOISE_FACTOR = 16.0  # empirical safety multiple of eps, validated in tests
 
 
+def sample_count(J_out: int, minimum: int = 4) -> int:
+    """Smallest power of two M with M >= 4 * (J_out + 1) and M >= minimum."""
+    M = 4
+    while M < max(4 * (J_out + 1), minimum):
+        M *= 2
+    return M
+
+
 def circle_points(r: float, M: int, half: bool = False) -> np.ndarray:
     """Sample points r*exp(2*pi*i*k/M); with half=True only k = 0..M/2."""
     if not 0.0 < r < 1.0:

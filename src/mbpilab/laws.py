@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ModelError, PreconditionError
 from .rvcalc import RVContext, SlowlyVaryingSpec, sv_constant, sv_perturbed
@@ -42,6 +41,52 @@ def _signed_binomials(alpha: float, J: int) -> np.ndarray:
     for j in range(J):
         out[j + 1] = out[j] * (j - alpha) / (j + 1.0)
     return out
+
+
+# Blocked Horner evaluation of the truncated series: coefficient k*_POWERS + m
+# multiplies z**m * (z**_POWERS)**k.  _POINTS bounds the points per block,
+# which keeps the (_POWERS, points) power table at 256 KiB.
+_POWERS = 64
+_POINTS = 256
+
+
+def _series_value(coefficients: np.ndarray, z):
+    """sum_j c_j z**j by blocked Horner, for z of any array shape.
+
+    Per block of points: the powers z**0..z**63 by repeated doubling, one
+    real matrix product each for their real and imaginary parts against the
+    (K, 64) coefficient matrix (a complex-by-real product leaves BLAS), and
+    K - 1 Horner steps in z**64.  For |z| <= 1 it agrees with a plain Horner
+    loop to within a few ulps of sum |c_j|.
+    """
+    z = np.asarray(z)
+    flat = z.astype(complex if np.iscomplexobj(z) else float).ravel()
+    K = -(-coefficients.size // _POWERS)
+    padded = np.zeros(K * _POWERS)
+    padded[:coefficients.size] = coefficients
+    C = padded.reshape(K, _POWERS)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _POINTS):
+        w = flat[lo:lo + _POINTS]
+        powers = np.empty((_POWERS, w.size), dtype=flat.dtype)
+        powers[0] = 1.0
+        h = 1
+        while h < _POWERS:              # rows h..2h-1 are rows 0..h-1 times z**h
+            np.multiply(powers[:h], w, out=powers[h:2 * h])
+            w = w * w
+            h *= 2
+        if np.iscomplexobj(powers):
+            blocks = np.empty((K, w.size), dtype=complex)
+            blocks.real = C @ np.ascontiguousarray(powers.real)
+            blocks.imag = C @ np.ascontiguousarray(powers.imag)
+        else:
+            blocks = C @ powers
+        acc = blocks[K - 1].copy()
+        for k in range(K - 2, -1, -1):  # w is now z**64
+            acc *= w
+            acc += blocks[k]
+        out[lo:lo + _POINTS] = acc
+    return out.reshape(z.shape)[()]
 
 
 def _check_unit_disc(z):
@@ -66,7 +111,7 @@ class _IntensityLaw:
                 raise ModelError("law has no closed form")
             return self._closed_gf(np.asarray(z))
         if mode == "series":
-            return npoly.polyval(np.asarray(z), self.coefficients)
+            return _series_value(self.coefficients, z)
         raise ModelError(f"unknown evaluation mode {mode!r}")
 
     def gf_at_one_minus(self, y, mode: str = "auto"):

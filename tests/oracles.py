@@ -6,6 +6,7 @@ import warnings
 
 import mpmath as mp
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad, solve_ivp
 
 
@@ -48,3 +49,8 @@ def mp_exp_series_coeffs(h_fun, n: int, dps: int = 40):
     with mp.workdps(dps):
         f = lambda s: mp.e ** h_fun(s)
         return [float(c) for c in mp.taylor(f, 0, n)]
+
+
+def polyval_series(coefficients, z):
+    """sum_j c_j z**j by numpy's plain Horner loop (one step per coefficient)."""
+    return npoly.polyval(np.asarray(z), coefficients)

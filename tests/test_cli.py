@@ -194,6 +194,15 @@ def test_invariant_task(tmp_path):
     assert "invariance" in summary and "normalization" in summary
 
 
+def test_invariant_samples_not_power_of_two_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, RECURRENT.format(
+        task="invariant", extra="j_out = 64\nsamples = 1000",
+        out=tmp_path / "out"))
+    assert run_config(cfg) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "samples" in err
+
+
 def test_compare_task_and_seed_override(tmp_path):
     extra = ("horizon = 2.0\nreplicates = 2000\nseed = 42\n"
              "j_out = 16\nmin_prob = 2e-2\nz_max = 4.0")

@@ -3,7 +3,8 @@ import pytest
 
 from mbpilab import ModelError
 from mbpilab.inversion import (circle_points, coefficients_from_samples,
-                               complete_circle, suggest_radius)
+                               complete_circle, sample_count,
+                               suggest_radius)
 
 
 def test_circle_points_layout():
@@ -98,3 +99,10 @@ def test_suggest_radius_supports_target(g025):
 def test_suggest_radius_rejects_impossible():
     with pytest.raises(ModelError):
         suggest_radius(20000, 2 ** 16, target=1e-12)
+
+
+def test_sample_count_smallest_power_of_two():
+    assert [sample_count(J) for J in (0, 1, 2, 3, 255, 256)] == [
+        4, 8, 16, 16, 1024, 2048]
+    assert sample_count(16, 256) == 256 and sample_count(256, 1024) == 2048
+    assert sample_count(64, 1000) == 1024

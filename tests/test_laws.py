@@ -6,10 +6,11 @@ import pytest
 from mbpilab import (ModelError, ModelSpec, PreconditionError,
                      make_stable_immigration, make_stable_offspring,
                      validate_law)
-from mbpilab.laws import (law_from_kv, law_to_kv, offspring_from_coefficients,
+from mbpilab.laws import (immigration_from_coefficients, law_from_kv,
+                          law_to_kv, offspring_from_coefficients,
                           parse_coefficient_text, with_coefficient)
 
-from oracles import binom_coeff
+from oracles import binom_coeff, polyval_series
 
 
 def test_offspring_canonical_coefficients():
@@ -127,6 +128,33 @@ def test_series_matches_closed_form_within_tail_bound(rng):
         closed = law.gf(s, mode="closed")
         series = law.gf(s, mode="series")
         assert np.max(np.abs(closed - series)) <= law.series_tail_bound
+
+
+@pytest.mark.parametrize("n_coef", [2, 3, 63, 64, 65, 2001])
+def test_series_mode_matches_horner_oracle(n_coef, rng):
+    # Blocked evaluation against a plain Horner loop: every coefficient
+    # block split (K = 1, 2 with a short tail, 32), point blocks split
+    # (255, 257, 1025 points), |z| <= 1 with z = +-1, real and complex z.
+    c = rng.uniform(-1.0, 1.0, size=n_coef)
+    law = (immigration_from_coefficients if n_coef == 2
+           else offspring_from_coefficients)(c)
+    tol = 1e-13 * np.sum(np.abs(c))
+    for shape in [(), (1,), (255,), (257,), (1025,), (15, 257), (15, 1025)]:
+        z = (np.sqrt(rng.uniform(0.0, 1.0, size=shape))
+             * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=shape)))
+        if shape:
+            z.flat[0], z.flat[-1] = 1.0, -1.0
+        for points in (z, np.real(z)):
+            got = law.gf(points, mode="series")
+            want = polyval_series(c, points)
+            assert np.shape(got) == np.shape(want)
+            assert np.iscomplexobj(got) == np.iscomplexobj(want)
+            assert np.max(np.abs(got - want)) <= tol
+            y = 1.0 - points
+            got = law.gf_at_one_minus(y, mode="series")
+            assert np.max(np.abs(got - polyval_series(c, 1.0 - y))) <= tol
+    assert law.gf(1.0, mode="series") == pytest.approx(np.sum(c), abs=tol)
+    assert law.gf(0, mode="series") == c[0]
 
 
 def test_coefficient_positivity_across_indices(rng):

@@ -1,3 +1,6 @@
+import hashlib
+import threading
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,43 @@ def test_path_event_log(g025_small):
         assert path.log[-1][2] == path.state
 
 
+def test_path_event_log_pinned(g025_small):
+    # 1004 events: fifteen refills of the 64-draw chunk, both jump kinds.
+    path = simulate_path(g025_small, 3, 20.0, _rng(seed=11, rep=3),
+                         collect_events=True)
+    assert path.events == len(path.log) == 1004
+    assert path.log[-1][2] == path.state
+    assert 3 + sum(jump for _, jump, _ in path.log) == path.state
+    text = ";".join(f"{float(t)!r},{jump},{x}" for t, jump, x in path.log)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a8ea064737c004de1ef406b4abad919605c1136a0ba147932b192ddd2820eab3")
+
+
+# sha256 of sim_csv(estimate_pmf(config)) for fixed configs on g025_small,
+# taken from the per-replicate generator build (one Philox and one
+# Generator per replicate) with numpy-scalar event arithmetic.  Any change
+# of stream, draw order or floating-point operation changes a digest.
+GOLDEN_SIM = [
+    (dict(horizon=2.0, replicates=2000, seed=123),
+     "30b092ffcecfe6474ccbc34579756f56b0fd21136ee7cdb138dcd94d9b491da2"),
+    (dict(horizon=4.0, replicates=1500, seed=7, initial=5),
+     "5e02357771eeef0efe9d8b5fb9d4b00382e06cdc3304a275999ad6f279816602"),
+    (dict(horizon=5.0, replicates=500, seed=3, initial=1, state_cap=2),
+     "f6310d5646ba2ff54751c9d0e5d3b01e438e2425136afa176a7c0cb203714a3d"),
+    (dict(horizon=5.0, replicates=800, seed=2 ** 63 + 5, initial=2,
+          state_cap=40),
+     "f30a91f2e6a16e00a2d8b534e05e930f96e00728cf4e73a3116453318a16d14f"),
+]
+
+
+@pytest.mark.parametrize("fields,digest", GOLDEN_SIM)
+def test_sim_csv_pinned(g025_small, fields, digest):
+    res = estimate_pmf(SimConfig(model=g025_small, **fields))
+    if fields.get("state_cap"):
+        assert res.capped_count > 0
+    assert hashlib.sha256(sim_csv(res).encode()).hexdigest() == digest
+
+
 def test_point_mass_at_initial_state(g025_small):
     cfg = SimConfig(model=g025_small, horizon=0.0, replicates=50, seed=9,
                     initial=3)
@@ -93,6 +133,16 @@ def test_threading_does_not_change_results(g025_small):
                                       replicates=2000, seed=77, threads=4))
     assert np.array_equal(base.pmf, threaded.pmf)
     assert base.capped_count == threaded.capped_count
+
+
+def test_threads_start_no_thread(g025_small, monkeypatch):
+    def refuse(self):
+        raise AssertionError("estimate_pmf started a thread")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = SimConfig(model=g025_small, horizon=1.0, replicates=300, seed=5)
+    many = SimConfig(model=g025_small, horizon=1.0, replicates=300, seed=5,
+                     threads=100_000)
+    assert np.array_equal(estimate_pmf(many).pmf, estimate_pmf(cfg).pmf)
 
 
 def test_se_scaling(g025_small):
