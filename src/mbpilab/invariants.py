@@ -49,10 +49,14 @@ def compute_B(model: ModelSpec, s, rtol: float = 1e-10):
 
 def log_pi(model: ModelSpec, s, rtol: float = 1e-10):
     """log pi(s) = (1-s)^(-|gamma|) + log B(s), kept in log space."""
-    reg, _ = regularized_integral_to_one(model, s, rtol=rtol)
+    return _log_pi_and_error(model, s, rtol)[0]
+
+
+def _log_pi_and_error(model: ModelSpec, s, rtol: float):
+    """log pi(s) with the quadrature error estimate of log B(s)."""
+    reg, err = regularized_integral_to_one(model, s, rtol=rtol)
     w0 = 1.0 - np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
-    out = w0 ** (-abs(model.gamma)) + reg
-    return out
+    return w0 ** (-abs(model.gamma)) + reg, err
 
 
 def compute_pi(model: ModelSpec, s, rtol: float = 1e-10):
@@ -136,8 +140,7 @@ def extract_measure(model: ModelSpec, kind: str = "auto", J_out: int = 512,
             raise PreconditionError("distribution extraction needs gamma > 0")
         log_vals, err = gf_integral_to_one(model, s_half, rtol=rtol)
     elif kind == "measure":
-        log_vals = log_pi(model, s_half, rtol=rtol)
-        err = 0.0
+        log_vals, err = _log_pi_and_error(model, s_half, rtol)
     else:
         raise ModelError(f"unknown kind {kind!r}")
     samples = complete_circle(np.exp(np.atleast_1d(log_vals)), M)

@@ -26,6 +26,7 @@ from .inversion import (CoefficientSeries, circle_points,
                         coefficients_from_samples, complete_circle)
 from .laws import BranchingLaw, ModelSpec
 from .quadrature import adaptive_quadrature, doubling_quadrature
+from .rvcalc import power_form
 
 # Dormand-Prince 5(4) embedded pair.
 _DP_A = (
@@ -209,7 +210,39 @@ def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
 
 def _sv_available(model: ModelSpec) -> bool:
     specs = (model.offspring.sv_spec, model.immigration.sv_spec)
-    return all(sp is not None and sp.kind in ("constant", "perturbed") for sp in specs)
+    return all(sp is not None and power_form(sp) is not None for sp in specs)
+
+
+def _tail_terms(model: ModelSpec):
+    """C = C_ell / C_L and the (kappa, exponent) terms of ell and L from their
+    power forms, so that Lratio(x) = C (1 + pert_ell) / (1 + pert_L) and
+    C - Lratio(x) = C (pert_L - pert_ell) / (1 + pert_L), with
+    pert = kappa * x**(-exponent); a term is None where kappa is 0."""
+    c_g, kap_g, exp_g = power_form(model.immigration.sv_spec)
+    c_L, kap_L, exp_L = power_form(model.offspring.sv_spec)
+    return (c_g / c_L, (kap_g, exp_g) if kap_g else None,
+            (kap_L, exp_L) if kap_L else None)
+
+
+def _separable_pert(term, q_scale: float, w0):
+    """q -> kappa * x**(-e) at x = q**(-q_scale) / w0 for nodes q > 0, as the
+    outer product of the real powers q**(e*q_scale) with the per-call row
+    kappa * w0**e (exact for Re w0 > 0, see gf_integral_to_one); 0.0 when
+    the term is None."""
+    if term is None:
+        return lambda q: 0.0
+    kappa, e = term
+    row = kappa * w0 ** e
+    return lambda q: np.multiply.outer(q ** (e * q_scale), row)
+
+
+def _wgamma_lratio(gamma: float, terms, logw):
+    """w**gamma * Lratio(1/w) from logw = log(w) and terms = _tail_terms(model),
+    as exp(gamma*logw) times the power form with (1/w)**(-e) = exp(e*logw)."""
+    C, term_g, term_L = terms
+    pert_g = term_g[0] * np.exp(term_g[1] * logw) if term_g else 0.0
+    pert_L = term_L[0] * np.exp(term_L[1] * logw) if term_L else 0.0
+    return np.exp(gamma * logw) * (C * (1.0 + pert_g) / (1.0 + pert_L))
 
 
 def _series_ratio(model, u):
@@ -228,6 +261,12 @@ def gf_segment_integral(model: ModelSpec, s=None, F=None, rtol: float = 1e-10,
     varies like an exponential, so uniform panels resolve it.  Endpoints can
     be supplied as 1-s / 1-F directly (``one_minus_*``), which preserves
     full precision when F is exponentially close to 1.
+
+    The "sv" integrand -D w**gamma Lratio(1/w), w = 1-u, is evaluated from
+    logw = log(w0) - x D with no complex power: w**gamma = exp(gamma logw)
+    and, in the power forms of the tail specs, (1/w)**(-e) = exp(e logw).
+    Both are exact on the principal branch because Re w > 0 along the path
+    keeps |Im logw| < pi/2, so Log(exp(logw)) = logw.
     """
     w0_in = one_minus_s if one_minus_s is not None else 1.0 - np.asarray(s, dtype=complex)
     w1_in = one_minus_F if one_minus_F is not None else 1.0 - np.asarray(F, dtype=complex)
@@ -242,20 +281,20 @@ def gf_segment_integral(model: ModelSpec, s=None, F=None, rtol: float = 1e-10,
     D = logw0 - np.log(w1)
     dmax = float(np.max(np.abs(D)))
     if dmax < 1e-13:
-        wmid = np.exp(0.5 * (logw0 + np.log(w1)))
+        logwmid = 0.5 * (logw0 + np.log(w1))
         if integrand == "sv":
-            ratio = -wmid ** (model.gamma - 1.0) * model.context().L_ratio(1.0 / wmid)
+            val = -D * _wgamma_lratio(model.gamma, _tail_terms(model), logwmid)
         else:
-            ratio = _series_ratio(model, 1.0 - wmid)
-        return _unbatch(ratio * wmid * D, scalar_s), dmax
+            wmid = np.exp(logwmid)
+            val = _series_ratio(model, 1.0 - wmid) * wmid * D
+        return _unbatch(val, scalar_s), dmax
 
     if integrand == "sv":
-        lratio = model.context().L_ratio
-        gamma = model.gamma
+        gamma, terms = model.gamma, _tail_terms(model)
 
         def fun(x):
-            w = np.exp(logw0[None, :] - x[:, None] * D[None, :])
-            return -D[None, :] * w ** gamma * lratio(1.0 / w)
+            logw = logw0[None, :] - x[:, None] * D[None, :]
+            return -D[None, :] * _wgamma_lratio(gamma, terms, logw)
     elif integrand == "series":
         def fun(x):
             w = np.exp(logw0[None, :] - x[:, None] * D[None, :])
@@ -276,6 +315,12 @@ def gf_integral_to_one(model: ModelSpec, s=None, rtol: float = 1e-10,
     -(1-s)**gamma / gamma * integral_0^1 Lratio(q**(-1/gamma)/(1-s)) dq
     with a smooth bounded integrand.  Supplying ``one_minus_s`` avoids the
     cancellation in 1 - s for arguments exponentially close to 1.
+
+    The tail functions are taken in separable form: at x = q**(-1/gamma)/w0,
+    x**(-e) = q**(e/gamma) * w0**e holds exactly on the principal branch,
+    since q > 0 and Re w0 > 0 give Log x = -ln(q)/gamma - Log w0 with
+    Arg x = -Arg w0 in (-pi/2, pi/2).  Each panel takes real powers of its
+    15 nodes times one complex power of w0 per call and per kappa != 0 term.
     """
     if not model.gamma > 0:
         raise PreconditionError("the integral to 1 diverges unless gamma > 0")
@@ -286,11 +331,14 @@ def gf_integral_to_one(model: ModelSpec, s=None, rtol: float = 1e-10,
     at_one = w0 == 0
     w0_safe = np.where(at_one, 1.0, w0)
     gamma = model.gamma
-    lratio = model.context().L_ratio
+    C, term_g, term_L = _tail_terms(model)
+    pert_g = _separable_pert(term_g, 1.0 / gamma, w0_safe)
+    pert_L = _separable_pert(term_L, 1.0 / gamma, w0_safe)
 
     def fun(q):
-        x = q[:, None] ** (-1.0 / gamma) / w0_safe[None, :]
-        return lratio(x)
+        # a scalar when neither law has a kappa term
+        val = C * (1.0 + pert_g(q)) / (1.0 + pert_L(q))
+        return np.broadcast_to(val, (q.size, w0_safe.size)).astype(complex, copy=False)
 
     inner, err = doubling_quadrature(fun, 0.0, 1.0, rtol=rtol)
     val = -(w0_safe ** gamma) / gamma * inner
@@ -306,10 +354,14 @@ def regularized_integral_to_one(model: ModelSpec, s, rtol: float = 1e-10):
     cancellation is evaluated through the stable limit-deficit form of the
     tail functions, never by subtracting two divergent integrals, and the
     substitution q = ((1-u)/(1-s))**mu leaves a bounded integrand.
+
+    As in :func:`gf_integral_to_one` the tail functions are taken in
+    separable form: at x = q**(-1/mu)/w0, x**(-e) = q**(e/mu) * w0**e
+    exactly on the principal branch (q > 0, Re w0 > 0), so each panel takes
+    real powers of its nodes and one complex power of w0 per call and term.
     """
     model.require_transient_limit()
-    deficit = model.context().ratio_deficit_fun()
-    if deficit is None:
+    if not _sv_available(model):
         raise PreconditionError(
             "the regularized integrand needs tail specs with a stable "
             "limit-deficit form (built-in families provide one)")
@@ -319,10 +371,16 @@ def regularized_integral_to_one(model: ModelSpec, s, rtol: float = 1e-10):
     w0_safe = np.where(at_one, 1.0, w0)
     g_abs = abs(model.gamma)
     mu = model.mu
+    C, term_g, term_L = _tail_terms(model)
+    pert_g = _separable_pert(term_g, 1.0 / mu, w0_safe)
+    pert_L = _separable_pert(term_L, 1.0 / mu, w0_safe)
 
     def fun(q):
-        x = q[:, None] ** (-1.0 / mu) / w0_safe[None, :]
-        return q[:, None] ** (-1.0 - g_abs / mu) * deficit(x) / mu
+        p_L = pert_L(q)
+        deficit = C * (p_L - pert_g(q)) / (1.0 + p_L)
+        val = q[:, None] ** (-1.0 - g_abs / mu) * deficit / mu
+        return np.broadcast_to(val, (q.size, w0_safe.size)).astype(complex, copy=False)
+
     inner, err = doubling_quadrature(fun, 0.0, 1.0, rtol=rtol)
     val = w0_safe ** (-g_abs) * inner
     val = np.where(at_one, 0.0, val)

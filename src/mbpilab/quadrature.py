@@ -20,29 +20,31 @@ import numpy as np
 
 from .errors import NumericsError
 
-# 15-point Kronrod extension of 7-point Gauss on [-1, 1].
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
+# 15-point Kronrod extension of 7-point Gauss on [-1, 1]: QUADPACK's qk15
+# tables (Piessens et al., 1983) of the nonnegative nodes, descending to 0,
+# and their weights, to 33 digits so that each constant is the correctly
+# rounded double and the rule's moments are right to a few ulp (15-digit
+# constants left sum(_WK) short of 2 by 6e-15, biasing every panel).
+_XK_POS = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
 ])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
+_WK_POS = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
 ])
+_WG_POS = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+])
+_XK = np.concatenate((-_XK_POS[:-1], _XK_POS[::-1]))
+_WK = np.concatenate((_WK_POS[:-1], _WK_POS[::-1]))
 _GIDX = np.array([1, 3, 5, 7, 9, 11, 13])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
-])
+_WG = np.concatenate((_WG_POS[:-1], _WG_POS[::-1]))
 
 
 def kronrod_rule():

@@ -112,20 +112,33 @@ def sv_by_name(text: str) -> SlowlyVaryingSpec:
                      "(expected constant(c), perturbed(c,kappa,exponent), log)")
 
 
+def power_form(spec: SlowlyVaryingSpec):
+    """(c, kappa, exponent) with spec(x) = c * (1 + kappa * x**(-exponent)) for
+    the built-in constant and perturbed families, None for any other spec.
+
+    Callers that know x**(-exponent) in a cheaper form than a complex power
+    (see the tail-function integrands in :mod:`mbpilab.kernel`) evaluate the
+    spec from these three numbers instead of through ``spec.evaluate``.
+    """
+    if spec.kind == "constant":
+        return spec.params[0], 0.0, 1.0
+    if spec.kind == "perturbed":
+        return tuple(spec.params)
+    return None
+
+
 def ratio_deficit(L: SlowlyVaryingSpec, ell: SlowlyVaryingSpec):
     """Stable evaluator of  C - ell(x)/L(x)  with C = ell.limit / L.limit.
 
-    Returns None when either spec carries no limit or is not one of the
-    built-in families; the subtraction must then not be trusted near the
-    limit (catastrophic cancellation), so callers refuse to proceed.
+    Returns None unless both specs have a power form; the subtraction must
+    then not be trusted near the limit (catastrophic cancellation), so
+    callers refuse to proceed.
     """
-    if L.limit is None or ell.limit is None:
+    form_L, form_g = power_form(L), power_form(ell)
+    if form_L is None or form_g is None:
         return None
-    if L.kind not in ("constant", "perturbed") or ell.kind not in ("constant", "perturbed"):
-        return None
-    C = ell.limit / L.limit
-    kap_L, exp_L = (L.params[1], L.params[2]) if L.kind == "perturbed" else (0.0, 1.0)
-    kap_g, exp_g = (ell.params[1], ell.params[2]) if ell.kind == "perturbed" else (0.0, 1.0)
+    (c_L, kap_L, exp_L), (c_g, kap_g, exp_g) = form_L, form_g
+    C = c_g / c_L
 
     def _deficit(x):
         x = np.asarray(x)

@@ -1,6 +1,8 @@
 """Independent oracles used by the tests: SciPy integration/quadrature and
 mpmath high-precision arithmetic, none of which share code with the package
-paths they check."""
+paths they check, plus the direct tail-function integrands that the kernel's
+separable forms replaced (run through the package's own quadrature, so that
+the two differ only in how the integrand is evaluated)."""
 
 import warnings
 
@@ -8,6 +10,8 @@ import mpmath as mp
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad, solve_ivp
+
+from mbpilab.quadrature import doubling_quadrature
 
 
 def binom_coeff(alpha: float, j: int) -> float:
@@ -54,3 +58,49 @@ def mp_exp_series_coeffs(h_fun, n: int, dps: int = 40):
 def polyval_series(coefficients, z):
     """sum_j c_j z**j by numpy's plain Horner loop (one step per coefficient)."""
     return npoly.polyval(np.asarray(z), coefficients)
+
+
+def direct_integral_to_one(model, s, rtol=1e-10):
+    """gf_integral_to_one with Lratio(x) evaluated at the complex argument
+    x = q**(-1/gamma) / (1-s), one complex power per node and point."""
+    w0 = np.atleast_1d(1.0 - np.asarray(s, dtype=complex))
+    gamma = model.gamma
+    lratio = model.context().L_ratio
+
+    def fun(q):
+        return lratio(q[:, None] ** (-1.0 / gamma) / w0[None, :])
+
+    inner, err = doubling_quadrature(fun, 0.0, 1.0, rtol=rtol)
+    return -(w0 ** gamma) / gamma * inner, err
+
+
+def direct_regularized_integral(model, s, rtol=1e-10):
+    """regularized_integral_to_one with the limit deficit of rvcalc evaluated
+    at the complex argument x = q**(-1/mu) / (1-s)."""
+    w0 = np.atleast_1d(1.0 - np.asarray(s, dtype=complex))
+    g_abs, mu = abs(model.gamma), model.mu
+    deficit = model.context().ratio_deficit_fun()
+
+    def fun(q):
+        x = q[:, None] ** (-1.0 / mu) / w0[None, :]
+        return q[:, None] ** (-1.0 - g_abs / mu) * deficit(x) / mu
+
+    inner, err = doubling_quadrature(fun, 0.0, 1.0, rtol=rtol)
+    return w0 ** (-g_abs) * inner, err
+
+
+def direct_segment_integral(model, w0, w1, rtol=1e-10):
+    """The "sv" branch of gf_segment_integral from 1-u = w0 to 1-u = w1 with
+    w = exp(logw) raised to gamma and Lratio evaluated at 1/w directly."""
+    w0, w1 = np.atleast_1d(w0), np.atleast_1d(w1)
+    logw0 = np.log(w0)
+    D = logw0 - np.log(w1)
+    gamma = model.gamma
+    lratio = model.context().L_ratio
+
+    def fun(x):
+        w = np.exp(logw0[None, :] - x[:, None] * D[None, :])
+        return -D[None, :] * w ** gamma * lratio(1.0 / w)
+
+    n0 = int(max(8, min(256, np.ceil(2.0 * np.max(np.abs(D))))))
+    return doubling_quadrature(fun, 0.0, 1.0, rtol=rtol, n0=n0)

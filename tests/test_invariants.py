@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,34 @@ from mbpilab import (ModelError, PreconditionError, check_invariance,
                      compute_B, compute_P, compute_U, compute_pi,
                      extract_measure, ratio_limits, series_coefficients,
                      solve_F, stable_model)
+from mbpilab import rvcalc
 from mbpilab.invariants import limit_ratios, log_pi, measure_csv
-from mbpilab.inversion import suggest_radius
+from mbpilab.inversion import circle_points, suggest_radius
+from mbpilab.kernel import (exact_R, gf_integral_to_one, gf_segment_integral,
+                            regularized_integral_to_one)
+from mbpilab.laws import ModelSpec
 
-from oracles import mp_exp_series_coeffs, scipy_gf_integral
+from oracles import (direct_integral_to_one, direct_regularized_integral,
+                     direct_segment_integral, mp_exp_series_coeffs,
+                     scipy_gf_integral)
+
+# The half circle behind extract_measure's default M = 2**14.
+HALF_CIRCLE = circle_points(0.9, 16384, half=True)
+
+
+@pytest.fixture(scope="module")
+def g025_pert_both():
+    """Recurrent pairing with a kappa on both tail functions."""
+    return stable_model(nu=0.5, c=1.0, delta=0.75, d=0.25,
+                        kappa_offspring=0.5, kappa_immigration=0.2)
+
+
+def _integral_pair(model):
+    if model.gamma > 0:
+        return (gf_integral_to_one(model, HALF_CIRCLE),
+                direct_integral_to_one(model, HALF_CIRCLE))
+    return (regularized_integral_to_one(model, HALF_CIRCLE),
+            direct_regularized_integral(model, HALF_CIRCLE))
 
 
 def test_U_values(g025):
@@ -177,3 +203,79 @@ def test_measure_csv_format(g025):
     assert any(line.startswith("# kind = distribution") for line in lines)
     header_idx = lines.index("j,m_j,bound")
     assert len(lines) - header_idx - 1 == 9
+
+
+@pytest.mark.parametrize("name", ["g025_pert_off", "gneg_pert", "g025_pert_both"])
+def test_separable_integrals_match_direct_integrands(name, request):
+    # measured: at most 9.5e-16 relative (gneg_pert) on the 8193 points
+    model = request.getfixturevalue(name)
+    (val, _), (ref, _) = _integral_pair(model)
+    assert np.max(np.abs(val - ref) / np.abs(ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["g025", "gneg"])
+def test_separable_integrals_exact_without_kappa(name, request):
+    # no kappa term: the integrand is the constant C (or 0), as before
+    model = request.getfixturevalue(name)
+    (val, err), (ref, ref_err) = _integral_pair(model)
+    assert np.array_equal(val, ref) and err == ref_err
+
+
+@pytest.mark.parametrize("name", ["g025_pert_off", "gneg_pert", "g025_pert_both"])
+def test_separable_segment_matches_direct_integrand(name, request):
+    # measured: at most 4.6e-16 relative
+    model = request.getfixturevalue(name)
+    s = HALF_CIRCLE[::8]
+    R = exact_R(model.offspring, 2.0, s)
+    val, _ = gf_segment_integral(model, one_minus_s=1.0 - s, one_minus_F=R,
+                                 integrand="sv")
+    ref, _ = direct_segment_integral(model, 1.0 - s, R)
+    assert np.max(np.abs(val - ref) / np.abs(ref)) <= 1e-13
+
+
+def _size_guarded(model, limit):
+    """``model`` with tail specs whose evaluate fails on arrays of more than
+    ``limit`` entries."""
+    def guard(spec):
+        def evaluate(x):
+            if np.size(x) > limit:
+                raise AssertionError(
+                    f"{spec.label} evaluated on {np.size(x)} > {limit} points")
+            return spec.evaluate(x)
+        return dataclasses.replace(spec, evaluate=evaluate)
+
+    return ModelSpec(
+        dataclasses.replace(model.offspring, sv_spec=guard(model.offspring.sv_spec)),
+        dataclasses.replace(model.immigration,
+                            sv_spec=guard(model.immigration.sv_spec)))
+
+
+def test_integrands_never_evaluate_specs_on_the_node_grid(
+        monkeypatch, g025_pert_off, gneg_pert, g025_pert_both):
+    # the tail functions are taken in separable form: no spec evaluation (or
+    # limit deficit) on a whole nodes x circle grid, only per-point batches
+    M = 2048
+    batch = M // 2 + 1
+    direct_deficit = rvcalc.ratio_deficit
+
+    def guarded_deficit(L, ell):
+        deficit = direct_deficit(L, ell)
+
+        def checked(x):
+            if np.size(x) > batch:
+                raise AssertionError(f"limit deficit on {np.size(x)} points")
+            return deficit(x)
+        return checked
+
+    monkeypatch.setattr(rvcalc, "ratio_deficit", guarded_deficit)
+    for model in (g025_pert_off, gneg_pert, g025_pert_both):
+        extract_measure(_size_guarded(model, batch), J_out=64, r=0.9, M=M)
+    # the "sv" segment integrand, behind compute_P's quadrature route
+    compute_P(_size_guarded(g025_pert_off, batch), 1.0,
+              circle_points(0.9, M, half=True), method="quad")
+
+
+def test_measure_extraction_reports_quadrature_error(gneg_pert):
+    measure = extract_measure(gneg_pert, J_out=64, r=0.9, M=2048)
+    err = measure.series.meta["quad_error"]
+    assert np.isfinite(err) and err > 0.0

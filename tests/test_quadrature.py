@@ -1,3 +1,6 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,6 +20,36 @@ def test_kronrod_rule_polynomial_exactness():
     for deg in range(0, 14):
         exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
         assert gweights @ nodes[gidx] ** deg == pytest.approx(exact, abs=2e-14)
+
+
+def test_kronrod_moments_within_four_ulp():
+    # the full-precision constants: each moment of K15 (x**k, k <= 22) and of
+    # G7 (k <= 13) lies within 4 ulp of sum_i w_i |x_i|**k; 15-digit
+    # constants left sum(w) short of 2 by 27 ulp
+    nodes, weights, gidx, gweights = kronrod_rule()
+    for x, w, top in ((nodes, weights, 22), (nodes[gidx], gweights, 13)):
+        for deg in range(top + 1):
+            exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
+            moment = math.fsum(w * x ** deg)
+            ulp = np.spacing(math.fsum(w * np.abs(x) ** deg))
+            assert abs(moment - exact) <= 4 * ulp, (len(x), deg)
+
+
+def test_gauss_rule_is_legendre():
+    nodes, _, gidx, gweights = kronrod_rule()
+    ref_x, ref_w = np.polynomial.legendre.leggauss(7)
+    # leggauss refines its roots by Newton steps in double precision and
+    # lands within 1 ulp of the nodes (4 ulp of the weights)
+    assert np.all(np.abs(nodes[gidx] - ref_x) <= np.spacing(np.abs(ref_x)))
+    assert np.all(np.abs(gweights - ref_w) <= 4 * np.spacing(ref_w))
+    # the constants themselves are the correctly rounded roots of P_7 and
+    # their Gauss weights 2 / ((1 - x**2) P_7'(x)**2)
+    with mp.workdps(40):
+        p7 = lambda t: mp.legendre(7, t)
+        for x, w in zip(nodes[gidx], gweights):
+            root = mp.findroot(p7, mp.mpf(x))
+            assert float(root) == x
+            assert float(2 / ((1 - root ** 2) * mp.diff(p7, root) ** 2)) == w
 
 
 @pytest.mark.parametrize("fun,a,b", [

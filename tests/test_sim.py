@@ -64,12 +64,14 @@ def test_path_zero_horizon(g025_small):
 
 
 def test_path_event_log(g025_small):
-    path = simulate_path(g025_small, 0, 3.0, _rng(seed=5), collect_events=True)
+    # seed 2 from state 0 takes three events (+1, +2, -1) before t = 3
+    path = simulate_path(g025_small, 0, 3.0, _rng(seed=2), collect_events=True)
+    assert path.events > 0
     assert path.log is not None and len(path.log) == path.events
-    if path.log:
-        times = [entry[0] for entry in path.log]
-        assert all(a < b for a, b in zip(times, times[1:]))
-        assert path.log[-1][2] == path.state
+    times = [entry[0] for entry in path.log]
+    assert all(a < b for a, b in zip(times, times[1:])) and times[-1] <= 3.0
+    assert path.log[-1][2] == path.state
+    assert sum(jump for _, jump, _ in path.log) == path.state
 
 
 def test_path_event_log_pinned(g025_small):
