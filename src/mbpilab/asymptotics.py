@@ -106,7 +106,7 @@ def rate_theorem1(model: ModelSpec, s: float, t_grid, rtol: float = 1e-10,
     t_grid = np.asarray(t_grid, dtype=float)
     ctx = model.context()
     R = flow_on_grid(model, [s], t_grid, method="ode" if method == "quad" else "auto",
-                     rtol=min(rtol, 1e-12), atol=1e-300)[:, 0]
+                     rtol=min(rtol, 1e-12))[:, 0]
     tail, _ = gf_integral_to_one(model, rtol=rtol, one_minus_s=R)
     errors = np.abs(np.expm1(-np.real(tail)))
     tau = np.array([ctx.tau(float(t)) for t in t_grid])

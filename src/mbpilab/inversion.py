@@ -74,8 +74,11 @@ class CoefficientSeries:
         return self.noise_scale * self.radius ** (-idx.astype(float))
 
     def coefficient_bound(self, j=None) -> np.ndarray:
-        """Total per-coefficient error bound (aliasing + roundoff floor)."""
-        return self.noise_floor(j) + self.aliasing_bound
+        """Total per-coefficient error bound: aliasing, the roundoff floor
+        and the rounding of the coefficient itself (eps * |m_j|)."""
+        idx = slice(None) if j is None else np.asarray(j)
+        return (self.noise_floor(j) + self.aliasing_bound
+                + np.finfo(float).eps * np.abs(self.values[idx]))
 
     def validity_index(self, target: float) -> int:
         """Largest index whose error bound stays below ``target`` (-1: none)."""

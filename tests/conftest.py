@@ -1,7 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from mbpilab import stable_model
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile("mbpilab", derandomize=True, database=None,
+                          deadline=None, max_examples=50)
+settings.load_profile("mbpilab")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _hypothesis_storage(tmp_path_factory):
+    """hypothesis caches the constants it finds in local source files; keep
+    that cache in pytest's temporary directory, not in a .hypothesis/ of the
+    working tree."""
+    set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,8 @@
 mpmath high-precision arithmetic, none of which share code with the package
 paths they check, plus the direct tail-function integrands that the kernel's
 separable forms replaced (run through the package's own quadrature, so that
-the two differ only in how the integrand is evaluated)."""
+the two differ only in how the integrand is evaluated), and the
+occupation-time route to P(t; s), a check on compute_P's segment integral."""
 
 import warnings
 
@@ -11,7 +12,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad, solve_ivp
 
-from mbpilab.quadrature import doubling_quadrature
+from mbpilab.kernel import exact_R
+from mbpilab.quadrature import adaptive_quadrature, doubling_quadrature
 
 
 def binom_coeff(alpha: float, j: int) -> float:
@@ -53,6 +55,26 @@ def mp_exp_series_coeffs(h_fun, n: int, dps: int = 40):
     with mp.workdps(dps):
         f = lambda s: mp.e ** h_fun(s)
         return [float(c) for c in mp.taylor(f, 0, n)]
+
+
+def time_route_P(model, t: float, s, rtol=1e-10):
+    """P(t; s) via the occupation-time form exp(integral_0^t g(F(u; s)) du) on
+    the closed-form flow (stable families only), with no use of the g/f
+    segment integral that compute_P takes."""
+    s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
+    if t == 0:
+        return np.ones_like(s_arr)
+    law_g = model.immigration
+
+    def fun(u):
+        vals = np.empty((u.size, s_arr.size), dtype=complex)
+        for row, uu in enumerate(u):
+            R = exact_R(model.offspring, float(uu), s_arr)
+            vals[row] = law_g.gf_at_one_minus(R, mode="closed")
+        return vals
+
+    val, _ = adaptive_quadrature(fun, 0.0, t, rtol=rtol, initial_panels=16)
+    return np.exp(np.where(s_arr == 1.0, 0.0, val))
 
 
 def polyval_series(coefficients, z):

@@ -279,3 +279,18 @@ def test_measure_extraction_reports_quadrature_error(gneg_pert):
     measure = extract_measure(gneg_pert, J_out=64, r=0.9, M=2048)
     err = measure.series.meta["quad_error"]
     assert np.isfinite(err) and err > 0.0
+
+
+@pytest.mark.parametrize("name", ["gneg", "g025", "gneg_pert"])
+def test_extracted_coefficients_within_reported_bound(name, request):
+    """Every extracted coefficient lies within coefficient_bound() of the
+    series recurrence, at the invariant task's settings; the bound carries
+    the rounding of m_j itself (gneg's m_0 = e is one ulp off otherwise)."""
+    model = request.getfixturevalue(name)
+    M = 2 ** 14
+    r = suggest_radius(256, M, target=1e-10)
+    measure = extract_measure(model, J_out=256, r=r, M=M)
+    exact = series_coefficients(model, measure.kind, 256)
+    bound = measure.series.coefficient_bound()
+    assert np.all(np.abs(measure.coefficients - exact) <= bound)
+    assert np.array_equal(measure.series.coefficient_bound([0, 7]), bound[[0, 7]])

@@ -8,8 +8,9 @@ from mbpilab.inversion import circle_points
 from mbpilab.kernel import (flow_on_grid, gf_integral_to_one,
                             gf_segment_integral, gf_table_csv, transition_csv,
                             transition_rows)
+from mbpilab.laws import offspring_from_coefficients
 
-from oracles import scipy_R, scipy_gf_integral
+from oracles import scipy_R, scipy_gf_integral, time_route_P
 
 
 def test_initial_condition(g025):
@@ -127,7 +128,7 @@ def test_route_equivalence(g025, gneg, rng):
             t = float(rng.uniform(0.2, 4.0))
             s = float(rng.uniform(0.0, 0.9))
             space = compute_P(model, t, s, method="quad").P
-            time_route = compute_P(model, t, s, route="time").P
+            time_route = time_route_P(model, t, s)[0]
             assert abs(space - time_route) <= 1e-8
 
 
@@ -244,7 +245,7 @@ def test_flow_on_grid_march_matches_closed_form(name, request):
     assert R.shape == (GRID_2_6.size, len(S_BATCH))
     exact = np.array([exact_R(model.offspring, t, np.array(S_BATCH, dtype=complex))
                       for t in GRID_2_6])
-    assert np.max(np.abs(R - exact) / np.abs(exact)) <= 1e-11
+    assert np.max(np.abs(R - exact) / np.abs(exact)) <= 1e-13
 
 
 def test_flow_on_grid_keeps_caller_order(g025):
@@ -278,8 +279,12 @@ def test_flow_on_grid_one_point_equals_solve_F(g025, g025_pert_off):
 
 @pytest.mark.parametrize("name", ["g025", "gneg_pert"])
 def test_flow_on_grid_marches_instead_of_restarting(name, request, monkeypatch):
-    """Marching the 25-point grid costs about one integration to its end; a
-    return to per-point restarts would cost about 4x as many evaluations."""
+    """In w = R**(-nu) the stable flows are (close to) linear, so a single
+    integration to the end of the grid takes a few dozen evaluations and
+    the march is paced by its landings: it may cost at most one extra
+    6-evaluation step per inner grid point, and stays within an absolute
+    budget (restarting at every grid point costs about 1,400; integrating
+    R itself, 11-14k)."""
     model = request.getfixturevalue(name)
     calls = [0]
     integrate = kernel._rk45
@@ -294,4 +299,20 @@ def test_flow_on_grid_marches_instead_of_restarting(name, request, monkeypatch):
     flow_on_grid(model, S_BATCH, [GRID_2_6[-1]], method="ode", rtol=1e-12)
     single, calls[0] = calls[0], 0
     flow_on_grid(model, S_BATCH, GRID_2_6, method="ode", rtol=1e-12)
-    assert calls[0] <= 1.1 * single
+    assert calls[0] <= single + 6 * (len(GRID_2_6) - 1)
+    assert calls[0] <= 250
+
+
+def test_flow_of_a_law_without_nu_uses_w_equal_one_over_R():
+    """A bare law declares no nu and is integrated in w = 1/R; for
+    f(s) = (1-s)**2 / 2 that flow is dw/dt = 1/2 exactly.  Its series
+    right-hand side loses eps/R**2 to cancellation, so the grid stops at
+    t = 1e3 (R ~ 2e-3)."""
+    law = offspring_from_coefficients([0.5, -1.0, 0.5])
+    assert law.nu is None
+    s = np.array([0.0, 0.5, -1.0, 0.3 + 0.6j, 1.0])
+    grid = np.logspace(-1, 3, 9)
+    R = flow_on_grid(law, s, grid, method="ode", rtol=1e-12)
+    exact = 1.0 / (1.0 / (1.0 - s[:-1])[None, :] + 0.5 * grid[:, None])
+    assert np.all(R[:, -1] == 0.0)
+    assert np.max(np.abs(R[:, :-1] - exact) / np.abs(exact)) <= 1e-11
