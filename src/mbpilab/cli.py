@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import json
 import sys
 import time
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ModelError, NumericsError, PreconditionError
-from . import asymptotics, invariants, kernel, laws, sim
+from . import asymptotics, invariants, kernel, laws, sim, telemetry
 from .inversion import sample_count, suggest_radius
 
 
@@ -74,6 +75,20 @@ _TASK_KEYS = {
 }
 
 _OUTPUT_KEYS = {"dir": "mbpilab-out"}
+
+# Largest accepted value of each size key.  Each cap lies far above the
+# defaults and every value the tests and the benchmark use, and bounds the
+# memory or the time one run can ask for: the circle samples and the
+# truncation set the array sizes of the series and FFT stages, j_out and
+# points the rows of the tables, replicates the simulation time (its memory
+# does not grow with the replicate count).
+SIZE_CAPS = {
+    "replicates": 10 ** 7,
+    "samples": 2 ** 20,
+    "j_out": 2 ** 16,
+    "points": 1000,
+    "truncation": 10 ** 5,
+}
 
 
 def _resolve_section(parser, name, defaults, path):
@@ -136,10 +151,19 @@ def _int(section, key):
                           f"{section[key]!r}") from None
 
 
+def _size(section, key):
+    """An integer size key, refused above its cap in SIZE_CAPS."""
+    value = _int(section, key)
+    if value > SIZE_CAPS[key]:
+        raise ConfigError(f"field {key!r} = {value} exceeds its cap "
+                          f"{SIZE_CAPS[key]}")
+    return value
+
+
 def build_model(model_cfg: dict) -> laws.ModelSpec:
     if model_cfg["offspring"] != "stable" or model_cfg["immigration"] != "stable":
         raise ConfigError("only the built-in 'stable' families are configurable")
-    J = _int(model_cfg, "truncation")
+    J = _size(model_cfg, "truncation")
     off = laws.make_stable_offspring(_float(model_cfg, "nu"),
                                      _float(model_cfg, "c"),
                                      _float(model_cfg, "kappa_offspring"), J)
@@ -151,7 +175,7 @@ def build_model(model_cfg: dict) -> laws.ModelSpec:
 
 def _t_grid(task):
     t_min, t_max = _float(task, "t_min"), _float(task, "t_max")
-    points = _int(task, "points")
+    points = _size(task, "points")
     if not (t_min > 0 and t_max > t_min and points >= 3):
         raise ConfigError("need 0 < t_min < t_max and points >= 3")
     return np.logspace(np.log10(t_min), np.log10(t_max), points)
@@ -212,8 +236,8 @@ def _task_kernel(model, task, out, verdicts):
 
 
 def _task_invariant(model, task, out, verdicts):
-    j_out = _int(task, "j_out")
-    M = _int(task, "samples")
+    j_out = _size(task, "j_out")
+    M = _size(task, "samples")
     if M < 4 or M & (M - 1):
         raise ConfigError(f"field 'samples' must be a power of two >= 4, got {M}")
     if task["radius"] == "auto":
@@ -307,7 +331,7 @@ def _task_lemmas(model, task, out, verdicts):
 def _sim_config(model, task, threads, seed_override):
     seed = seed_override if seed_override is not None else _int(task, "seed")
     return sim.SimConfig(model=model, horizon=_float(task, "horizon"),
-                         replicates=_int(task, "replicates"), seed=seed,
+                         replicates=_size(task, "replicates"), seed=seed,
                          initial=_int(task, "initial"),
                          state_cap=_int(task, "state_cap"),
                          threads=threads)
@@ -315,7 +339,8 @@ def _sim_config(model, task, threads, seed_override):
 
 def _task_simulate(model, task, out, verdicts, threads, seed_override, strict):
     config = _sim_config(model, task, threads, seed_override)
-    result = sim.estimate_pmf(config)
+    with telemetry.stage("simulate"):
+        result = sim.estimate_pmf(config)
     (out / "sim.csv").write_text(sim.sim_csv(result))
     verdicts.record("simulate", True,
                     f"n {result.n}, capped_fraction {result.capped_fraction:.2e}")
@@ -325,13 +350,15 @@ def _task_simulate(model, task, out, verdicts, threads, seed_override, strict):
 
 
 def _task_compare(model, task, out, verdicts, threads, seed_override, strict):
+    j_out = _size(task, "j_out")
     result = _task_simulate(model, task, out, verdicts, threads, seed_override,
                             strict)
     t = _float(task, "horizon")
-    j_out = _int(task, "j_out")
-    series = kernel.transition_probs(model, _int(task, "initial"), t, j_out,
-                                     r=0.9, M=sample_count(j_out, 256),
-                                     method="series")
+    with telemetry.stage("series"):
+        series = kernel.transition_probs(model, _int(task, "initial"), t,
+                                         j_out, r=0.9,
+                                         M=sample_count(j_out, 256),
+                                         method="series")
     rows = sim.zscore_table(result, series.values, _float(task, "min_prob"))
     lines = ["j,p_hat,se,p_kernel,z"]
     for j, p_hat, se, p, z in rows:
@@ -367,39 +394,50 @@ def _manifest_text(cfg: dict, extra: dict) -> str:
 
 def run_config(path: str, out_dir=None, threads: int = 1, seed=None,
                strict: bool = False) -> int:
-    """Execute one configuration file; returns the process exit code."""
-    started = time.time()
-    try:
-        cfg = load_config(path)
-    except (ConfigError, configparser.Error) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out = Path(out_dir if out_dir is not None else cfg["output"]["dir"])
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        model = build_model(cfg["model"])
-        task = cfg["task"]
-        verdicts = Verdicts()
-        name = task["name"]
-        sim_args = (threads, seed, strict) if name in ("simulate", "compare") else ()
-        _TASK_RUNNERS[name](model, task, out, verdicts, *sim_args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"precondition violation: {exc}", file=sys.stderr)
-        return 3
-    except ModelError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return 3
-    except NumericsError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 4
+    """Execute one configuration file; returns the process exit code.
+
+    A run that gets to its verdicts writes, besides the task's tables,
+    ``manifest.txt``, ``summary.txt`` and ``stats.json``: the wall time of
+    each stage and the counters the layers reported (see ``telemetry``)."""
+    with telemetry.recording() as record:
+        started = time.time()
+        try:
+            with telemetry.stage("config"):
+                cfg = load_config(path)
+        except (ConfigError, configparser.Error) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        out = Path(out_dir if out_dir is not None else cfg["output"]["dir"])
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            with telemetry.stage("model"):
+                model = build_model(cfg["model"])
+            task = cfg["task"]
+            verdicts = Verdicts()
+            name = task["name"]
+            sim_args = ((threads, seed, strict)
+                        if name in ("simulate", "compare") else ())
+            with telemetry.stage("task"):
+                _TASK_RUNNERS[name](model, task, out, verdicts, *sim_args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except PreconditionError as exc:
+            print(f"precondition violation: {exc}", file=sys.stderr)
+            return 3
+        except ModelError as exc:
+            print(f"model error: {exc}", file=sys.stderr)
+            return 3
+        except NumericsError as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return 4
     elapsed = time.time() - started
     if seed is not None:
         cfg["task"]["seed"] = str(seed)
     (out / "manifest.txt").write_text(
         _manifest_text(cfg, {"elapsed_seconds": f"{elapsed:.3f}"}))
+    (out / "stats.json").write_text(json.dumps(
+        {"task": name, **record.as_dict()}, indent=1, sort_keys=True) + "\n")
     summary = list(verdicts.lines)
     for warning in verdicts.warnings:
         summary.append(f"WARNING {warning}")

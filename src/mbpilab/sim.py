@@ -10,10 +10,15 @@ cross-checks against the same truncated law are free of truncation bias.
 
 Randomness: one counter-based Philox stream per replicate, keyed by
 (seed, replicate_index) with the counter at 0.  Replicates are therefore
-independent and bit-reproducible in any order.  Since a Philox stream is a
-pure function of its key and counter, one generator whose state is reset
-for each replicate reproduces every stream exactly, without building a
-generator per replicate.
+independent and bit-reproducible in any order.  A path draws its stream in
+chunks: 64 exponentials, then 64 x 3 uniforms.  Since a Philox stream is a
+pure function of its key and counter, a generator whose state is reset
+reproduces any stream exactly, without building a generator per replicate.
+
+``estimate_pmf`` runs replicates in lock-step numpy lanes, one event per
+step, on the same streams and with the same floating-point operations as
+the scalar loop of ``simulate_path``; its memory does not grow with the
+replicate count.  ``SimConfig.threads`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -24,10 +29,14 @@ from typing import Optional
 
 import numpy as np
 
+from . import telemetry
 from .errors import ModelError
 from .laws import ModelSpec
 
 _CHUNK = 64  # random numbers drawn per refill; fixed for reproducibility
+_LANES = 256  # replicates advanced together by one numpy step
+_DRAIN = 64  # live lanes left to the scalar loop once every replicate started
+_ZERO_WORDS = (0, 0, 0, 0)
 
 
 class AliasTable:
@@ -71,7 +80,8 @@ class AliasTable:
 
     def pick_many(self, u_index, u_accept):
         i = np.minimum((np.asarray(u_index) * self.n).astype(np.int64), self.n - 1)
-        return np.where(np.asarray(u_accept) < self.prob[i], i, self.alias[i])
+        return np.where(np.asarray(u_accept) < self.prob.take(i), i,
+                        self.alias.take(i))
 
 
 @dataclass(frozen=True)
@@ -125,32 +135,28 @@ def _samplers(model: ModelSpec):
     return a_rate, b_rate, AliasTable(off_w), AliasTable(imm_w)
 
 
-def simulate_path(model: ModelSpec, initial: int, horizon: float,
-                  rng: np.random.Generator, state_cap: int = 10 ** 6,
-                  collect_events: bool = False,
-                  _samplers_cache=None) -> PathResult:
-    """Simulate one trajectory to the horizon (or to the state cap).
+def _advance(x, t, events, exps, unis, ptr, rng, horizon, state_cap,
+             samplers, log=None):
+    """The scalar event loop: advance one path from state ``x`` at time ``t``
+    until its next event would pass the horizon or it reaches the state cap.
 
-    Each chunk of draws is converted to Python floats once, and the event
-    loop runs on Python floats and ints: the same IEEE operations as numpy
-    scalars, at a fraction of the cost per event.
+    ``exps`` and ``unis`` are the current chunk of draws as Python floats,
+    with ``ptr`` the next unused row; further chunks come from ``rng``.
+    Python floats and ints carry the same IEEE operations as numpy scalars
+    at a fraction of the cost per event.  Returns (x, t, events, capped,
+    refills), with ``events`` counted on from the value passed in.
     """
-    a_rate, b_rate, off, imm = _samplers_cache or _samplers(model)
+    a_rate, b_rate, off, imm = samplers
     n_off, off_prob, off_alias = off.n, off._prob, off._alias
     n_imm, imm_prob, imm_alias = imm.n, imm._prob, imm._alias
-    x = int(initial)
-    t = 0.0
-    events = 0
-    log = [] if collect_events else None
-    exps = rng.standard_exponential(_CHUNK).tolist()
-    unis = rng.random((_CHUNK, 3)).tolist()
-    ptr = 0
+    refills = 0
     capped = x >= state_cap
     while not capped:
         if ptr == _CHUNK:
             exps = rng.standard_exponential(_CHUNK).tolist()
             unis = rng.random((_CHUNK, 3)).tolist()
             ptr = 0
+            refills += 1
         branch_rate = x * a_rate
         rate = branch_rate + b_rate
         try:
@@ -179,30 +185,22 @@ def simulate_path(model: ModelSpec, initial: int, horizon: float,
         if log is not None:
             log.append((t, jump, x))
         capped = x >= state_cap
+    return x, t, events, capped, refills
+
+
+def simulate_path(model: ModelSpec, initial: int, horizon: float,
+                  rng: np.random.Generator, state_cap: int = 10 ** 6,
+                  collect_events: bool = False,
+                  _samplers_cache=None) -> PathResult:
+    """Simulate one trajectory to the horizon (or to the state cap)."""
+    log = [] if collect_events else None
+    exps = rng.standard_exponential(_CHUNK).tolist()
+    unis = rng.random((_CHUNK, 3)).tolist()
+    x, t, events, capped, _ = _advance(
+        int(initial), 0.0, 0, exps, unis, 0, rng, horizon, state_cap,
+        _samplers_cache or _samplers(model), log)
     return PathResult(state=x, capped=capped, events=events,
                       time=min(t, horizon), log=log)
-
-
-def _replicate_streams(seed: int, n: int):
-    """Yield, for rep = 0..n-1, a generator on the Philox stream keyed
-    (seed, rep) with its counter at 0.
-
-    The same generator object is yielded every time, its state reset in
-    place: that costs less than half of building a new bit generator and
-    generator per replicate, and gives the same draws.
-    """
-    bit_generator = np.random.Philox()
-    rng = np.random.Generator(bit_generator)
-    zeros = np.zeros(4, dtype=np.uint64)
-    seed_word = seed & 0xFFFFFFFFFFFFFFFF
-    for rep in range(n):
-        bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zeros,
-                      "key": np.array([seed_word, rep], dtype=np.uint64)},
-            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-        yield rng
 
 
 @dataclass
@@ -230,26 +228,145 @@ class SimResult:
         return float(self.pmf.sum()) + self.capped_fraction
 
 
+def _rekey(bit_generator, seed_word: int, rep: int) -> None:
+    """Put a Philox bit generator at the start of the stream keyed
+    (seed, rep).  Python ints set the state at a third of the cost of numpy
+    arrays, with the same draws."""
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": (seed_word, rep)},
+        "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+
+
+def _quantile(histogram: dict, q: float) -> int:
+    """Nearest-rank q-quantile of the values counted in ``histogram``."""
+    rank = q * sum(histogram.values())
+    seen = 0
+    for value in sorted(histogram):
+        seen += histogram[value]
+        if seen >= rank:
+            return value
+    return 0
+
+
 def estimate_pmf(config: SimConfig) -> SimResult:
     """Empirical transition pmf from the configured initial state.
 
+    Up to ``_LANES`` replicates advance together, one event per numpy step.
+    Each lane slot owns a Philox generator that draws its chunks straight
+    into the slot's rows of ``exps`` and ``unis``; a lane whose path ends is
+    tallied at once and its slot re-keyed to the next replicate, so the
+    vector stays full.  The step makes the same IEEE operations on the same
+    draws as the scalar loop, so every replicate ends in the state
+    ``simulate_path`` gives it.  Once every replicate has started and at
+    most ``_DRAIN`` lanes are live, the scalar loop finishes them one by
+    one.  Memory is O(lanes * chunk + largest state), whatever the number
+    of replicates.
+
     ``config.threads`` changes neither the result nor the speed: the
-    replicates run in one thread, because under the interpreter lock
-    worker threads buy nothing for this pure-Python loop.
+    replicates run in one thread.
     """
     model = config.model
     samplers = _samplers(model)
-    n = config.replicates
-    counts = {}
-    capped = 0
-    for rng in _replicate_streams(config.seed, n):
-        path = simulate_path(model, config.initial, config.horizon, rng,
-                             state_cap=config.state_cap,
-                             _samplers_cache=samplers)
-        if path.capped:
+    a_rate, b_rate, off, imm = samplers
+    n, horizon, cap, x0 = (config.replicates, config.horizon,
+                           config.state_cap, config.initial)
+    seed_word = config.seed & 0xFFFFFFFFFFFFFFFF
+    width = min(_LANES, n)
+    # key 0 is a placeholder that _rekey replaces; giving one spares the
+    # construction a draw of OS entropy
+    gens = [np.random.Generator(np.random.Philox(key=0)) for _ in range(width)]
+    exps = np.empty((width, _CHUNK))
+    unis = np.empty((width, _CHUNK, 3))
+
+    def draw(s):
+        """Slot s's next chunk, in the scalar loop's order."""
+        gens[s].standard_exponential(out=exps[s])
+        gens[s].random(out=unis[s])
+
+    for rep, gen in enumerate(gens):
+        _rekey(gen.bit_generator, seed_word, rep)
+        draw(rep)
+    started = width
+    # flat views: gathering with take on one index is cheaper than 2-d
+    # fancy indexing
+    exps_flat, unis_rows = exps.reshape(-1), unis.reshape(-1, 3)
+    slot = np.arange(width)
+    row = slot * _CHUNK
+    x = np.full(width, x0, dtype=np.int64)
+    t = np.zeros(width)
+    ptr = np.zeros(width, dtype=np.int64)
+    events = np.zeros(width, dtype=np.int64)
+    counts, path_events = {}, {}
+    capped = refills = 0
+
+    def finish(state, n_events, is_capped):
+        nonlocal capped
+        if is_capped:
             capped += 1
         else:
-            counts[path.state] = counts.get(path.state, 0) + 1
+            counts[state] = counts.get(state, 0) + 1
+        path_events[n_events] = path_events.get(n_events, 0) + 1
+
+    # a zero total rate (no immigration, empty state) divides by zero: the
+    # path then ends, as in the scalar loop, and the quotient is never used
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while slot.size > _DRAIN or started < n:
+            at = row + ptr
+            e = exps_flat.take(at)
+            u = unis_rows.take(at, axis=0)
+            branch_rate = x * a_rate
+            rate = branch_rate + b_rate
+            t_next = t + e / rate
+            stop = (t_next > horizon) | (rate == 0.0)
+            jump = np.where(u[:, 0] * rate < branch_rate,
+                            off.pick_many(u[:, 1], u[:, 2]) - 1,
+                            imm.pick_many(u[:, 1], u[:, 2]))
+            x_old, x = x, x + jump
+            t = t_next
+            ptr += 1
+            events += 1
+            ended = (stop | (x >= cap)).nonzero()[0]
+            live = None
+            for k, stopped, state, n_events in zip(
+                    ended.tolist(), stop[ended].tolist(),
+                    x_old[ended].tolist(), events[ended].tolist()):
+                # a stopped lane took no event this step
+                finish(state, n_events - stopped, not stopped)
+                if started < n:
+                    _rekey(gens[slot[k]].bit_generator, seed_word, started)
+                    draw(slot[k])
+                    started += 1
+                    x[k], t[k], ptr[k], events[k] = x0, 0.0, 0, 0
+                else:
+                    if live is None:
+                        live = np.ones(slot.size, dtype=bool)
+                    live[k] = False
+            if live is not None:
+                slot, row, x, t, ptr, events = (
+                    slot[live], row[live], x[live], t[live], ptr[live],
+                    events[live])
+            for k in (ptr == _CHUNK).nonzero()[0].tolist():
+                draw(slot[k])
+                ptr[k] = 0
+                refills += 1
+    drained = slot.size
+    for s, state, time_, n_events, p in zip(slot.tolist(), x.tolist(),
+                                            t.tolist(), events.tolist(),
+                                            ptr.tolist()):
+        state, _, n_events, is_capped, more = _advance(
+            state, time_, n_events, exps[s].tolist(), unis[s].tolist(), p,
+            gens[s], horizon, cap, samplers)
+        finish(state, n_events, is_capped)
+        refills += more
+    telemetry.add("sim.replicates", n)
+    telemetry.add("sim.events", sum(k * c for k, c in path_events.items()))
+    telemetry.add("sim.capped", capped)
+    telemetry.add("sim.refills", refills)
+    telemetry.add("sim.drained", drained)
+    telemetry.put("sim.events_p50", _quantile(path_events, 0.5))
+    telemetry.put("sim.events_p99", _quantile(path_events, 0.99))
     max_state = max(counts) if counts else 0
     pmf = np.zeros(max_state + 1)
     for state, cnt in counts.items():

@@ -2,16 +2,19 @@
 mpmath high-precision arithmetic, none of which share code with the package
 paths they check, plus the direct tail-function integrands that the kernel's
 separable forms replaced (run through the package's own quadrature, so that
-the two differ only in how the integrand is evaluated), and the
-occupation-time route to P(t; s), a check on compute_P's segment integral."""
+the two differ only in how the integrand is evaluated), the
+occupation-time route to P(t; s), a check on compute_P's segment integral,
+and the simulator's pmf one replicate at a time."""
 
 import warnings
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad, solve_ivp
 
+from mbpilab import sim
 from mbpilab.kernel import exact_R
 from mbpilab.quadrature import adaptive_quadrature, doubling_quadrature
 
@@ -126,3 +129,30 @@ def direct_segment_integral(model, w0, w1, rtol=1e-10):
 
     n0 = int(max(8, min(256, np.ceil(2.0 * np.max(np.abs(D))))))
     return doubling_quadrature(fun, 0.0, 1.0, rtol=rtol, n0=n0)
+
+
+def per_replicate_pmf(config):
+    """estimate_pmf one replicate at a time: simulate_path on a generator
+    built afresh for each Philox stream keyed (seed, replicate), with the
+    per-state tally and pmf arithmetic of estimate_pmf.  Returns the pmf,
+    the capped count, and the replicate and event totals."""
+    samplers = sim._samplers(config.model)
+    seed_word = config.seed & 0xFFFFFFFFFFFFFFFF
+    n = config.replicates
+    counts, capped, events = {}, 0, 0
+    for rep in range(n):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed_word, rep], dtype=np.uint64)))
+        path = sim.simulate_path(config.model, config.initial, config.horizon,
+                                 rng, state_cap=config.state_cap,
+                                 _samplers_cache=samplers)
+        events += path.events
+        if path.capped:
+            capped += 1
+        else:
+            counts[path.state] = counts.get(path.state, 0) + 1
+    pmf = np.zeros(max(counts) + 1 if counts else 1)
+    for state, cnt in counts.items():
+        pmf[state] = cnt / n
+    return SimpleNamespace(pmf=pmf, capped_count=capped, replicates=n,
+                           events=events)

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from mbpilab import rate_theorem2
-from mbpilab.cli import build_model, load_config, main, run_config
+from mbpilab.cli import (SIZE_CAPS, _MODEL_KEYS, _TASK_KEYS, _sim_config,
+                         build_model, load_config, main, run_config)
 from mbpilab.cli import ConfigError
+from oracles import per_replicate_pmf
 
 RECURRENT = """
 [model]
@@ -254,3 +258,49 @@ def test_list_families_stable(capsys):
 def test_load_config_rejects_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "nope.ini"))
+
+
+@pytest.mark.parametrize("key,task", [
+    ("replicates", "simulate"), ("samples", "invariant"), ("j_out", "compare"),
+    ("points", "rates"), ("truncation", "validate")])
+def test_size_over_cap_exits_2(tmp_path, capsys, key, task):
+    value = 2 ** 30 if key == "samples" else SIZE_CAPS[key] + 1
+    text = RECURRENT.format(task=task, extra=f"{key} = {value}",
+                            out=tmp_path / "out")
+    if key == "truncation":
+        text = text.replace("truncation = 2000", f"truncation = {value}")
+    assert run_config(write(tmp_path, text)) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(key) in err
+
+
+def test_caps_admit_the_defaults():
+    defaults = {**_MODEL_KEYS, **_TASK_KEYS}
+    for key, cap in SIZE_CAPS.items():
+        assert int(defaults[key]) <= cap
+
+
+@pytest.mark.parametrize("task", ["simulate", "compare"])
+def test_stats_json_sim_totals(tmp_path, task):
+    extra = ("horizon = 2.0\nreplicates = 1500\nseed = 17\n"
+             "j_out = 16\nmin_prob = 2e-2\nz_max = 4.0")
+    path = write(tmp_path, RECURRENT.format(task=task, extra=extra,
+                                            out=tmp_path / "out"))
+    assert run_config(path) == 0
+    stats = json.loads((tmp_path / "out" / "stats.json").read_text())
+    assert stats["task"] == task
+    assert {"config", "model", "task", "simulate"} <= set(stats["stages_s"])
+    cfg = load_config(path)
+    expected = per_replicate_pmf(_sim_config(build_model(cfg["model"]),
+                                             cfg["task"], 1, None))
+    assert stats["counters"]["sim.replicates"] == expected.replicates == 1500
+    assert stats["counters"]["sim.events"] == expected.events
+    assert stats["counters"]["sim.capped"] == expected.capped_count
+
+
+def test_stats_json_written_by_every_task(tmp_path):
+    path = write(tmp_path, RECURRENT.format(task="validate", extra="",
+                                            out=tmp_path / "out"))
+    assert run_config(path) == 0
+    stats = json.loads((tmp_path / "out" / "stats.json").read_text())
+    assert stats["task"] == "validate" and stats["counters"] == {}

@@ -1,12 +1,15 @@
 import hashlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mbpilab import (AliasTable, ModelError, SimConfig, estimate_pmf,
                      simulate_path, transition_probs)
+from mbpilab import sim, telemetry
 from mbpilab.sim import _samplers, sim_csv, zscore_table
+from oracles import per_replicate_pmf
 
 
 def _rng(seed=1, rep=0):
@@ -198,3 +201,90 @@ def test_sim_csv_manifest(g025_small):
     assert any(line.startswith("# config_hash = ") for line in lines)
     assert any(line.startswith("# capped_fraction = ") for line in lines)
     assert "j,p_hat,se,n" in lines
+
+
+# The lane engine against the per-replicate loop.  (lanes, drain) sets the
+# lane width and the live-lane count at which the scalar loop takes over;
+# drain 0 keeps every path in the lanes to its end.
+LANE_SETTINGS = [(1, 64), (3, 64), (256, 64), (3, 0), (256, 0)]
+LANE_CASES = {
+    "no_events": dict(horizon=0.0, replicates=301, seed=4, initial=2),
+    "few_events": dict(horizon=1e-3, replicates=301, seed=4, initial=2),
+    "refills": dict(horizon=20.0, replicates=6, seed=11, initial=5),
+    "cap_next_state": dict(horizon=5.0, replicates=301, seed=3, initial=3,
+                           state_cap=4),
+    "fewer_than_lanes": dict(horizon=2.0, replicates=100, seed=8),
+    "not_a_multiple": dict(horizon=2.0, replicates=1000, seed=9),
+}
+
+
+@pytest.mark.parametrize("lanes,drain", LANE_SETTINGS)
+@pytest.mark.parametrize("case", LANE_CASES)
+def test_lanes_match_per_replicate_loop(g025_small, monkeypatch, case, lanes,
+                                        drain):
+    monkeypatch.setattr(sim, "_LANES", lanes)
+    monkeypatch.setattr(sim, "_DRAIN", drain)
+    config = SimConfig(model=g025_small, **LANE_CASES[case])
+    expected = per_replicate_pmf(config)
+    with telemetry.recording() as record:
+        result = estimate_pmf(config)
+    assert np.array_equal(result.pmf, expected.pmf)
+    assert result.capped_count == expected.capped_count
+    assert record.counters["sim.replicates"] == expected.replicates
+    assert record.counters["sim.events"] == expected.events
+    if case == "refills":
+        assert record.counters["sim.refills"] > 0
+    if case == "cap_next_state":
+        assert result.capped_count > 0
+
+
+@pytest.mark.parametrize("lanes", [3, 256])
+def test_zero_total_rate_ends_the_path(g025_small, monkeypatch, lanes):
+    # With no immigration the empty state has total rate 0: the path ends
+    # there, in the lanes as in the scalar loop, with no warning (the suite
+    # turns RuntimeWarning into an error).
+    a_rate, _, off, imm = _samplers(g025_small)
+    monkeypatch.setattr(sim, "_samplers", lambda model: (a_rate, 0.0, off, imm))
+    monkeypatch.setattr(sim, "_LANES", lanes)
+    for fields in (dict(horizon=np.inf, replicates=300, seed=6,
+                        state_cap=50),
+                   dict(horizon=50.0, replicates=300, seed=6, initial=2,
+                        state_cap=1000)):
+        config = SimConfig(model=g025_small, **fields)
+        expected = per_replicate_pmf(config)
+        result = estimate_pmf(config)
+        assert np.array_equal(result.pmf, expected.pmf)
+        assert result.capped_count == expected.capped_count
+        assert result.pmf[0] > 0
+
+
+def test_events_quantiles_reported(g025_small):
+    assert sim._quantile({0: 5, 3: 4, 10: 1}, 0.5) == 0
+    assert sim._quantile({0: 5, 3: 4, 10: 1}, 0.6) == 3
+    assert sim._quantile({0: 5, 3: 4, 10: 1}, 0.99) == 10
+    config = SimConfig(model=g025_small, horizon=2.0, replicates=2000, seed=5)
+    with telemetry.recording() as record:
+        estimate_pmf(config)
+    counters = dict(record.counters)
+    assert counters["sim.replicates"] == 2000
+    assert 0 <= counters["sim.events_p50"] < counters["sim.events_p99"]
+    assert counters["sim.drained"] <= sim._DRAIN
+    estimate_pmf(config)  # outside a recording: nothing is kept
+    assert record.counters == counters
+
+
+def test_memory_flat_in_replicates(g025_small, monkeypatch):
+    # 16 lanes keep the fixed buffers near 150 kB, so one 8-byte word per
+    # replicate (320 kB at 40k) would show
+    monkeypatch.setattr(sim, "_LANES", 16)
+
+    def peak(replicates):
+        config = SimConfig(model=g025_small, horizon=0.1,
+                           replicates=replicates, seed=21)
+        tracemalloc.start()
+        try:
+            estimate_pmf(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(40_000) <= 1.5 * peak(5_000)
