@@ -10,7 +10,7 @@ from .laws import (BranchingLaw, ImmigrationLaw, ModelSpec,
 from .rvcalc import (RVContext, SlowlyVaryingSpec, check_sv_remainder,
                      sv_by_name, sv_constant, sv_log, sv_perturbed)
 from .kernel import (GFValue, compute_P, compute_P_i, exact_R, solve_F,
-                     transition_probs, transition_rows)
+                     transition_grid, transition_probs, transition_rows)
 from .invariants import (InvariantMeasure, check_invariance, compute_B,
                          compute_U, compute_pi, extract_measure, ratio_limits,
                          series_coefficients)
@@ -27,7 +27,7 @@ __all__ = [
     "RVContext", "SlowlyVaryingSpec", "check_sv_remainder",
     "sv_by_name", "sv_constant", "sv_log", "sv_perturbed",
     "GFValue", "solve_F", "exact_R", "compute_P", "compute_P_i",
-    "transition_probs", "transition_rows",
+    "transition_grid", "transition_probs", "transition_rows",
     "InvariantMeasure", "compute_U", "compute_B", "compute_pi",
     "extract_measure", "check_invariance", "ratio_limits",
     "series_coefficients",

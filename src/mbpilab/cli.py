@@ -328,17 +328,15 @@ def _task_lemmas(model, task, out, verdicts):
             verdicts.skip("lemma4", "needs gamma > 0")
 
 
-def _sim_config(model, task, threads, seed_override):
-    seed = seed_override if seed_override is not None else _int(task, "seed")
+def _sim_config(model, task):
     return sim.SimConfig(model=model, horizon=_float(task, "horizon"),
-                         replicates=_size(task, "replicates"), seed=seed,
-                         initial=_int(task, "initial"),
-                         state_cap=_int(task, "state_cap"),
-                         threads=threads)
+                         replicates=_size(task, "replicates"),
+                         seed=_int(task, "seed"), initial=_int(task, "initial"),
+                         state_cap=_int(task, "state_cap"))
 
 
-def _task_simulate(model, task, out, verdicts, threads, seed_override, strict):
-    config = _sim_config(model, task, threads, seed_override)
+def _task_simulate(model, task, out, verdicts):
+    config = _sim_config(model, task)
     with telemetry.stage("simulate"):
         result = sim.estimate_pmf(config)
     (out / "sim.csv").write_text(sim.sim_csv(result))
@@ -349,10 +347,9 @@ def _task_simulate(model, task, out, verdicts, threads, seed_override, strict):
     return result
 
 
-def _task_compare(model, task, out, verdicts, threads, seed_override, strict):
+def _task_compare(model, task, out, verdicts):
     j_out = _size(task, "j_out")
-    result = _task_simulate(model, task, out, verdicts, threads, seed_override,
-                            strict)
+    result = _task_simulate(model, task, out, verdicts)
     t = _float(task, "horizon")
     with telemetry.stage("series"):
         series = kernel.transition_probs(model, _int(task, "initial"), t,
@@ -392,8 +389,7 @@ def _manifest_text(cfg: dict, extra: dict) -> str:
     return body + "\n".join(meta) + "\n"
 
 
-def run_config(path: str, out_dir=None, threads: int = 1, seed=None,
-               strict: bool = False) -> int:
+def run_config(path: str, out_dir=None, seed=None, strict: bool = False) -> int:
     """Execute one configuration file; returns the process exit code.
 
     A run that gets to its verdicts writes, besides the task's tables,
@@ -407,6 +403,8 @@ def run_config(path: str, out_dir=None, threads: int = 1, seed=None,
         except (ConfigError, configparser.Error) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
+        if seed is not None:
+            cfg["task"]["seed"] = str(seed)
         out = Path(out_dir if out_dir is not None else cfg["output"]["dir"])
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -415,10 +413,8 @@ def run_config(path: str, out_dir=None, threads: int = 1, seed=None,
             task = cfg["task"]
             verdicts = Verdicts()
             name = task["name"]
-            sim_args = ((threads, seed, strict)
-                        if name in ("simulate", "compare") else ())
             with telemetry.stage("task"):
-                _TASK_RUNNERS[name](model, task, out, verdicts, *sim_args)
+                _TASK_RUNNERS[name](model, task, out, verdicts)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
@@ -432,8 +428,6 @@ def run_config(path: str, out_dir=None, threads: int = 1, seed=None,
             print(f"numeric failure: {exc}", file=sys.stderr)
             return 4
     elapsed = time.time() - started
-    if seed is not None:
-        cfg["task"]["seed"] = str(seed)
     (out / "manifest.txt").write_text(
         _manifest_text(cfg, {"elapsed_seconds": f"{elapsed:.3f}"}))
     (out / "stats.json").write_text(json.dumps(
@@ -458,10 +452,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute a configuration file")
     run_p.add_argument("config", help="path to the INI configuration")
     run_p.add_argument("--out", default=None, help="output directory override")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; changes neither the "
-                            "results nor the speed (the simulator runs in one "
-                            "thread)")
     run_p.add_argument("--seed", type=int, default=None,
                        help="seed override for simulation tasks")
     run_p.add_argument("--strict", action="store_true",
@@ -471,8 +461,8 @@ def main(argv=None) -> int:
     if args.command == "list-families":
         print(laws.describe_families(), end="")
         return 0
-    return run_config(args.config, out_dir=args.out, threads=args.threads,
-                      seed=args.seed, strict=args.strict)
+    return run_config(args.config, out_dir=args.out, seed=args.seed,
+                      strict=args.strict)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from .inversion import (CoefficientSeries, circle_points,
                         coefficients_from_samples, complete_circle,
                         sample_count)
 from .kernel import (gf_integral_to_one, regularized_integral_to_one,
-                     transition_rows, transition_probs)
+                     transition_grid, transition_rows)
 from .laws import ModelSpec, _signed_binomials
 
 
@@ -194,11 +194,11 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
     worst = int(np.argmax(residuals))
     mass = float(np.sum(np.abs(m)))
     components = {
-        "row_aliasing": float(np.max(rows.aliasing_bounds)) * mass,
+        "row_aliasing": float(np.max(rows.aliasing_bound)) * mass,
         "row_noise": float(np.max(rows.noise_floor())) * mass,
         "measure_noise": float(np.max(measure.series.coefficient_bound()[:j_max + 1])),
         "measure_tail": measure.tail_estimate,
-        "quad_error": rows.quad_error,
+        "quad_error": rows.meta["quad_error"],
     }
     return InvarianceReport(tau=tau, residuals=residuals,
                             max_residual=float(residuals[worst]),
@@ -233,23 +233,20 @@ def limit_ratios(model: ModelSpec, j_max: int, J_rec: int = 4096) -> np.ndarray:
 def ratio_limits(model: ModelSpec, j_max: int, t_grid, r: float = 0.9,
                  M: Optional[int] = None, rtol: float = 1e-10,
                  method: str = "auto") -> RatioLimitTable:
-    """Strong-ratio-limit table: rows p_0j(t)/p_00(t) along the grid."""
+    """Strong-ratio-limit table: rows p_0j(t)/p_00(t) along the grid, from
+    one :func:`transition_grid` call."""
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ModelError("t_grid must be increasing")
     if M is None:
         M = sample_count(j_max, 1024)
-    rows = []
-    for t in t_grid:
-        series = transition_probs(model, 0, float(t), j_max, r=r, M=M,
-                                  rtol=rtol, method=method, clamp=False)
-        p = series.values
-        if p[0] <= 1e-300:
-            raise ModelError(f"p_00({t:g}) below the numeric floor")
-        rows.append(p / p[0])
-    ratios = np.array(rows)
-    stab = np.array([np.max(np.abs(ratios[k] - ratios[k - 1]))
-                     for k in range(1, ratios.shape[0])])
+    p = transition_grid(model, [0], t_grid, j_max, r=r, M=M, rtol=rtol,
+                        method=method).values[:, 0]
+    low = np.flatnonzero(p[:, 0] <= 1e-300)
+    if low.size:
+        raise ModelError(f"p_00({t_grid[low[0]]:g}) below the numeric floor")
+    ratios = p / p[:, :1]
+    stab = np.max(np.abs(np.diff(ratios, axis=0)), axis=1)
     targets = None
     try:
         targets = limit_ratios(model, j_max)

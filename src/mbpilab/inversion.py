@@ -14,7 +14,7 @@ bound for callers that need many coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -43,21 +43,27 @@ def circle_points(r: float, M: int, half: bool = False) -> np.ndarray:
 
 
 def complete_circle(half_values: np.ndarray, M: int) -> np.ndarray:
-    """Extend samples at k = 0..M/2 to the full circle by conjugate symmetry
-    (valid for generating functions with real coefficients)."""
-    if half_values.size != M // 2 + 1:
+    """Extend samples at k = 0..M/2 (last axis; leading axes are a batch) to
+    the full circle by conjugate symmetry (valid for generating functions
+    with real coefficients)."""
+    if half_values.shape[-1] != M // 2 + 1:
         raise ModelError("expected M/2 + 1 samples")
-    full = np.empty(M, dtype=complex)
-    full[:M // 2 + 1] = half_values
-    full[M // 2 + 1:] = np.conj(half_values[1:M // 2][::-1])
+    full = np.empty(half_values.shape[:-1] + (M,), dtype=complex)
+    full[..., :M // 2 + 1] = half_values
+    full[..., M // 2 + 1:] = np.conj(half_values[..., M // 2 - 1:0:-1])
     return full
 
 
 @dataclass
 class CoefficientSeries:
-    """Extracted coefficients plus the error accounting of the extraction."""
+    """Extracted coefficients plus the error accounting of the extraction.
 
-    values: np.ndarray            # real coefficients, index 0..J_out
+    A batched extraction keeps its leading batch axes in ``values`` and in
+    every bound; :meth:`row` takes out one entry.  ``len`` counts the
+    coefficients of a row; :meth:`validity_index` and :attr:`total` read a
+    single row."""
+
+    values: np.ndarray            # real coefficients, last axis j = 0..J_out
     radius: float
     aliasing_bound: float         # max|G| * r**M / (1 - r)
     noise_scale: float            # NOISE_FACTOR * eps * max|G| / sqrt(M)
@@ -66,19 +72,29 @@ class CoefficientSeries:
     meta: dict = field(default_factory=dict)
 
     def __len__(self):
-        return self.values.size
+        return self.values.shape[-1]
+
+    def row(self, index) -> "CoefficientSeries":
+        """The series of one entry (or sub-batch) of a batched extraction;
+        ``index`` runs over the batch axes."""
+        return replace(self, values=self.values[index],
+                       aliasing_bound=self.aliasing_bound[index],
+                       noise_scale=self.noise_scale[index],
+                       clamp_magnitude=self.clamp_magnitude[index],
+                       imag_residual=self.imag_residual[index],
+                       meta=dict(self.meta))
 
     def noise_floor(self, j=None) -> np.ndarray:
         """Roundoff amplification bound per coefficient index."""
-        idx = np.arange(self.values.size) if j is None else np.asarray(j)
-        return self.noise_scale * self.radius ** (-idx.astype(float))
+        idx = np.arange(self.values.shape[-1]) if j is None else np.asarray(j)
+        return np.multiply.outer(self.noise_scale, self.radius ** (-idx.astype(float)))
 
     def coefficient_bound(self, j=None) -> np.ndarray:
         """Total per-coefficient error bound: aliasing, the roundoff floor
         and the rounding of the coefficient itself (eps * |m_j|)."""
         idx = slice(None) if j is None else np.asarray(j)
-        return (self.noise_floor(j) + self.aliasing_bound
-                + np.finfo(float).eps * np.abs(self.values[idx]))
+        return (self.noise_floor(j) + np.expand_dims(self.aliasing_bound, -1)
+                + np.finfo(float).eps * np.abs(self.values[..., idx]))
 
     def validity_index(self, target: float) -> int:
         """Largest index whose error bound stays below ``target`` (-1: none)."""
@@ -93,24 +109,24 @@ class CoefficientSeries:
 def coefficients_from_samples(samples: np.ndarray, r: float, J_out: int,
                               clamp: bool = False,
                               meta: Optional[dict] = None) -> CoefficientSeries:
-    """Invert full-circle samples to coefficients 0..J_out."""
-    M = samples.size
+    """Invert full-circle samples (last axis; leading axes are a batch, each
+    entry inverted on its own) to coefficients 0..J_out."""
+    M = samples.shape[-1]
     if M < 4 * J_out:
         raise ModelError(f"need M >= 4*J_out; got M={M}, J_out={J_out}")
-    hat = np.fft.fft(samples) / M
     j = np.arange(J_out + 1)
-    raw = hat[:J_out + 1] * r ** (-j.astype(float))
-    maxabs = float(np.max(np.abs(samples)))
+    raw = np.fft.fft(samples)[..., :J_out + 1] / M * r ** (-j.astype(float))
+    maxabs = np.max(np.abs(samples), axis=-1)
     aliasing = maxabs * r ** M / (1.0 - r)
     noise = NOISE_FACTOR * np.finfo(float).eps * maxabs / np.sqrt(M)
     vals = np.real(raw)
-    imag_residual = float(np.max(np.abs(np.imag(raw))))
-    clamp_mag = 0.0
+    imag_residual = np.max(np.abs(np.imag(raw)), axis=-1)
+    clamp_mag = np.zeros(samples.shape[:-1])
     if clamp:
-        clamp_mag = float(max(0.0, -np.min(vals))) if vals.size else 0.0
+        clamp_mag = np.maximum(clamp_mag, -np.min(vals, axis=-1))
         vals = np.maximum(vals, 0.0)
     return CoefficientSeries(values=vals, radius=r, aliasing_bound=aliasing,
-                             noise_scale=noise, clamp_magnitude=clamp_mag,
+                             noise_scale=noise, clamp_magnitude=clamp_mag[()],
                              imag_residual=imag_residual, meta=dict(meta or {}))
 
 

@@ -17,7 +17,6 @@ P_i(t; s), recovered by circle sampling (see :mod:`mbpilab.inversion`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -167,13 +166,18 @@ def solve_F(model, t: float, s, rtol: float = 1e-10,
     """
     s_arr, scalar = _as_batch(s)
     R = flow_on_grid(model, s_arr, [t], method=method, rtol=rtol)[0]
+    F = s_arr if t == 0 else 1.0 - R
+    return GFValue(t=t, s=s, F=_unbatch(F, scalar), R=_unbatch(R, scalar),
+                   error_estimate=_flow_error(model, t, method, rtol))
+
+
+def _flow_error(model, t: float, method: str, rtol: float) -> float:
+    """The error :func:`solve_F` reports for the flow to t: none at t = 0,
+    roundoff on the closed-form route, else the tolerance."""
     if t == 0:
-        return GFValue(t=t, s=s, F=_unbatch(s_arr, scalar),
-                       R=_unbatch(R, scalar), error_estimate=0.0)
+        return 0.0
     exact = method == "exact" or (method == "auto" and _offspring(model).closed_form)
-    err = 4.0 * np.finfo(float).eps if exact else rtol
-    return GFValue(t=t, s=s, F=_unbatch(1.0 - R, scalar),
-                   R=_unbatch(R, scalar), error_estimate=err)
+    return 4.0 * np.finfo(float).eps if exact else rtol
 
 
 def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
@@ -491,51 +495,88 @@ def compute_P(model: ModelSpec, t: float, s, rtol: float = 1e-10,
                    error_estimate=float(err) + gv.error_estimate)
 
 
+def _log_P_i(logP, F, i):
+    """log P_i(t; s) = log P(t; s) + i log F(t; s), broadcast over i; -inf
+    where F = 0 < i, where P_i vanishes."""
+    zero = F == 0
+    log_F = np.log(np.where(zero, 1.0, F))
+    return np.where(i > 0, np.where(zero, -np.inf, logP + i * log_F), logP)[()]
+
+
 def compute_P_i(model: ModelSpec, i: int, t: float, s, rtol: float = 1e-10,
                 method: str = "auto") -> GFValue:
     """P_i(t; s) = F(t; s)**i * P(t; s)."""
     if i < 0 or int(i) != i:
         raise ModelError("initial state i must be a nonnegative integer")
     gv = compute_P(model, t, s, rtol=rtol, method=method)
-    F_arr, scalar = _as_batch(gv.F)
-    logp = np.atleast_1d(np.asarray(gv.logP, dtype=complex)).copy()
-    if i:
-        zero = F_arr == 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = logp + i * np.log(np.where(zero, 1.0, F_arr))
-        P = np.where(zero, 0.0, np.exp(logp))
-        logp = np.where(zero, -np.inf, logp)
-    else:
-        P = np.exp(logp)
-    return GFValue(t=gv.t, s=gv.s, F=gv.F, R=gv.R,
-                   P=_unbatch(P, scalar), logP=_unbatch(logp, scalar),
+    logp = _log_P_i(gv.logP, gv.F, int(i))
+    return GFValue(t=gv.t, s=gv.s, F=gv.F, R=gv.R, P=np.exp(logp), logP=logp,
                    error_estimate=gv.error_estimate)
 
 
-def _circle_logP(model: ModelSpec, t: float, r: float, M: int, rtol, method):
+# Circle samples inverted at once: bounds the memory of a batch of rows
+# (16 rows at M = 1024) without giving up the batched FFT.
+_BLOCK_SAMPLES = 2 ** 14
+
+
+def transition_grid(model: ModelSpec, i_values, t_grid, J_out: int,
+                    r: float = 0.9, M: int = 4096, rtol: float = 1e-10,
+                    method: str = "auto", clamp: bool = False) -> CoefficientSeries:
+    """Rows p_ij(t), j = 0..J_out, for every t in ``t_grid`` and every
+    initial state i in ``i_values``, as one series whose values have shape
+    (len(t_grid), len(i_values), J_out + 1) and whose bounds have shape
+    (len(t_grid), len(i_values)).
+
+    P(t; s) and F(t; s) on the half circle |s| = r come from one
+    :func:`compute_P_grid` march (methods as in :func:`compute_P`); every
+    row is the circle inversion of P_i = F**i P, taken in log space.  The
+    rows are inverted in blocks of ``_BLOCK_SAMPLES`` samples (one row at
+    least), so memory does not grow with the number of rows.
+    ``meta["quad_error"]`` is the error estimate of log P on the circle
+    (quadrature plus flow), shared by all rows.
+    """
+    i_arr = np.atleast_1d(np.asarray(i_values))
+    t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if np.any(i_arr < 0) or np.any(i_arr != np.floor(i_arr)):
+        raise ModelError("initial state i must be a nonnegative integer")
     s_half = circle_points(r, M, half=True)
-    gv = compute_P(model, t, s_half, rtol=rtol, method=method)
-    return s_half, np.atleast_1d(gv.F), np.atleast_1d(gv.logP), gv.error_estimate
+    logp, R, err = compute_P_grid(model, s_half, t_arr, rtol=rtol, method=method)
+    F = np.where((t_arr == 0)[:, None], s_half, 1.0 - R)
+    i_col = i_arr.astype(int)[:, None]
+    block = max(1, _BLOCK_SAMPLES // M)
+    parts = []
+    for logp_t, F_t in zip(logp, F):
+        for lo in range(0, i_col.size, block):
+            half = np.exp(_log_P_i(logp_t, F_t, i_col[lo:lo + block]))
+            parts.append(coefficients_from_samples(complete_circle(half, M), r,
+                                                   J_out, clamp=clamp))
+
+    def joined(name):
+        arr = np.concatenate([getattr(part, name) for part in parts])
+        return arr.reshape((t_arr.size, i_col.size) + arr.shape[1:])
+
+    flow_err = _flow_error(model, float(t_arr.max()), _FLOW_METHOD.get(method, "ode"),
+                           rtol)
+    return CoefficientSeries(
+        values=joined("values"), radius=r, aliasing_bound=joined("aliasing_bound"),
+        noise_scale=joined("noise_scale"), clamp_magnitude=joined("clamp_magnitude"),
+        imag_residual=joined("imag_residual"),
+        meta={"quad_error": float(err) + flow_err})
 
 
 def transition_probs(model: ModelSpec, i: int, t: float, J_out: int,
                      r: float = 0.9, M: int = 16384, rtol: float = 1e-10,
                      method: str = "auto", clamp: bool = True,
                      alias_tol: float = None) -> CoefficientSeries:
-    """Transition row p_ij(t), j = 0..J_out, by circle inversion of P_i.
+    """Transition row p_ij(t), j = 0..J_out, by circle inversion of P_i: the
+    single-row case of :func:`transition_grid`.
 
     When ``alias_tol`` is given, the extraction refuses to return a series
     whose aliasing bound exceeds it (raise M or shrink r to fix).
     """
-    if i < 0 or int(i) != i:
-        raise ModelError("initial state i must be a nonnegative integer")
-    _, F_half, logp_half, err = _circle_logP(model, t, r, M, rtol, method)
-    if i:
-        logp_half = logp_half + i * np.log(F_half)
-    samples = complete_circle(np.exp(logp_half), M)
-    series = coefficients_from_samples(samples, r, J_out, clamp=clamp,
-                                       meta={"t": t, "i": int(i),
-                                             "quad_error": err})
+    series = transition_grid(model, [i], [t], J_out, r=r, M=M, rtol=rtol,
+                             method=method, clamp=clamp).row((0, 0))
+    series.meta.update(t=t, i=int(i))
     if alias_tol is not None and series.aliasing_bound > alias_tol:
         raise ModelError(
             f"aliasing bound {series.aliasing_bound:.3g} exceeds the requested "
@@ -543,42 +584,15 @@ def transition_probs(model: ModelSpec, i: int, t: float, J_out: int,
     return series
 
 
-@dataclass
-class TransitionRows:
-    """Rows p_ij(t) for i = 0..i_max from one shared circle of samples."""
-
-    t: float
-    radius: float
-    values: np.ndarray            # shape (i_max+1, J_out+1)
-    aliasing_bounds: np.ndarray   # per row
-    noise_scales: np.ndarray      # per row
-    quad_error: float
-
-    def noise_floor(self) -> np.ndarray:
-        j = np.arange(self.values.shape[1], dtype=float)
-        return self.noise_scales[:, None] * self.radius ** (-j)[None, :]
-
-
 def transition_rows(model: ModelSpec, i_max: int, t: float, J_out: int,
                     r: float = 0.9, M: int = 4096, rtol: float = 1e-10,
-                    method: str = "auto", clamp: bool = False) -> TransitionRows:
-    """All rows i = 0..i_max at once; the flow is solved once per circle point
-    and reused for every initial state via F**i."""
-    if M < 4 * J_out:
-        raise ModelError(f"need M >= 4*J_out; got M={M}, J_out={J_out}")
-    _, F_half, logp_half, err = _circle_logP(model, t, r, M, rtol, method)
-    rows = np.empty((i_max + 1, J_out + 1))
-    alias = np.empty(i_max + 1)
-    noise = np.empty(i_max + 1)
-    log_F = np.log(F_half)
-    for i in range(i_max + 1):
-        samples = complete_circle(np.exp(logp_half + i * log_F), M)
-        series = coefficients_from_samples(samples, r, J_out, clamp=clamp)
-        rows[i] = series.values
-        alias[i] = series.aliasing_bound
-        noise[i] = series.noise_scale
-    return TransitionRows(t=t, radius=r, values=rows, aliasing_bounds=alias,
-                          noise_scales=noise, quad_error=err)
+                    method: str = "auto", clamp: bool = False) -> CoefficientSeries:
+    """All rows i = 0..i_max at one t (the batch over i of
+    :func:`transition_grid`): values of shape (i_max + 1, J_out + 1)."""
+    series = transition_grid(model, np.arange(i_max + 1), [t], J_out, r=r, M=M,
+                             rtol=rtol, method=method, clamp=clamp).row(0)
+    series.meta.update(t=t)
+    return series
 
 
 def gf_table_csv(values) -> str:

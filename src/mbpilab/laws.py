@@ -104,15 +104,9 @@ class _IntensityLaw:
         "closed" demands it, "series" sums the truncated coefficients.
         """
         _check_unit_disc(z)
-        if mode == "auto":
-            mode = "closed" if self.closed_form else "series"
-        if mode == "closed":
-            if not self.closed_form:
-                raise ModelError("law has no closed form")
-            return self._closed_gf(np.asarray(z))
-        if mode == "series":
-            return _series_value(self.coefficients, z)
-        raise ModelError(f"unknown evaluation mode {mode!r}")
+        if self._closed(mode):
+            return self._closed_gf_one_minus(1.0 - np.asarray(z))
+        return _series_value(self.coefficients, z)
 
     def gf_at_one_minus(self, y, mode: str = "auto"):
         """Evaluate the generating function at 1 - y.
@@ -120,13 +114,19 @@ class _IntensityLaw:
         The closed forms take y directly, which is the numerically safe way
         to evaluate near the fixed point (y -> 0).
         """
-        if mode == "auto":
-            mode = "closed" if self.closed_form else "series"
-        if mode == "closed":
-            if not self.closed_form:
-                raise ModelError("law has no closed form")
+        if self._closed(mode):
             return self._closed_gf_one_minus(np.asarray(y))
-        return self.gf(1.0 - np.asarray(y), mode=mode)
+        return self.gf(1.0 - np.asarray(y), mode="series")
+
+    def _closed(self, mode: str) -> bool:
+        """Whether ``mode`` resolves to the closed form (else the series)."""
+        if mode == "auto":
+            return bool(self.closed_form)
+        if mode == "closed" and not self.closed_form:
+            raise ModelError("law has no closed form")
+        if mode not in ("closed", "series"):
+            raise ModelError(f"unknown evaluation mode {mode!r}")
+        return mode == "closed"
 
 
 @dataclass(frozen=True)
@@ -139,13 +139,6 @@ class BranchingLaw(_IntensityLaw):
     scale: Optional[float] = None          # c
     kappa: float = 0.0
     series_tail_bound: float = 0.0
-
-    def _closed_gf(self, z):
-        w = 1.0 - z
-        val = w ** (1.0 + self.nu)
-        if self.kappa:
-            val = val + self.kappa * w ** (1.0 + 2.0 * self.nu)
-        return self.scale * val
 
     def _closed_gf_one_minus(self, y):
         val = y ** (1.0 + self.nu)
@@ -164,13 +157,6 @@ class ImmigrationLaw(_IntensityLaw):
     scale: Optional[float] = None          # d
     kappa: float = 0.0
     series_tail_bound: float = 0.0
-
-    def _closed_gf(self, z):
-        w = 1.0 - z
-        val = w ** self.delta
-        if self.kappa:
-            val = val + self.kappa * w ** (2.0 * self.delta)
-        return -self.scale * val
 
     def _closed_gf_one_minus(self, y):
         val = y ** self.delta

@@ -18,7 +18,7 @@ reproduces any stream exactly, without building a generator per replicate.
 ``estimate_pmf`` runs replicates in lock-step numpy lanes, one event per
 step, on the same streams and with the same floating-point operations as
 the scalar loop of ``simulate_path``; its memory does not grow with the
-replicate count.  ``SimConfig.threads`` is accepted and ignored.
+replicate count.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class AliasTable:
         self._prob = prob.tolist()
         self._alias = alias.tolist()
 
-    def pick(self, u_index: float, u_accept: float) -> int:
-        i = min(int(u_index * self.n), self.n - 1)
-        return i if u_accept < self._prob[i] else self._alias[i]
-
     def pick_many(self, u_index, u_accept):
         i = np.minimum((np.asarray(u_index) * self.n).astype(np.int64), self.n - 1)
         return np.where(np.asarray(u_accept) < self.prob.take(i), i,
@@ -92,7 +88,6 @@ class SimConfig:
     seed: int
     initial: int = 0
     state_cap: int = 10 ** 6
-    threads: int = 1  # accepted, but changes neither results nor speed
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -169,7 +164,7 @@ def _advance(x, t, events, exps, unis, ptr, rng, horizon, state_cap,
         u_type, u_idx, u_acc = unis[ptr]
         ptr += 1
         events += 1
-        # AliasTable.pick, inlined: the method call alone costs about a
+        # The alias-table pick, inlined: a method call would cost about a
         # fifth of the loop's time per event.
         if u_type * rate < branch_rate:
             i = int(u_idx * n_off)
@@ -263,9 +258,6 @@ def estimate_pmf(config: SimConfig) -> SimResult:
     most ``_DRAIN`` lanes are live, the scalar loop finishes them one by
     one.  Memory is O(lanes * chunk + largest state), whatever the number
     of replicates.
-
-    ``config.threads`` changes neither the result nor the speed: the
-    replicates run in one thread.
     """
     model = config.model
     samplers = _samplers(model)

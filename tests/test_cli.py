@@ -292,7 +292,7 @@ def test_stats_json_sim_totals(tmp_path, task):
     assert {"config", "model", "task", "simulate"} <= set(stats["stages_s"])
     cfg = load_config(path)
     expected = per_replicate_pmf(_sim_config(build_model(cfg["model"]),
-                                             cfg["task"], 1, None))
+                                             cfg["task"]))
     assert stats["counters"]["sim.replicates"] == expected.replicates == 1500
     assert stats["counters"]["sim.events"] == expected.events
     assert stats["counters"]["sim.capped"] == expected.capped_count

@@ -6,8 +6,8 @@ import pytest
 from mbpilab import (ModelError, PreconditionError, check_invariance,
                      compute_B, compute_P, compute_U, compute_pi,
                      extract_measure, ratio_limits, series_coefficients,
-                     solve_F, stable_model)
-from mbpilab import rvcalc
+                     solve_F, stable_model, transition_probs)
+from mbpilab import kernel, rvcalc
 from mbpilab.invariants import limit_ratios, log_pi, measure_csv
 from mbpilab.inversion import circle_points, suggest_radius
 from mbpilab.kernel import (exact_R, gf_integral_to_one, gf_segment_integral,
@@ -176,6 +176,42 @@ def test_ratio_limits_transient(gneg):
     assert abs(table.ratios[-1, 1] - table.targets[1]) <= 1e-2
     dev = table.final_deviation()
     assert dev is not None and dev[0] == 0.0
+
+
+@pytest.mark.parametrize("name, exact", [("g025", True), ("gneg", True),
+                                         ("g025_pert_off", False)])
+def test_ratio_limits_are_the_single_rows(name, exact, request):
+    """One transition_grid call gives each row as transition_probs does.
+    Closed-form routes match exactly; on the quadrature route the batched
+    integral is shared across t, which moves the rows by a few ulps."""
+    model = request.getfixturevalue(name)
+    grid = [1e1, 1e2, 1e3]
+    table = ratio_limits(model, 6, grid)
+    for k, t in enumerate(grid):
+        p = transition_probs(model, 0, t, 6, M=1024, clamp=False).values
+        if exact:
+            assert np.array_equal(table.ratios[k], p / p[0])
+        else:
+            assert np.allclose(table.ratios[k], p / p[0], rtol=1e-14, atol=0)
+
+
+def test_ratio_limits_march_the_flow_once(g025, monkeypatch):
+    """The grid costs one integration to its last time plus one step (six
+    evaluations after first-same-as-last) per inner landing, not a restart
+    from t = 0 at every time."""
+    rk45 = kernel._rk45
+    evals = []
+
+    def counted(rhs, *args, **kwargs):
+        return rk45(lambda y: evals.append(1) or rhs(y), *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "_rk45", counted)
+    grid = np.logspace(1, 4, 7)
+    ratio_limits(g025, 4, grid[-1:], method="quad")
+    single = len(evals)
+    evals.clear()
+    ratio_limits(g025, 4, grid, method="quad")
+    assert len(evals) <= single + 6 * (grid.size - 1)
 
 
 def test_ratio_limit_grid_validation(g025):

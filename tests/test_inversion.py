@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mbpilab import ModelError
 from mbpilab.inversion import (circle_points, coefficients_from_samples,
@@ -85,6 +87,57 @@ def test_noise_floor_validated_against_recurrence(g025):
     assert np.all(err[:valid + 1] <= np.maximum(bound[:valid + 1], 1e-9))
     # beyond twice the validity index the raw values are provably junk
     assert err[valid * 3 // 2:].max() > 1e-9
+
+
+_BOUNDS = ("aliasing_bound", "noise_scale", "clamp_magnitude", "imag_residual")
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("clamp", [False, True])
+def test_batched_inversion_matches_rows(batch, clamp):
+    """Leading batch axes are inverted row by row: values and every bound
+    equal the single-row calls exactly."""
+    r, M, J = 0.85, 64, 12
+    rng = np.random.default_rng(7)
+    coef = rng.uniform(-0.2, 1.0, batch + (20,))
+    s_half = circle_points(r, M, half=True)
+    half = np.polynomial.polynomial.polyval(s_half, np.moveaxis(coef, -1, 0))
+    full = complete_circle(half, M)
+    series = coefficients_from_samples(full, r, J, clamp=clamp)
+    assert full.shape == batch + (M,) and series.values.shape == batch + (J + 1,)
+    assert len(series) == J + 1
+    for idx in np.ndindex(*batch):
+        one_full = complete_circle(half[idx], M)
+        assert np.array_equal(full[idx], one_full)
+        one = coefficients_from_samples(one_full, r, J, clamp=clamp)
+        row = series.row(idx)
+        assert np.array_equal(row.values, one.values)
+        for name in _BOUNDS:
+            assert np.array_equal(getattr(row, name), getattr(one, name)), name
+            assert np.shape(getattr(series, name)) == batch
+        assert np.array_equal(series.noise_floor()[idx], one.noise_floor())
+        assert np.array_equal(row.coefficient_bound(), one.coefficient_bound())
+
+
+@given(coef=st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+                     min_size=1, max_size=4),
+       r=st.floats(0.5, 0.95), log2_M=st.integers(6, 9))
+def test_round_trip_within_coefficient_bound(coef, r, log2_M):
+    """Nonnegative polynomials of degree < M, sampled on the half circle and
+    inverted as one batch, come back within coefficient_bound()."""
+    M = 2 ** log2_M
+    J = M // 4
+    exact = np.zeros((len(coef), J + 1))
+    for k, c in enumerate(coef):
+        exact[k, :min(len(c), J + 1)] = c[:J + 1]
+    width = max(len(c) for c in coef)
+    padded = np.array([c + [0.0] * (width - len(c)) for c in coef])
+    half = np.polynomial.polynomial.polyval(circle_points(r, M, half=True),
+                                            padded.T)
+    series = coefficients_from_samples(complete_circle(half, M), r, J)
+    for k in range(len(coef)):
+        row = series.row(k)
+        assert np.all(np.abs(row.values - exact[k]) <= row.coefficient_bound())
 
 
 def test_suggest_radius_supports_target(g025):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from mbpilab import kernel
 from mbpilab.inversion import circle_points
 from mbpilab.kernel import (flow_on_grid, gf_integral_to_one,
                             gf_segment_integral, gf_table_csv, transition_csv,
-                            transition_rows)
+                            transition_grid, transition_rows)
 from mbpilab.laws import offspring_from_coefficients
 
 from oracles import scipy_R, scipy_gf_integral, time_route_P
@@ -166,6 +168,11 @@ def test_P_i_values(g025):
         float(np.real(base.F)) * float(np.real(base.P)), rel=1e-12)
     with pytest.raises(ModelError):
         compute_P_i(g025, -1, 1.0, 0.0)
+    # F(0; 0) = 0: P_i vanishes for i > 0, and P_0 = 1 takes no log of 0
+    gone = compute_P_i(g025, 2, 0.0, np.array([0.0, 0.5]))
+    assert gone.P[0] == 0.0 and gone.logP[0] == -np.inf
+    assert gone.P[1] == pytest.approx(0.25, rel=1e-15)
+    assert compute_P_i(g025, 0, 0.0, 0.0).P == 1.0
 
 
 def test_segment_integral_additivity(g025):
@@ -209,10 +216,40 @@ def test_transition_probs_parameter_validation(g025):
 
 
 def test_transition_rows_match_single_extractions(g025):
-    rows = transition_rows(g025, 3, 1.0, 24, r=0.9, M=1024)
-    for i in (0, 2, 3):
+    # 16 rows per inversion block at M = 1024: i_max = 20 spans two blocks
+    rows = transition_rows(g025, 20, 1.0, 24, r=0.9, M=1024)
+    assert rows.values.shape == (21, 25) and rows.aliasing_bound.shape == (21,)
+    for i in (0, 2, 15, 16, 20):
         single = transition_probs(g025, i, 1.0, 24, r=0.9, M=1024, clamp=False)
-        assert np.allclose(rows.values[i], single.values, atol=1e-13)
+        assert np.array_equal(rows.values[i], single.values)
+        assert rows.aliasing_bound[i] == single.aliasing_bound
+        assert rows.noise_scale[i] == single.noise_scale
+        assert np.array_equal(rows.noise_floor()[i], single.noise_floor())
+
+
+def test_transition_grid_rows_are_the_single_rows(g025):
+    grid = transition_grid(g025, [0, 3], [0.0, 0.5, 5.0], 16, M=256, clamp=True)
+    assert grid.values.shape == (3, 2, 17) and grid.noise_scale.shape == (3, 2)
+    for a, t in enumerate((0.0, 0.5, 5.0)):
+        for b, i in enumerate((0, 3)):
+            single = transition_probs(g025, i, t, 16, M=256)
+            assert np.array_equal(grid.values[a, b], single.values)
+            assert grid.clamp_magnitude[a, b] == single.clamp_magnitude
+    with pytest.raises(ModelError):
+        transition_grid(g025, [0, 1.5], [1.0], 16, M=256)
+
+
+def test_transition_rows_memory_flat(g025):
+    """Rows are inverted in blocks, so 257 rows at M = 1024 stay far below
+    the 8 MB that their samples and transforms would take at once."""
+    transition_rows(g025, 256, 1.0, 128, M=1024)
+    tracemalloc.start()
+    try:
+        transition_rows(g025, 256, 1.0, 128, M=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_csv_formats(g025):
