@@ -425,7 +425,8 @@ def run_config(path: str, out_dir=None, seed=None, strict: bool = False) -> int:
             print(f"model error: {exc}", file=sys.stderr)
             return 3
         except NumericsError as exc:
-            print(f"numeric failure: {exc}", file=sys.stderr)
+            print(f"numeric failure in stage '{record.stage_of(exc)}': {exc}",
+                  file=sys.stderr)
             return 4
     elapsed = time.time() - started
     (out / "manifest.txt").write_text(

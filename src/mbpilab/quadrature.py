@@ -4,9 +4,16 @@ Two engines are provided on top of the classical (G7, K15) pair:
 
 * ``adaptive_quadrature`` -- a worst-panel-first refinement loop, meant for
   scalar or small-batch integrands.
-* ``doubling_quadrature`` -- composite K15 with panel doubling until two
-  successive levels agree; memory stays O(batch), which makes it the right
-  engine for integrands evaluated simultaneously at many circle points.
+* ``doubling_quadrature`` -- composite K15 on n0 equal panels, accepted on
+  its own embedded |K15 - G7| estimate, doubling the panel count only when
+  that estimate misses the tolerance (or until two successive levels
+  agree); memory stays O(batch), which makes it the right engine for
+  integrands evaluated simultaneously at many circle points.
+
+Each call of either engine reports once to ``telemetry``: ``quad.calls``,
+``quad.panels``, ``quad.levels`` (levels evaluated, or bisections),
+``quad.integrand_values`` (nodes times batch width) and the gauge
+``quad.max_error``.
 
 Integrand contract: ``fun(x)`` receives a 1-d array of nodes and returns an
 array of shape ``(len(x),)`` or ``(len(x), batch)``; values may be complex.
@@ -18,6 +25,7 @@ import heapq
 
 import numpy as np
 
+from . import telemetry
 from .errors import NumericsError
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]: QUADPACK's qk15
@@ -53,6 +61,8 @@ def kronrod_rule():
 
 
 def _eval_panel(fun, lo, hi):
+    """K15 sum over one panel and its per-entry |K15 - G7|; the (15, batch)
+    integrand array is freed on return."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     fx = np.asarray(fun(mid + half * _XK))
@@ -60,8 +70,15 @@ def _eval_panel(fun, lo, hi):
         fx = fx[:, None]
     i15 = half * (_WK @ fx)
     i7 = half * (_WG @ fx[_GIDX])
-    err = float(np.max(np.abs(i15 - i7)))
-    return i15, err
+    return i15, np.abs(i15 - i7)
+
+
+def _report(panels, levels, width, err):
+    telemetry.add("quad.calls")
+    telemetry.add("quad.panels", panels)
+    telemetry.add("quad.levels", levels)
+    telemetry.add("quad.integrand_values", _XK.size * panels * width)
+    telemetry.peak("quad.max_error", err)
 
 
 def adaptive_quadrature(fun, a, b, rtol=1e-10, atol=0.0, max_panels=4096,
@@ -82,14 +99,17 @@ def adaptive_quadrature(fun, a, b, rtol=1e-10, atol=0.0, max_panels=4096,
     for lo, hi in zip(edges[:-1], edges[1:]):
         val, err = _eval_panel(fun, lo, hi)
         total = val if total is None else total + val
-        heapq.heappush(heap, (-err, counter, lo, hi, val))
+        heapq.heappush(heap, (-float(np.max(err)), counter, lo, hi, val))
         counter += 1
+    bisections = 0
     while True:
         err_total = -sum(item[0] for item in heap)
         scale = max(float(np.max(np.abs(total))), 1e-300)
         if err_total <= max(atol, rtol * scale):
+            _report(len(heap) + bisections, bisections, total.size, err_total)
             return total, err_total
         if len(heap) >= max_panels:
+            _report(len(heap) + bisections, bisections, total.size, err_total)
             raise NumericsError(
                 f"quadrature did not reach rtol={rtol:g} within "
                 f"{max_panels} panels (err={err_total:.3g}, scale={scale:.3g})")
@@ -97,38 +117,53 @@ def adaptive_quadrature(fun, a, b, rtol=1e-10, atol=0.0, max_panels=4096,
         mid = 0.5 * (lo + hi)
         left, erl = _eval_panel(fun, lo, mid)
         right, erh = _eval_panel(fun, mid, hi)
+        bisections += 1
         total = total - val + left + right
-        heapq.heappush(heap, (-erl, counter, lo, mid, left))
+        heapq.heappush(heap, (-float(np.max(erl)), counter, lo, mid, left))
         counter += 1
-        heapq.heappush(heap, (-erh, counter, mid, hi, right))
+        heapq.heappush(heap, (-float(np.max(erh)), counter, mid, hi, right))
         counter += 1
 
 
 def _composite(fun, a, b, n_panels):
+    """Composite K15 sum over ``n_panels`` equal panels and the per-entry sum
+    of the panels' |K15 - G7|."""
     edges = np.linspace(a, b, n_panels + 1)
-    total = None
+    total = est = None
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, _ = _eval_panel(fun, lo, hi)
+        val, err = _eval_panel(fun, lo, hi)
         total = val if total is None else total + val
-    return total
+        est = err if est is None else est + err
+    return total, est
 
 
 def doubling_quadrature(fun, a, b, rtol=1e-10, atol=1e-300, n0=8,
                         max_doublings=10):
-    """Composite K15 integration, doubling the panel count until two levels
-    agree to ``rtol`` per batch entry.  Memory is O(batch)."""
+    """Composite K15 integration on n0, 2 n0, ... equal panels.  Memory is
+    O(batch).
+
+    A level is accepted when, for every batch entry, its embedded estimate
+    (the sum over panels of |K15 - G7|) is at most ``atol + rtol * |K15|``;
+    the error returned is then the largest such estimate.  Otherwise the
+    panel count doubles, and a level is also accepted when it agrees with
+    the one before to the same tolerance (the error returned is then the
+    largest difference).  Raises :class:`NumericsError` when neither test
+    passes within ``max_doublings`` doublings.
+    """
     if not b > a:
         raise ValueError("integration interval must have b > a")
-    prev = _composite(fun, a, b, n0)
-    n = n0
-    for _ in range(max_doublings):
-        n *= 2
-        cur = _composite(fun, a, b, n)
-        diff = np.abs(cur - prev)
+    n, prev, panels = n0, None, 0
+    for level in range(1, max_doublings + 2):
+        cur, err = _composite(fun, a, b, n)
+        panels += n
         tol = atol + rtol * np.maximum(np.abs(cur), 1e-300)
-        if np.all(diff <= tol):
-            return cur, float(np.max(diff))
-        prev = cur
+        if prev is not None and not np.all(err <= tol):
+            err = np.abs(cur - prev)
+        if np.all(err <= tol):
+            _report(panels, level, cur.size, float(np.max(err)))
+            return cur, float(np.max(err))
+        prev, n = cur, 2 * n
+    _report(panels, level, cur.size, float(np.max(err)))
     raise NumericsError(
-        f"doubling quadrature stalled at {n} panels "
-        f"(max rel diff {float(np.max(diff / tol)):.3g} x tolerance)")
+        f"doubling quadrature stalled at {n // 2} panels (error estimate "
+        f"{float(np.max(err / tol)):.3g} x tolerance)")

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from mbpilab import rate_theorem2
+from mbpilab import kernel, rate_theorem2
 from mbpilab.cli import (SIZE_CAPS, _MODEL_KEYS, _TASK_KEYS, _sim_config,
                          build_model, load_config, main, run_config)
 from mbpilab.cli import ConfigError
+from mbpilab.errors import NumericsError
 from oracles import per_replicate_pmf
 
 RECURRENT = """
@@ -196,6 +197,34 @@ def test_invariant_task(tmp_path):
     assert (tmp_path / "out" / "measure.csv").exists()
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "invariance" in summary and "normalization" in summary
+
+
+def test_invariant_quadrature_counters(tmp_path):
+    # every circle quadrature of the run is accepted on its first level
+    cfg = write(tmp_path, RECURRENT.format(
+        task="invariant", extra="j_out = 256\nsamples = 8192",
+        out=tmp_path / "out"))
+    assert run_config(cfg) == 0
+    counters = json.loads((tmp_path / "out" / "stats.json").read_text())["counters"]
+    assert counters["quad.calls"] >= 1
+    assert counters["quad.panels"] == 8 * counters["quad.calls"]
+    assert counters["quad.levels"] == counters["quad.calls"]
+    assert counters["quad.integrand_values"] == 15 * 8 * 4097
+    assert 0.0 <= counters["quad.max_error"] < 1e-10
+
+
+def test_numerics_error_names_its_stage(tmp_path, capsys, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise NumericsError("doubling quadrature stalled")
+    monkeypatch.setattr(kernel, "doubling_quadrature", stalled)
+    extra = ("horizon = 2.0\nreplicates = 300\nseed = 42\n"
+             "j_out = 16\nmin_prob = 2e-2")
+    cfg = write(tmp_path, RECURRENT.format(task="compare", extra=extra,
+                                           out=tmp_path / "out"))
+    assert run_config(cfg) == 4
+    err = capsys.readouterr().err
+    assert "numeric failure in stage 'series'" in err
+    assert "stalled" in err
 
 
 def test_invariant_samples_not_power_of_two_exits_2(tmp_path, capsys):

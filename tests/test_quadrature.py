@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mbpilab import telemetry
 from mbpilab.errors import NumericsError
 from mbpilab.quadrature import (adaptive_quadrature, doubling_quadrature,
                                 kronrod_rule)
@@ -107,3 +108,94 @@ def test_panel_cap_raises():
 def test_interval_validation():
     with pytest.raises(ValueError):
         adaptive_quadrature(lambda x: x, 1.0, 0.0)
+
+
+def counted(fun):
+    """``fun`` with a ``calls`` attribute counting its evaluations."""
+    def wrapper(x):
+        wrapper.calls += 1
+        return fun(x)
+    wrapper.calls = 0
+    return wrapper
+
+
+# exp(c x) over [0, 1] for a 1025-wide batch of complex c
+RATES = np.linspace(-3.0, 2.0, 1025) + 1j * np.linspace(0.0, 4.0, 1025)
+EXP_BATCH = (lambda x: np.exp(np.outer(x, RATES)), 0.0, 1.0,
+             np.expm1(RATES) / RATES)
+# a peak of width 1e-2 at 0.3, which G7 does not resolve on 8 panels
+PEAK = (lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), 0.0, 1.0,
+        np.array([100.0 * (np.arctan(70.0) + np.arctan(30.0))]))
+DAMPED = (lambda x: np.cos(7.0 * x) * np.exp(-x), 0.0, 5.0,
+          np.array([(1.0 + np.exp(-5.0) * (7.0 * np.sin(35.0) - np.cos(35.0)))
+                    / 50.0]))
+
+
+def test_doubling_accepts_the_first_level_on_its_own_estimate():
+    fun, a, b, exact = EXP_BATCH
+    fun = counted(fun)
+    val, err = doubling_quadrature(fun, a, b, rtol=1e-10, n0=8)
+    assert fun.calls == 8
+    assert np.all(np.abs(val - exact) <= 1e-10 * np.abs(exact))
+    # the error is the largest entry of the sum over panels of |K15 - G7|
+    nodes, wk, gidx, wg = kronrod_rule()
+    edges = np.linspace(a, b, 9)
+    est = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        fx = fun(0.5 * (lo + hi) + half * nodes)
+        est = est + np.abs(half * (wk @ fx) - half * (wg @ fx[gidx]))
+    assert err == pytest.approx(np.max(est), rel=1e-12, abs=0.0)
+    assert 0.0 < err <= 1e-10 * np.max(np.abs(exact))
+
+
+def test_doubling_refines_an_unresolved_peak():
+    fun, a, b, exact = PEAK
+    fun = counted(fun)
+    val, _ = doubling_quadrature(fun, a, b, rtol=1e-10, n0=8)
+    assert fun.calls > 8
+    assert abs(val[0] - exact[0]) <= 1e-10 * exact[0]
+
+
+@pytest.mark.parametrize("case", [EXP_BATCH, PEAK, DAMPED],
+                         ids=["exp_batch", "peak", "damped"])
+def test_doubling_error_covers_closed_form(case):
+    fun, a, b, exact = case
+    val, err = doubling_quadrature(fun, a, b, rtol=1e-10)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(val - exact) <= np.maximum(err, 8 * eps * np.abs(exact)))
+
+
+def test_doubling_without_doublings_raises_numerics_error():
+    fun, a, b, _ = PEAK
+    with pytest.raises(NumericsError, match="8 panels"):
+        doubling_quadrature(fun, a, b, rtol=1e-10, n0=8, max_doublings=0)
+
+
+def test_quadrature_reports_once_per_call():
+    fun, a, b, _ = EXP_BATCH
+    with telemetry.recording() as record:
+        _, err = doubling_quadrature(fun, a, b, rtol=1e-10, n0=8)
+    assert record.counters == {
+        "quad.calls": 1, "quad.panels": 8, "quad.levels": 1,
+        "quad.integrand_values": 15 * 8 * 1025, "quad.max_error": err}
+    fun, a, b, _ = PEAK
+    fun = counted(fun)
+    with telemetry.recording() as record:
+        _, err = doubling_quadrature(fun, a, b, rtol=1e-10, n0=8)
+    # levels of 8, 16, ..., 8 * 2**(levels - 1) panels
+    levels = record.counters["quad.levels"]
+    assert levels > 1
+    assert record.counters["quad.panels"] == fun.calls == 8 * (2 ** levels - 1)
+    assert record.counters["quad.max_error"] == err
+    fun = counted(PEAK[0])
+    with telemetry.recording() as record:
+        _, coarse = adaptive_quadrature(fun, a, b, rtol=1e-6, initial_panels=4)
+        _, fine = adaptive_quadrature(fun, a, b, rtol=1e-10, initial_panels=4)
+    # two calls, four panels each plus two per bisection
+    bisections = record.counters["quad.levels"]
+    assert record.counters["quad.calls"] == 2
+    assert record.counters["quad.panels"] == fun.calls == 8 + 2 * bisections
+    assert record.counters["quad.integrand_values"] == 15 * fun.calls
+    assert fine != coarse
+    assert record.counters["quad.max_error"] == max(fine, coarse)
