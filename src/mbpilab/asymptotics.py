@@ -34,6 +34,10 @@ from .laws import ModelSpec
 from .quadrature import doubling_quadrature
 from .rvcalc import SlowlyVaryingSpec
 
+# Errors at or below this floor are left out of the rate fits: the flow and
+# quadrature tolerances contaminate them.
+_FIT_FLOOR = 1e-8
+
 
 @dataclass
 class RateFit:
@@ -89,10 +93,8 @@ def fit_loglog(t, err, predicted_slope, slope_tol=0.1, rsq_min=0.99,
                    rsq_min=rsq_min, window=window, label=label)
 
 
-def rate_theorem1(model: ModelSpec, s: float, t_grid, rtol: float = 1e-10,
-                  slope_tol: float = 0.1, rsq_min: float = 0.99,
-                  method: str = "quad", window_decades: float = 2.0,
-                  floor: float = 1e-8) -> RateFit:
+def rate_theorem1(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
+                  rsq_min: float = 0.99) -> RateFit:
     """Convergence rate of P(t; s) to U(s) in the positive-recurrent regime.
 
     e(t) = |P(t;s)/U(s) - 1| = |expm1(-integral_{F(t;s)}^1 g/f du)|; the
@@ -105,16 +107,14 @@ def rate_theorem1(model: ModelSpec, s: float, t_grid, rtol: float = 1e-10,
         raise ModelError("theorem-1 rate check expects s in [0, 0.95]")
     t_grid = np.asarray(t_grid, dtype=float)
     ctx = model.context()
-    R = flow_on_grid(model, [s], t_grid, method="ode" if method == "quad" else "auto",
-                     rtol=min(rtol, 1e-12))[:, 0]
-    tail, _ = gf_integral_to_one(model, rtol=rtol, one_minus_s=R)
+    R = flow_on_grid(model, [s], t_grid, method="ode", rtol=1e-12)[:, 0]
+    tail, _ = gf_integral_to_one(model, one_minus_s=R)
     errors = np.abs(np.expm1(-np.real(tail)))
     tau = np.array([ctx.tau(float(t)) for t in t_grid])
     lam = ctx.lam_shift(t_grid, s)
     envelope = (1.0 / model.gamma) / lam ** (model.gamma / model.nu) * ctx.K(tau)
     fit = fit_loglog(t_grid, errors, predicted_slope=-model.gamma / model.nu,
-                     slope_tol=slope_tol, rsq_min=rsq_min,
-                     window_decades=window_decades, floor=floor,
+                     slope_tol=slope_tol, rsq_min=rsq_min, floor=_FIT_FLOOR,
                      label="theorem1")
     fit.envelope = envelope
     fit.envelope_ratio = errors / envelope
@@ -122,16 +122,16 @@ def rate_theorem1(model: ModelSpec, s: float, t_grid, rtol: float = 1e-10,
     return fit
 
 
-def _transient_log_ratio(model: ModelSpec, s_batch, t_grid, rtol, method):
+def _transient_log_ratio(model: ModelSpec, s_batch, t_grid):
     """log( exp(T(t)) P(t;s) / pi(s) ), shape (len(t_grid), len(s_batch)), in
-    log space.  The flow is solved to 1e-12 relative: T(t) + log P(t;s)
-    cancels T(t) against R**(-|gamma|), which amplifies any error in R."""
+    log space, with log P by quadrature.  The flow is solved to 1e-12
+    relative: T(t) + log P(t;s) cancels T(t) against R**(-|gamma|), which
+    amplifies any error in R."""
     model.require_transient_limit()
     ctx = model.context()
     s_arr = np.atleast_1d(np.asarray(s_batch, dtype=float))
-    lpi = np.real(log_pi(model, s_arr, rtol=rtol))
-    logp, _, _ = compute_P_grid(model, s_arr, t_grid, rtol=rtol, method=method,
-                                f_rtol=1e-12)
+    lpi = np.real(log_pi(model, s_arr))
+    logp, _, _ = compute_P_grid(model, s_arr, t_grid, rtol=1e-12, method="quad")
     T = np.array([ctx.big_T(float(t)) for t in t_grid])
     return T[:, None] + np.real(logp) - lpi[None, :]
 
@@ -146,53 +146,45 @@ def transient_predicted_slope(model: ModelSpec) -> float:
     return -model.mu / model.nu
 
 
-def rate_theorem2(model: ModelSpec, s: float, t_grid, rtol: float = 1e-10,
-                  slope_tol: float = 0.1, rsq_min: float = 0.99,
-                  method: str = "quad", window_decades: float = 2.0,
-                  floor: float = 1e-8, log_ratio=None) -> RateFit:
+def rate_theorem2(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
+                  rsq_min: float = 0.99, log_ratio=None) -> RateFit:
     """Convergence rate of exp(T(t)) P(t; s) to pi(s) in the transient regime;
     ``log_ratio`` reuses the column for s of a :func:`_transient_log_ratio`."""
     t_grid = np.asarray(t_grid, dtype=float)
     if log_ratio is None:
-        log_ratio = _transient_log_ratio(model, [s], t_grid, rtol, method)[:, 0]
+        log_ratio = _transient_log_ratio(model, [s], t_grid)[:, 0]
     errors = np.abs(np.expm1(log_ratio))
     ctx = model.context()
     tau = np.array([ctx.tau(float(t)) for t in t_grid])
     envelope = ctx.ell(tau) / tau ** model.mu
     fit = fit_loglog(t_grid, errors, predicted_slope=transient_predicted_slope(model),
-                     slope_tol=slope_tol, rsq_min=rsq_min,
-                     window_decades=window_decades, floor=floor,
+                     slope_tol=slope_tol, rsq_min=rsq_min, floor=_FIT_FLOOR,
                      label="theorem2")
     fit.envelope = envelope
     fit.envelope_ratio = errors / envelope
     fit.extras["scaled_limit"] = np.exp(log_ratio) * float(np.exp(
-        np.real(log_pi(model, s, rtol=rtol))))
+        np.real(log_pi(model, s))))
     fit.extras["envelope_slope"] = -model.mu / model.nu
     return fit
 
 
-def rate_corollary1(model: ModelSpec, t_grid, rtol: float = 1e-10,
-                    slope_tol: float = 0.15, rsq_min: float = 0.99,
-                    method: str = "quad", window_decades: float = 2.0,
-                    floor: float = 1e-8, log_ratio=None) -> RateFit:
+def rate_corollary1(model: ModelSpec, t_grid, slope_tol: float = 0.15,
+                    rsq_min: float = 0.99, log_ratio=None) -> RateFit:
     """Rate of exp(T(t)) p_00(t) toward pi(0) = e * B(0), via p_00 = P(t; 0):
     theorem 2 at s = 0 (``log_ratio`` as there), labelled."""
-    fit = rate_theorem2(model, 0.0, t_grid, rtol=rtol, slope_tol=slope_tol,
-                        rsq_min=rsq_min, method=method,
-                        window_decades=window_decades, floor=floor,
-                        log_ratio=log_ratio)
+    fit = rate_theorem2(model, 0.0, t_grid, slope_tol=slope_tol,
+                        rsq_min=rsq_min, log_ratio=log_ratio)
     fit.label = "corollary1"
-    fit.extras["B0"] = float(np.real(compute_B(model, 0.0, rtol=rtol)))
+    fit.extras["B0"] = float(np.real(compute_B(model, 0.0)))
     return fit
 
 
-def uniformity_ratio(model: ModelSpec, s_values, t_grid, rtol: float = 1e-10,
-                     method: str = "quad", log_ratio=None) -> np.ndarray:
+def uniformity_ratio(model: ModelSpec, s_values, t_grid, log_ratio=None) -> np.ndarray:
     """max over s of rho(t; s)/rho(t; 0) along the grid (transient case);
     ``log_ratio`` reuses marched columns for 0, then the nonzero s_values."""
     if log_ratio is None:
         s_batch = [0.0] + [float(s) for s in s_values if s != 0.0]
-        log_ratio = _transient_log_ratio(model, s_batch, t_grid, rtol, method)
+        log_ratio = _transient_log_ratio(model, s_batch, t_grid)
     rho = np.abs(np.expm1(log_ratio))
     return np.max(rho[:, 1:] / rho[:, :1], axis=1, initial=1.0)
 
@@ -215,33 +207,31 @@ class LemmaReport:
         return self.sup <= self.bound
 
 
-def check_lemma1(model: ModelSpec, s_grid, t_grid, rtol: float = 1e-10,
-                 final_tol: float = 1e-3, method: str = "auto") -> LemmaReport:
+def check_lemma1(model: ModelSpec, s_grid, t_grid) -> LemmaReport:
     """Deviation of 1/R(t;s) from ((nu t)^{1/nu}/N(t)) (1 + M(s)/t)^{1/nu}.
 
     The representation is asymptotic: the relative deviation must decay
-    toward 0 along the time grid for every s, reaching ``final_tol`` at the
-    last point.
+    toward 0 along the time grid for every s, reaching 1e-3 at the last
+    point.
     """
     ctx = model.context()
     t_grid = np.asarray(t_grid, dtype=float)
     s_grid = np.asarray(s_grid, dtype=float)
-    R = np.real(flow_on_grid(model, s_grid, t_grid, method=method, rtol=rtol)).T
-    Ms = np.array([ctx.M(float(s), rtol=rtol) for s in s_grid])
+    R = np.real(flow_on_grid(model, s_grid, t_grid)).T
+    Ms = np.array([ctx.M(float(s)) for s in s_grid])
     N = np.array([ctx.script_N(float(t)) for t in t_grid])
     rhs = ((ctx.nu * t_grid) ** (1.0 / ctx.nu) / N
            * (1.0 + Ms[:, None] / t_grid) ** (1.0 / ctx.nu))
     dev = np.abs(R * rhs - 1.0)
     decreasing = bool(np.all(np.diff(dev, axis=1) <= 1e-12 + dev[:, :-1] * 1e-6))
     report = LemmaReport(name="lemma1", t_grid=t_grid, values=dev[:, -1],
-                         bound=final_tol,
+                         bound=1e-3,
                          details={"deviation": dev, "decreasing": decreasing,
                                   "s_grid": s_grid})
     return report
 
 
-def check_lemma2(model: ModelSpec, s: float, t_grid, rtol: float = 1e-10,
-                 bound: float = 2.0, method: str = "auto") -> LemmaReport:
+def check_lemma2(model: ModelSpec, s: float, t_grid, bound: float = 2.0) -> LemmaReport:
     """Remainder of 1/Lambda(R(t;s)) - 1/Lambda(1-s) = nu*t + O(log nu(t;s)).
 
     Reports remainder(t)/log(nu(t;s)), which must stay bounded.
@@ -249,7 +239,7 @@ def check_lemma2(model: ModelSpec, s: float, t_grid, rtol: float = 1e-10,
     ctx = model.context()
     t_grid = np.asarray(t_grid, dtype=float)
     lam0 = 1.0 / float(ctx.Lambda(1.0 - s))
-    R = np.real(flow_on_grid(model, [s], t_grid, method=method, rtol=rtol)[:, 0])
+    R = np.real(flow_on_grid(model, [s], t_grid)[:, 0])
     remainders = np.abs(1.0 / ctx.Lambda(R) - lam0 - ctx.nu * t_grid)
     lognu = np.log(ctx.nu_shift(t_grid, s))
     stats = np.where(lognu > 0, remainders / np.where(lognu > 0, lognu, 1.0), 0.0)
@@ -258,8 +248,7 @@ def check_lemma2(model: ModelSpec, s: float, t_grid, rtol: float = 1e-10,
 
 
 def check_lemma3(spec: SlowlyVaryingSpec, sigma: float, t_grid,
-                 rtol: float = 1e-10, bound: float = 2.0,
-                 remainder=None) -> LemmaReport:
+                 bound: float = 2.0, remainder=None) -> LemmaReport:
     """Tail-integral asymptotic for a slowly varying L with remainder rho:
 
         integral_t^inf y^{-(1+sigma)} L(y) dy
@@ -267,7 +256,8 @@ def check_lemma3(spec: SlowlyVaryingSpec, sigma: float, t_grid,
 
     The substitution q = (t/y)^sigma maps the integral exactly onto
     (1/sigma) t^{-sigma} integral_0^1 L(t q^{-1/sigma}) dq, so the reported
-    statistic is |mean_q L(t q^{-1/sigma}) / L(t) - 1| / rho(t).
+    statistic is |mean_q L(t q^{-1/sigma}) / L(t) - 1| / rho(t), with the
+    means over the grid taken in one batched quadrature.
     """
     if not sigma > 0:
         raise ModelError("lemma-3 check needs sigma > 0")
@@ -275,42 +265,36 @@ def check_lemma3(spec: SlowlyVaryingSpec, sigma: float, t_grid,
     if rho is None:
         raise ModelError("no remainder declared for this slowly varying spec")
     t_grid = np.asarray(t_grid, dtype=float)
-    stats = np.empty(t_grid.size)
-    ratios = np.empty(t_grid.size)
-    for k, t in enumerate(t_grid):
-        def fun(q):
-            return np.asarray(spec(t * q ** (-1.0 / sigma)), dtype=float)
-        val, _ = doubling_quadrature(fun, 0.0, 1.0, rtol=rtol)
-        ratio = float(val[0]) / float(spec(t))
-        ratios[k] = ratio
-        stats[k] = abs(ratio - 1.0) / float(rho(t))
+
+    def fun(q):
+        return np.asarray(spec(np.multiply.outer(q ** (-1.0 / sigma), t_grid)),
+                          dtype=float)
+
+    means, _ = doubling_quadrature(fun, 0.0, 1.0)
+    ratios = means / np.asarray(spec(t_grid), dtype=float)
+    stats = np.abs(ratios - 1.0) / np.asarray(rho(t_grid), dtype=float)
     return LemmaReport(name="lemma3", t_grid=t_grid, values=stats, bound=bound,
                        details={"ratios": ratios, "sigma": sigma})
 
 
-def check_lemma4(model: ModelSpec, x_grid, rtol: float = 1e-10,
-                 bound: float = 2.0) -> LemmaReport:
+def check_lemma4(model: ModelSpec, x_grid, bound: float = 2.0) -> LemmaReport:
     """Near-1 behavior of the tail integral in the recurrent regime:
 
         integral_x^1 g/f du = (1/gamma) g(x)/Lambda(1-x) (1 + O(Lambda(1-x))).
 
-    Reports |ratio - 1| / Lambda(1-x) over the x grid.
+    Reports |ratio - 1| / Lambda(1-x) over the x grid, with the integrals
+    taken in one batched quadrature.
     """
     if not model.gamma > 0:
         raise PreconditionError("lemma-4 check needs gamma > 0")
     ctx = model.context()
     x_grid = np.asarray(x_grid, dtype=float)
-    stats = np.empty(x_grid.size)
-    ratios = np.empty(x_grid.size)
-    for k, x in enumerate(x_grid):
-        lhs, _ = gf_integral_to_one(model, float(x), rtol=rtol)
-        w = 1.0 - x
-        g_val = -w ** model.delta * float(ctx.ell(1.0 / w))
-        lam = float(ctx.Lambda(w))
-        rhs = g_val / (model.gamma * lam)
-        ratio = float(np.real(lhs)) / rhs
-        ratios[k] = ratio
-        stats[k] = abs(ratio - 1.0) / lam
+    lhs, _ = gf_integral_to_one(model, x_grid)
+    w = 1.0 - x_grid
+    g_val = -w ** model.delta * ctx.ell(1.0 / w)
+    lam = ctx.Lambda(w)
+    ratios = np.real(lhs) / (g_val / (model.gamma * lam))
+    stats = np.abs(ratios - 1.0) / lam
     return LemmaReport(name="lemma4", t_grid=x_grid, values=stats, bound=bound,
                        details={"ratios": ratios})
 

@@ -218,12 +218,10 @@ def _task_kernel(model, task, out, verdicts):
     t_list, s_list = _floats(task["t_list"]), _floats(task["s_list"])
     if not (t_list and s_list):
         raise ConfigError("t_list and s_list need at least one value each")
-    rtol = 1e-10
-    logp, R, err = kernel.compute_P_grid(model, s_list, t_list, rtol=rtol,
-                                         method="quad")
+    logp, R, err = kernel.compute_P_grid(model, s_list, t_list, method="quad")
     values = [kernel.GFValue(t=t, s=s, F=1.0 - R[a, b] if t else s, R=R[a, b],
                              P=np.exp(logp[a, b]), logP=logp[a, b],
-                             error_estimate=float(err) + rtol)
+                             error_estimate=err)
               for a, t in enumerate(t_list) for b, s in enumerate(s_list)]
     (out / "kernel.csv").write_text(kernel.gf_table_csv(values))
     if model.offspring.closed_form:
@@ -278,7 +276,7 @@ def _task_rates(model, task, out, verdicts):
         model.require_transient_limit()
         uniform = (0.0, 0.25, 0.5, 0.75)
         batch = uniform + ((s,) if s not in uniform else ())
-        log_ratio = asymptotics._transient_log_ratio(model, batch, grid, 1e-10, "quad")
+        log_ratio = asymptotics._transient_log_ratio(model, batch, grid)
         fit = asymptotics.rate_theorem2(model, s, grid, slope_tol=slope_tol,
                                         rsq_min=rsq_min,
                                         log_ratio=log_ratio[:, batch.index(s)])

@@ -35,33 +35,33 @@ from .kernel import (gf_integral_to_one, regularized_integral_to_one,
 from .laws import ModelSpec, _signed_binomials
 
 
-def compute_U(model: ModelSpec, s, rtol: float = 1e-10):
+def compute_U(model: ModelSpec, s):
     """Invariant-distribution generating function U(s), gamma > 0 only."""
-    val, _ = gf_integral_to_one(model, s, rtol=rtol)
+    val, _ = gf_integral_to_one(model, s)
     return np.exp(val)
 
 
-def compute_B(model: ModelSpec, s, rtol: float = 1e-10):
+def compute_B(model: ModelSpec, s):
     """Bounded factor B(s) of the transient limit (regularized integral)."""
-    val, _ = regularized_integral_to_one(model, s, rtol=rtol)
+    val, _ = regularized_integral_to_one(model, s)
     return np.exp(val)
 
 
-def log_pi(model: ModelSpec, s, rtol: float = 1e-10):
+def log_pi(model: ModelSpec, s):
     """log pi(s) = (1-s)^(-|gamma|) + log B(s), kept in log space."""
-    return _log_pi_and_error(model, s, rtol)[0]
+    return _log_pi_and_error(model, s)[0]
 
 
-def _log_pi_and_error(model: ModelSpec, s, rtol: float):
+def _log_pi_and_error(model: ModelSpec, s):
     """log pi(s) with the quadrature error estimate of log B(s)."""
-    reg, err = regularized_integral_to_one(model, s, rtol=rtol)
+    reg, err = regularized_integral_to_one(model, s)
     w0 = 1.0 - np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
     return w0 ** (-abs(model.gamma)) + reg, err
 
 
-def compute_pi(model: ModelSpec, s, rtol: float = 1e-10):
+def compute_pi(model: ModelSpec, s):
     """Transient limit generating function pi(s) (raw scale)."""
-    return np.exp(log_pi(model, s, rtol=rtol))
+    return np.exp(log_pi(model, s))
 
 
 def series_coefficients(model: ModelSpec, kind: str, J: int) -> np.ndarray:
@@ -125,7 +125,7 @@ class InvariantMeasure:
 
 
 def extract_measure(model: ModelSpec, kind: str = "auto", J_out: int = 512,
-                    r: float = 0.9, M: int = 16384, rtol: float = 1e-10) -> InvariantMeasure:
+                    r: float = 0.9, M: int = 16384) -> InvariantMeasure:
     """Circle-inversion extraction of the invariant coefficients.
 
     Coefficients are reported raw (no clamping); negative entries within the
@@ -138,9 +138,9 @@ def extract_measure(model: ModelSpec, kind: str = "auto", J_out: int = 512,
     if kind == "distribution":
         if not model.gamma > 0:
             raise PreconditionError("distribution extraction needs gamma > 0")
-        log_vals, err = gf_integral_to_one(model, s_half, rtol=rtol)
+        log_vals, err = gf_integral_to_one(model, s_half)
     elif kind == "measure":
-        log_vals, err = _log_pi_and_error(model, s_half, rtol)
+        log_vals, err = _log_pi_and_error(model, s_half)
     else:
         raise ModelError(f"unknown kind {kind!r}")
     samples = complete_circle(np.exp(np.atleast_1d(log_vals)), M)
@@ -171,9 +171,7 @@ class InvarianceReport:
 
 
 def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
-                     j_max: Optional[int] = None, r: float = 0.9,
-                     M: Optional[int] = None, rtol: float = 1e-10,
-                     method: str = "auto") -> InvarianceReport:
+                     j_max: Optional[int] = None) -> InvarianceReport:
     """Apply the transition semigroup at lag tau to the measure coefficients
     and report |sum_{i<=I} m_i p_ij(tau) - m_j| for j <= j_max (default I/2).
 
@@ -185,10 +183,7 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
     I = m.size - 1
     if j_max is None:
         j_max = I // 2
-    if M is None:
-        M = sample_count(j_max, 1024)
-    rows = transition_rows(model, I, tau, J_out=j_max, r=r, M=M, rtol=rtol,
-                           method=method)
+    rows = transition_rows(model, I, tau, J_out=j_max, M=sample_count(j_max, 1024))
     predicted = m @ rows.values
     residuals = np.abs(predicted - m[:j_max + 1])
     worst = int(np.argmax(residuals))
@@ -220,7 +215,7 @@ class RatioLimitTable:
         return np.abs(self.ratios[-1] - self.targets)
 
 
-def limit_ratios(model: ModelSpec, j_max: int, J_rec: int = 4096) -> np.ndarray:
+def limit_ratios(model: ModelSpec, j_max: int) -> np.ndarray:
     """Normalized limit ratios m_j/m_0 (u for gamma > 0, pi for gamma < 0)."""
     kind = "distribution" if model.gamma > 0 else "measure"
     if model.has_closed_form and not model.offspring.kappa:
@@ -230,17 +225,14 @@ def limit_ratios(model: ModelSpec, j_max: int, J_rec: int = 4096) -> np.ndarray:
     return m / m[0]
 
 
-def ratio_limits(model: ModelSpec, j_max: int, t_grid, r: float = 0.9,
-                 M: Optional[int] = None, rtol: float = 1e-10,
+def ratio_limits(model: ModelSpec, j_max: int, t_grid,
                  method: str = "auto") -> RatioLimitTable:
     """Strong-ratio-limit table: rows p_0j(t)/p_00(t) along the grid, from
     one :func:`transition_grid` call."""
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ModelError("t_grid must be increasing")
-    if M is None:
-        M = sample_count(j_max, 1024)
-    p = transition_grid(model, [0], t_grid, j_max, r=r, M=M, rtol=rtol,
+    p = transition_grid(model, [0], t_grid, j_max, M=sample_count(j_max, 1024),
                         method=method).values[:, 0]
     low = np.flatnonzero(p[:, 0] <= 1e-300)
     if low.size:
@@ -256,12 +248,11 @@ def ratio_limits(model: ModelSpec, j_max: int, t_grid, r: float = 0.9,
                            stabilization=stab)
 
 
-def measure_csv(measure: InvariantMeasure, header: Optional[dict] = None) -> str:
+def measure_csv(measure: InvariantMeasure) -> str:
     """Comma-separated (j, m_j, bound) rows with a comment header block."""
     lines = []
     info = {"kind": measure.kind}
     info.update(measure.meta)
-    info.update(header or {})
     for key in sorted(info):
         lines.append(f"# {key} = {info[key]}")
     lines.append("j,m_j,bound")

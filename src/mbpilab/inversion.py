@@ -130,15 +130,14 @@ def coefficients_from_samples(samples: np.ndarray, r: float, J_out: int,
                              imag_residual=imag_residual, meta=dict(meta or {}))
 
 
-def suggest_radius(J_out: int, M: int, target: float = 1e-10,
-                   scale: float = 1.0) -> float:
+def suggest_radius(J_out: int, M: int, target: float = 1e-10) -> float:
     """Radius whose roundoff floor at index J_out stays below ``target``.
 
-    Assumes samples of magnitude ~``scale``.  Raises when no radius in
+    Assumes samples of magnitude ~1.  Raises when no radius in
     (0.5, 0.995] satisfies both the noise and aliasing requirements with
     the given M.
     """
-    noise = NOISE_FACTOR * np.finfo(float).eps * scale / np.sqrt(M)
+    noise = NOISE_FACTOR * np.finfo(float).eps / np.sqrt(M)
     if J_out <= 0:
         return 0.9
     r = float((noise / target) ** (1.0 / J_out))
@@ -147,6 +146,6 @@ def suggest_radius(J_out: int, M: int, target: float = 1e-10,
         raise ModelError(
             f"no radius supports {J_out + 1} coefficients at target {target:g} "
             f"in double precision with M={M}; reduce J_out or target")
-    if scale * r ** M / (1.0 - r) > target:
+    if r ** M / (1.0 - r) > target:
         raise ModelError(f"M={M} too small: aliasing exceeds target at r={r:.4f}")
     return r

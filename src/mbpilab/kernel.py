@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import telemetry
 from .errors import ModelError, NumericsError, PreconditionError
 from .inversion import (CoefficientSeries, circle_points,
                         coefficients_from_samples, complete_circle)
@@ -42,56 +43,72 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
 
 
-def _rk45(rhs, y0, t_out, rtol, max_steps=200_000):
+def _rk45(rhs, y0, t_out, rtol):
     """Adaptive Dormand-Prince integration of a complex batch from 0 through
     the sorted positive times t_out, landing exactly on each (dense output's
     lower order would cost the transient checks their relative accuracy);
     error control is purely relative, so no component of y0 may be 0;
-    returns the states there, shape (len(t_out),) + y0.shape."""
+    returns the states there, shape (len(t_out),) + y0.shape.
+
+    Each call reports once to ``telemetry``: ``flow.calls``, ``flow.steps``
+    (accepted), ``flow.rejected``, ``flow.rhs_evals`` and ``flow.rhs_points``
+    (evaluations times batch width)."""
     y = np.array(y0, dtype=complex, copy=True)
     out = np.empty((len(t_out),) + y.shape, dtype=complex)
     done = 0
     t = 0.0
     k1 = rhs(y)
+    evals, steps, rejected = 1, 0, 0
     d0 = float(np.max(np.abs(y)))
     d1 = float(np.max(np.abs(k1)))
     h = min(t_out[-1], 0.01 * d0 / d1) if d1 > 0 else t_out[-1]
     ks = [None] * 7
-    for _ in range(max_steps):
-        t_end = t_out[done]
-        h_free = h               # resumed after landing on an inner time
-        h = min(h, t_end - t)
-        ks[0] = k1
-        for i in range(1, 7):
-            acc = _DP_A[i][0] * ks[0]
-            for j in range(1, i):
-                if _DP_A[i][j] != 0.0:
-                    acc = acc + _DP_A[i][j] * ks[j]
-            ks[i] = rhs(y + h * acc)
-        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0)
-        ydiff = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks))
-        scale = rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(ydiff) / scale))
-        if err <= 1.0:
-            t += h
-            y = y5
-            k1 = ks[6]           # first-same-as-last
-            if t >= t_end:
-                while done < len(t_out) and t >= t_out[done]:
-                    out[done] = y
-                    done += 1
-                if done == len(t_out):
-                    return out
-                h = max(h, h_free)
-                continue
-        factor = 0.9 * err ** -0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        if h <= 4.0 * np.finfo(float).eps * max(t, 1e-6):
-            raise NumericsError(
-                "step size underflow integrating the backward flow: the "
-                "right-hand side is too rough for the requested rtol -- "
-                "loosen rtol or use the closed-form branch for this family")
-    raise NumericsError("backward-flow integration exceeded the step budget")
+    try:
+        for _ in range(200_000):     # the step budget
+            t_end = t_out[done]
+            h_free = h               # resumed after landing on an inner time
+            h = min(h, t_end - t)
+            ks[0] = k1
+            for i in range(1, 7):
+                acc = _DP_A[i][0] * ks[0]
+                for j in range(1, i):
+                    if _DP_A[i][j] != 0.0:
+                        acc = acc + _DP_A[i][j] * ks[j]
+                ks[i] = rhs(y + h * acc)
+                evals += 1
+            y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0)
+            ydiff = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks))
+            scale = rtol * np.maximum(np.abs(y), np.abs(y5))
+            err = float(np.max(np.abs(ydiff) / scale))
+            if err <= 1.0:
+                steps += 1
+                t += h
+                y = y5
+                k1 = ks[6]           # first-same-as-last
+                if t >= t_end:
+                    while done < len(t_out) and t >= t_out[done]:
+                        out[done] = y
+                        done += 1
+                    if done == len(t_out):
+                        return out
+                    h = max(h, h_free)
+                    continue
+            else:
+                rejected += 1
+            factor = 5.0 if err == 0 else 0.9 * err ** -0.2   # NaN shrinks h
+            h *= min(5.0, max(0.2, factor))
+            if h <= 4.0 * np.finfo(float).eps * max(t, 1e-6):
+                raise NumericsError(
+                    "step size underflow integrating the backward flow: the "
+                    "right-hand side is too rough for the requested rtol -- "
+                    "loosen rtol or use the closed-form branch for this family")
+        raise NumericsError("backward-flow integration exceeded the step budget")
+    finally:
+        telemetry.add("flow.calls")
+        telemetry.add("flow.steps", steps)
+        telemetry.add("flow.rejected", rejected)
+        telemetry.add("flow.rhs_evals", evals)
+        telemetry.add("flow.rhs_points", evals * y.size)
 
 
 def _offspring(model) -> BranchingLaw:
@@ -277,9 +294,8 @@ def _series_ratio(model, u):
             / model.offspring.gf(u, mode="series"))
 
 
-def gf_segment_integral(model: ModelSpec, s=None, F=None, rtol: float = 1e-10,
-                        integrand: str = "auto", one_minus_s=None,
-                        one_minus_F=None):
+def gf_segment_integral(model: ModelSpec, s=None, F=None, integrand: str = "auto",
+                        one_minus_s=None, one_minus_F=None):
     """integral_s^F g(u)/f(u) du along the geometric path
     1-u = exp((1-x) log(1-s) + x log(1-F)), x in [0, 1].
 
@@ -329,13 +345,11 @@ def gf_segment_integral(model: ModelSpec, s=None, F=None, rtol: float = 1e-10,
             return _series_ratio(model, u) * w * D[None, :]
     else:
         raise ModelError(f"unknown integrand mode {integrand!r}")
-    n0 = int(max(8, min(256, np.ceil(2.0 * dmax))))
-    val, err = doubling_quadrature(fun, 0.0, 1.0, rtol=rtol, n0=n0)
+    val, err = doubling_quadrature(fun, 0.0, 1.0)
     return _unbatch(val, scalar_s), err
 
 
-def gf_integral_to_one(model: ModelSpec, s=None, rtol: float = 1e-10,
-                       one_minus_s=None):
+def gf_integral_to_one(model: ModelSpec, s=None, one_minus_s=None):
     """integral_s^1 g(u)/f(u) du, convergent iff gamma > 0.
 
     Substituting q = ((1-u)/(1-s))**gamma turns it into
@@ -367,13 +381,13 @@ def gf_integral_to_one(model: ModelSpec, s=None, rtol: float = 1e-10,
         val = C * (1.0 + pert_g(q)) / (1.0 + pert_L(q))
         return np.broadcast_to(val, (q.size, w0_safe.size)).astype(complex, copy=False)
 
-    inner, err = doubling_quadrature(fun, 0.0, 1.0, rtol=rtol)
+    inner, err = doubling_quadrature(fun, 0.0, 1.0)
     val = -(w0_safe ** gamma) / gamma * inner
     val = np.where(at_one, 0.0, val)
     return _unbatch(val, scalar), err
 
 
-def regularized_integral_to_one(model: ModelSpec, s, rtol: float = 1e-10):
+def regularized_integral_to_one(model: ModelSpec, s):
     """integral_s^1 [ g(u)/f(u) + |gamma| (1-u)**(-1-|gamma|) ] du for the
     transient case.
 
@@ -408,7 +422,7 @@ def regularized_integral_to_one(model: ModelSpec, s, rtol: float = 1e-10):
         val = q[:, None] ** (-1.0 - g_abs / mu) * deficit / mu
         return np.broadcast_to(val, (q.size, w0_safe.size)).astype(complex, copy=False)
 
-    inner, err = doubling_quadrature(fun, 0.0, 1.0, rtol=rtol)
+    inner, err = doubling_quadrature(fun, 0.0, 1.0)
     val = w0_safe ** (-g_abs) * inner
     val = np.where(at_one, 0.0, val)
     return _unbatch(val, scalar), err
@@ -426,55 +440,43 @@ def _closed_logP(model: ModelSpec, w0, R):
     return val
 
 
-# Flow method behind each compute_P method ("quad" and unknown: the ODE).
-_FLOW_METHOD = {"series": "ode-series", "auto": "auto", "closed": "auto"}
-
-
-def _logP_from_R(model: ModelSpec, s, R, rtol: float = 1e-10,
-                method: str = "auto"):
-    """log P(t; s) from matching batches of s and R(t; s) = 1 - F(t; s), in
-    one closed-form evaluation or one batched quadrature (methods as in
-    :func:`compute_P`); returns (logP, error estimate)."""
-    s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
-    R_arr = np.atleast_1d(R)
-    at_one = np.abs(1.0 - s_arr) == 0
-    if method == "auto":
-        method = ("closed" if model.has_closed_form and not model.offspring.kappa
-                  else "quad")
-    if method == "closed":
-        if not model.has_closed_form or model.offspring.kappa:
-            raise ModelError("closed-form P needs canonical offspring paired "
-                             "with a stable immigration law")
-        w0 = 1.0 - s_arr
-        logp = _closed_logP(model, np.where(at_one, 1.0, w0),
-                            np.where(at_one, 1.0, R_arr))
-        err = 8.0 * np.finfo(float).eps
-    elif method in ("quad", "series"):
-        logp, err = gf_segment_integral(
-            model, rtol=rtol,
-            integrand="series" if method == "series" else "auto",
-            one_minus_s=np.where(at_one, 1.0, 1.0 - s_arr),
-            one_minus_F=np.where(at_one, 1.0, R_arr))
-    else:
-        raise ModelError(f"unknown method {method!r}")
-    return np.where(at_one, 0.0, np.atleast_1d(logp)), err
+# Flow method behind each compute_P method.
+_FLOW_METHOD = {"auto": "auto", "closed": "auto", "quad": "ode", "series": "ode-series"}
 
 
 def compute_P_grid(model: ModelSpec, s_batch, t_grid, rtol: float = 1e-10,
-                   method: str = "auto", f_rtol: float = None):
-    """(log P, R, quadrature error) on a (len(t_grid), len(s_batch)) grid, from
-    one :func:`flow_on_grid` march and one :func:`_logP_from_R` call."""
+                   method: str = "auto"):
+    """(log P, R, error estimate) on a (len(t_grid), len(s_batch)) grid, from
+    one :func:`flow_on_grid` march at the relative tolerance ``rtol`` and one
+    closed-form evaluation or batched quadrature of log P (methods as in
+    :func:`compute_P`).  The error estimate is the quadrature's plus the
+    flow's to the last time."""
+    if method not in _FLOW_METHOD:
+        raise ModelError(f"unknown method {method!r}")
+    closed = model.has_closed_form and not model.offspring.kappa
+    if method == "closed" and not closed:
+        raise ModelError("closed-form P needs canonical offspring paired "
+                         "with a stable immigration law")
     s_arr = np.atleast_1d(np.asarray(s_batch, dtype=complex))
-    R = flow_on_grid(model, s_arr, t_grid, method=_FLOW_METHOD.get(method, "ode"),
-                     rtol=f_rtol if f_rtol else rtol)
-    logp, err = _logP_from_R(model, np.broadcast_to(s_arr, R.shape).ravel(),
-                            R.ravel(), rtol=rtol, method=method)
-    return logp.reshape(R.shape), R, err
+    t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    R = flow_on_grid(model, s_arr, t_arr, method=_FLOW_METHOD[method], rtol=rtol)
+    one_minus_s = np.broadcast_to(1.0 - s_arr, R.shape).ravel()
+    at_one = np.abs(one_minus_s) == 0        # log P = 0 where s = 1
+    w0, w1 = np.where(at_one, 1.0, one_minus_s), np.where(at_one, 1.0, R.ravel())
+    if method == "closed" or (method == "auto" and closed):
+        logp, err = _closed_logP(model, w0, w1), 8.0 * np.finfo(float).eps
+    else:
+        logp, err = gf_segment_integral(
+            model, integrand="series" if method == "series" else "auto",
+            one_minus_s=w0, one_minus_F=w1)
+    logp = np.where(at_one, 0.0, np.atleast_1d(logp)).reshape(R.shape)
+    flow_err = _flow_error(model, float(t_arr.max()), _FLOW_METHOD[method], rtol)
+    return logp, R, float(err) + flow_err
 
 
-def compute_P(model: ModelSpec, t: float, s, rtol: float = 1e-10,
-              method: str = "auto", f_rtol: float = None) -> GFValue:
-    """P(t; s) = P_0(t; s), with its logarithm exposed for scaled limits.
+def compute_P(model: ModelSpec, t: float, s, method: str = "auto") -> GFValue:
+    """P(t; s) = P_0(t; s), with its logarithm exposed for scaled limits: the
+    single-time view of :func:`compute_P_grid`.
 
     log P integrates g/f between s and F(t; s).  method "closed" uses the
     stable-family antiderivative, method "quad" the quadrature path with the
@@ -483,16 +485,11 @@ def compute_P(model: ModelSpec, t: float, s, rtol: float = 1e-10,
     simulator cross-checks), and "auto" prefers closed when exact.
     """
     s_arr, scalar = _as_batch(s)
-    if np.any(np.abs(s_arr) > 1 + 1e-12):
-        raise ModelError("compute_P needs |s| <= 1")
-    gv = solve_F(model, t, s_arr, rtol=f_rtol if f_rtol else rtol,
-                 method=_FLOW_METHOD.get(method, "ode"))
-    F_arr, R_arr = np.atleast_1d(gv.F), np.atleast_1d(gv.R)
-    logp, err = _logP_from_R(model, s_arr, R_arr, rtol=rtol, method=method)
-    P = np.exp(logp)
-    return GFValue(t=t, s=s, F=_unbatch(F_arr, scalar), R=_unbatch(R_arr, scalar),
-                   P=_unbatch(P, scalar), logP=_unbatch(logp, scalar),
-                   error_estimate=float(err) + gv.error_estimate)
+    logp, R, err = compute_P_grid(model, s_arr, [t], method=method)
+    F = s_arr if t == 0 else 1.0 - R[0]
+    return GFValue(t=t, s=s, F=_unbatch(F, scalar), R=_unbatch(R[0], scalar),
+                   P=_unbatch(np.exp(logp[0]), scalar),
+                   logP=_unbatch(logp[0], scalar), error_estimate=err)
 
 
 def _log_P_i(logP, F, i):
@@ -503,12 +500,11 @@ def _log_P_i(logP, F, i):
     return np.where(i > 0, np.where(zero, -np.inf, logP + i * log_F), logP)[()]
 
 
-def compute_P_i(model: ModelSpec, i: int, t: float, s, rtol: float = 1e-10,
-                method: str = "auto") -> GFValue:
+def compute_P_i(model: ModelSpec, i: int, t: float, s) -> GFValue:
     """P_i(t; s) = F(t; s)**i * P(t; s)."""
     if i < 0 or int(i) != i:
         raise ModelError("initial state i must be a nonnegative integer")
-    gv = compute_P(model, t, s, rtol=rtol, method=method)
+    gv = compute_P(model, t, s)
     logp = _log_P_i(gv.logP, gv.F, int(i))
     return GFValue(t=gv.t, s=gv.s, F=gv.F, R=gv.R, P=np.exp(logp), logP=logp,
                    error_estimate=gv.error_estimate)
@@ -520,8 +516,8 @@ _BLOCK_SAMPLES = 2 ** 14
 
 
 def transition_grid(model: ModelSpec, i_values, t_grid, J_out: int,
-                    r: float = 0.9, M: int = 4096, rtol: float = 1e-10,
-                    method: str = "auto", clamp: bool = False) -> CoefficientSeries:
+                    r: float = 0.9, M: int = 4096, method: str = "auto",
+                    clamp: bool = False) -> CoefficientSeries:
     """Rows p_ij(t), j = 0..J_out, for every t in ``t_grid`` and every
     initial state i in ``i_values``, as one series whose values have shape
     (len(t_grid), len(i_values), J_out + 1) and whose bounds have shape
@@ -540,7 +536,7 @@ def transition_grid(model: ModelSpec, i_values, t_grid, J_out: int,
     if np.any(i_arr < 0) or np.any(i_arr != np.floor(i_arr)):
         raise ModelError("initial state i must be a nonnegative integer")
     s_half = circle_points(r, M, half=True)
-    logp, R, err = compute_P_grid(model, s_half, t_arr, rtol=rtol, method=method)
+    logp, R, err = compute_P_grid(model, s_half, t_arr, method=method)
     F = np.where((t_arr == 0)[:, None], s_half, 1.0 - R)
     i_col = i_arr.astype(int)[:, None]
     block = max(1, _BLOCK_SAMPLES // M)
@@ -555,27 +551,24 @@ def transition_grid(model: ModelSpec, i_values, t_grid, J_out: int,
         arr = np.concatenate([getattr(part, name) for part in parts])
         return arr.reshape((t_arr.size, i_col.size) + arr.shape[1:])
 
-    flow_err = _flow_error(model, float(t_arr.max()), _FLOW_METHOD.get(method, "ode"),
-                           rtol)
     return CoefficientSeries(
         values=joined("values"), radius=r, aliasing_bound=joined("aliasing_bound"),
         noise_scale=joined("noise_scale"), clamp_magnitude=joined("clamp_magnitude"),
         imag_residual=joined("imag_residual"),
-        meta={"quad_error": float(err) + flow_err})
+        meta={"quad_error": err})
 
 
 def transition_probs(model: ModelSpec, i: int, t: float, J_out: int,
-                     r: float = 0.9, M: int = 16384, rtol: float = 1e-10,
-                     method: str = "auto", clamp: bool = True,
-                     alias_tol: float = None) -> CoefficientSeries:
+                     r: float = 0.9, M: int = 16384, method: str = "auto",
+                     clamp: bool = True, alias_tol: float = None) -> CoefficientSeries:
     """Transition row p_ij(t), j = 0..J_out, by circle inversion of P_i: the
     single-row case of :func:`transition_grid`.
 
     When ``alias_tol`` is given, the extraction refuses to return a series
     whose aliasing bound exceeds it (raise M or shrink r to fix).
     """
-    series = transition_grid(model, [i], [t], J_out, r=r, M=M, rtol=rtol,
-                             method=method, clamp=clamp).row((0, 0))
+    series = transition_grid(model, [i], [t], J_out, r=r, M=M, method=method,
+                             clamp=clamp).row((0, 0))
     series.meta.update(t=t, i=int(i))
     if alias_tol is not None and series.aliasing_bound > alias_tol:
         raise ModelError(
@@ -585,12 +578,11 @@ def transition_probs(model: ModelSpec, i: int, t: float, J_out: int,
 
 
 def transition_rows(model: ModelSpec, i_max: int, t: float, J_out: int,
-                    r: float = 0.9, M: int = 4096, rtol: float = 1e-10,
-                    method: str = "auto", clamp: bool = False) -> CoefficientSeries:
+                    r: float = 0.9, M: int = 4096) -> CoefficientSeries:
     """All rows i = 0..i_max at one t (the batch over i of
     :func:`transition_grid`): values of shape (i_max + 1, J_out + 1)."""
-    series = transition_grid(model, np.arange(i_max + 1), [t], J_out, r=r, M=M,
-                             rtol=rtol, method=method, clamp=clamp).row(0)
+    series = transition_grid(model, np.arange(i_max + 1), [t], J_out, r=r,
+                             M=M).row(0)
     series.meta.update(t=t)
     return series
 

@@ -286,7 +286,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_law(law, tol_mass: float = MASS_TOL, tol_crit: float = CRIT_TOL) -> ValidationReport:
+def validate_law(law) -> ValidationReport:
     """Report-only validation of the intensity constraints."""
     a = law.coefficients
     checks = []
@@ -297,9 +297,9 @@ def validate_law(law, tol_mass: float = MASS_TOL, tol_crit: float = CRIT_TOL) ->
         checks.append(CheckResult("sign_pattern", bool(worst >= 0), abs(min(worst, 0.0)),
                                   detail="a_j >= 0 for j >= 2"))
         mass = math.fsum(a)
-        checks.append(CheckResult("mass_balance", abs(mass) <= tol_mass, abs(mass)))
+        checks.append(CheckResult("mass_balance", abs(mass) <= MASS_TOL, abs(mass)))
         drift = math.fsum(j * aj for j, aj in enumerate(a))
-        checks.append(CheckResult("criticality", abs(drift) <= tol_crit, abs(drift)))
+        checks.append(CheckResult("criticality", abs(drift) <= CRIT_TOL, abs(drift)))
         return ValidationReport("offspring", checks)
     if isinstance(law, ImmigrationLaw):
         checks.append(CheckResult("b0_negative", bool(a[0] < 0), float(max(a[0], 0.0))))
@@ -307,7 +307,7 @@ def validate_law(law, tol_mass: float = MASS_TOL, tol_crit: float = CRIT_TOL) ->
         checks.append(CheckResult("sign_pattern", bool(worst >= 0), abs(min(worst, 0.0)),
                                   detail="b_j >= 0 for j >= 1"))
         mass = math.fsum(a)
-        checks.append(CheckResult("mass_balance", abs(mass) <= tol_mass, abs(mass)))
+        checks.append(CheckResult("mass_balance", abs(mass) <= MASS_TOL, abs(mass)))
         return ValidationReport("immigration", checks)
     raise ModelError(f"cannot validate object of type {type(law).__name__}")
 
@@ -370,8 +370,8 @@ class ModelSpec:
         return RVContext(nu=self.nu, delta=self.delta,
                          L=self.offspring.sv_spec, ell=self.immigration.sv_spec)
 
-    def require_transient_limit(self, tol_cl: float = 1e-9) -> None:
-        """Raise unless gamma < 0, mu > 0 and C_ell/C_L = |gamma| (to tol_cl)."""
+    def require_transient_limit(self) -> None:
+        """Raise unless gamma < 0, mu > 0 and C_ell/C_L = |gamma| (to 1e-9)."""
         if not self.gamma < 0:
             raise PreconditionError("transient-limit computations need gamma < 0")
         if not self.mu > 0:
@@ -379,7 +379,7 @@ class ModelSpec:
         cr = self.C_ratio
         if cr is None:
             raise PreconditionError("laws without limit constants cannot satisfy C = |gamma|")
-        if abs(cr - abs(self.gamma)) > tol_cl:
+        if abs(cr - abs(self.gamma)) > 1e-9:
             raise PreconditionError(
                 f"C_ell/C_L = {cr:.12g} differs from |gamma| = {abs(self.gamma):.12g}; "
                 "the transient limit requires exact equality (pair d/c = |gamma|)")

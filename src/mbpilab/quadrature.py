@@ -81,7 +81,7 @@ def _report(panels, levels, width, err):
     telemetry.peak("quad.max_error", err)
 
 
-def adaptive_quadrature(fun, a, b, rtol=1e-10, atol=0.0, max_panels=4096,
+def adaptive_quadrature(fun, a, b, rtol=1e-10, max_panels=4096,
                         initial_panels=8):
     """Integrate ``fun`` over [a, b] by worst-panel bisection.
 
@@ -105,7 +105,7 @@ def adaptive_quadrature(fun, a, b, rtol=1e-10, atol=0.0, max_panels=4096,
     while True:
         err_total = -sum(item[0] for item in heap)
         scale = max(float(np.max(np.abs(total))), 1e-300)
-        if err_total <= max(atol, rtol * scale):
+        if err_total <= rtol * scale:
             _report(len(heap) + bisections, bisections, total.size, err_total)
             return total, err_total
         if len(heap) >= max_panels:
@@ -137,13 +137,13 @@ def _composite(fun, a, b, n_panels):
     return total, est
 
 
-def doubling_quadrature(fun, a, b, rtol=1e-10, atol=1e-300, n0=8,
-                        max_doublings=10):
+def doubling_quadrature(fun, a, b, rtol=1e-10, n0=8, max_doublings=10):
     """Composite K15 integration on n0, 2 n0, ... equal panels.  Memory is
     O(batch).
 
     A level is accepted when, for every batch entry, its embedded estimate
-    (the sum over panels of |K15 - G7|) is at most ``atol + rtol * |K15|``;
+    (the sum over panels of |K15 - G7|) is at most ``rtol * |K15|`` (with a
+    floor of 1e-300);
     the error returned is then the largest such estimate.  Otherwise the
     panel count doubles, and a level is also accepted when it agrees with
     the one before to the same tolerance (the error returned is then the
@@ -156,7 +156,7 @@ def doubling_quadrature(fun, a, b, rtol=1e-10, atol=1e-300, n0=8,
     for level in range(1, max_doublings + 2):
         cur, err = _composite(fun, a, b, n)
         panels += n
-        tol = atol + rtol * np.maximum(np.abs(cur), 1e-300)
+        tol = 1e-300 + rtol * np.maximum(np.abs(cur), 1e-300)
         if prev is not None and not np.all(err <= tol):
             err = np.abs(cur - prev)
         if np.all(err <= tol):

@@ -195,15 +195,16 @@ class RVContext:
             raise ModelError("nu(t;s) needs s < 1")
         return self.Lambda(1.0 - np.asarray(s)) * self.nu * np.asarray(t) + 1.0
 
-    def script_N(self, t, rtol=1e-12, max_iter=200):
-        """Fixed point N of  N = L((nu t)**(1/nu) / N) ** (-1/nu)  at t > 0."""
+    def script_N(self, t):
+        """Fixed point N of  N = L((nu t)**(1/nu) / N) ** (-1/nu)  at t > 0,
+        to 1e-12 relative within 200 iterations."""
         if not t > 0:
             raise ModelError("script_N needs t > 0")
         x_t = (self.nu * t) ** (1.0 / self.nu)
         g = lambda n: float(self.L(x_t / n)) ** (-1.0 / self.nu)
         n = float(self.L(x_t)) ** (-1.0 / self.nu)
         prev_step = np.inf
-        for _ in range(max_iter):
+        for _ in range(200):
             n_new = g(n)
             step = abs(n_new - n)
             if step > prev_step:          # oscillation: damp
@@ -211,22 +212,22 @@ class RVContext:
                 step = abs(n_new - n)
             prev_step = step
             n = n_new
-            if step <= rtol * abs(n):
+            if step <= 1e-12 * abs(n):
                 return n
         raise NumericsError("script_N fixed-point iteration did not converge "
                             f"at t={t:g}; the supplied L may be pathological")
 
-    def tau(self, t, **kw):
+    def tau(self, t):
         """tau(t) = (nu t)**(1/nu) / N(t)."""
-        return (self.nu * t) ** (1.0 / self.nu) / self.script_N(t, **kw)
+        return (self.nu * t) ** (1.0 / self.nu) / self.script_N(t)
 
-    def big_T(self, t, **kw):
+    def big_T(self, t):
         """T(t) = tau(t)**|gamma|; only meaningful in the transient case gamma < 0."""
         if not self.gamma < 0:
             raise ModelError("T(t) requires gamma < 0")
-        return self.tau(t, **kw) ** abs(self.gamma)
+        return self.tau(t) ** abs(self.gamma)
 
-    def M(self, s, rtol=1e-10):
+    def M(self, s):
         """Invariant-measure generating function of the no-immigration process:
         M(s) = integral_1^{1/(1-s)} dx / (x**(1-nu) L(x)), with M(0) = 0.
         """
@@ -244,7 +245,7 @@ class RVContext:
             x = np.exp(v)
             return x ** self.nu / self.L(x)
 
-        val, _ = adaptive_quadrature(integrand, 0.0, v1, rtol=rtol)
+        val, _ = adaptive_quadrature(integrand, 0.0, v1)
         return float(np.real(val[0]))
 
     def L_ratio(self, x):
@@ -259,13 +260,14 @@ class RVContext:
         """Stable  C_ratio - Lratio(x)  evaluator, or None (see ratio_deficit)."""
         return ratio_deficit(self.L, self.ell)
 
-    def dLam(self, y, rel_step=1e-6):
-        """Diagnostic  y * Lambda'(y) / Lambda(y) - nu  via central differences.
+    def dLam(self, y):
+        """Diagnostic  y * Lambda'(y) / Lambda(y) - nu  via central differences
+        with a relative step of 1e-6.
 
         Named dLam to avoid clashing with the immigration index delta.
         """
         y = np.asarray(y, dtype=float)
-        h = y * rel_step
+        h = y * 1e-6
         lam_p = self.Lambda(np.minimum(y + h, 1.0))
         lam_m = self.Lambda(y - h)
         dy = np.minimum(y + h, 1.0) - (y - h)

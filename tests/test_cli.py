@@ -333,3 +333,19 @@ def test_stats_json_written_by_every_task(tmp_path):
     assert run_config(path) == 0
     stats = json.loads((tmp_path / "out" / "stats.json").read_text())
     assert stats["task"] == "validate" and stats["counters"] == {}
+
+
+def test_stats_json_flow_counters(tmp_path):
+    # a rates run of g025 marches the flow once, one lane wide; Dormand-Prince
+    # with first-same-as-last costs one evaluation plus six per attempted step
+    cfg = write(tmp_path, RECURRENT.format(
+        task="rates", extra="t_min = 1e2\nt_max = 1e5\npoints = 13",
+        out=tmp_path / "out"))
+    assert run_config(cfg) == 0
+    counters = json.loads((tmp_path / "out" / "stats.json").read_text())["counters"]
+    assert counters["flow.calls"] == 1
+    assert counters["flow.steps"] >= 13
+    assert counters["flow.rhs_evals"] == (
+        counters["flow.calls"]
+        + 6 * (counters["flow.steps"] + counters["flow.rejected"]))
+    assert counters["flow.rhs_points"] == counters["flow.rhs_evals"]

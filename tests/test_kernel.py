@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mbpilab import (ModelError, compute_P, compute_P_i, exact_R, solve_F,
-                     transition_probs)
-from mbpilab import kernel
+from mbpilab import (ModelError, NumericsError, compute_P, compute_P_i, exact_R,
+                     solve_F, transition_probs)
+from mbpilab import kernel, telemetry
 from mbpilab.inversion import circle_points
 from mbpilab.kernel import (flow_on_grid, gf_integral_to_one,
                             gf_segment_integral, gf_table_csv, transition_csv,
@@ -353,3 +353,67 @@ def test_flow_of_a_law_without_nu_uses_w_equal_one_over_R():
     exact = 1.0 / (1.0 / (1.0 - s[:-1])[None, :] + 0.5 * grid[:, None])
     assert np.all(R[:, -1] == 0.0)
     assert np.max(np.abs(R[:, :-1] - exact) / np.abs(exact)) <= 1e-11
+
+
+def test_compute_P_grid_rejects_unknown_method_before_marching(g025, monkeypatch):
+    def no_march(*args, **kwargs):
+        raise AssertionError("the flow marched before the method was checked")
+
+    monkeypatch.setattr(kernel, "flow_on_grid", no_march)
+    with pytest.raises(ModelError, match="unknown method"):
+        kernel.compute_P_grid(g025, [0.3], [1.0], method="bogus")
+    with pytest.raises(ModelError, match="unknown method"):
+        compute_P(g025, 1.0, 0.3, method="bogus")
+
+
+@pytest.mark.parametrize("method", ["auto", "closed", "quad", "series"])
+def test_compute_P_is_the_single_time_grid(g025, method):
+    """compute_P is the one-time view of compute_P_grid, bit for bit, and
+    the grid's error estimate carries the flow's: the tolerance on the ODE
+    routes, roundoff on the closed-form one."""
+    s = np.array([0.0, 0.3, -0.5 + 0.2j, 0.95, 1.0])
+    for t in (0.0, 0.5, 5.0, 1e3):
+        gv = compute_P(g025, t, s, method=method)
+        logp, R, err = kernel.compute_P_grid(g025, s, [t], method=method)
+        assert np.array_equal(gv.logP, logp[0])
+        assert np.array_equal(gv.P, np.exp(logp[0]))
+        assert np.array_equal(gv.R, R[0])
+        assert np.array_equal(gv.F, s if t == 0 else 1.0 - R[0])
+        assert gv.error_estimate == err
+        if t > 0 and method in ("quad", "series"):
+            assert 1e-10 <= err < 2e-10
+        elif method in ("auto", "closed"):
+            assert err < 1e-14
+
+
+def test_flow_telemetry_counts_steps_and_evaluations(gneg_pert, monkeypatch):
+    evals = [0]
+    integrate = kernel._rk45
+
+    def counting(rhs, *args, **kwargs):
+        def counted(y):
+            evals[0] += 1
+            return rhs(y)
+        return integrate(counted, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "_rk45", counting)
+    with telemetry.recording() as record:
+        flow_on_grid(gneg_pert, S_BATCH, GRID_2_6, method="ode", rtol=1e-12)
+    counters = record.counters
+    assert counters["flow.calls"] == 1
+    assert counters["flow.rhs_evals"] == evals[0]
+    assert counters["flow.rhs_points"] == evals[0] * len(S_BATCH)
+    assert counters["flow.steps"] >= GRID_2_6.size
+    assert evals[0] == 1 + 6 * (counters["flow.steps"] + counters["flow.rejected"])
+
+
+def test_flow_telemetry_reports_a_failed_integration():
+    # a NaN right-hand side rejects every step until the step size underflows
+    with telemetry.recording() as record:
+        with pytest.raises(NumericsError, match="underflow"):
+            kernel._rk45(lambda y: y * np.nan, np.ones(3, dtype=complex), [1.0], 1e-10)
+    counters = record.counters
+    assert counters["flow.calls"] == 1 and counters["flow.steps"] == 0
+    assert counters["flow.rejected"] > 0
+    assert counters["flow.rhs_evals"] == 1 + 6 * counters["flow.rejected"]
+    assert counters["flow.rhs_points"] == 3 * counters["flow.rhs_evals"]
