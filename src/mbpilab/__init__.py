@@ -8,7 +8,7 @@ from .laws import (BranchingLaw, ImmigrationLaw, ModelSpec,
                    make_stable_immigration, make_stable_offspring,
                    stable_model, validate_law)
 from .rvcalc import (RVContext, SlowlyVaryingSpec, check_sv_remainder,
-                     sv_by_name, sv_constant, sv_log, sv_perturbed)
+                     sv_constant, sv_log, sv_perturbed)
 from .kernel import (GFValue, compute_P, compute_P_i, exact_R, solve_F,
                      transition_grid, transition_probs, transition_rows)
 from .invariants import (InvariantMeasure, check_invariance, compute_B,
@@ -25,7 +25,7 @@ __all__ = [
     "make_stable_offspring", "make_stable_immigration", "stable_model",
     "validate_law",
     "RVContext", "SlowlyVaryingSpec", "check_sv_remainder",
-    "sv_by_name", "sv_constant", "sv_log", "sv_perturbed",
+    "sv_constant", "sv_log", "sv_perturbed",
     "GFValue", "solve_F", "exact_R", "compute_P", "compute_P_i",
     "transition_grid", "transition_probs", "transition_rows",
     "InvariantMeasure", "compute_U", "compute_B", "compute_pi",

@@ -6,6 +6,16 @@ invariant | rates | lemmas | simulate | compare, and an optional [output]
 section.  Every run writes comma-separated result tables, a manifest that
 re-derives the tables bit-exactly, and a one-page summary of verdicts.
 
+Every key is accepted in every task.  ``SCHEMA`` gives each key its default
+and its kind: every number must be finite; every integer but ``seed`` is a
+count within a capped range (``samples`` a power of two, ``points`` at least
+3, ``state_cap`` and ``initial`` at most 10^7); ``horizon`` is at most 10^4;
+a list holds 1 to 1000 numbers; ``lemmas`` names some of the lemmas 1-4.
+A value outside its kind, or t_min >= t_max, exits 2 and names its key
+before any stage computes.  Ranges a library call checks itself exit 3:
+a negative time, |s| > 1, a radius outside (0, 1), zero replicates, a law
+parameter out of its range.
+
 Exit codes: 0 all requested verdicts pass, 1 some verdict failed,
 2 configuration parse error, 3 precondition violation, 4 numeric failure.
 """
@@ -16,6 +26,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -32,73 +43,14 @@ class ConfigError(Exception):
     """Malformed configuration (missing/unknown fields, bad values)."""
 
 
-_MODEL_KEYS = {
-    "offspring": "stable",
-    "nu": None,
-    "c": "1.0",
-    "kappa_offspring": "0.0",
-    "immigration": "stable",
-    "delta": None,
-    "d": "0.25",
-    "kappa_immigration": "0.0",
-    "truncation": str(laws.DEFAULT_TRUNCATION),
-}
-
-_TASK_KEYS = {
-    "name": None,
-    # kernel
-    "t_list": "0.1,1,10,100,1000,10000",
-    "s_list": "0,0.3,0.7,0.95",
-    "tol": "1e-8",
-    # invariant
-    "j_out": "256",
-    "radius": "auto",
-    "samples": "16384",
-    "tau": "1.0",
-    "residual_tol": "1e-6",
-    # rates / lemmas
-    "s": "0.0",
-    "t_min": "1e2",
-    "t_max": "1e6",
-    "points": "25",
-    "slope_tol": "0.1",
-    "rsq_min": "0.99",
-    "lemmas": "1,2,3,4",
-    # simulate / compare
-    "initial": "0",
-    "horizon": "5.0",
-    "replicates": "10000",
-    "seed": "20240801",
-    "state_cap": "1000000",
-    "min_prob": "1e-2",
-    "z_max": "3.0",
-}
-
-_OUTPUT_KEYS = {"dir": "mbpilab-out"}
-
-# Largest accepted value of each size key.  Each cap lies far above the
-# defaults and every value the tests and the benchmark use, and bounds the
-# memory or the time one run can ask for: the circle samples and the
-# truncation set the array sizes of the series and FFT stages, j_out and
-# points the rows of the tables, replicates the simulation time (its memory
-# does not grow with the replicate count).
-SIZE_CAPS = {
-    "replicates": 10 ** 7,
-    "samples": 2 ** 20,
-    "j_out": 2 ** 16,
-    "points": 1000,
-    "truncation": 10 ** 5,
-}
-
-
-def _resolve_section(parser, name, defaults, path):
+def _resolve_section(parser, name, path):
+    resolved = {key: default for key, (default, _) in SCHEMA[name].items()}
     if not parser.has_section(name):
-        if all(v is not None for v in defaults.values()):
-            return dict(defaults)
+        if None not in resolved.values():
+            return resolved
         raise ConfigError(f"{path}: missing required section [{name}]")
-    resolved = dict(defaults)
     for key, value in parser.items(name):
-        if key not in defaults:
+        if key not in resolved:
             raise ConfigError(f"{path}: unknown key {key!r} in [{name}]")
         resolved[key] = value
     missing = [k for k, v in resolved.items() if v is None]
@@ -110,7 +62,9 @@ def _resolve_section(parser, name, defaults, path):
 
 
 def load_config(path: str) -> dict:
-    """Parse and fully resolve a configuration file (defaults applied)."""
+    """Parse and fully resolve a configuration file (defaults applied).
+
+    Values stay the strings of the file; ``_values`` parses them."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
@@ -119,66 +73,64 @@ def load_config(path: str) -> dict:
     for section in parser.sections():
         if section not in ("model", "task", "output", "manifest"):
             raise ConfigError(f"{path}: unknown section [{section}]")
-    model = _resolve_section(parser, "model", _MODEL_KEYS, path)
-    task = _resolve_section(parser, "task", _TASK_KEYS, path)
-    output = _resolve_section(parser, "output", _OUTPUT_KEYS, path)
-    if task["name"] not in _TASK_RUNNERS:
-        raise ConfigError(f"{path}: unknown task {task['name']!r} "
-                          f"(expected one of {', '.join(_TASK_RUNNERS)})")
-    return {"model": model, "task": task, "output": output}
+    return {name: _resolve_section(parser, name, path) for name in SCHEMA}
 
 
-def _floats(text):
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}: {exc}") from None
-
-
-def _float(section, key):
-    try:
-        return float(section[key])
-    except ValueError:
-        raise ConfigError(f"field {key!r} must be a number, got "
-                          f"{section[key]!r}") from None
-
-
-def _int(section, key):
-    try:
-        return int(section[key])
-    except ValueError:
-        raise ConfigError(f"field {key!r} must be an integer, got "
-                          f"{section[key]!r}") from None
-
-
-def _size(section, key):
-    """An integer size key, refused above its cap in SIZE_CAPS."""
-    value = _int(section, key)
-    if value > SIZE_CAPS[key]:
-        raise ConfigError(f"field {key!r} = {value} exceeds its cap "
-                          f"{SIZE_CAPS[key]}")
+def _parse(kind, text: str):
+    """``text`` as a value of ``kind`` (see SCHEMA); ValueError if it is not."""
+    if kind is str:
+        return text
+    if isinstance(kind, frozenset):
+        ids = {tok.strip() for tok in text.split(",") if tok.strip()}
+        if not ids or not ids <= kind:
+            raise ValueError(f"must list some of {', '.join(sorted(kind))}")
+        return ids
+    if isinstance(kind, tuple) and isinstance(kind[0], str):
+        if text not in kind:
+            raise ValueError(f"must be one of {', '.join(kind)}")
+        return text
+    if kind is list:
+        values = [_parse(float, tok) for tok in text.split(",") if tok.strip()]
+        if not 0 < len(values) <= _POINTS[-1]:
+            raise ValueError(f"must list 1 to {_POINTS[-1]} numbers")
+        return values
+    if kind is int or isinstance(kind, (range, tuple)):
+        value = int(text)
+        if kind is not int and value not in kind:
+            raise ValueError(f"must be one of {kind[0]}, {kind[1]}, ..., "
+                             f"{kind[-1]}")
+        return value
+    if text == kind:  # the word that may stand in for the number
+        return text
+    value = float(text)
+    if not math.isfinite(value) or (isinstance(kind, float) and value > kind):
+        raise ValueError("must be a finite number"
+                         + (f" <= {kind:g}" if isinstance(kind, float) else ""))
     return value
 
 
+def _values(section: str, raw: dict) -> dict:
+    """One loaded section, each value parsed by its kind in SCHEMA."""
+    values = {}
+    for key, text in raw.items():
+        try:
+            values[key] = _parse(SCHEMA[section][key][1], text)
+        except ValueError as exc:
+            raise ConfigError(f"field {key!r} = {text!r}: {exc}") from None
+    return values
+
+
 def build_model(model_cfg: dict) -> laws.ModelSpec:
-    if model_cfg["offspring"] != "stable" or model_cfg["immigration"] != "stable":
-        raise ConfigError("only the built-in 'stable' families are configurable")
-    J = _size(model_cfg, "truncation")
-    off = laws.make_stable_offspring(_float(model_cfg, "nu"),
-                                     _float(model_cfg, "c"),
-                                     _float(model_cfg, "kappa_offspring"), J)
-    imm = laws.make_stable_immigration(_float(model_cfg, "delta"),
-                                       _float(model_cfg, "d"),
-                                       _float(model_cfg, "kappa_immigration"), J)
-    return laws.ModelSpec(off, imm)
+    """The model of a loaded [model] section."""
+    m = _values("model", model_cfg)
+    return laws.stable_model(m["nu"], m["c"], m["delta"], m["d"],
+                             m["kappa_offspring"], m["kappa_immigration"],
+                             m["truncation"])
 
 
 def _t_grid(task):
-    t_min, t_max = _float(task, "t_min"), _float(task, "t_max")
-    points = _size(task, "points")
-    if not (t_min > 0 and t_max > t_min and points >= 3):
-        raise ConfigError("need 0 < t_min < t_max and points >= 3")
-    return np.logspace(np.log10(t_min), np.log10(t_max), points)
+    return np.logspace(np.log10(task["t_min"]), np.log10(task["t_max"]),
+                       task["points"])
 
 
 class Verdicts:
@@ -214,10 +166,7 @@ def _task_validate(model, task, out, verdicts):
 
 
 def _task_kernel(model, task, out, verdicts):
-    tol = _float(task, "tol")
-    t_list, s_list = _floats(task["t_list"]), _floats(task["s_list"])
-    if not (t_list and s_list):
-        raise ConfigError("t_list and s_list need at least one value each")
+    tol, t_list, s_list = task["tol"], task["t_list"], task["s_list"]
     logp, R, err = kernel.compute_P_grid(model, s_list, t_list, method="quad")
     values = [kernel.GFValue(t=t, s=s, F=1.0 - R[a, b] if t else s, R=R[a, b],
                              P=np.exp(logp[a, b]), logP=logp[a, b],
@@ -234,14 +183,9 @@ def _task_kernel(model, task, out, verdicts):
 
 
 def _task_invariant(model, task, out, verdicts):
-    j_out = _size(task, "j_out")
-    M = _size(task, "samples")
-    if M < 4 or M & (M - 1):
-        raise ConfigError(f"field 'samples' must be a power of two >= 4, got {M}")
-    if task["radius"] == "auto":
+    j_out, M, r = task["j_out"], task["samples"], task["radius"]
+    if r == "auto":
         r = suggest_radius(j_out, M, target=1e-10)
-    else:
-        r = _float(task, "radius")
     if model.gamma < 0:
         model.require_transient_limit()
     measure = invariants.extract_measure(model, J_out=j_out, r=r, M=M)
@@ -254,8 +198,7 @@ def _task_invariant(model, task, out, verdicts):
         defect = measure.normalization_defect()
         verdicts.record("normalization", defect <= 1e-8,
                         f"|sum+tail-1| = {defect:.3e}")
-    tau = _float(task, "tau")
-    tol = _float(task, "residual_tol")
+    tau, tol = task["tau"], task["residual_tol"]
     report = invariants.check_invariance(measure, model, tau)
     verdicts.record("invariance", report.ok(tol),
                     f"max residual {report.max_residual:.3e} (tol {tol:g}, "
@@ -264,9 +207,7 @@ def _task_invariant(model, task, out, verdicts):
 
 def _task_rates(model, task, out, verdicts):
     grid = _t_grid(task)
-    s = _float(task, "s")
-    slope_tol = _float(task, "slope_tol")
-    rsq_min = _float(task, "rsq_min")
+    s, slope_tol, rsq_min = task["s"], task["slope_tol"], task["rsq_min"]
     if model.gamma > 0:
         fit = asymptotics.rate_theorem1(model, s, grid, slope_tol=slope_tol,
                                         rsq_min=rsq_min)
@@ -293,7 +234,7 @@ def _task_rates(model, task, out, verdicts):
 
 
 def _task_lemmas(model, task, out, verdicts):
-    which = {tok.strip() for tok in task["lemmas"].split(",") if tok.strip()}
+    which = task["lemmas"]
     grid = _t_grid(task)
     if "1" in which:
         rep = asymptotics.check_lemma1(model, (0.0, 0.3, 0.7), grid)
@@ -301,7 +242,7 @@ def _task_lemmas(model, task, out, verdicts):
         verdicts.record("lemma1", rep.ok() and rep.details["decreasing"],
                         f"final deviation {rep.sup:.3e} (tol {rep.bound:g})")
     if "2" in which:
-        rep = asymptotics.check_lemma2(model, _float(task, "s"), grid)
+        rep = asymptotics.check_lemma2(model, task["s"], grid)
         (out / "lemma2.csv").write_text(asymptotics.lemma_csv(rep))
         verdicts.record("lemma2", rep.ok(),
                         f"sup remainder/log {rep.sup:.3f} (bound {rep.bound:g})")
@@ -327,10 +268,9 @@ def _task_lemmas(model, task, out, verdicts):
 
 
 def _sim_config(model, task):
-    return sim.SimConfig(model=model, horizon=_float(task, "horizon"),
-                         replicates=_size(task, "replicates"),
-                         seed=_int(task, "seed"), initial=_int(task, "initial"),
-                         state_cap=_int(task, "state_cap"))
+    return sim.SimConfig(model=model, horizon=task["horizon"],
+                         replicates=task["replicates"], seed=task["seed"],
+                         initial=task["initial"], state_cap=task["state_cap"])
 
 
 def _task_simulate(model, task, out, verdicts):
@@ -346,20 +286,19 @@ def _task_simulate(model, task, out, verdicts):
 
 
 def _task_compare(model, task, out, verdicts):
-    j_out = _size(task, "j_out")
+    j_out = task["j_out"]
     result = _task_simulate(model, task, out, verdicts)
-    t = _float(task, "horizon")
     with telemetry.stage("series"):
-        series = kernel.transition_probs(model, _int(task, "initial"), t,
+        series = kernel.transition_probs(model, task["initial"], task["horizon"],
                                          j_out, r=0.9,
                                          M=sample_count(j_out, 256),
                                          method="series")
-    rows = sim.zscore_table(result, series.values, _float(task, "min_prob"))
+    rows = sim.zscore_table(result, series.values, task["min_prob"])
     lines = ["j,p_hat,se,p_kernel,z"]
     for j, p_hat, se, p, z in rows:
         lines.append(f"{j},{p_hat:.17g},{se:.17g},{p:.17g},{z:.4f}")
     (out / "compare.csv").write_text("\n".join(lines) + "\n")
-    z_max = _float(task, "z_max")
+    z_max = task["z_max"]
     worst = max((abs(row[4]) for row in rows), default=0.0)
     verdicts.record("compare", worst <= z_max,
                     f"max |z| {worst:.2f} over {len(rows)} states (bound {z_max:g})")
@@ -369,6 +308,62 @@ _TASK_RUNNERS = {"validate": _task_validate, "kernel": _task_kernel,
                  "invariant": _task_invariant, "rates": _task_rates,
                  "lemmas": _task_lemmas, "simulate": _task_simulate,
                  "compare": _task_compare}
+
+_POINTS = range(3, 1001)
+_STATES = range(10 ** 7 + 1)
+
+# Every config key: its default text (None where the key is required) and
+# its kind.  A kind is float (a finite number; a float value also caps it),
+# int or str (any integer or text), list (1 to max(_POINTS) finite numbers,
+# comma-separated), a tuple of words (one of them), a frozenset of words (a
+# comma-separated list of some of them), a word (it, or a finite number), or
+# a range or tuple of integers (a count, one of them).  The caps bound the
+# memory or time one run can ask for: samples and truncation size the series
+# and FFT arrays, j_out, points and the lists the tables, replicates and
+# horizon the simulation time, state_cap the simulated pmf.
+SCHEMA = {
+    "model": {
+        "offspring": ("stable", ("stable",)),
+        "nu": (None, float),
+        "c": ("1.0", float),
+        "kappa_offspring": ("0.0", float),
+        "immigration": ("stable", ("stable",)),
+        "delta": (None, float),
+        "d": ("0.25", float),
+        "kappa_immigration": ("0.0", float),
+        "truncation": (str(laws.DEFAULT_TRUNCATION), range(10 ** 5 + 1)),
+    },
+    "task": {
+        "name": (None, tuple(_TASK_RUNNERS)),
+        # kernel
+        "t_list": ("0.1,1,10,100,1000,10000", list),
+        "s_list": ("0,0.3,0.7,0.95", list),
+        "tol": ("1e-8", float),
+        # invariant
+        "j_out": ("256", range(2 ** 16 + 1)),
+        "radius": ("auto", "auto"),
+        "samples": ("16384", tuple(2 ** k for k in range(2, 21))),
+        "tau": ("1.0", float),
+        "residual_tol": ("1e-6", float),
+        # rates / lemmas
+        "s": ("0.0", float),
+        "t_min": ("1e2", float),
+        "t_max": ("1e6", float),
+        "points": ("25", _POINTS),
+        "slope_tol": ("0.1", float),
+        "rsq_min": ("0.99", float),
+        "lemmas": ("1,2,3,4", frozenset("1234")),
+        # simulate / compare
+        "initial": ("0", _STATES),
+        "horizon": ("5.0", 1e4),
+        "replicates": ("10000", range(10 ** 7 + 1)),
+        "seed": ("20240801", int),
+        "state_cap": ("1000000", _STATES),
+        "min_prob": ("1e-2", float),
+        "z_max": ("3.0", float),
+    },
+    "output": {"dir": ("mbpilab-out", str)},
+}
 
 
 def _manifest_text(cfg: dict, extra: dict) -> str:
@@ -398,17 +393,20 @@ def run_config(path: str, out_dir=None, seed=None, strict: bool = False) -> int:
         try:
             with telemetry.stage("config"):
                 cfg = load_config(path)
+                if seed is not None:
+                    cfg["task"]["seed"] = str(seed)
+                task = _values("task", cfg["task"])
+                if not 0 < task["t_min"] < task["t_max"]:
+                    raise ConfigError("fields 't_min' and 't_max' need "
+                                      "0 < t_min < t_max")
         except (ConfigError, configparser.Error) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        if seed is not None:
-            cfg["task"]["seed"] = str(seed)
         out = Path(out_dir if out_dir is not None else cfg["output"]["dir"])
         try:
             out.mkdir(parents=True, exist_ok=True)
             with telemetry.stage("model"):
                 model = build_model(cfg["model"])
-            task = cfg["task"]
             verdicts = Verdicts()
             name = task["name"]
             with telemetry.stage("task"):

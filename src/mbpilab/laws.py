@@ -171,10 +171,10 @@ def make_stable_offspring(nu: float, c: float, kappa: float = 0.0,
     if not 0.0 < nu < 1.0:
         raise ModelError("offspring tail index nu must lie in (0, 1); the "
                          "finite-variance boundary nu = 1 is unsupported")
-    if not c > 0:
-        raise ModelError("offspring scale c must be positive")
-    if kappa < 0:
-        raise ModelError("perturbation weight kappa must be nonnegative")
+    if not 0 < c < math.inf:
+        raise ModelError("offspring scale c must be positive and finite")
+    if not 0 <= kappa < math.inf:
+        raise ModelError("perturbation weight kappa must be nonnegative and finite")
     J = int(J)
     if J < 2:
         raise ModelError("offspring truncation order must be at least 2")
@@ -206,10 +206,10 @@ def make_stable_immigration(delta: float, d: float, kappa: float = 0.0,
     if not 0.0 < delta < 1.0:
         raise ModelError("immigration tail index delta must lie in (0, 1); "
                          "the finite-mean boundary delta = 1 is unsupported")
-    if not d > 0:
-        raise ModelError("immigration scale d must be positive")
-    if kappa < 0:
-        raise ModelError("perturbation weight kappa must be nonnegative")
+    if not 0 < d < math.inf:
+        raise ModelError("immigration scale d must be positive and finite")
+    if not 0 <= kappa < math.inf:
+        raise ModelError("perturbation weight kappa must be nonnegative and finite")
     J = int(J)
     if J < 1:
         raise ModelError("immigration truncation order must be at least 1")
@@ -247,17 +247,6 @@ def immigration_from_coefficients(coefficients: Sequence[float],
         raise ModelError("an immigration law needs at least coefficients b_0..b_1")
     return ImmigrationLaw(coefficients=b, truncation_order=b.size - 1, delta=delta,
                           sv_spec=sv_spec)
-
-
-def parse_coefficient_text(text: str) -> np.ndarray:
-    """Parse a comma-separated coefficient list (whitespace tolerated)."""
-    items = [tok.strip() for tok in text.replace("\n", ",").split(",") if tok.strip()]
-    if not items:
-        raise ModelError("empty coefficient list")
-    try:
-        return np.array([float(tok) for tok in items])
-    except ValueError as exc:
-        raise ModelError(f"unparseable coefficient: {exc}") from None
 
 
 @dataclass
@@ -391,57 +380,6 @@ def stable_model(nu: float, c: float, delta: float, d: float,
     """Convenience constructor for the built-in family pair."""
     return ModelSpec(make_stable_offspring(nu, c, kappa_offspring, J),
                      make_stable_immigration(delta, d, kappa_immigration, J))
-
-
-def law_to_kv(law) -> str:
-    """Serialize a built-in law to a plain-text key=value block."""
-    if isinstance(law, BranchingLaw):
-        if not law.closed_form:
-            raise ModelError("only the stable families serialize to key=value")
-        return "\n".join([
-            "family = stable-offspring",
-            f"nu = {law.nu!r}",
-            f"c = {law.scale!r}",
-            f"kappa = {law.kappa!r}",
-            f"truncation = {law.truncation_order}",
-        ])
-    if isinstance(law, ImmigrationLaw):
-        if not law.closed_form:
-            raise ModelError("only the stable families serialize to key=value")
-        return "\n".join([
-            "family = stable-immigration",
-            f"delta = {law.delta!r}",
-            f"d = {law.scale!r}",
-            f"kappa = {law.kappa!r}",
-            f"truncation = {law.truncation_order}",
-        ])
-    raise ModelError(f"cannot serialize {type(law).__name__}")
-
-
-def law_from_kv(text: str):
-    """Parse the key=value block produced by :func:`law_to_kv`."""
-    fields = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ModelError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    family = fields.get("family")
-    try:
-        if family == "stable-offspring":
-            return make_stable_offspring(float(fields["nu"]), float(fields["c"]),
-                                         float(fields.get("kappa", "0")),
-                                         int(fields.get("truncation", DEFAULT_TRUNCATION)))
-        if family == "stable-immigration":
-            return make_stable_immigration(float(fields["delta"]), float(fields["d"]),
-                                           float(fields.get("kappa", "0")),
-                                           int(fields.get("truncation", DEFAULT_TRUNCATION)))
-    except KeyError as exc:
-        raise ModelError(f"missing field {exc.args[0]!r} for family {family!r}") from None
-    raise ModelError(f"unknown family {family!r}")
 
 
 def with_coefficient(law, index: int, value: float):

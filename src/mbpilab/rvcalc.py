@@ -91,27 +91,6 @@ def sv_log() -> SlowlyVaryingSpec:
                              remainder=None, params=(), label="log")
 
 
-def sv_by_name(text: str) -> SlowlyVaryingSpec:
-    """Build a spec from its config-file name: ``constant(c)``,
-    ``perturbed(c,kappa,exponent)`` or ``log``."""
-    name = text.strip()
-    if name == "log":
-        return sv_log()
-    if "(" not in name or not name.endswith(")"):
-        raise ModelError(f"unparseable slowly varying spec {text!r}")
-    head, _, argtext = name.partition("(")
-    try:
-        args = [float(tok) for tok in argtext[:-1].split(",") if tok.strip()]
-    except ValueError:
-        raise ModelError(f"bad numeric arguments in {text!r}") from None
-    if head.strip() == "constant" and len(args) == 1:
-        return sv_constant(*args)
-    if head.strip() == "perturbed" and len(args) == 3:
-        return sv_perturbed(*args)
-    raise ModelError(f"unknown slowly varying spec {text!r} "
-                     "(expected constant(c), perturbed(c,kappa,exponent), log)")
-
-
 def power_form(spec: SlowlyVaryingSpec):
     """(c, kappa, exponent) with spec(x) = c * (1 + kappa * x**(-exponent)) for
     the built-in constant and perturbed families, None for any other spec.

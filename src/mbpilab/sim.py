@@ -92,9 +92,11 @@ class SimConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ModelError("need at least one replicate")
+        if self.initial < 0:
+            raise ModelError("initial state must be nonnegative")
         if self.state_cap < self.initial + 1:
             raise ModelError("state cap must exceed the initial state")
-        if self.horizon < 0:
+        if not self.horizon >= 0:
             raise ModelError("horizon must be nonnegative")
 
     def digest(self) -> str:

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mbpilab import kernel, rate_theorem2
-from mbpilab.cli import (SIZE_CAPS, _MODEL_KEYS, _TASK_KEYS, _sim_config,
-                         build_model, load_config, main, run_config)
+from mbpilab.cli import (SCHEMA, _parse, _sim_config, _values, build_model,
+                         load_config, main, run_config)
 from mbpilab.cli import ConfigError
 from mbpilab.errors import NumericsError
 from oracles import per_replicate_pmf
@@ -289,11 +296,16 @@ def test_load_config_rejects_missing_file(tmp_path):
         load_config(str(tmp_path / "nope.ini"))
 
 
+def _kind(key):
+    return next(keys[key][1] for keys in SCHEMA.values() if key in keys)
+
+
 @pytest.mark.parametrize("key,task", [
     ("replicates", "simulate"), ("samples", "invariant"), ("j_out", "compare"),
     ("points", "rates"), ("truncation", "validate")])
 def test_size_over_cap_exits_2(tmp_path, capsys, key, task):
-    value = 2 ** 30 if key == "samples" else SIZE_CAPS[key] + 1
+    cap = _kind(key)[-1]
+    value = 2 * cap if key == "samples" else cap + 1
     text = RECURRENT.format(task=task, extra=f"{key} = {value}",
                             out=tmp_path / "out")
     if key == "truncation":
@@ -304,9 +316,80 @@ def test_size_over_cap_exits_2(tmp_path, capsys, key, task):
 
 
 def test_caps_admit_the_defaults():
-    defaults = {**_MODEL_KEYS, **_TASK_KEYS}
-    for key, cap in SIZE_CAPS.items():
-        assert int(defaults[key]) <= cap
+    # every default passes its own table entry
+    for keys in SCHEMA.values():
+        for key, (default, kind) in keys.items():
+            if default is not None:
+                _parse(kind, default)
+
+
+def _config(out, task, **values):
+    """A small valid g025 config of ``task`` with ``values`` set."""
+    sections = {"model": {"nu": "0.5", "delta": "0.75", "truncation": "200"},
+                "task": {"name": task}, "output": {"dir": str(out)}}
+    for key, value in values.items():
+        next(keys for name, keys in sections.items()
+             if key in SCHEMA[name])[key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+def _exits_2_naming(path, out, key):
+    err = io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code = run_config(path)
+    assert code == 2
+    assert time.perf_counter() - started < 1.0
+    assert repr(key) in err.getvalue()
+    assert not (Path(out) / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("task,key,value", [
+    ("validate", "c", "inf"), ("validate", "kappa_immigration", "inf"),
+    ("invariant", "j_out", "-1"), ("kernel", "t_list", "inf"),
+    ("kernel", "s_list", "nan"), ("rates", "t_max", "inf"),
+    ("rates", "t_min", "1e7"), ("lemmas", "lemmas", "5"),
+    ("simulate", "initial", "-1"), ("kernel", "tol", "nan"),
+    ("invariant", "residual_tol", "nan"), ("rates", "slope_tol", "nan"),
+    ("compare", "min_prob", "nan"), ("invariant", "tau", "nan"),
+    ("simulate", "horizon", "nan"), ("simulate", "horizon", "inf"),
+    ("simulate", "state_cap", str(10 ** 7 + 1)), ("kernel", "t_list", ""),
+    ("kernel", "s_list", ",")])
+def test_out_of_table_value_exits_2(tmp_path, task, key, value):
+    out = tmp_path / "out"
+    path = write(tmp_path, _config(out, task, **{key: value}))
+    _exits_2_naming(path, out, key)
+
+
+def _refused(kind):
+    """Strategies for texts that ``kind`` refuses."""
+    refused = [st.sampled_from(["abc", "", "nan", "inf", "-inf", "1e999"])]
+    if isinstance(kind, (range, tuple)) and isinstance(kind[0], int):
+        refused += [st.integers(-2 ** 64, -1).map(str),
+                    st.integers(kind[-1] + 1, 2 ** 64).map(str)]
+    if isinstance(kind, float):
+        refused.append(st.floats(kind, 1e300, exclude_min=True).map(repr))
+    if kind is list:
+        refused.append(st.sampled_from([",", "1,nan", "-inf,2", "0.5, abc"]))
+    if isinstance(kind, frozenset):
+        refused.append(st.integers(5, 99).map(str))
+    return st.one_of(refused)
+
+
+_TYPED = sorted(key for keys in SCHEMA.values()
+                for key, (_, kind) in keys.items() if kind is not str)
+
+
+@given(st.sampled_from(_TYPED).flatmap(
+    lambda key: st.tuples(st.just(key), _refused(_kind(key)))))
+def test_any_refused_value_exits_2(case):
+    key, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        path = Path(tmp) / "config.ini"
+        path.write_text(_config(out, "validate", **{key: value}))
+        _exits_2_naming(str(path), out, key)
 
 
 @pytest.mark.parametrize("task", ["simulate", "compare"])
@@ -321,7 +404,7 @@ def test_stats_json_sim_totals(tmp_path, task):
     assert {"config", "model", "task", "simulate"} <= set(stats["stages_s"])
     cfg = load_config(path)
     expected = per_replicate_pmf(_sim_config(build_model(cfg["model"]),
-                                             cfg["task"]))
+                                             _values("task", cfg["task"])))
     assert stats["counters"]["sim.replicates"] == expected.replicates == 1500
     assert stats["counters"]["sim.events"] == expected.events
     assert stats["counters"]["sim.capped"] == expected.capped_count

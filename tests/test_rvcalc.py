@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mbpilab import (ModelError, check_sv_remainder, sv_by_name, sv_constant,
+from mbpilab import (ModelError, check_sv_remainder, sv_constant,
                      sv_log, sv_perturbed)
 from mbpilab.rvcalc import RVContext, ratio_deficit
 
@@ -183,13 +183,3 @@ def test_ratio_deficit_matches_direct_subtraction_when_safe():
     direct = 0.25 - ell(xs) / L(xs)
     assert np.allclose(deficit(xs), direct, rtol=1e-10, atol=1e-18)
     assert ratio_deficit(sv_log(), ell) is None
-
-
-def test_sv_by_name():
-    assert sv_by_name("constant(2.0)").limit == 2.0
-    spec = sv_by_name("perturbed(1, 0.5, 0.75)")
-    assert spec.kind == "perturbed" and spec.params == (1.0, 0.5, 0.75)
-    assert sv_by_name("log").kind == "log"
-    for bad in ("constant", "perturbed(1)", "mystery(3)", "constant(x)"):
-        with pytest.raises(ModelError):
-            sv_by_name(bad)

@@ -168,6 +168,18 @@ def test_config_validation(g025_small):
         SimConfig(model=g025_small, horizon=-1.0, replicates=10, seed=1)
 
 
+def test_config_refuses_nan_horizon_and_negative_initial(g025_small):
+    # A NaN horizon never stops a path, so estimate_pmf would never return;
+    # only the config is built here.  An infinite horizon stays valid.
+    with pytest.raises(ModelError):
+        SimConfig(model=g025_small, horizon=float("nan"), replicates=10, seed=1)
+    with pytest.raises(ModelError):
+        SimConfig(model=g025_small, horizon=1.0, replicates=10, seed=1,
+                  initial=-1)
+    SimConfig(model=g025_small, horizon=float("inf"), replicates=10, seed=1,
+              state_cap=100)
+
+
 def test_cross_check_against_kernel(g025_small):
     # desk-scale version of the full acceptance cross-check
     cfg = SimConfig(model=g025_small, horizon=2.0, replicates=20_000, seed=42)
