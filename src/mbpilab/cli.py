@@ -10,7 +10,9 @@ Every key is accepted in every task.  ``SCHEMA`` gives each key its default
 and its kind: every number must be finite; every integer but ``seed`` is a
 count within a capped range (``samples`` a power of two, ``points`` at least
 3, ``state_cap`` and ``initial`` at most 10^7); ``horizon`` is at most 10^4;
-a list holds 1 to 1000 numbers; ``lemmas`` names some of the lemmas 1-4.
+``tol``, ``residual_tol``, ``slope_tol`` and ``min_prob`` are at least 0,
+``z_max`` above 0 and ``rsq_min`` in [0, 1]; a list holds 1 to 1000
+numbers; ``lemmas`` names some of the lemmas 1-4.
 A value outside its kind, or t_min >= t_max, exits 2 and names its key
 before any stage computes.  Ranges a library call checks itself exit 3:
 a negative time, |s| > 1, a radius outside (0, 1), zero replicates, a law
@@ -29,6 +31,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +79,14 @@ def load_config(path: str) -> dict:
     return {name: _resolve_section(parser, name, path) for name in SCHEMA}
 
 
+@dataclass(frozen=True)
+class Interval:
+    """A number kind: a finite number in [lo, hi], or (lo, hi] if open_lo."""
+    lo: float = -math.inf
+    hi: float = math.inf
+    open_lo: bool = False
+
+
 def _parse(kind, text: str):
     """``text`` as a value of ``kind`` (see SCHEMA); ValueError if it is not."""
     if kind is str:
@@ -103,9 +114,13 @@ def _parse(kind, text: str):
     if text == kind:  # the word that may stand in for the number
         return text
     value = float(text)
-    if not math.isfinite(value) or (isinstance(kind, float) and value > kind):
-        raise ValueError("must be a finite number"
-                         + (f" <= {kind:g}" if isinstance(kind, float) else ""))
+    lo, hi, open_lo = astuple(kind if isinstance(kind, Interval)
+                              else Interval())
+    if not (math.isfinite(value) and value <= hi
+            and (value > lo if open_lo else value >= lo)):
+        ops = ((">" if open_lo else ">=", lo), ("<=", hi))
+        raise ValueError(("must be a finite number " + " and ".join(
+            f"{op} {v:g}" for op, v in ops if math.isfinite(v))).rstrip())
     return value
 
 
@@ -311,16 +326,17 @@ _TASK_RUNNERS = {"validate": _task_validate, "kernel": _task_kernel,
 
 _POINTS = range(3, 1001)
 _STATES = range(10 ** 7 + 1)
+_NONNEGATIVE = Interval(0.0)
 
 # Every config key: its default text (None where the key is required) and
-# its kind.  A kind is float (a finite number; a float value also caps it),
-# int or str (any integer or text), list (1 to max(_POINTS) finite numbers,
-# comma-separated), a tuple of words (one of them), a frozenset of words (a
-# comma-separated list of some of them), a word (it, or a finite number), or
-# a range or tuple of integers (a count, one of them).  The caps bound the
-# memory or time one run can ask for: samples and truncation size the series
-# and FFT arrays, j_out, points and the lists the tables, replicates and
-# horizon the simulation time, state_cap the simulated pmf.
+# its kind.  A kind is float (a finite number), an Interval (a number in
+# it), int or str (any integer or text), list (1 to max(_POINTS) finite
+# numbers, comma-separated), a tuple of words (one of them), a frozenset of
+# words (a comma-separated list of some of them), a word (it, or a finite
+# number), or a range or tuple of integers (a count, one of them).  The caps
+# bound the memory or time one run can ask for: samples and truncation size
+# the series and FFT arrays, j_out, points and the lists the tables,
+# replicates and horizon the simulation time, state_cap the simulated pmf.
 SCHEMA = {
     "model": {
         "offspring": ("stable", ("stable",)),
@@ -338,29 +354,29 @@ SCHEMA = {
         # kernel
         "t_list": ("0.1,1,10,100,1000,10000", list),
         "s_list": ("0,0.3,0.7,0.95", list),
-        "tol": ("1e-8", float),
+        "tol": ("1e-8", _NONNEGATIVE),
         # invariant
         "j_out": ("256", range(2 ** 16 + 1)),
         "radius": ("auto", "auto"),
         "samples": ("16384", tuple(2 ** k for k in range(2, 21))),
         "tau": ("1.0", float),
-        "residual_tol": ("1e-6", float),
+        "residual_tol": ("1e-6", _NONNEGATIVE),
         # rates / lemmas
         "s": ("0.0", float),
         "t_min": ("1e2", float),
         "t_max": ("1e6", float),
         "points": ("25", _POINTS),
-        "slope_tol": ("0.1", float),
-        "rsq_min": ("0.99", float),
+        "slope_tol": ("0.1", _NONNEGATIVE),
+        "rsq_min": ("0.99", Interval(0.0, 1.0)),
         "lemmas": ("1,2,3,4", frozenset("1234")),
         # simulate / compare
         "initial": ("0", _STATES),
-        "horizon": ("5.0", 1e4),
+        "horizon": ("5.0", Interval(hi=1e4)),
         "replicates": ("10000", range(10 ** 7 + 1)),
         "seed": ("20240801", int),
         "state_cap": ("1000000", _STATES),
-        "min_prob": ("1e-2", float),
-        "z_max": ("3.0", float),
+        "min_prob": ("1e-2", _NONNEGATIVE),
+        "z_max": ("3.0", Interval(0.0, open_lo=True)),
     },
     "output": {"dir": ("mbpilab-out", str)},
 }

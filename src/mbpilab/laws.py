@@ -276,8 +276,11 @@ class ValidationReport:
 
 
 def validate_law(law) -> ValidationReport:
-    """Report-only validation of the intensity constraints."""
+    """Report-only validation of the intensity constraints.  Mass balance
+    and criticality are judged relative to the law's scale max(1, sum |a_j|),
+    as the rounding of the re-balanced coefficients grows with it."""
     a = law.coefficients
+    scale = max(1.0, math.fsum(np.abs(a)))
     checks = []
     if isinstance(law, BranchingLaw):
         checks.append(CheckResult("a0_positive", bool(a[0] > 0), float(-min(a[0], 0.0))))
@@ -286,9 +289,9 @@ def validate_law(law) -> ValidationReport:
         checks.append(CheckResult("sign_pattern", bool(worst >= 0), abs(min(worst, 0.0)),
                                   detail="a_j >= 0 for j >= 2"))
         mass = math.fsum(a)
-        checks.append(CheckResult("mass_balance", abs(mass) <= MASS_TOL, abs(mass)))
+        checks.append(CheckResult("mass_balance", abs(mass) <= MASS_TOL * scale, abs(mass)))
         drift = math.fsum(j * aj for j, aj in enumerate(a))
-        checks.append(CheckResult("criticality", abs(drift) <= CRIT_TOL, abs(drift)))
+        checks.append(CheckResult("criticality", abs(drift) <= CRIT_TOL * scale, abs(drift)))
         return ValidationReport("offspring", checks)
     if isinstance(law, ImmigrationLaw):
         checks.append(CheckResult("b0_negative", bool(a[0] < 0), float(max(a[0], 0.0))))
@@ -296,7 +299,7 @@ def validate_law(law) -> ValidationReport:
         checks.append(CheckResult("sign_pattern", bool(worst >= 0), abs(min(worst, 0.0)),
                                   detail="b_j >= 0 for j >= 1"))
         mass = math.fsum(a)
-        checks.append(CheckResult("mass_balance", abs(mass) <= MASS_TOL, abs(mass)))
+        checks.append(CheckResult("mass_balance", abs(mass) <= MASS_TOL * scale, abs(mass)))
         return ValidationReport("immigration", checks)
     raise ModelError(f"cannot validate object of type {type(law).__name__}")
 

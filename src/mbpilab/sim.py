@@ -15,9 +15,11 @@ chunks: 64 exponentials, then 64 x 3 uniforms.  Since a Philox stream is a
 pure function of its key and counter, a generator whose state is reset
 reproduces any stream exactly, without building a generator per replicate.
 
-``estimate_pmf`` runs replicates in lock-step numpy lanes, one event per
-step, on the same streams and with the same floating-point operations as
-the scalar loop of ``simulate_path``; its memory does not grow with the
+``simulate_path`` runs the scalar event loop.  ``estimate_pmf`` runs
+replicates in numpy lanes on the same streams: one step takes every lane
+through up to 32 events, guessed to be branching events and accepted up to
+the first that is not, with the scalar loop's floating-point operations, so
+both give every replicate the same path.  Its memory does not grow with the
 replicate count.
 """
 
@@ -35,7 +37,7 @@ from .laws import ModelSpec
 
 _CHUNK = 64  # random numbers drawn per refill; fixed for reproducibility
 _LANES = 256  # replicates advanced together by one numpy step
-_DRAIN = 64  # live lanes left to the scalar loop once every replicate started
+_WINDOW = 32  # draws of its chunk one numpy step may take a lane through
 _ZERO_WORDS = (0, 0, 0, 0)
 
 
@@ -132,28 +134,24 @@ def _samplers(model: ModelSpec):
     return a_rate, b_rate, AliasTable(off_w), AliasTable(imm_w)
 
 
-def _advance(x, t, events, exps, unis, ptr, rng, horizon, state_cap,
-             samplers, log=None):
-    """The scalar event loop: advance one path from state ``x`` at time ``t``
+def _advance(x, rng, horizon, state_cap, samplers, log=None):
+    """The scalar event loop: advance one path from state ``x`` at time 0
     until its next event would pass the horizon or it reaches the state cap.
 
-    ``exps`` and ``unis`` are the current chunk of draws as Python floats,
-    with ``ptr`` the next unused row; further chunks come from ``rng``.
-    Python floats and ints carry the same IEEE operations as numpy scalars
-    at a fraction of the cost per event.  Returns (x, t, events, capped,
-    refills), with ``events`` counted on from the value passed in.
+    Draws come from ``rng`` in chunks, as Python floats: Python floats and
+    ints carry the same IEEE operations as numpy scalars at a fraction of
+    the cost per event.  Returns (x, t, events, capped).
     """
     a_rate, b_rate, off, imm = samplers
     n_off, off_prob, off_alias = off.n, off._prob, off._alias
     n_imm, imm_prob, imm_alias = imm.n, imm._prob, imm._alias
-    refills = 0
+    t, events, ptr = 0.0, 0, _CHUNK
     capped = x >= state_cap
     while not capped:
         if ptr == _CHUNK:
             exps = rng.standard_exponential(_CHUNK).tolist()
             unis = rng.random((_CHUNK, 3)).tolist()
             ptr = 0
-            refills += 1
         branch_rate = x * a_rate
         rate = branch_rate + b_rate
         try:
@@ -182,7 +180,7 @@ def _advance(x, t, events, exps, unis, ptr, rng, horizon, state_cap,
         if log is not None:
             log.append((t, jump, x))
         capped = x >= state_cap
-    return x, t, events, capped, refills
+    return x, t, events, capped
 
 
 def simulate_path(model: ModelSpec, initial: int, horizon: float,
@@ -191,11 +189,8 @@ def simulate_path(model: ModelSpec, initial: int, horizon: float,
                   _samplers_cache=None) -> PathResult:
     """Simulate one trajectory to the horizon (or to the state cap)."""
     log = [] if collect_events else None
-    exps = rng.standard_exponential(_CHUNK).tolist()
-    unis = rng.random((_CHUNK, 3)).tolist()
-    x, t, events, capped, _ = _advance(
-        int(initial), 0.0, 0, exps, unis, 0, rng, horizon, state_cap,
-        _samplers_cache or _samplers(model), log)
+    x, t, events, capped = _advance(int(initial), rng, horizon, state_cap,
+                                    _samplers_cache or _samplers(model), log)
     return PathResult(state=x, capped=capped, events=events,
                       time=min(t, horizon), log=log)
 
@@ -236,34 +231,41 @@ def _rekey(bit_generator, seed_word: int, rep: int) -> None:
     }
 
 
-def _quantile(histogram: dict, q: float) -> int:
-    """Nearest-rank q-quantile of the values counted in ``histogram``."""
-    rank = q * sum(histogram.values())
-    seen = 0
-    for value in sorted(histogram):
-        seen += histogram[value]
-        if seen >= rank:
-            return value
-    return 0
+def _quantile(histogram: np.ndarray, q: float) -> int:
+    """Nearest-rank q-quantile of the values counted in ``histogram``
+    (``histogram[v]`` paths took v events)."""
+    cum = np.cumsum(histogram)
+    return int(np.searchsorted(cum, q * cum[-1]))
+
+
+def _tally(histogram: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``histogram`` plus the bincount of ``values``, grown as needed."""
+    more = np.bincount(values)
+    if more.size > histogram.size:
+        histogram, more = more, histogram
+    histogram[:more.size] += more
+    return histogram
 
 
 def estimate_pmf(config: SimConfig) -> SimResult:
     """Empirical transition pmf from the configured initial state.
 
-    Up to ``_LANES`` replicates advance together, one event per numpy step.
-    Each lane slot owns a Philox generator that draws its chunks straight
-    into the slot's rows of ``exps`` and ``unis``; a lane whose path ends is
-    tallied at once and its slot re-keyed to the next replicate, so the
-    vector stays full.  The step makes the same IEEE operations on the same
-    draws as the scalar loop, so every replicate ends in the state
-    ``simulate_path`` gives it.  Once every replicate has started and at
-    most ``_DRAIN`` lanes are live, the scalar loop finishes them one by
-    one.  Memory is O(lanes * chunk + largest state), whatever the number
-    of replicates.
+    Up to ``_LANES`` replicates advance together, each lane slot with a
+    Philox generator that draws its chunks straight into the slot's rows of
+    ``exps`` and ``unis``.  One numpy step takes every live lane through up
+    to ``_WINDOW`` of its chunk's draws: it guesses that every event
+    branches, takes the states as ``x`` plus a running sum of the branching
+    jumps and the times as a left-to-right running sum from ``t``,
+    recomputes each decision on those states, and accepts the events up to
+    the first immigration, stopping before an event past the horizon or at
+    a zero rate and after one that reaches the cap.  Each accepted event
+    makes the scalar loop's IEEE operations on the same draws.  Ended lanes
+    are tallied by ``bincount`` and re-keyed to the next replicate; one
+    whose first event lies past the horizon is tallied without drawing its
+    uniforms.  Memory is O(lanes * chunk + largest state + longest path).
     """
     model = config.model
-    samplers = _samplers(model)
-    a_rate, b_rate, off, imm = samplers
+    a_rate, b_rate, off, imm = _samplers(model)
     n, horizon, cap, x0 = (config.replicates, config.horizon,
                            config.state_cap, config.initial)
     seed_word = config.seed & 0xFFFFFFFFFFFFFFFF
@@ -273,98 +275,111 @@ def estimate_pmf(config: SimConfig) -> SimResult:
     gens = [np.random.Generator(np.random.Philox(key=0)) for _ in range(width)]
     exps = np.empty((width, _CHUNK))
     unis = np.empty((width, _CHUNK, 3))
+    # one view per slot row, made once: a draw into a stored view costs a
+    # third less than into a fresh one
+    exp_rows, uni_rows = list(exps), list(unis)
+    rate0 = x0 * a_rate + b_rate
+    started = event_free = 0
 
-    def draw(s):
-        """Slot s's next chunk, in the scalar loop's order."""
-        gens[s].standard_exponential(out=exps[s])
-        gens[s].random(out=unis[s])
+    def start(s):
+        """Put slot s on the next replicate that takes an event, with its
+        first chunk drawn in the scalar loop's order; the event-free ones
+        on the way are counted and skip their uniforms.  False once every
+        replicate has started."""
+        nonlocal started, event_free
+        gen, e = gens[s], exp_rows[s]
+        while started < n:
+            _rekey(gen.bit_generator, seed_word, started)
+            started += 1
+            gen.standard_exponential(out=e)
+            if rate0 == 0.0 or 0.0 + e[0] / rate0 > horizon:
+                event_free += 1
+                continue
+            gen.random(out=uni_rows[s])
+            return True
+        return False
 
-    for rep, gen in enumerate(gens):
-        _rekey(gen.bit_generator, seed_word, rep)
-        draw(rep)
-    started = width
+    slot = np.array([s for s in range(width) if start(s)], dtype=np.int64)
     # flat views: gathering with take on one index is cheaper than 2-d
     # fancy indexing
     exps_flat, unis_rows = exps.reshape(-1), unis.reshape(-1, 3)
-    slot = np.arange(width)
     row = slot * _CHUNK
-    x = np.full(width, x0, dtype=np.int64)
-    t = np.zeros(width)
-    ptr = np.zeros(width, dtype=np.int64)
-    events = np.zeros(width, dtype=np.int64)
-    counts, path_events = {}, {}
-    capped = refills = 0
-
-    def finish(state, n_events, is_capped):
-        nonlocal capped
-        if is_capped:
-            capped += 1
-        else:
-            counts[state] = counts.get(state, 0) + 1
-        path_events[n_events] = path_events.get(n_events, 0) + 1
-
+    x, ptr, events = (np.full(slot.size, v, dtype=np.int64)
+                      for v in (x0, 0, 0))
+    t = np.zeros(slot.size)
+    counts = np.zeros(x0 + 1, dtype=np.int64)  # uncapped paths by end state
+    lengths = np.zeros(1, dtype=np.int64)  # paths by number of events
+    window = np.arange(_WINDOW)
+    capped = refills = steps = 0
     # a zero total rate (no immigration, empty state) divides by zero: the
     # path then ends, as in the scalar loop, and the quotient is never used
     with np.errstate(divide="ignore", invalid="ignore"):
-        while slot.size > _DRAIN or started < n:
-            at = row + ptr
-            e = exps_flat.take(at)
+        while slot.size:
+            steps += 1
+            lane = np.arange(slot.size)
+            room = _CHUNK - ptr  # draws left in each lane's chunk
+            at = row[:, None] + np.minimum(ptr[:, None] + window, _CHUNK - 1)
             u = unis_rows.take(at, axis=0)
-            branch_rate = x * a_rate
+            # xs[:, k] is the state before event k if events 0..k-1 branch
+            xs = np.concatenate(
+                (x[:, None], off.pick_many(u[..., 1], u[..., 2]) - 1),
+                axis=1).cumsum(axis=1)
+            branch_rate = xs[:, :-1] * a_rate
             rate = branch_rate + b_rate
-            t_next = t + e / rate
-            stop = (t_next > horizon) | (rate == 0.0)
-            jump = np.where(u[:, 0] * rate < branch_rate,
-                            off.pick_many(u[:, 1], u[:, 2]) - 1,
-                            imm.pick_many(u[:, 1], u[:, 2]))
-            x_old, x = x, x + jump
-            t = t_next
-            ptr += 1
-            events += 1
-            ended = (stop | (x >= cap)).nonzero()[0]
-            live = None
-            for k, stopped, state, n_events in zip(
-                    ended.tolist(), stop[ended].tolist(),
-                    x_old[ended].tolist(), events[ended].tolist()):
-                # a stopped lane took no event this step
-                finish(state, n_events - stopped, not stopped)
-                if started < n:
-                    _rekey(gens[slot[k]].bit_generator, seed_word, started)
-                    draw(slot[k])
-                    started += 1
-                    x[k], t[k], ptr[k], events[k] = x0, 0.0, 0, 0
-                else:
-                    if live is None:
-                        live = np.ones(slot.size, dtype=bool)
-                    live[k] = False
-            if live is not None:
-                slot, row, x, t, ptr, events = (
-                    slot[live], row[live], x[live], t[live], ptr[live],
-                    events[live])
+            # ts[:, k + 1] is the time of event k; cumsum adds left to right
+            ts = np.concatenate((t[:, None], exps_flat.take(at) / rate),
+                                axis=1).cumsum(axis=1)
+            stop = ((ts[:, 1:] > horizon) | (rate == 0.0)
+                    | (window >= room[:, None]))
+            branch = u[..., 0] * rate < branch_rate
+            end = stop | ~branch | (xs[:, 1:] >= cap)
+            first = np.where(end.any(axis=1), end.argmax(axis=1), _WINDOW)
+            hit = first < _WINDOW
+            at_first = np.minimum(first, _WINDOW - 1)
+            halt = hit & stop[lane, at_first]
+            taken = first + (hit & ~halt)
+            x = xs[lane, taken]
+            t = ts[lane, taken]
+            arrive = (hit & ~halt & ~branch[lane, at_first]).nonzero()[0]
+            if arrive.size:
+                v = u[arrive, first[arrive]]
+                x[arrive] = xs[arrive, first[arrive]] + imm.pick_many(
+                    v[:, 1], v[:, 2])
+            ptr += taken
+            events += taken
+            is_capped = x >= cap
+            done = ((halt & (first < room)) | is_capped).nonzero()[0]
+            if done.size:
+                capped += int(is_capped[done].sum())
+                ended = done[~is_capped[done]]
+                counts = _tally(counts, x[ended])
+                lengths = _tally(lengths, events[done])
+                fresh = [k for k in done.tolist() if start(slot[k])]
+                x[fresh], t[fresh], ptr[fresh], events[fresh] = x0, 0.0, 0, 0
+                if len(fresh) < done.size:
+                    live = np.ones(slot.size, dtype=bool)
+                    live[done] = False
+                    live[fresh] = True
+                    slot, row, x, t, ptr, events = (
+                        slot[live], row[live], x[live], t[live], ptr[live],
+                        events[live])
             for k in (ptr == _CHUNK).nonzero()[0].tolist():
-                draw(slot[k])
+                s = slot[k]
+                gens[s].standard_exponential(out=exp_rows[s])
+                gens[s].random(out=uni_rows[s])
                 ptr[k] = 0
                 refills += 1
-    drained = slot.size
-    for s, state, time_, n_events, p in zip(slot.tolist(), x.tolist(),
-                                            t.tolist(), events.tolist(),
-                                            ptr.tolist()):
-        state, _, n_events, is_capped, more = _advance(
-            state, time_, n_events, exps[s].tolist(), unis[s].tolist(), p,
-            gens[s], horizon, cap, samplers)
-        finish(state, n_events, is_capped)
-        refills += more
+    counts[x0] += event_free
+    lengths[0] += event_free
     telemetry.add("sim.replicates", n)
-    telemetry.add("sim.events", sum(k * c for k, c in path_events.items()))
+    telemetry.add("sim.events", int(lengths @ np.arange(lengths.size)))
     telemetry.add("sim.capped", capped)
     telemetry.add("sim.refills", refills)
-    telemetry.add("sim.drained", drained)
-    telemetry.put("sim.events_p50", _quantile(path_events, 0.5))
-    telemetry.put("sim.events_p99", _quantile(path_events, 0.99))
-    max_state = max(counts) if counts else 0
-    pmf = np.zeros(max_state + 1)
-    for state, cnt in counts.items():
-        pmf[state] = cnt / n
+    telemetry.add("sim.steps", steps)
+    telemetry.put("sim.events_p50", _quantile(lengths, 0.5))
+    telemetry.put("sim.events_p99", _quantile(lengths, 0.99))
+    kept = counts.nonzero()[0]
+    pmf = counts[:kept[-1] + 1 if kept.size else 1] / n
     se = np.sqrt(pmf * (1.0 - pmf) / n)
     return SimResult(pmf=pmf, se=se, n=n, capped_count=capped,
                      seed=config.seed, config_digest=config.digest(),

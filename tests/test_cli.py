@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 import time
 from pathlib import Path
@@ -11,8 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mbpilab import kernel, rate_theorem2
-from mbpilab.cli import (SCHEMA, _parse, _sim_config, _values, build_model,
-                         load_config, main, run_config)
+from mbpilab.cli import (SCHEMA, Interval, _parse, _sim_config, _values,
+                         build_model, load_config, main, run_config)
 from mbpilab.cli import ConfigError
 from mbpilab.errors import NumericsError
 from oracles import per_replicate_pmf
@@ -355,7 +356,11 @@ def _exits_2_naming(path, out, key):
     ("compare", "min_prob", "nan"), ("invariant", "tau", "nan"),
     ("simulate", "horizon", "nan"), ("simulate", "horizon", "inf"),
     ("simulate", "state_cap", str(10 ** 7 + 1)), ("kernel", "t_list", ""),
-    ("kernel", "s_list", ",")])
+    ("kernel", "s_list", ","), ("kernel", "tol", "-1"),
+    ("invariant", "residual_tol", "-1e-9"), ("rates", "slope_tol", "-0.1"),
+    ("rates", "rsq_min", "-0.5"), ("rates", "rsq_min", "1.5"),
+    ("compare", "min_prob", "-1"), ("compare", "z_max", "0"),
+    ("compare", "z_max", "-3")])
 def test_out_of_table_value_exits_2(tmp_path, task, key, value):
     out = tmp_path / "out"
     path = write(tmp_path, _config(out, task, **{key: value}))
@@ -368,8 +373,13 @@ def _refused(kind):
     if isinstance(kind, (range, tuple)) and isinstance(kind[0], int):
         refused += [st.integers(-2 ** 64, -1).map(str),
                     st.integers(kind[-1] + 1, 2 ** 64).map(str)]
-    if isinstance(kind, float):
-        refused.append(st.floats(kind, 1e300, exclude_min=True).map(repr))
+    if isinstance(kind, Interval):
+        if kind.hi < math.inf:
+            refused.append(st.floats(kind.hi, 1e300, exclude_min=True)
+                           .map(repr))
+        if kind.lo > -math.inf:
+            refused.append(st.floats(-1e300, kind.lo,
+                                     exclude_max=not kind.open_lo).map(repr))
     if kind is list:
         refused.append(st.sampled_from([",", "1,nan", "-inf,2", "0.5, abc"]))
     if isinstance(kind, frozenset):

@@ -191,19 +191,39 @@ _BAD = [math.nan, math.inf, -math.inf]
 
 
 @given(nu=st.one_of(st.floats(0.0, 1.0), st.sampled_from(_BAD + [-0.5, 1.5])),
-       c=st.one_of(st.floats(1e-3, 1e3), st.sampled_from(_BAD + [0.0, -1.0])),
+       c=st.one_of(st.floats(1e-3, 1e7), st.sampled_from(_BAD + [0.0, -1.0])),
        kappa=st.one_of(st.floats(0.0, 10.0), st.sampled_from(_BAD + [-1.0])),
        J=st.integers(0, 300))
 def test_stable_laws_balanced_or_refused(nu, c, kappa, J):
     # Both built-in families, with nu standing in for delta and c for d:
-    # construction either gives an exactly conservative law (the offspring
-    # law also critical) or refuses with a ModelError, never anything else.
+    # construction either gives a law conservative to rounding (the
+    # offspring law also critical), relative to its scale max(1, sum |a_j|),
+    # or refuses with a ModelError, never anything else.
     for make in (make_stable_offspring, make_stable_immigration):
         try:
             law = make(nu, c, kappa, J)
         except ModelError:
             continue
         a = law.coefficients
-        assert abs(math.fsum(a)) <= MASS_TOL
+        scale = max(1.0, math.fsum(np.abs(a)))
+        assert abs(math.fsum(a)) <= MASS_TOL * scale
         if make is make_stable_offspring:
-            assert abs(math.fsum(j * aj for j, aj in enumerate(a))) <= CRIT_TOL
+            drift = math.fsum(j * aj for j, aj in enumerate(a))
+            assert abs(drift) <= CRIT_TOL * scale
+        report = validate_law(law)
+        passed = {check.name: check.passed for check in report.checks}
+        assert passed["mass_balance"] and passed.get("criticality", True)
+
+
+def test_validate_law_tolerance_follows_the_scale():
+    # critical to rounding at c = 1e7 (drift 1.4e-9, 4e-17 of sum |a_j|)
+    law = make_stable_offspring(0.3, 1e7, J=3)
+    assert validate_law(law).ok
+    # a drift of 1e-6 of the scale is still refused
+    a = law.coefficients.copy()
+    shift = 1e-6 * np.abs(a).sum()
+    a[2] += shift
+    a[0] -= shift
+    report = validate_law(offspring_from_coefficients(a, nu=0.3))
+    passed = {check.name: check.passed for check in report.checks}
+    assert passed["mass_balance"] and not passed["criticality"]

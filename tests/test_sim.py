@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mbpilab import (AliasTable, ModelError, SimConfig, estimate_pmf,
-                     simulate_path, transition_probs)
+                     simulate_path, stable_model, transition_probs)
 from mbpilab import sim, telemetry
 from mbpilab.sim import _samplers, sim_csv, zscore_table
 from oracles import per_replicate_pmf
@@ -17,16 +19,20 @@ def _rng(seed=1, rep=0):
         key=np.array([seed, rep], dtype=np.uint64)))
 
 
-def test_alias_table_implied_distribution():
-    # the construction must reproduce the weights exactly: the probability of
-    # drawing j is (prob_j + sum over cells aliased to j of (1-prob_i)) / n
-    w = np.array([0.0, 3.0, 1.0, 0.0, 2.0, 6.0])
-    table = AliasTable(w)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e300)),
+                min_size=1, max_size=200).filter(any))
+@example([0.0, 3.0, 1.0, 0.0, 2.0, 6.0])
+def test_alias_table_implied_distribution(weights):
+    # the construction must reproduce the weights to rounding: the
+    # probability of drawing j is (prob_j + sum over cells aliased to j of
+    # (1 - prob_i)) / n
+    table = AliasTable(weights)
+    n = table.n
     implied = table.prob.copy()
-    for i in range(table.n):
-        if table.alias[i] != i:
-            implied[table.alias[i]] += 1.0 - table.prob[i]
-    assert np.allclose(implied / table.n, w / w.sum(), atol=1e-13)
+    np.add.at(implied, table.alias, 1.0 - table.prob)
+    w = np.asarray(weights)
+    error = np.max(np.abs(implied / n - w / w.sum()))
+    assert error <= 4 * n * np.finfo(float).eps
 
 
 def test_alias_table_sampling_agrees(rng):
@@ -203,9 +209,18 @@ def test_sim_csv_manifest(g025_small):
     assert "j,p_hat,se,n" in lines
 
 
-# The lane engine against the per-replicate loop.  (lanes, drain) sets the
-# lane width and the live-lane count at which the scalar loop takes over;
-# drain 0 keeps every path in the lanes to its end.
+@pytest.fixture(scope="module")
+def gneg_pert_small():
+    """Transient law with an immigration-tail remainder, short truncation:
+    immigration stays frequent at x > 0."""
+    return stable_model(nu=0.75, c=1.0, delta=0.5, d=0.25,
+                        kappa_immigration=1.0, J=500)
+
+
+# The lane engine against the per-replicate loop.  (lanes, window) sets the
+# lane width and the number of draws one step may take a lane through:
+# window 0 keeps the default _WINDOW, 64 lets a step run to the chunk's
+# end.  A case runs on g025_small unless it names another model fixture.
 LANE_SETTINGS = [(1, 64), (3, 64), (256, 64), (3, 0), (256, 0)]
 LANE_CASES = {
     "no_events": dict(horizon=0.0, replicates=301, seed=4, initial=2),
@@ -215,16 +230,28 @@ LANE_CASES = {
                            state_cap=4),
     "fewer_than_lanes": dict(horizon=2.0, replicates=100, seed=8),
     "not_a_multiple": dict(horizon=2.0, replicates=1000, seed=9),
+    # long branching runs: windows end at the chunk's last draw and go on
+    # after the refill
+    "window_crosses_refill": dict(horizon=3.0, replicates=40, seed=12,
+                                  initial=40),
+    "cap_mid_window": dict(horizon=5.0, replicates=301, seed=13, initial=30,
+                           state_cap=40),
+    "immigration_mid_window": dict(model="gneg_pert_small", horizon=20.0,
+                                   replicates=40, seed=14, initial=5),
+    "infinite_horizon": dict(horizon=np.inf, replicates=40, seed=15,
+                             state_cap=200),
 }
 
 
-@pytest.mark.parametrize("lanes,drain", LANE_SETTINGS)
+@pytest.mark.parametrize("lanes,window", LANE_SETTINGS)
 @pytest.mark.parametrize("case", LANE_CASES)
-def test_lanes_match_per_replicate_loop(g025_small, monkeypatch, case, lanes,
-                                        drain):
+def test_lanes_match_per_replicate_loop(request, monkeypatch, case, lanes,
+                                        window):
     monkeypatch.setattr(sim, "_LANES", lanes)
-    monkeypatch.setattr(sim, "_DRAIN", drain)
-    config = SimConfig(model=g025_small, **LANE_CASES[case])
+    monkeypatch.setattr(sim, "_WINDOW", window or sim._WINDOW)
+    fields = dict(LANE_CASES[case])
+    model = request.getfixturevalue(fields.pop("model", "g025_small"))
+    config = SimConfig(model=model, **fields)
     expected = per_replicate_pmf(config)
     with telemetry.recording() as record:
         result = estimate_pmf(config)
@@ -232,9 +259,9 @@ def test_lanes_match_per_replicate_loop(g025_small, monkeypatch, case, lanes,
     assert result.capped_count == expected.capped_count
     assert record.counters["sim.replicates"] == expected.replicates
     assert record.counters["sim.events"] == expected.events
-    if case == "refills":
+    if case in ("refills", "window_crosses_refill"):
         assert record.counters["sim.refills"] > 0
-    if case == "cap_next_state":
+    if case in ("cap_next_state", "cap_mid_window", "infinite_horizon"):
         assert result.capped_count > 0
 
 
@@ -259,18 +286,51 @@ def test_zero_total_rate_ends_the_path(g025_small, monkeypatch, lanes):
 
 
 def test_events_quantiles_reported(g025_small):
-    assert sim._quantile({0: 5, 3: 4, 10: 1}, 0.5) == 0
-    assert sim._quantile({0: 5, 3: 4, 10: 1}, 0.6) == 3
-    assert sim._quantile({0: 5, 3: 4, 10: 1}, 0.99) == 10
+    # five paths took no event, four took 3 and one took 10
+    lengths = np.bincount([0] * 5 + [3] * 4 + [10])
+    assert sim._quantile(lengths, 0.5) == 0
+    assert sim._quantile(lengths, 0.6) == 3
+    assert sim._quantile(lengths, 0.99) == 10
     config = SimConfig(model=g025_small, horizon=2.0, replicates=2000, seed=5)
     with telemetry.recording() as record:
         estimate_pmf(config)
     counters = dict(record.counters)
     assert counters["sim.replicates"] == 2000
     assert 0 <= counters["sim.events_p50"] < counters["sim.events_p99"]
-    assert counters["sim.drained"] <= sim._DRAIN
     estimate_pmf(config)  # outside a recording: nothing is kept
     assert record.counters == counters
+
+
+def test_horizon_on_an_event_time(g025_small):
+    # A horizon equal to an event time, as the scalar loop sums it, takes
+    # that event; one ulp earlier does not.  Times summed in another order,
+    # or a first event tested other than as t + e / rate, miss by an ulp.
+    def end_state(horizon, seed):
+        res = estimate_pmf(SimConfig(model=g025_small, horizon=horizon,
+                                     replicates=1, seed=seed, initial=3))
+        return int(np.flatnonzero(res.pmf)[0])
+
+    # the first event of 40 paths, and every 20th of a 1431-event path
+    logs = [simulate_path(g025_small, 3, 20.0, _rng(seed=seed),
+                          collect_events=True).log for seed in range(40)]
+    checks = ([(seed, 0) for seed in range(40)]
+              + [(8, k) for k in range(1, 1431, 20)])
+    for seed, k in checks:
+        time, _, state = logs[seed][k]
+        before = logs[seed][k - 1][2] if k else 3
+        assert end_state(time, seed) == state
+        assert end_state(np.nextafter(time, 0.0), seed) == before
+
+
+def test_lane_steps_take_many_events(g025_small):
+    # A step takes a lane through up to _WINDOW events: here 149 steps for
+    # 41,322 events (0.0036 a step).  Steps of one event each take 4501
+    # (0.11), so the bound of 1/100 fails them.
+    config = SimConfig(model=g025_small, horizon=5.0, replicates=2000, seed=7)
+    with telemetry.recording() as record:
+        estimate_pmf(config)
+    counters = record.counters
+    assert counters["sim.steps"] < counters["sim.events"] / 100
 
 
 def test_memory_flat_in_replicates(g025_small, monkeypatch):
