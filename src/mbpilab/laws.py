@@ -36,11 +36,12 @@ CRIT_TOL = 1e-9
 
 def _signed_binomials(alpha: float, J: int) -> np.ndarray:
     """Return (-1)**j * binom(alpha, j) for j = 0..J via the stable recurrence."""
-    out = np.empty(J + 1)
-    out[0] = 1.0
+    out = [1.0] * (J + 1)
+    v = 1.0  # a Python float makes the same IEEE operations as numpy's
     for j in range(J):
-        out[j + 1] = out[j] * (j - alpha) / (j + 1.0)
-    return out
+        v = v * (j - alpha) / (j + 1.0)
+        out[j + 1] = v
+    return np.array(out)
 
 
 # Blocked Horner evaluation of the truncated series: coefficient k*_POWERS + m
@@ -181,8 +182,8 @@ def make_stable_offspring(nu: float, c: float, kappa: float = 0.0,
     a = c * _signed_binomials(1.0 + nu, J)
     if kappa:
         a = a + c * kappa * _signed_binomials(1.0 + 2.0 * nu, J)
-    s0 = math.fsum(a)
-    s1 = math.fsum(j * aj for j, aj in enumerate(a))
+    s0 = math.fsum(a.tolist())
+    s1 = math.fsum((np.arange(J + 1) * a).tolist())
     d_last = (s0 - s1) / (J - 1.0)
     d_lin = -s0 - d_last
     a[J] += d_last
@@ -216,7 +217,7 @@ def make_stable_immigration(delta: float, d: float, kappa: float = 0.0,
     b = -d * _signed_binomials(delta, J)
     if kappa:
         b = b - d * kappa * _signed_binomials(2.0 * delta, J)
-    s0 = math.fsum(b)
+    s0 = math.fsum(b.tolist())
     b[J] += -s0
     if b[0] >= 0 or np.any(b[1:] < 0):
         raise ModelError("sign pattern broken after truncation adjustment; "

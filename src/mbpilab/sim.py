@@ -8,19 +8,24 @@ event adds j drawn with probability b_j / b over j >= 1.  The simulated law
 is exactly the truncated, re-balanced law carried by the model, so kernel
 cross-checks against the same truncated law are free of truncation bias.
 
-Randomness: one counter-based Philox stream per replicate, keyed by
-(seed, replicate_index) with the counter at 0.  Replicates are therefore
-independent and bit-reproducible in any order.  A path draws its stream in
-chunks: 64 exponentials, then 64 x 3 uniforms.  Since a Philox stream is a
-pure function of its key and counter, a generator whose state is reset
-reproduces any stream exactly, without building a generator per replicate.
+Randomness: counter-based Philox streams, so that replicates are
+independent and bit-reproducible in any order.  Replicates 256b .. 256b+255
+form block b.  Its stream, keyed (seed, b) with the counter at (0, 0, 0, 1),
+gives a (256, 16) exponential draw and then a (256, 16, 3) uniform draw:
+row r mod 256 holds the first 16 events of replicate r.  A path that goes
+past them continues on its own stream, keyed (seed, r) with the counter at
+0, in chunks of 64 exponentials and then 64 x 3 uniforms.  The two kinds
+of stream never overlap, as they start 2**192 counter steps apart.  Since a
+Philox stream is a pure function of its key and counter, a generator whose
+state is reset reproduces any stream exactly, without building a generator
+per replicate.
 
-``simulate_path`` runs the scalar event loop.  ``estimate_pmf`` runs
-replicates in numpy lanes on the same streams: one step takes every lane
-through up to 32 events, guessed to be branching events and accepted up to
-the first that is not, with the scalar loop's floating-point operations, so
-both give every replicate the same path.  Its memory does not grow with the
-replicate count.
+``simulate_path`` runs the scalar event loop on the chunks of any
+generator.  ``estimate_pmf`` runs replicates in numpy lanes on the streams
+above: one step takes every lane through up to 32 events, guessed to be
+branching events and accepted up to the first that is not, with the scalar
+loop's floating-point operations, so both give every replicate the same
+path.  Its memory does not grow with the replicate count.
 """
 
 from __future__ import annotations
@@ -35,10 +40,15 @@ from . import telemetry
 from .errors import ModelError
 from .laws import ModelSpec
 
-_CHUNK = 64  # random numbers drawn per refill; fixed for reproducibility
+# Chunk sizes and block layout fix every stream: changing one changes the
+# simulated paths.
+_CHUNK = 64  # events per refill from a replicate's own stream
+_BLOCK = 256  # replicates whose first chunks come from one bulk draw
+_FIRST = 16  # events in a replicate's first chunk, drawn with its block
 _LANES = 256  # replicates advanced together by one numpy step
 _WINDOW = 32  # draws of its chunk one numpy step may take a lane through
 _ZERO_WORDS = (0, 0, 0, 0)
+_BLOCK_COUNTER = (0, 0, 0, 1)  # 2**192 steps past any replicate stream
 
 
 class AliasTable:
@@ -51,9 +61,11 @@ class AliasTable:
         if np.any(w < 0) or not np.any(w > 0):
             raise ModelError("alias weights must be nonnegative with positive total")
         n = w.size
-        p = w * (n / w.sum())
-        prob = np.zeros(n)
-        alias = np.zeros(n, dtype=np.int64)
+        # Vose's loop on Python lists: indexing a list of floats is several
+        # times cheaper than indexing a numpy array, with the same IEEE
+        # operations.  The scalar event loop reads the lists too.
+        p = (w * (n / w.sum())).tolist()
+        prob, alias = [0.0] * n, [0] * n
         small = [i for i in range(n) if p[i] < 1.0]
         large = [i for i in range(n) if p[i] >= 1.0]
         while small and large:
@@ -69,12 +81,9 @@ class AliasTable:
                 prob[i] = 1.0
                 alias[i] = i
         self.n = n
-        self.prob = prob
-        self.alias = alias
-        # Python lists for the scalar event loop: indexing a list of floats
-        # is several times cheaper than indexing a numpy array.
-        self._prob = prob.tolist()
-        self._alias = alias.tolist()
+        self.prob = np.array(prob)
+        self.alias = np.array(alias, dtype=np.int64)
+        self._prob, self._alias = prob, alias
 
     def pick_many(self, u_index, u_accept):
         i = np.minimum((np.asarray(u_index) * self.n).astype(np.int64), self.n - 1)
@@ -138,20 +147,21 @@ def _advance(x, rng, horizon, state_cap, samplers, log=None):
     """The scalar event loop: advance one path from state ``x`` at time 0
     until its next event would pass the horizon or it reaches the state cap.
 
-    Draws come from ``rng`` in chunks, as Python floats: Python floats and
-    ints carry the same IEEE operations as numpy scalars at a fraction of
-    the cost per event.  Returns (x, t, events, capped).
+    Draws come from ``rng`` in chunks of whatever size it returns for a
+    request of ``_CHUNK``, as Python floats: Python floats and ints carry
+    the same IEEE operations as numpy scalars at a fraction of the cost per
+    event.  Returns (x, t, events, capped).
     """
     a_rate, b_rate, off, imm = samplers
     n_off, off_prob, off_alias = off.n, off._prob, off._alias
     n_imm, imm_prob, imm_alias = imm.n, imm._prob, imm._alias
-    t, events, ptr = 0.0, 0, _CHUNK
+    t, events, ptr, end = 0.0, 0, 0, 0
     capped = x >= state_cap
     while not capped:
-        if ptr == _CHUNK:
+        if ptr == end:  # refill at the end of whatever chunk rng gave
             exps = rng.standard_exponential(_CHUNK).tolist()
             unis = rng.random((_CHUNK, 3)).tolist()
-            ptr = 0
+            ptr, end = 0, len(exps)
         branch_rate = x * a_rate
         rate = branch_rate + b_rate
         try:
@@ -209,24 +219,24 @@ class SimResult:
     capped_count: int
     seed: int
     config_digest: str
-    rng_scheme: str = "philox key=(seed, replicate)"
+    rng_scheme: str = ("philox: events 1-16 from key=(seed, replicate // 256)"
+                       " counter=2**192 row replicate % 256, then "
+                       "key=(seed, replicate) in 64-event chunks")
     meta: dict = field(default_factory=dict)
 
     @property
     def capped_fraction(self) -> float:
         return self.capped_count / self.n
 
-    def total_mass(self) -> float:
-        return float(self.pmf.sum()) + self.capped_fraction
 
-
-def _rekey(bit_generator, seed_word: int, rep: int) -> None:
-    """Put a Philox bit generator at the start of the stream keyed
-    (seed, rep).  Python ints set the state at a third of the cost of numpy
-    arrays, with the same draws."""
+def _rekey(bit_generator, seed_word: int, index: int,
+           counter=_ZERO_WORDS) -> None:
+    """Put a Philox bit generator at ``counter`` on the stream keyed
+    (seed, index).  Python ints set the state at a third of the cost of
+    numpy arrays, with the same draws."""
     bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": (seed_word, rep)},
+        "state": {"counter": counter, "key": (seed_word, index)},
         "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
 
@@ -250,9 +260,14 @@ def _tally(histogram: np.ndarray, values: np.ndarray) -> np.ndarray:
 def estimate_pmf(config: SimConfig) -> SimResult:
     """Empirical transition pmf from the configured initial state.
 
-    Up to ``_LANES`` replicates advance together, each lane slot with a
-    Philox generator that draws its chunks straight into the slot's rows of
-    ``exps`` and ``unis``.  One numpy step takes every live lane through up
+    Up to ``_LANES`` replicates advance together in lane slots.  A block's
+    first chunks come in one bulk draw; its event-free replicates (first
+    event past the horizon, or rate 0) are found by one compare and tallied
+    without a lane, and the others queue to be copied, by array assignment,
+    into the last ``_FIRST`` draws of a free slot's rows of ``exps`` and
+    ``unis``.  A lane that uses them up re-keys its slot's Philox generator
+    to its replicate's own stream, which then draws each chunk straight
+    into the slot's rows.  One numpy step takes every live lane through up
     to ``_WINDOW`` of its chunk's draws: it guesses that every event
     branches, takes the states as ``x`` plus a running sum of the branching
     jumps and the times as a left-to-right running sum from ``t``,
@@ -260,9 +275,8 @@ def estimate_pmf(config: SimConfig) -> SimResult:
     the first immigration, stopping before an event past the horizon or at
     a zero rate and after one that reaches the cap.  Each accepted event
     makes the scalar loop's IEEE operations on the same draws.  Ended lanes
-    are tallied by ``bincount`` and re-keyed to the next replicate; one
-    whose first event lies past the horizon is tallied without drawing its
-    uniforms.  Memory is O(lanes * chunk + largest state + longest path).
+    are tallied by ``bincount`` and refilled from the queue.  Memory is
+    O(lanes * chunk + block * first chunk + largest state + longest path).
     """
     model = config.model
     a_rate, b_rate, off, imm = _samplers(model)
@@ -273,39 +287,52 @@ def estimate_pmf(config: SimConfig) -> SimResult:
     # key 0 is a placeholder that _rekey replaces; giving one spares the
     # construction a draw of OS entropy
     gens = [np.random.Generator(np.random.Philox(key=0)) for _ in range(width)]
+    block = np.random.Generator(np.random.Philox(key=0))
     exps = np.empty((width, _CHUNK))
     unis = np.empty((width, _CHUNK, 3))
+    first_exps = np.empty((_BLOCK, _FIRST))
+    first_unis = np.empty((_BLOCK, _FIRST, 3))
     # one view per slot row, made once: a draw into a stored view costs a
     # third less than into a fresh one
     exp_rows, uni_rows = list(exps), list(unis)
     rate0 = x0 * a_rate + b_rate
-    started = event_free = 0
+    queue = np.empty(0, dtype=np.int64)  # event-taking, not yet started
+    blocks = event_free = 0
 
-    def start(s):
-        """Put slot s on the next replicate that takes an event, with its
-        first chunk drawn in the scalar loop's order; the event-free ones
-        on the way are counted and skip their uniforms.  False once every
-        replicate has started."""
-        nonlocal started, event_free
-        gen, e = gens[s], exp_rows[s]
-        while started < n:
-            _rekey(gen.bit_generator, seed_word, started)
-            started += 1
-            gen.standard_exponential(out=e)
-            if rate0 == 0.0 or 0.0 + e[0] / rate0 > horizon:
-                event_free += 1
+    def start(slots):
+        """The next event-taking replicates, one per slot of ``slots`` while
+        any is left, each with its first chunk copied into its slot; draws
+        blocks as the queue runs dry."""
+        nonlocal queue, blocks, event_free
+        reps = [queue[:0]]
+        while slots.size and (queue.size or blocks * _BLOCK < n):
+            if not queue.size:
+                _rekey(block.bit_generator, seed_word, blocks, _BLOCK_COUNTER)
+                block.standard_exponential(out=first_exps)
+                block.random(out=first_unis)
+                size = min(_BLOCK, n - blocks * _BLOCK)
+                # the negation of the scalar loop's 0.0 + e / rate > horizon
+                takes = (first_exps[:size, 0] / rate0 <= horizon if rate0
+                         else np.zeros(size, dtype=bool))
+                queue = takes.nonzero()[0] + blocks * _BLOCK
+                event_free += size - queue.size
+                blocks += 1
                 continue
-            gen.random(out=uni_rows[s])
-            return True
-        return False
+            now, queue = queue[:slots.size], queue[slots.size:]
+            at, slots = slots[:now.size], slots[now.size:]
+            exps[at, _CHUNK - _FIRST:] = first_exps[now % _BLOCK]
+            unis[at, _CHUNK - _FIRST:] = first_unis[now % _BLOCK]
+            reps.append(now)
+        return np.concatenate(reps)
 
-    slot = np.array([s for s in range(width) if start(s)], dtype=np.int64)
+    rep = start(np.arange(width))  # the replicate each lane runs
+    slot = np.arange(rep.size)
     # flat views: gathering with take on one index is cheaper than 2-d
     # fancy indexing
     exps_flat, unis_rows = exps.reshape(-1), unis.reshape(-1, 3)
     row = slot * _CHUNK
     x, ptr, events = (np.full(slot.size, v, dtype=np.int64)
-                      for v in (x0, 0, 0))
+                      for v in (x0, _CHUNK - _FIRST, 0))
     t = np.zeros(slot.size)
     counts = np.zeros(x0 + 1, dtype=np.int64)  # uncapped paths by end state
     lengths = np.zeros(1, dtype=np.int64)  # paths by number of events
@@ -354,17 +381,19 @@ def estimate_pmf(config: SimConfig) -> SimResult:
                 ended = done[~is_capped[done]]
                 counts = _tally(counts, x[ended])
                 lengths = _tally(lengths, events[done])
-                fresh = [k for k in done.tolist() if start(slot[k])]
-                x[fresh], t[fresh], ptr[fresh], events[fresh] = x0, 0.0, 0, 0
-                if len(fresh) < done.size:
+                new = start(slot[done])
+                fresh = done[:new.size]
+                x[fresh], t[fresh], ptr[fresh] = x0, 0.0, _CHUNK - _FIRST
+                events[fresh], rep[fresh] = 0, new
+                if new.size < done.size:
                     live = np.ones(slot.size, dtype=bool)
-                    live[done] = False
-                    live[fresh] = True
-                    slot, row, x, t, ptr, events = (
-                        slot[live], row[live], x[live], t[live], ptr[live],
-                        events[live])
+                    live[done[new.size:]] = False
+                    slot, row, x, t, ptr, events, rep = (
+                        a[live] for a in (slot, row, x, t, ptr, events, rep))
             for k in (ptr == _CHUNK).nonzero()[0].tolist():
                 s = slot[k]
+                if events[k] == _FIRST:  # leaving the block: own stream
+                    _rekey(gens[s].bit_generator, seed_word, int(rep[k]))
                 gens[s].standard_exponential(out=exp_rows[s])
                 gens[s].random(out=uni_rows[s])
                 ptr[k] = 0
@@ -372,6 +401,8 @@ def estimate_pmf(config: SimConfig) -> SimResult:
     counts[x0] += event_free
     lengths[0] += event_free
     telemetry.add("sim.replicates", n)
+    telemetry.add("sim.blocks", blocks)
+    telemetry.add("sim.event_free", event_free)
     telemetry.add("sim.events", int(lengths @ np.arange(lengths.size)))
     telemetry.add("sim.capped", capped)
     telemetry.add("sim.refills", refills)

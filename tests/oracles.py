@@ -131,22 +131,58 @@ def direct_segment_integral(model, w0, w1, rtol=1e-10):
     return doubling_quadrature(fun, 0.0, 1.0, rtol=rtol, n0=n0)
 
 
+class _FirstChunkThen:
+    """A generator for simulate_path that hands out one given first chunk,
+    then the chunks of ``rng``."""
+
+    def __init__(self, exps, unis, rng):
+        self.first, self.rng = [exps, unis], rng
+
+    def standard_exponential(self, size):
+        if self.first:
+            return self.first.pop(0)
+        return self.rng.standard_exponential(size)
+
+    def random(self, size):
+        return self.first.pop(0) if self.first else self.rng.random(size)
+
+
+def _philox(seed_word, index, counter=0):
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed_word, index], dtype=np.uint64),
+        counter=np.array([0, 0, 0, counter], dtype=np.uint64)))
+
+
+def replicate_rngs(seed, replicates):
+    """The generator of each replicate under estimate_pmf's block layout,
+    built from the layout's description alone: per block b of 256
+    replicates, one stream keyed (seed, b) at counter 2**192 gives a
+    (256, 16) exponential and then a (256, 16, 3) uniform draw, and row
+    r mod 256 is replicate r's first chunk; the stream keyed (seed, r) at
+    counter 0 gives the rest in 64-event chunks."""
+    seed_word = seed & 0xFFFFFFFFFFFFFFFF
+    for b in range(-(-replicates // 256)):
+        block = _philox(seed_word, b, counter=1)
+        exps = block.standard_exponential((256, 16))
+        unis = block.random((256, 16, 3))
+        for r in range(256 * b, min(256 * (b + 1), replicates)):
+            yield _FirstChunkThen(exps[r % 256], unis[r % 256],
+                                  _philox(seed_word, r))
+
+
 def per_replicate_pmf(config):
-    """estimate_pmf one replicate at a time: simulate_path on a generator
-    built afresh for each Philox stream keyed (seed, replicate), with the
-    per-state tally and pmf arithmetic of estimate_pmf.  Returns the pmf,
-    the capped count, and the replicate and event totals."""
+    """estimate_pmf one replicate at a time: simulate_path on each
+    replicate's generator from replicate_rngs, with the per-state tally and
+    pmf arithmetic of estimate_pmf.  Returns the pmf, the capped count, the
+    replicate and event totals and the events of each path."""
     samplers = sim._samplers(config.model)
-    seed_word = config.seed & 0xFFFFFFFFFFFFFFFF
     n = config.replicates
-    counts, capped, events = {}, 0, 0
-    for rep in range(n):
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([seed_word, rep], dtype=np.uint64)))
+    counts, capped, lengths = {}, 0, []
+    for rng in replicate_rngs(config.seed, n):
         path = sim.simulate_path(config.model, config.initial, config.horizon,
                                  rng, state_cap=config.state_cap,
                                  _samplers_cache=samplers)
-        events += path.events
+        lengths.append(path.events)
         if path.capped:
             capped += 1
         else:
@@ -155,4 +191,4 @@ def per_replicate_pmf(config):
     for state, cnt in counts.items():
         pmf[state] = cnt / n
     return SimpleNamespace(pmf=pmf, capped_count=capped, replicates=n,
-                           events=events)
+                           events=sum(lengths), lengths=lengths)

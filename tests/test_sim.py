@@ -11,7 +11,7 @@ from mbpilab import (AliasTable, ModelError, SimConfig, estimate_pmf,
                      simulate_path, stable_model, transition_probs)
 from mbpilab import sim, telemetry
 from mbpilab.sim import _samplers, sim_csv, zscore_table
-from oracles import per_replicate_pmf
+from oracles import per_replicate_pmf, replicate_rngs
 
 
 def _rng(seed=1, rep=0):
@@ -95,19 +95,20 @@ def test_path_event_log_pinned(g025_small):
 
 
 # sha256 of sim_csv(estimate_pmf(config)) for fixed configs on g025_small,
-# taken from the per-replicate generator build (one Philox and one
-# Generator per replicate) with numpy-scalar event arithmetic.  Any change
-# of stream, draw order or floating-point operation changes a digest.
+# taken from the scalar oracle (oracles.per_replicate_pmf: simulate_path on
+# generators built afresh from the description of the block layout, one
+# replicate at a time), not from the lanes.  Any change of stream, chunk
+# layout, draw order or floating-point operation changes a digest.
 GOLDEN_SIM = [
     (dict(horizon=2.0, replicates=2000, seed=123),
-     "30b092ffcecfe6474ccbc34579756f56b0fd21136ee7cdb138dcd94d9b491da2"),
+     "5c7edbb226a0729f26bccb001e7a5b629b099a524040b3946302b25618bd603b"),
     (dict(horizon=4.0, replicates=1500, seed=7, initial=5),
-     "5e02357771eeef0efe9d8b5fb9d4b00382e06cdc3304a275999ad6f279816602"),
+     "1ef538a51ab5074fcddcce05ffdc48e8e3ef2c412e1893d781b0fc6648709a40"),
     (dict(horizon=5.0, replicates=500, seed=3, initial=1, state_cap=2),
-     "f6310d5646ba2ff54751c9d0e5d3b01e438e2425136afa176a7c0cb203714a3d"),
+     "3821df07bc23c079ab409f200f71eb6611e4ed8785946357c089a334c43540a4"),
     (dict(horizon=5.0, replicates=800, seed=2 ** 63 + 5, initial=2,
           state_cap=40),
-     "f30a91f2e6a16e00a2d8b534e05e930f96e00728cf4e73a3116453318a16d14f"),
+     "9710b6a1578499d8969b963cadd419096f3ac1e2812eb3d1aa5bccfc353b0879"),
 ]
 
 
@@ -160,7 +161,7 @@ def test_state_cap_reported(g025_small):
                     initial=1, state_cap=2)
     res = estimate_pmf(cfg)
     assert res.capped_count > 0
-    assert res.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert res.pmf.sum() + res.capped_fraction == pytest.approx(1.0, abs=1e-12)
     assert res.pmf.size <= 2
 
 
@@ -240,6 +241,13 @@ LANE_CASES = {
                                    replicates=40, seed=14, initial=5),
     "infinite_horizon": dict(horizon=np.inf, replicates=40, seed=15,
                              state_cap=200),
+    # one full block of 256 first chunks and one replicate of the next
+    "partial_last_block": dict(horizon=2.0, replicates=257, seed=10),
+    # three paths take exactly the 16 events of their first chunk, so
+    # their first refill comes at event 16 and draws nothing they use;
+    # four take more
+    "first_refill_at_16": dict(horizon=3.0, replicates=40, seed=20,
+                               initial=2),
 }
 
 
@@ -259,8 +267,12 @@ def test_lanes_match_per_replicate_loop(request, monkeypatch, case, lanes,
     assert result.capped_count == expected.capped_count
     assert record.counters["sim.replicates"] == expected.replicates
     assert record.counters["sim.events"] == expected.events
-    if case in ("refills", "window_crosses_refill"):
+    if case in ("refills", "window_crosses_refill", "first_refill_at_16"):
         assert record.counters["sim.refills"] > 0
+    if case == "first_refill_at_16":
+        assert 16 in expected.lengths
+    assert record.counters["sim.blocks"] == -(-config.replicates // 256)
+    assert record.counters["sim.event_free"] == expected.lengths.count(0)
     if case in ("cap_next_state", "cap_mid_window", "infinite_horizon"):
         assert result.capped_count > 0
 
@@ -310,11 +322,12 @@ def test_horizon_on_an_event_time(g025_small):
                                      replicates=1, seed=seed, initial=3))
         return int(np.flatnonzero(res.pmf)[0])
 
-    # the first event of 40 paths, and every 20th of a 1431-event path
-    logs = [simulate_path(g025_small, 3, 20.0, _rng(seed=seed),
+    # the first event of 40 paths, and every 56th of a 4036-event path with
+    # the last event of its first chunk and the first of its own stream
+    logs = [simulate_path(g025_small, 3, 20.0, next(replicate_rngs(seed, 1)),
                           collect_events=True).log for seed in range(40)]
     checks = ([(seed, 0) for seed in range(40)]
-              + [(8, k) for k in range(1, 1431, 20)])
+              + [(8, k) for k in [15, 16, *range(1, 4036, 56)]])
     for seed, k in checks:
         time, _, state = logs[seed][k]
         before = logs[seed][k - 1][2] if k else 3
@@ -323,9 +336,9 @@ def test_horizon_on_an_event_time(g025_small):
 
 
 def test_lane_steps_take_many_events(g025_small):
-    # A step takes a lane through up to _WINDOW events: here 149 steps for
-    # 41,322 events (0.0036 a step).  Steps of one event each take 4501
-    # (0.11), so the bound of 1/100 fails them.
+    # A step takes a lane through up to _WINDOW events: here 213 steps for
+    # 69,645 events (0.0031 a step).  Steps of one event each take 6219
+    # (0.089), so the bound of 1/100 fails them.
     config = SimConfig(model=g025_small, horizon=5.0, replicates=2000, seed=7)
     with telemetry.recording() as record:
         estimate_pmf(config)
