@@ -19,7 +19,8 @@ a negative time, |s| > 1, a radius outside (0, 1), zero replicates, a law
 parameter out of its range.
 
 Exit codes: 0 all requested verdicts pass, 1 some verdict failed,
-2 configuration parse error, 3 precondition violation, 4 numeric failure.
+2 configuration parse error, 3 precondition violation, 4 numeric failure
+(a NumericsError or a float overflow).
 """
 
 from __future__ import annotations
@@ -215,6 +216,8 @@ def _task_invariant(model, task, out, verdicts):
                         f"|sum+tail-1| = {defect:.3e}")
     tau, tol = task["tau"], task["residual_tol"]
     report = invariants.check_invariance(measure, model, tau)
+    for term, value in report.components.items():
+        telemetry.put(f"invariance.{term}", value)
     verdicts.record("invariance", report.ok(tol),
                     f"max residual {report.max_residual:.3e} (tol {tol:g}, "
                     f"tau {tau:g})")
@@ -436,7 +439,7 @@ def run_config(path: str, out_dir=None, seed=None, strict: bool = False) -> int:
         except ModelError as exc:
             print(f"model error: {exc}", file=sys.stderr)
             return 3
-        except NumericsError as exc:
+        except (NumericsError, OverflowError) as exc:
             print(f"numeric failure in stage '{record.stage_of(exc)}': {exc}",
                   file=sys.stderr)
             return 4

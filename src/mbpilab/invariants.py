@@ -184,7 +184,7 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
     if j_max is None:
         j_max = I // 2
     rows = transition_rows(model, I, tau, J_out=j_max, M=sample_count(j_max, 1024))
-    predicted = m @ rows.values
+    predicted = np.einsum("i,ij->j", m, rows.values)  # off threaded BLAS
     residuals = np.abs(predicted - m[:j_max + 1])
     worst = int(np.argmax(residuals))
     mass = float(np.sum(np.abs(m)))

@@ -4,11 +4,13 @@ Two engines are provided on top of the classical (G7, K15) pair:
 
 * ``adaptive_quadrature`` -- a worst-panel-first refinement loop, meant for
   scalar or small-batch integrands.
-* ``doubling_quadrature`` -- composite K15 on n0 equal panels, accepted on
-  its own embedded |K15 - G7| estimate, doubling the panel count only when
-  that estimate misses the tolerance (or until two successive levels
-  agree); memory stays O(batch), which makes it the right engine for
-  integrands evaluated simultaneously at many circle points.
+* ``doubling_quadrature`` -- composite K15 on 1, 2, 4, ... equal panels,
+  accepted on its own embedded |K15 - G7| estimate, doubling the panel
+  count only when that estimate misses the tolerance (or until two
+  successive levels agree); every accepted error is floored at QUADPACK's
+  roundoff bound 50 eps resabs.  Memory stays O(batch), which makes it the
+  right engine for integrands evaluated simultaneously at many circle
+  points.
 
 Each call of either engine reports once to ``telemetry``: ``quad.calls``,
 ``quad.panels``, ``quad.levels`` (levels evaluated, or bisections),
@@ -53,6 +55,8 @@ _XK = np.concatenate((-_XK_POS[:-1], _XK_POS[::-1]))
 _WK = np.concatenate((_WK_POS[:-1], _WK_POS[::-1]))
 _GIDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.concatenate((_WG_POS[:-1], _WG_POS[::-1]))
+# QUADPACK's roundoff floor on an accepted error, in units of resabs
+_ROUNDOFF = 50 * np.finfo(float).eps
 
 
 def kronrod_rule():
@@ -61,16 +65,18 @@ def kronrod_rule():
 
 
 def _eval_panel(fun, lo, hi):
-    """K15 sum over one panel and its per-entry |K15 - G7|; the (15, batch)
-    integrand array is freed on return."""
+    """K15 sum over one panel, its per-entry |K15 - G7| and the K15 sum of
+    |f| (QUADPACK's resabs); the (15, batch) integrand array is freed on
+    return.  The sums are einsum reductions, not matrix products, so that
+    they stay off threaded BLAS."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     fx = np.asarray(fun(mid + half * _XK))
     if fx.ndim == 1:
         fx = fx[:, None]
-    i15 = half * (_WK @ fx)
-    i7 = half * (_WG @ fx[_GIDX])
-    return i15, np.abs(i15 - i7)
+    i15 = half * np.einsum("k,kb->b", _WK, fx)
+    i7 = half * np.einsum("k,kb->b", _WG, fx[_GIDX])
+    return i15, np.abs(i15 - i7), half * np.einsum("k,kb->b", _WK, np.abs(fx))
 
 
 def _report(panels, levels, width, err):
@@ -97,7 +103,7 @@ def adaptive_quadrature(fun, a, b, rtol=1e-10, max_panels=4096,
     total = None
     counter = 0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _eval_panel(fun, lo, hi)
+        val, err, _ = _eval_panel(fun, lo, hi)
         total = val if total is None else total + val
         heapq.heappush(heap, (-float(np.max(err)), counter, lo, hi, val))
         counter += 1
@@ -115,8 +121,8 @@ def adaptive_quadrature(fun, a, b, rtol=1e-10, max_panels=4096,
                 f"{max_panels} panels (err={err_total:.3g}, scale={scale:.3g})")
         _, _, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        left, erl = _eval_panel(fun, lo, mid)
-        right, erh = _eval_panel(fun, mid, hi)
+        left, erl, _ = _eval_panel(fun, lo, mid)
+        right, erh, _ = _eval_panel(fun, mid, hi)
         bisections += 1
         total = total - val + left + right
         heapq.heappush(heap, (-float(np.max(erl)), counter, lo, mid, left))
@@ -126,39 +132,43 @@ def adaptive_quadrature(fun, a, b, rtol=1e-10, max_panels=4096,
 
 
 def _composite(fun, a, b, n_panels):
-    """Composite K15 sum over ``n_panels`` equal panels and the per-entry sum
-    of the panels' |K15 - G7|."""
+    """Composite K15 sum over ``n_panels`` equal panels with the per-entry
+    sums of the panels' |K15 - G7| and resabs."""
     edges = np.linspace(a, b, n_panels + 1)
-    total = est = None
+    sums = None
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _eval_panel(fun, lo, hi)
-        total = val if total is None else total + val
-        est = err if est is None else est + err
-    return total, est
+        parts = _eval_panel(fun, lo, hi)
+        sums = parts if sums is None else [x + y for x, y in zip(sums, parts)]
+    return sums
 
 
-def doubling_quadrature(fun, a, b, rtol=1e-10, n0=8, max_doublings=10):
+def doubling_quadrature(fun, a, b, rtol=1e-10, n0=1, max_doublings=13):
     """Composite K15 integration on n0, 2 n0, ... equal panels.  Memory is
     O(batch).
 
     A level is accepted when, for every batch entry, its embedded estimate
     (the sum over panels of |K15 - G7|) is at most ``rtol * |K15|`` (with a
-    floor of 1e-300);
-    the error returned is then the largest such estimate.  Otherwise the
-    panel count doubles, and a level is also accepted when it agrees with
-    the one before to the same tolerance (the error returned is then the
-    largest difference).  Raises :class:`NumericsError` when neither test
-    passes within ``max_doublings`` doublings.
+    floor of 1e-300).  Otherwise the panel count doubles, and a level is
+    also accepted when it agrees with the one before to the same tolerance,
+    the difference then standing as the estimate.  Either estimate can
+    undercut the level's own roundoff, so it is floored at QUADPACK's bound
+    50 eps resabs (resabs the K15 sum of |f|); the error returned is the
+    largest floored estimate.  So an integrand that cancels past
+    resabs / |value| ~ rtol / (50 eps) fails every level.  Raises
+    :class:`NumericsError` when neither test passes within
+    ``max_doublings`` doublings (by default up to 8192 panels).
     """
     if not b > a:
         raise ValueError("integration interval must have b > a")
     n, prev, panels = n0, None, 0
     for level in range(1, max_doublings + 2):
-        cur, err = _composite(fun, a, b, n)
+        cur, est, resabs = _composite(fun, a, b, n)
         panels += n
         tol = 1e-300 + rtol * np.maximum(np.abs(cur), 1e-300)
+        floor = _ROUNDOFF * resabs
+        err = np.maximum(est, floor)
         if prev is not None and not np.all(err <= tol):
-            err = np.abs(cur - prev)
+            err = np.maximum(np.abs(cur - prev), floor)
         if np.all(err <= tol):
             _report(panels, level, cur.size, float(np.max(err)))
             return cur, float(np.max(err))

@@ -4,18 +4,20 @@ import json
 import math
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbpilab import kernel, rate_theorem2
+from mbpilab import invariants, kernel, rate_theorem2
 from mbpilab.cli import (SCHEMA, Interval, _parse, _sim_config, _values,
                          build_model, load_config, main, run_config)
 from mbpilab.cli import ConfigError
 from mbpilab.errors import NumericsError
+from mbpilab.inversion import suggest_radius
 from oracles import per_replicate_pmf
 
 RECURRENT = """
@@ -208,17 +210,48 @@ def test_invariant_task(tmp_path):
 
 
 def test_invariant_quadrature_counters(tmp_path):
-    # every circle quadrature of the run is accepted on its first level
+    # the run's one circle quadrature starts from one panel and doubles the
+    # count at each further level: 1 + 2 + ... + 2**(levels - 1) panels
     cfg = write(tmp_path, RECURRENT.format(
         task="invariant", extra="j_out = 256\nsamples = 8192",
         out=tmp_path / "out"))
     assert run_config(cfg) == 0
     counters = json.loads((tmp_path / "out" / "stats.json").read_text())["counters"]
-    assert counters["quad.calls"] >= 1
-    assert counters["quad.panels"] == 8 * counters["quad.calls"]
-    assert counters["quad.levels"] == counters["quad.calls"]
-    assert counters["quad.integrand_values"] == 15 * 8 * 4097
+    assert counters["quad.calls"] == 1
+    assert counters["quad.panels"] == 2 ** counters["quad.levels"] - 1
+    assert counters["quad.integrand_values"] == 15 * counters["quad.panels"] * 4097
     assert 0.0 <= counters["quad.max_error"] < 1e-10
+
+
+@pytest.mark.parametrize("text,kind", [(RECURRENT, "distribution"),
+                                       (TRANSIENT, "measure")])
+def test_stats_json_invariance_terms(tmp_path, text, kind):
+    # the terms check_invariance computes beside its residual
+    extra = "j_out = 64\nsamples = 1024\nresidual_tol = 1"
+    cfg = write(tmp_path, text.format(task="invariant", extra=extra, d=0.25,
+                                      out=tmp_path / "out"))
+    assert run_config(cfg) == 0
+    counters = json.loads((tmp_path / "out" / "stats.json").read_text())["counters"]
+    model = build_model(load_config(cfg)["model"])
+    measure = invariants.extract_measure(
+        model, J_out=64, r=suggest_radius(64, 1024, target=1e-10), M=1024)
+    assert measure.kind == kind
+    report = invariants.check_invariance(measure, model, 1.0)
+    assert {f"invariance.{term}": value
+            for term, value in report.components.items()} == {
+        key: value for key, value in counters.items()
+        if key.startswith("invariance.")}
+
+
+def test_overflow_exits_4(tmp_path, capsys):
+    # script_N takes (nu t) ** (1 / nu) as a Python float, which overflows
+    # after numpy's overflow warnings, printed as the CLI prints them
+    out = tmp_path / "out"
+    path = write(tmp_path, _config(out, "lemmas", t_max="1e300", points="7"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", RuntimeWarning)
+        assert run_config(path) == 4
+    assert "numeric failure in stage 'task'" in capsys.readouterr().err
 
 
 def test_numerics_error_names_its_stage(tmp_path, capsys, monkeypatch):
@@ -400,6 +433,65 @@ def test_any_refused_value_exits_2(case):
         path = Path(tmp) / "config.ini"
         path.write_text(_config(out, "validate", **{key: value}))
         _exits_2_naming(str(path), out, key)
+
+
+# values at and past the edges of every kind in the schema: non-finite,
+# negative, zero, tiny, huge, overflowing, lists, and no number at all
+_WILD = ["nan", "inf", "-inf", "-1", "0", "1", "2", "0.5", "-1e300", "1e300",
+         "1e-300", "1e999", str(10 ** 30), "abc", "", "1,nan", "0.5,2"]
+_EDGES = (-1e300, -1.0, -1e-300, 0.0, 1e-300, 0.5, 1.0, 2.0, 1e300)
+# sizes that keep a run of any task short unless a drawn key replaces them;
+# a path runs to state_cap when immigration is huge (d = 1e300)
+_SHORT = {"replicates": "200", "samples": "1024", "j_out": "32", "points": "7",
+          "horizon": "1.0", "state_cap": "1000"}
+
+
+def _admitted(kind):
+    """Strategies for texts that ``kind`` admits: words, the low end of a
+    count's range, and the edges within a number's range.  The caps admit
+    runs of minutes (10^7 replicates, a compare at horizon 10^4), which no
+    wall bound per example could hold, so no count is drawn near its cap."""
+    if isinstance(kind, frozenset):
+        return st.sets(st.sampled_from(sorted(kind)), min_size=1).map(",".join)
+    if isinstance(kind, tuple) and isinstance(kind[0], str):
+        return st.sampled_from(kind)
+    if kind is int:
+        return st.integers(-2 ** 70, 2 ** 70).map(str)
+    if isinstance(kind, (range, tuple)):
+        return st.sampled_from(kind[:4]).map(str)
+    if kind is list:
+        return st.lists(st.sampled_from(_EDGES), min_size=1, max_size=3).map(
+            lambda values: ",".join(map(repr, values)))
+    edges = [repr(v) for v in _EDGES
+             if not isinstance(kind, Interval) or kind.lo <= v <= kind.hi]
+    return st.sampled_from(edges + ([kind] if isinstance(kind, str) else []))
+
+
+_KEYS = sorted(key for name, keys in SCHEMA.items() if name != "output"
+               for key in keys)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(SCHEMA["task"]["name"][1]),
+       st.lists(st.sampled_from(_KEYS).flatmap(lambda key: st.tuples(
+           st.just(key), _admitted(_kind(key)) | st.sampled_from(_WILD))),
+           min_size=1, max_size=4).map(dict))
+def test_any_generated_config_exits_with_a_documented_code(task, values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.ini"
+        path.write_text(_config(Path(tmp) / "out", task, **{**_SHORT, **values}))
+        err = io.StringIO()
+        started = time.perf_counter()
+        # extreme values overflow numpy on the way to a verdict or an exit
+        # code; the CLI prints such warnings, where the suite raises them
+        with warnings.catch_warnings(), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("default", RuntimeWarning)
+            code = run_config(str(path))
+        assert code in range(5)
+        assert "Traceback" not in err.getvalue()
+        assert time.perf_counter() - started < 5.0
 
 
 @pytest.mark.parametrize("task", ["simulate", "compare"])

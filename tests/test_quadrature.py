@@ -1,11 +1,16 @@
+import contextlib
+import io
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mbpilab import telemetry
+from mbpilab import asymptotics, kernel, telemetry
+from mbpilab.cli import run_config
 from mbpilab.errors import NumericsError
 from mbpilab.quadrature import (adaptive_quadrature, doubling_quadrature,
                                 kronrod_rule)
@@ -137,15 +142,18 @@ def test_doubling_accepts_the_first_level_on_its_own_estimate():
     val, err = doubling_quadrature(fun, a, b, rtol=1e-10, n0=8)
     assert fun.calls == 8
     assert np.all(np.abs(val - exact) <= 1e-10 * np.abs(exact))
-    # the error is the largest entry of the sum over panels of |K15 - G7|
+    # the error is the largest entry of the sum over panels of |K15 - G7|,
+    # floored at 50 eps times the sum over panels of the K15 sum of |f|
     nodes, wk, gidx, wg = kronrod_rule()
     edges = np.linspace(a, b, 9)
-    est = 0.0
+    est = resabs = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
         fx = fun(0.5 * (lo + hi) + half * nodes)
         est = est + np.abs(half * (wk @ fx) - half * (wg @ fx[gidx]))
-    assert err == pytest.approx(np.max(est), rel=1e-12, abs=0.0)
+        resabs = resabs + half * (wk @ np.abs(fx))
+    floored = np.maximum(est, 50 * np.finfo(float).eps * resabs)
+    assert err == pytest.approx(np.max(floored), rel=1e-12, abs=0.0)
     assert 0.0 < err <= 1e-10 * np.max(np.abs(exact))
 
 
@@ -199,3 +207,97 @@ def test_quadrature_reports_once_per_call():
     assert record.counters["quad.integrand_values"] == 15 * fun.calls
     assert fine != coarse
     assert record.counters["quad.max_error"] == max(fine, coarse)
+
+
+def _exp_integral(c, a, b):
+    """integral_a^b exp(c x) dx to 30 digits."""
+    with mp.workdps(30):
+        c, a, b = mp.mpc(c), mp.mpf(a), mp.mpf(b)
+        exact = (mp.exp(c * b) - mp.exp(c * a)) / c if c else b - a
+        return complex(exact)
+
+
+_RATE = st.builds(complex, st.floats(-6.0, 3.0), st.floats(-12.0, 12.0))
+
+
+@given(rates=st.lists(_RATE, max_size=4),
+       damped=st.lists(st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 12.0)),
+                       max_size=4),
+       a=st.floats(-1.0, 1.0), length=st.floats(1e-3, 5.0))
+@example(rates=[], damped=[(1.0, 7.0)], a=0.0, length=5.0)
+@example(rates=[], damped=[(1.0, 0.0)], a=0.0, length=2.0 ** -9)
+def test_doubling_from_one_panel_covers_closed_forms(rates, damped, a, length):
+    # a batch of exp(c x) and of damped cosines exp(-lam x) cos(om x) =
+    # Re exp((-lam + i om) x) on [a, b], from the default start of one panel.
+    # The examples are DAMPED and exp(-x) on [0, 2**-9], where K15 and G7
+    # agree exactly: without the roundoff floor the error reported is 0,
+    # the actual error 2.2e-19
+    assume(rates or damped)
+    b = a + length
+    lam = np.array([x for x, _ in damped])
+    om = np.array([w for _, w in damped])
+
+    def fun(x):
+        return np.hstack((np.exp(np.outer(x, rates)),
+                          np.cos(np.outer(x, om)) * np.exp(-np.outer(x, lam))))
+
+    exact = np.array([_exp_integral(c, a, b) for c in rates]
+                     + [_exp_integral(complex(-x, w), a, b).real
+                        for x, w in damped])
+    # integral of |f| is at most that of exp(Re(c) x)
+    bound = np.array([_exp_integral(c.real, a, b).real for c in rates]
+                     + [_exp_integral(-x, a, b).real for x, _ in damped])
+    try:
+        val, err = doubling_quadrature(fun, a, b)
+    except NumericsError:
+        # the roundoff floor 50 eps resabs fails every level only for an
+        # entry that cancels past resabs / |value| ~ rtol / (50 eps) ~ 9e3
+        assert np.max(bound / np.maximum(np.abs(exact), 1e-300)) > 1e3
+        return
+    assert np.all(np.abs(val - exact) <= err)
+
+
+# the benchmark's workloads (bench/workloads.py): each (model, task) runs
+# through the CLI; compare at fewer replicates, which its quadrature does
+# not see, and j_out = 64
+WORKLOAD_MODELS = {
+    "g025": "nu = 0.5\ndelta = 0.75",
+    "gneg": "nu = 0.75\ndelta = 0.5",
+    "gneg_pert": "nu = 0.75\ndelta = 0.5\nkappa_immigration = 1.0",
+    "g025_pert_off": "nu = 0.5\ndelta = 0.75\nkappa_offspring = 1.0",
+}
+WORKLOADS = {
+    "rates": ([(m, t, "") for m in ("g025", "gneg_pert")
+               for t in ("kernel", "rates", "lemmas")], 9),
+    "crosscheck": ([("g025", "compare", "replicates = 200\nhorizon = 5.0\n"
+                     "j_out = 64\nz_max = 1e9")], 1),
+    "invariant": ([(m, "invariant", "") for m in WORKLOAD_MODELS], 5),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_workload_integrals_within_error_of_64_panels(tmp_path, monkeypatch,
+                                                      workload):
+    # every call records its largest gap to a 64-panel evaluation of the
+    # same integrand and the error it reports
+    seen = []
+
+    def checked(fun, a, b):
+        val, err = doubling_quadrature(fun, a, b)
+        ref, _ = doubling_quadrature(fun, a, b, n0=64, max_doublings=0)
+        seen.append((float(np.max(np.abs(val - ref))), err))
+        return val, err
+
+    monkeypatch.setattr(kernel, "doubling_quadrature", checked)
+    monkeypatch.setattr(asymptotics, "doubling_quadrature", checked)
+    tasks, calls = WORKLOADS[workload]
+    for k, (model, task, extra) in enumerate(tasks):
+        path = tmp_path / f"{k}.ini"
+        path.write_text(f"[model]\n{WORKLOAD_MODELS[model]}\ntruncation = 2000\n"
+                        f"[task]\nname = {task}\n{extra}\n"
+                        f"[output]\ndir = {tmp_path / str(k)}\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_config(str(path)) == 0
+    assert len(seen) == calls
+    for gap, err in seen:
+        assert gap <= err
