@@ -9,11 +9,10 @@ from .laws import (BranchingLaw, ImmigrationLaw, ModelSpec,
                    stable_model, validate_law)
 from .rvcalc import (RVContext, SlowlyVaryingSpec, check_sv_remainder,
                      sv_constant, sv_log, sv_perturbed)
-from .kernel import (GFValue, compute_P, compute_P_i, exact_R, solve_F,
+from .kernel import (METHODS, GFValue, compute_P, exact_R, solve_F,
                      transition_grid, transition_probs, transition_rows)
 from .invariants import (InvariantMeasure, check_invariance, compute_B,
-                         compute_U, compute_pi, extract_measure, ratio_limits,
-                         series_coefficients)
+                         extract_measure, ratio_limits, series_coefficients)
 from .asymptotics import (RateFit, check_lemma1, check_lemma2, check_lemma3,
                           check_lemma4, fit_loglog, rate_corollary1,
                           rate_theorem1, rate_theorem2, uniformity_ratio)
@@ -26,11 +25,10 @@ __all__ = [
     "validate_law",
     "RVContext", "SlowlyVaryingSpec", "check_sv_remainder",
     "sv_constant", "sv_log", "sv_perturbed",
-    "GFValue", "solve_F", "exact_R", "compute_P", "compute_P_i",
+    "METHODS", "GFValue", "solve_F", "exact_R", "compute_P",
     "transition_grid", "transition_probs", "transition_rows",
-    "InvariantMeasure", "compute_U", "compute_B", "compute_pi",
-    "extract_measure", "check_invariance", "ratio_limits",
-    "series_coefficients",
+    "InvariantMeasure", "compute_B", "extract_measure", "check_invariance",
+    "ratio_limits", "series_coefficients",
     "RateFit", "fit_loglog", "rate_theorem1", "rate_theorem2",
     "rate_corollary1", "uniformity_ratio",
     "check_lemma1", "check_lemma2", "check_lemma3", "check_lemma4",

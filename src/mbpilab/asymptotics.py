@@ -107,7 +107,7 @@ def rate_theorem1(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
         raise ModelError("theorem-1 rate check expects s in [0, 0.95]")
     t_grid = np.asarray(t_grid, dtype=float)
     ctx = model.context()
-    R = flow_on_grid(model, [s], t_grid, method="ode", rtol=1e-12)[:, 0]
+    R = flow_on_grid(model, [s], t_grid, method="quad", rtol=1e-12)[:, 0]
     tail, _ = gf_integral_to_one(model, one_minus_s=R)
     errors = np.abs(np.expm1(-np.real(tail)))
     tau = np.array([ctx.tau(float(t)) for t in t_grid])

@@ -184,13 +184,9 @@ def _task_validate(model, task, out, verdicts):
 def _task_kernel(model, task, out, verdicts):
     tol, t_list, s_list = task["tol"], task["t_list"], task["s_list"]
     logp, R, err = kernel.compute_P_grid(model, s_list, t_list, method="quad")
-    values = [kernel.GFValue(t=t, s=s, F=1.0 - R[a, b] if t else s, R=R[a, b],
-                             P=np.exp(logp[a, b]), logP=logp[a, b],
-                             error_estimate=err)
-              for a, t in enumerate(t_list) for b, s in enumerate(s_list)]
-    (out / "kernel.csv").write_text(kernel.gf_table_csv(values))
+    (out / "kernel.csv").write_text(kernel.gf_table_csv(t_list, s_list, logp, R, err))
     if model.offspring.closed_form:
-        exact = kernel.flow_on_grid(model, s_list, t_list, method="exact")
+        exact = kernel.flow_on_grid(model, s_list, t_list, method="closed")
         worst = float(np.max(np.abs(R - exact) / np.maximum(np.abs(exact), 1e-300)))
         verdicts.record("kernel_oracle", worst <= tol,
                         f"max_rel_err {worst:.3e} (tol {tol:g})")

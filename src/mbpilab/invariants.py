@@ -35,12 +35,6 @@ from .kernel import (gf_integral_to_one, regularized_integral_to_one,
 from .laws import ModelSpec, _signed_binomials
 
 
-def compute_U(model: ModelSpec, s):
-    """Invariant-distribution generating function U(s), gamma > 0 only."""
-    val, _ = gf_integral_to_one(model, s)
-    return np.exp(val)
-
-
 def compute_B(model: ModelSpec, s):
     """Bounded factor B(s) of the transient limit (regularized integral)."""
     val, _ = regularized_integral_to_one(model, s)
@@ -57,11 +51,6 @@ def _log_pi_and_error(model: ModelSpec, s):
     reg, err = regularized_integral_to_one(model, s)
     w0 = 1.0 - np.asarray(s, dtype=complex if np.iscomplexobj(s) else float)
     return w0 ** (-abs(model.gamma)) + reg, err
-
-
-def compute_pi(model: ModelSpec, s):
-    """Transient limit generating function pi(s) (raw scale)."""
-    return np.exp(log_pi(model, s))
 
 
 def series_coefficients(model: ModelSpec, kind: str, J: int) -> np.ndarray:

@@ -28,6 +28,23 @@ from .laws import BranchingLaw, ModelSpec
 from .quadrature import doubling_quadrature
 from .rvcalc import power_form
 
+# The routes of every kernel function that takes a ``method``:
+#   "closed"  the stable-family closed forms: exact_R for the flow, the
+#             antiderivative for log P;
+#   "quad"    numerics on the law's preferred evaluation: the flow ODE, and
+#             quadrature of log P with the tail-function integrand;
+#   "series"  numerics on the truncated series end to end: the exact kernel
+#             of the truncated law, e.g. for simulator cross-checks;
+#   "auto"    "closed" where the layer has an exact closed form, else "quad".
+# The laws evaluate with mode = "auto" | "closed" | "series" in the same sense.
+METHODS = ("auto", "closed", "quad", "series")
+
+
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ModelError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
 # Dormand-Prince 5(4) embedded pair.
 _DP_A = (
     (),
@@ -169,17 +186,12 @@ def exact_R(law: BranchingLaw, t: float, s) -> np.ndarray:
 
 def solve_F(model, t: float, s, rtol: float = 1e-10,
             method: str = "auto") -> GFValue:
-    """F(t; s) and R(t; s) for |s| <= 1, t >= 0.
+    """F(t; s) and R(t; s) for |s| <= 1, t >= 0: the single-time view of
+    :func:`flow_on_grid` (``method`` one of :data:`METHODS`).
 
-    method: "auto" takes the closed form when the offspring law has one,
-    otherwise integrates the flow; "ode" forces the integrator with the
-    law's preferred evaluation; "ode-series" forces the truncated-series
-    right-hand side (the exact flow of the truncated law).
-
-    The ODE routes integrate w = R**(-nu), in which the flow is close to
-    linear (see :func:`flow_on_grid`), and hold R to the relative tolerance
-    rtol; there is no absolute floor, since R decays through many orders of
-    magnitude but never reaches 0 for s != 1.
+    The ODE routes hold R to the relative tolerance rtol; there is no
+    absolute floor, since R decays through many orders of magnitude but
+    never reaches 0 for s != 1.
     """
     s_arr, scalar = _as_batch(s)
     R = flow_on_grid(model, s_arr, [t], method=method, rtol=rtol)[0]
@@ -188,22 +200,33 @@ def solve_F(model, t: float, s, rtol: float = 1e-10,
                    error_estimate=_flow_error(model, t, method, rtol))
 
 
+def _flow_route(model, method: str) -> str:
+    """The flow route ``method`` names, "auto" resolved: "closed" when the
+    offspring law has a closed form, else "quad"."""
+    _check_method(method)
+    if method == "auto":
+        return "closed" if _offspring(model).closed_form else "quad"
+    return method
+
+
 def _flow_error(model, t: float, method: str, rtol: float) -> float:
     """The error :func:`solve_F` reports for the flow to t: none at t = 0,
     roundoff on the closed-form route, else the tolerance."""
     if t == 0:
         return 0.0
-    exact = method == "exact" or (method == "auto" and _offspring(model).closed_form)
-    return 4.0 * np.finfo(float).eps if exact else rtol
+    closed = _flow_route(model, method) == "closed"
+    return 4.0 * np.finfo(float).eps if closed else rtol
 
 
 def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
                  rtol: float = 1e-10) -> np.ndarray:
-    """R(t; s), shape (len(t_grid), len(s_batch)), rows in the caller's order.
+    """R(t; s), shape (len(t_grid), len(s_batch)), rows in the caller's order,
+    by the route ``method`` of :data:`METHODS`: "closed" is :func:`exact_R`,
+    "quad" and "series" integrate the flow ODE with the law's preferred or
+    its truncated-series evaluation.
 
     The flow is autonomous, F(t2; s) = F(t2 - t1; F(t1; s)), so the ODE routes
-    march once along the sorted distinct times for the whole batch.  ``method``
-    follows :func:`solve_F`.
+    march once along the sorted distinct times for the whole batch.
 
     The ODE routes integrate w = R**(-nu) (nu = law.nu, or 1 for a law that
     declares none), in which the flow reads dw/dt = nu (w/R) f(1-R).  For a
@@ -219,23 +242,22 @@ def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
     s = 1 stay at R = 0 and never enter the integrator.
     """
     law = _offspring(model)
+    route = _flow_route(law, method)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     s_arr = np.atleast_1d(np.asarray(s_batch, dtype=complex))
     if np.any(t_grid < 0):
         raise ModelError("time must be nonnegative")
     if np.any(np.abs(s_arr) > 1 + 1e-12):
         raise ModelError("the flow needs |s| <= 1")
-    if method == "auto":
-        method = "exact" if law.closed_form else "ode"
     times, order = np.unique(t_grid, return_inverse=True)
     R = np.zeros((times.size, s_arr.size), dtype=complex)
     R[times == 0] = 1.0 - s_arr
     positive = times > 0
-    if method == "exact":
+    if route == "closed":
         for row in np.flatnonzero(positive):
             R[row] = exact_R(law, float(times[row]), s_arr)
-    elif method in ("ode", "ode-series"):
-        mode = "series" if method == "ode-series" else "auto"
+    else:
+        mode = "series" if route == "series" else "auto"
         nu = law.nu if law.nu is not None else 1.0
         moving = s_arr != 1.0
 
@@ -247,8 +269,6 @@ def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
             w = _rk45(rhs, (1.0 - s_arr[moving]) ** -nu,
                       times[positive].tolist(), nu * rtol)
             R[np.ix_(positive, moving)] = w ** (-1.0 / nu)
-    else:
-        raise ModelError(f"unknown method {method!r}")
     return R[order]
 
 
@@ -294,7 +314,7 @@ def _series_ratio(model, u):
             / model.offspring.gf(u, mode="series"))
 
 
-def gf_segment_integral(model: ModelSpec, s=None, F=None, integrand: str = "auto",
+def gf_segment_integral(model: ModelSpec, s=None, F=None, method: str = "auto",
                         one_minus_s=None, one_minus_F=None):
     """integral_s^F g(u)/f(u) du along the geometric path
     1-u = exp((1-x) log(1-s) + x log(1-F)), x in [0, 1].
@@ -305,12 +325,16 @@ def gf_segment_integral(model: ModelSpec, s=None, F=None, integrand: str = "auto
     be supplied as 1-s / 1-F directly (``one_minus_*``), which preserves
     full precision when F is exponentially close to 1.
 
-    The "sv" integrand -D w**gamma Lratio(1/w), w = 1-u, is evaluated from
+    ``method`` "series" integrates the truncated-series ratio g/f; every
+    other word of :data:`METHODS` takes the tail-function integrand
+    -D w**gamma Lratio(1/w), w = 1-u, where both laws carry power-form tail
+    specs, else the series.  The tail-function integrand is evaluated from
     logw = log(w0) - x D with no complex power: w**gamma = exp(gamma logw)
     and, in the power forms of the tail specs, (1/w)**(-e) = exp(e logw).
     Both are exact on the principal branch because Re w > 0 along the path
     keeps |Im logw| < pi/2, so Log(exp(logw)) = logw.
     """
+    _check_method(method)
     w0_in = one_minus_s if one_minus_s is not None else 1.0 - np.asarray(s, dtype=complex)
     w1_in = one_minus_F if one_minus_F is not None else 1.0 - np.asarray(F, dtype=complex)
     w0, scalar_s = _as_batch(w0_in)
@@ -318,33 +342,30 @@ def gf_segment_integral(model: ModelSpec, s=None, F=None, integrand: str = "auto
     w0, w1 = np.broadcast_arrays(w0, w1)
     if np.any(w1 == 0):
         raise ModelError("segment integral endpoint F = 1 is singular")
-    if integrand == "auto":
-        integrand = "sv" if _sv_available(model) else "series"
+    tail_form = method != "series" and _sv_available(model)
     logw0 = np.log(w0)
     D = logw0 - np.log(w1)
     dmax = float(np.max(np.abs(D)))
     if dmax < 1e-13:
         logwmid = 0.5 * (logw0 + np.log(w1))
-        if integrand == "sv":
+        if tail_form:
             val = -D * _wgamma_lratio(model.gamma, _tail_terms(model), logwmid)
         else:
             wmid = np.exp(logwmid)
             val = _series_ratio(model, 1.0 - wmid) * wmid * D
         return _unbatch(val, scalar_s), dmax
 
-    if integrand == "sv":
+    if tail_form:
         gamma, terms = model.gamma, _tail_terms(model)
 
         def fun(x):
             logw = logw0[None, :] - x[:, None] * D[None, :]
             return -D[None, :] * _wgamma_lratio(gamma, terms, logw)
-    elif integrand == "series":
+    else:
         def fun(x):
             w = np.exp(logw0[None, :] - x[:, None] * D[None, :])
             u = 1.0 - w
             return _series_ratio(model, u) * w * D[None, :]
-    else:
-        raise ModelError(f"unknown integrand mode {integrand!r}")
     val, err = doubling_quadrature(fun, 0.0, 1.0)
     return _unbatch(val, scalar_s), err
 
@@ -440,50 +461,39 @@ def _closed_logP(model: ModelSpec, w0, R):
     return val
 
 
-# Flow method behind each compute_P method.
-_FLOW_METHOD = {"auto": "auto", "closed": "auto", "quad": "ode", "series": "ode-series"}
-
-
 def compute_P_grid(model: ModelSpec, s_batch, t_grid, rtol: float = 1e-10,
                    method: str = "auto"):
     """(log P, R, error estimate) on a (len(t_grid), len(s_batch)) grid, from
     one :func:`flow_on_grid` march at the relative tolerance ``rtol`` and one
-    closed-form evaluation or batched quadrature of log P (methods as in
-    :func:`compute_P`).  The error estimate is the quadrature's plus the
-    flow's to the last time."""
-    if method not in _FLOW_METHOD:
-        raise ModelError(f"unknown method {method!r}")
+    closed-form evaluation or batched :func:`gf_segment_integral` of log P,
+    both by the route ``method`` of :data:`METHODS`; "auto" takes the
+    closed-form log P for canonical offspring with a stable immigration law.
+    The error estimate is the quadrature's plus the flow's to the last time."""
+    _check_method(method)
     closed = model.has_closed_form and not model.offspring.kappa
     if method == "closed" and not closed:
         raise ModelError("closed-form P needs canonical offspring paired "
                          "with a stable immigration law")
     s_arr = np.atleast_1d(np.asarray(s_batch, dtype=complex))
     t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    R = flow_on_grid(model, s_arr, t_arr, method=_FLOW_METHOD[method], rtol=rtol)
+    R = flow_on_grid(model, s_arr, t_arr, method=method, rtol=rtol)
     one_minus_s = np.broadcast_to(1.0 - s_arr, R.shape).ravel()
     at_one = np.abs(one_minus_s) == 0        # log P = 0 where s = 1
     w0, w1 = np.where(at_one, 1.0, one_minus_s), np.where(at_one, 1.0, R.ravel())
     if method == "closed" or (method == "auto" and closed):
         logp, err = _closed_logP(model, w0, w1), 8.0 * np.finfo(float).eps
     else:
-        logp, err = gf_segment_integral(
-            model, integrand="series" if method == "series" else "auto",
-            one_minus_s=w0, one_minus_F=w1)
+        logp, err = gf_segment_integral(model, method=method,
+                                        one_minus_s=w0, one_minus_F=w1)
     logp = np.where(at_one, 0.0, np.atleast_1d(logp)).reshape(R.shape)
-    flow_err = _flow_error(model, float(t_arr.max()), _FLOW_METHOD[method], rtol)
+    flow_err = _flow_error(model, float(t_arr.max()), method, rtol)
     return logp, R, float(err) + flow_err
 
 
 def compute_P(model: ModelSpec, t: float, s, method: str = "auto") -> GFValue:
     """P(t; s) = P_0(t; s), with its logarithm exposed for scaled limits: the
-    single-time view of :func:`compute_P_grid`.
-
-    log P integrates g/f between s and F(t; s).  method "closed" uses the
-    stable-family antiderivative, method "quad" the quadrature path with the
-    tail-function integrand, method "series" forces the truncated-series
-    law end to end (the exact kernel of the truncated law, e.g. for
-    simulator cross-checks), and "auto" prefers closed when exact.
-    """
+    single-time view of :func:`compute_P_grid`.  log P integrates g/f
+    between s and F(t; s), by the route ``method`` of :data:`METHODS`."""
     s_arr, scalar = _as_batch(s)
     logp, R, err = compute_P_grid(model, s_arr, [t], method=method)
     F = s_arr if t == 0 else 1.0 - R[0]
@@ -500,16 +510,6 @@ def _log_P_i(logP, F, i):
     return np.where(i > 0, np.where(zero, -np.inf, logP + i * log_F), logP)[()]
 
 
-def compute_P_i(model: ModelSpec, i: int, t: float, s) -> GFValue:
-    """P_i(t; s) = F(t; s)**i * P(t; s)."""
-    if i < 0 or int(i) != i:
-        raise ModelError("initial state i must be a nonnegative integer")
-    gv = compute_P(model, t, s)
-    logp = _log_P_i(gv.logP, gv.F, int(i))
-    return GFValue(t=gv.t, s=gv.s, F=gv.F, R=gv.R, P=np.exp(logp), logP=logp,
-                   error_estimate=gv.error_estimate)
-
-
 # Circle samples inverted at once: bounds the memory of a batch of rows
 # (16 rows at M = 1024) without giving up the batched FFT.
 _BLOCK_SAMPLES = 2 ** 14
@@ -524,7 +524,7 @@ def transition_grid(model: ModelSpec, i_values, t_grid, J_out: int,
     (len(t_grid), len(i_values)).
 
     P(t; s) and F(t; s) on the half circle |s| = r come from one
-    :func:`compute_P_grid` march (methods as in :func:`compute_P`); every
+    :func:`compute_P_grid` march (``method`` one of :data:`METHODS`); every
     row is the circle inversion of P_i = F**i P, taken in log space.  The
     rows are inverted in blocks of ``_BLOCK_SAMPLES`` samples (one row at
     least), so memory does not grow with the number of rows.
@@ -587,28 +587,18 @@ def transition_rows(model: ModelSpec, i_max: int, t: float, J_out: int,
     return series
 
 
-def gf_table_csv(values) -> str:
-    """Comma-separated kernel table: t,s_re,s_im,F_re,F_im,P_re,P_im,err."""
+def gf_table_csv(t_list, s_list, logp, R, err: float) -> str:
+    """Comma-separated kernel table t,s_re,s_im,F_re,F_im,P_re,P_im,err from
+    :func:`compute_P_grid`'s log P and R on the grid t_list x s_list: one row
+    per (t, s), F = s at t = 0 and 1 - R after."""
     lines = ["t,s_re,s_im,F_re,F_im,P_re,P_im,err"]
-    for gv in values:
-        s_arr, _ = _as_batch(gv.s)
-        F_arr = np.atleast_1d(np.asarray(gv.F, dtype=complex))
-        P_arr = np.atleast_1d(np.asarray(gv.P if gv.P is not None else np.nan,
-                                         dtype=complex))
-        P_arr = np.broadcast_to(P_arr, s_arr.shape)
-        for sv, fv, pv in zip(s_arr, F_arr, P_arr):
+    for a, t in enumerate(t_list):
+        for b, s in enumerate(s_list):
+            sv = complex(s)
+            fv = sv if t == 0 else complex(1.0 - R[a, b])
+            pv = complex(np.exp(logp[a, b]))
             lines.append(
-                f"{gv.t:.17g},{sv.real:.17g},{sv.imag:.17g},"
+                f"{t:.17g},{sv.real:.17g},{sv.imag:.17g},"
                 f"{fv.real:.17g},{fv.imag:.17g},{pv.real:.17g},{pv.imag:.17g},"
-                f"{gv.error_estimate:.3g}")
-    return "\n".join(lines) + "\n"
-
-
-def transition_csv(series_by_i: dict) -> str:
-    """Comma-separated transition table: t,i,j,p_ij,aliasing_bound."""
-    lines = ["t,i,j,p_ij,aliasing_bound"]
-    for i, series in sorted(series_by_i.items()):
-        t = series.meta.get("t", float("nan"))
-        for j, val in enumerate(series.values):
-            lines.append(f"{t:.17g},{i},{j},{val:.17g},{series.aliasing_bound:.3g}")
+                f"{err:.3g}")
     return "\n".join(lines) + "\n"

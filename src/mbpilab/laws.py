@@ -21,7 +21,7 @@ truncated law is exactly conservative and exactly critical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -101,8 +101,10 @@ class _IntensityLaw:
     def gf(self, z, mode: str = "auto"):
         """Evaluate the generating function at z, |z| <= 1.
 
-        mode: "auto" prefers the closed form when the law carries one,
-        "closed" demands it, "series" sums the truncated coefficients.
+        mode, a word of :data:`mbpilab.kernel.METHODS` but "quad" (a route,
+        not an evaluation): "auto" prefers the closed form when the law
+        carries one, "closed" demands it, "series" sums the truncated
+        coefficients.
         """
         _check_unit_disc(z)
         if self._closed(mode):
@@ -384,13 +386,6 @@ def stable_model(nu: float, c: float, delta: float, d: float,
     """Convenience constructor for the built-in family pair."""
     return ModelSpec(make_stable_offspring(nu, c, kappa_offspring, J),
                      make_stable_immigration(delta, d, kappa_immigration, J))
-
-
-def with_coefficient(law, index: int, value: float):
-    """Return a copy of ``law`` with one coefficient replaced (validation fodder)."""
-    coeffs = law.coefficients.copy()
-    coeffs[index] = value
-    return replace(law, coefficients=coeffs)
 
 
 FAMILY_NOTES = """\

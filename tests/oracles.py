@@ -115,8 +115,9 @@ def direct_regularized_integral(model, s, rtol=1e-10):
 
 
 def direct_segment_integral(model, w0, w1, rtol=1e-10):
-    """The "sv" branch of gf_segment_integral from 1-u = w0 to 1-u = w1 with
-    w = exp(logw) raised to gamma and Lratio evaluated at 1/w directly."""
+    """The tail-function branch of gf_segment_integral from 1-u = w0 to
+    1-u = w1 with w = exp(logw) raised to gamma and Lratio evaluated at 1/w
+    directly."""
     w0, w1 = np.atleast_1d(w0), np.atleast_1d(w1)
     logw0 = np.log(w0)
     D = logw0 - np.log(w1)

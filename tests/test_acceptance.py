@@ -78,7 +78,7 @@ def test_criterion1_kernel_closed_form_oracle(g025):
     worst = 0.0
     for t in (0.1, 1.0, 10.0, 1e2, 1e3, 1e4):
         for s in (0.0, 0.3, 0.7, 0.95):
-            ode = solve_F(g025, t, s, method="ode").R
+            ode = solve_F(g025, t, s, method="quad").R
             exact = exact_R(g025.offspring, t, complex(s))
             worst = max(worst, abs(ode - exact) / abs(exact))
     elapsed = time.time() - started

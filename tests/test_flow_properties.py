@@ -31,9 +31,9 @@ def _semigroup_residual(model, method, s, t1, t2):
     return abs(whole - split) / abs(whole)
 
 
-@pytest.mark.parametrize("name, method", [("g025", "ode"), ("gneg", "ode"),
-                                          ("g025_pert_off", "ode"),
-                                          ("g025_J200", "ode-series")])
+@pytest.mark.parametrize("name, method", [("g025", "quad"), ("gneg", "quad"),
+                                          ("g025_pert_off", "quad"),
+                                          ("g025_J200", "series")])
 def test_flow_semigroup(name, method, request):
     model = request.getfixturevalue(name)
 
@@ -50,14 +50,14 @@ def test_ode_matches_closed_form(name, request):
 
     @given(s=points, t=times)
     def check(s, t):
-        ode = solve_F(model, t, s, method="ode", rtol=1e-13).R
+        ode = solve_F(model, t, s, method="quad", rtol=1e-13).R
         exact = exact_R(model.offspring, t, s)
         assert abs(ode - exact) <= 1e-12 * abs(exact)
 
     check()
 
 
-@pytest.mark.parametrize("method", ["ode", "ode-series", "exact"])
+@pytest.mark.parametrize("method", ["quad", "series", "closed"])
 def test_fixed_point_stays_exact(g025, method):
     @given(t=times, others=st.lists(points, max_size=3))
     def check(t, others):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mbpilab import (ModelError, PreconditionError, check_invariance,
-                     compute_B, compute_P, compute_U, compute_pi,
-                     extract_measure, ratio_limits, series_coefficients,
+                     compute_B, compute_P, extract_measure, ratio_limits, series_coefficients,
                      solve_F, stable_model, transition_probs)
 from mbpilab import kernel, rvcalc
 from mbpilab.invariants import limit_ratios, log_pi, measure_csv
@@ -37,10 +36,15 @@ def _integral_pair(model):
             direct_regularized_integral(model, HALF_CIRCLE))
 
 
+def _U(model, s):
+    """U(s) = exp(integral_s^1 g/f), gamma > 0."""
+    return np.exp(gf_integral_to_one(model, s)[0])
+
+
 def test_U_values(g025):
-    assert np.real(compute_U(g025, 1.0)) == pytest.approx(1.0, abs=1e-14)
-    assert np.real(compute_U(g025, 0.0)) == pytest.approx(np.exp(-1.0), rel=1e-11)
-    assert np.real(compute_U(g025, 0.5)) == pytest.approx(
+    assert np.real(_U(g025, 1.0)) == pytest.approx(1.0, abs=1e-14)
+    assert np.real(_U(g025, 0.0)) == pytest.approx(np.exp(-1.0), rel=1e-11)
+    assert np.real(_U(g025, 0.5)) == pytest.approx(
         np.exp(-0.5 ** 0.25), rel=1e-11)
 
 
@@ -48,12 +52,12 @@ def test_U_matches_scipy(g025, g025_pert_imm):
     for model in (g025, g025_pert_imm):
         for s in (0.0, 0.4, 0.9):
             expected = np.exp(scipy_gf_integral(model, s, 1.0 - 1e-13))
-            assert np.real(compute_U(model, s)) == pytest.approx(expected, rel=1e-7)
+            assert np.real(_U(model, s)) == pytest.approx(expected, rel=1e-7)
 
 
 def test_U_requires_positive_gamma(gneg):
     with pytest.raises(PreconditionError):
-        compute_U(gneg, 0.5)
+        gf_integral_to_one(gneg, 0.5)
 
 
 def test_B_is_one_for_canonical(gneg):
@@ -78,8 +82,8 @@ def test_B_preconditions(g025, gneg):
 
 
 def test_pi_values(gneg):
-    assert np.real(compute_pi(gneg, 0.0)) == pytest.approx(np.e, rel=1e-13)
-    assert np.real(compute_pi(gneg, 0.5)) == pytest.approx(
+    assert np.exp(np.real(log_pi(gneg, 0.0))) == pytest.approx(np.e, rel=1e-13)
+    assert np.exp(np.real(log_pi(gneg, 0.5))) == pytest.approx(
         np.exp(2.0 ** 0.25), rel=1e-13)
 
 
@@ -151,14 +155,14 @@ def test_schroder_equation(g025, rng):
         tau = float(rng.uniform(0.1, 5.0))
         s = float(rng.uniform(0.0, 0.9))
         gv = compute_P(g025, tau, s, method="quad")
-        lhs = compute_U(g025, gv.F) * gv.P
-        rhs = compute_U(g025, s)
+        lhs = _U(g025, gv.F) * gv.P
+        rhs = _U(g025, s)
         assert abs(lhs - rhs) <= 10 * 1e-10
 
 
 def test_P_converges_to_U_monotonically(g025):
     for s in (0.0, 0.5):
-        u = np.real(compute_U(g025, s))
+        u = np.real(_U(g025, s))
         dev = [abs(np.real(compute_P(g025, t, s).P) - u)
                for t in np.logspace(0, 4, 9)]
         assert all(a > b for a, b in zip(dev, dev[1:]))
@@ -226,10 +230,13 @@ def test_upsilon_matches_normalized_pi(gneg):
     assert np.max(np.abs(table.ratios[-1] - targets)) <= 1e-2
 
 
-def test_log_pi_consistency(gneg):
+def test_log_pi_consistency(gneg, gneg_pert):
+    # log pi(s) = (1-s)**(-|gamma|) + log B(s)
     s = 0.3
-    assert np.exp(np.real(log_pi(gneg, s))) == pytest.approx(
-        float(np.real(compute_pi(gneg, s))), rel=1e-13)
+    for model in (gneg, gneg_pert):
+        expected = (1.0 - s) ** (-abs(model.gamma)) + np.log(compute_B(model, s))
+        assert np.real(log_pi(model, s)) == pytest.approx(
+            float(np.real(expected)), rel=1e-13)
 
 
 def test_measure_csv_format(g025):
@@ -264,7 +271,7 @@ def test_separable_segment_matches_direct_integrand(name, request):
     s = HALF_CIRCLE[::8]
     R = exact_R(model.offspring, 2.0, s)
     val, _ = gf_segment_integral(model, one_minus_s=1.0 - s, one_minus_F=R,
-                                 integrand="sv")
+                                 method="quad")
     ref, _ = direct_segment_integral(model, 1.0 - s, R)
     assert np.max(np.abs(val - ref) / np.abs(ref)) <= 1e-13
 
@@ -306,7 +313,7 @@ def test_integrands_never_evaluate_specs_on_the_node_grid(
     monkeypatch.setattr(rvcalc, "ratio_deficit", guarded_deficit)
     for model in (g025_pert_off, gneg_pert, g025_pert_both):
         extract_measure(_size_guarded(model, batch), J_out=64, r=0.9, M=M)
-    # the "sv" segment integrand, behind compute_P's quadrature route
+    # the tail-function segment integrand, behind compute_P's quadrature route
     compute_P(_size_guarded(g025_pert_off, batch), 1.0,
               circle_points(0.9, M, half=True), method="quad")
 

@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mbpilab import (ModelError, NumericsError, compute_P, compute_P_i, exact_R,
-                     solve_F, transition_probs)
+import mbpilab
+from mbpilab import (METHODS, ModelError, NumericsError, compute_P, exact_R,
+                     ratio_limits, solve_F, transition_probs)
 from mbpilab import kernel, telemetry
 from mbpilab.inversion import circle_points
 from mbpilab.kernel import (flow_on_grid, gf_integral_to_one,
-                            gf_segment_integral, gf_table_csv, transition_csv,
+                            gf_segment_integral, gf_table_csv,
                             transition_grid, transition_rows)
 from mbpilab.laws import offspring_from_coefficients
 
@@ -37,7 +38,7 @@ def test_ode_matches_closed_form_grid(g025):
     worst = 0.0
     for t in (0.1, 1.0, 10.0, 1e2, 1e3, 1e4):
         for s in (0.0, 0.3, 0.7, 0.95):
-            ode = solve_F(g025, t, s, method="ode").R
+            ode = solve_F(g025, t, s, method="quad").R
             exact = exact_R(g025.offspring, t, complex(s))
             worst = max(worst, abs(ode - exact) / abs(exact))
     assert worst <= 1e-8
@@ -46,7 +47,7 @@ def test_ode_matches_closed_form_grid(g025):
 def test_ode_matches_scipy(g025, g025_pert_off):
     for model in (g025, g025_pert_off):
         for t, s in ((0.5, 0.0), (3.0, 0.4)):
-            mine = float(np.real(solve_F(model, t, s, method="ode").R))
+            mine = float(np.real(solve_F(model, t, s, method="quad").R))
             assert mine == pytest.approx(scipy_R(model.offspring, t, s), rel=1e-9)
 
 
@@ -55,13 +56,13 @@ def test_perturbed_implicit_matches_ode(g025_pert_off):
     for t in (0.5, 5.0, 200.0):
         for s in (0.0, 0.6, 0.3 + 0.4j):
             implicit = exact_R(law, t, s)
-            ode = solve_F(g025_pert_off, t, s, method="ode").R
+            ode = solve_F(g025_pert_off, t, s, method="quad").R
             assert abs(implicit - ode) / abs(implicit) < 1e-8
 
 
 def test_complex_circle_batch(g025):
     s = circle_points(0.9, 64)
-    ode = solve_F(g025, 2.0, s, method="ode").R
+    ode = solve_F(g025, 2.0, s, method="quad").R
     exact = exact_R(g025.offspring, 2.0, s)
     assert np.max(np.abs(ode - exact) / np.abs(exact)) < 1e-9
 
@@ -139,9 +140,9 @@ def test_semigroup_property(g025, rng):
         t = float(rng.uniform(0.1, 3.0))
         tau = float(rng.uniform(0.1, 3.0))
         s = float(rng.uniform(0.0, 0.9))
-        lhs = solve_F(g025, t + tau, s, method="ode").F
-        inner = solve_F(g025, tau, s, method="ode").F
-        rhs = solve_F(g025, t, inner, method="ode").F
+        lhs = solve_F(g025, t + tau, s, method="quad").F
+        inner = solve_F(g025, tau, s, method="quad").F
+        rhs = solve_F(g025, t, inner, method="quad").F
         assert abs(lhs - rhs) <= 10 * 1e-10
 
 
@@ -158,21 +159,26 @@ def test_immigration_cocycle(g025, gneg, rng):
             assert abs(lhs - rhs) <= 10 * 1e-10
 
 
+def _P_i(model, i, t, s):
+    """P_i(t; s) = F**i P, by the log-space product transition_grid inverts."""
+    gv = compute_P(model, t, s)
+    return np.exp(kernel._log_P_i(gv.logP, gv.F, i))
+
+
 def test_P_i_values(g025):
-    assert compute_P_i(g025, 0, 2.0, 0.3).P == compute_P(g025, 2.0, 0.3).P
-    gv = compute_P_i(g025, 3, 0.0, 0.4)
-    assert np.real(gv.P) == pytest.approx(0.4 ** 3, abs=1e-13)
-    one = compute_P_i(g025, 1, 2.0, 0.0)
+    assert _P_i(g025, 0, 2.0, 0.3) == compute_P(g025, 2.0, 0.3).P
+    assert np.real(_P_i(g025, 3, 0.0, 0.4)) == pytest.approx(0.4 ** 3, abs=1e-13)
     base = compute_P(g025, 2.0, 0.0)
-    assert np.real(one.P) == pytest.approx(
+    assert np.real(_P_i(g025, 1, 2.0, 0.0)) == pytest.approx(
         float(np.real(base.F)) * float(np.real(base.P)), rel=1e-12)
     with pytest.raises(ModelError):
-        compute_P_i(g025, -1, 1.0, 0.0)
+        transition_grid(g025, [-1], [1.0], 16, M=256)
     # F(0; 0) = 0: P_i vanishes for i > 0, and P_0 = 1 takes no log of 0
-    gone = compute_P_i(g025, 2, 0.0, np.array([0.0, 0.5]))
-    assert gone.P[0] == 0.0 and gone.logP[0] == -np.inf
-    assert gone.P[1] == pytest.approx(0.25, rel=1e-15)
-    assert compute_P_i(g025, 0, 0.0, 0.0).P == 1.0
+    gv = compute_P(g025, 0.0, np.array([0.0, 0.5]))
+    gone = kernel._log_P_i(gv.logP, gv.F, 2)
+    assert gone[0] == -np.inf and np.exp(gone[0]) == 0.0
+    assert np.exp(gone[1]) == pytest.approx(0.25, rel=1e-15)
+    assert _P_i(g025, 0, 0.0, 0.0) == 1.0
 
 
 def test_segment_integral_additivity(g025):
@@ -253,14 +259,17 @@ def test_transition_rows_memory_flat(g025):
 
 
 def test_csv_formats(g025):
-    gv = compute_P(g025, 2.0, 0.0)
-    text = gf_table_csv([gv])
-    assert text.splitlines()[0] == "t,s_re,s_im,F_re,F_im,P_re,P_im,err"
-    assert len(text.splitlines()) == 2
-    series = transition_probs(g025, 1, 1.0, 8, r=0.9, M=256)
-    table = transition_csv({1: series})
-    assert table.splitlines()[0] == "t,i,j,p_ij,aliasing_bound"
-    assert len(table.splitlines()) == 10
+    t_list, s_list = [0.0, 2.0], [0.0, 0.5]
+    logp, R, err = kernel.compute_P_grid(g025, s_list, t_list)
+    lines = gf_table_csv(t_list, s_list, logp, R, err).splitlines()
+    assert lines[0] == "t,s_re,s_im,F_re,F_im,P_re,P_im,err"
+    assert len(lines) == 5
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert rows[1, 3] == 0.5 and rows[1, 5] == 1.0      # t = 0: F = s, P = 1
+    gv = compute_P(g025, 2.0, 0.5)
+    assert rows[3, 3] == pytest.approx(float(np.real(gv.F)), rel=1e-14)
+    assert rows[3, 5] == pytest.approx(float(np.real(gv.P)), rel=1e-12)
+    assert rows[3, 7] == float(f"{err:.3g}")
 
 
 def test_transition_probs_alias_tolerance(g025):
@@ -278,7 +287,7 @@ S_BATCH = (0.0, 0.25, 0.5, 0.75)
 @pytest.mark.parametrize("name", ["g025", "gneg_pert"])
 def test_flow_on_grid_march_matches_closed_form(name, request):
     model = request.getfixturevalue(name)
-    R = flow_on_grid(model, S_BATCH, GRID_2_6, method="ode", rtol=1e-12)
+    R = flow_on_grid(model, S_BATCH, GRID_2_6, method="quad", rtol=1e-12)
     assert R.shape == (GRID_2_6.size, len(S_BATCH))
     exact = np.array([exact_R(model.offspring, t, np.array(S_BATCH, dtype=complex))
                       for t in GRID_2_6])
@@ -288,10 +297,10 @@ def test_flow_on_grid_march_matches_closed_form(name, request):
 def test_flow_on_grid_keeps_caller_order(g025):
     s = np.array([0.0, 0.3, 0.7])
     grid = [100.0, 0.5, 0.0, 2.0, 100.0]
-    R = flow_on_grid(g025, s, grid, method="ode")
+    R = flow_on_grid(g025, s, grid, method="quad")
     assert np.array_equal(R[2], 1.0 - s)
     assert np.array_equal(R[0], R[4])
-    ordered = flow_on_grid(g025, s, [0.5, 2.0, 100.0], method="ode")
+    ordered = flow_on_grid(g025, s, [0.5, 2.0, 100.0], method="quad")
     assert np.array_equal(R[[1, 3, 0]], ordered)
     exact = np.array([exact_R(g025.offspring, t, s.astype(complex)) for t in grid])
     assert np.max(np.abs(R - exact) / np.abs(exact)) <= 1e-8
@@ -310,8 +319,8 @@ def test_flow_on_grid_one_point_equals_solve_F(g025, g025_pert_off):
     s = np.array([0.0, 0.4, 0.3 + 0.4j])
     for model in (g025, g025_pert_off):
         for t in (0.5, 30.0, 1e4):
-            R = flow_on_grid(model, s, [t], method="ode")[0]
-            assert np.array_equal(R, solve_F(model, t, s, method="ode").R)
+            R = flow_on_grid(model, s, [t], method="quad")[0]
+            assert np.array_equal(R, solve_F(model, t, s, method="quad").R)
 
 
 @pytest.mark.parametrize("name", ["g025", "gneg_pert"])
@@ -333,9 +342,9 @@ def test_flow_on_grid_marches_instead_of_restarting(name, request, monkeypatch):
         return integrate(counted, *args, **kwargs)
 
     monkeypatch.setattr(kernel, "_rk45", counting)
-    flow_on_grid(model, S_BATCH, [GRID_2_6[-1]], method="ode", rtol=1e-12)
+    flow_on_grid(model, S_BATCH, [GRID_2_6[-1]], method="quad", rtol=1e-12)
     single, calls[0] = calls[0], 0
-    flow_on_grid(model, S_BATCH, GRID_2_6, method="ode", rtol=1e-12)
+    flow_on_grid(model, S_BATCH, GRID_2_6, method="quad", rtol=1e-12)
     assert calls[0] <= single + 6 * (len(GRID_2_6) - 1)
     assert calls[0] <= 250
 
@@ -349,7 +358,7 @@ def test_flow_of_a_law_without_nu_uses_w_equal_one_over_R():
     assert law.nu is None
     s = np.array([0.0, 0.5, -1.0, 0.3 + 0.6j, 1.0])
     grid = np.logspace(-1, 3, 9)
-    R = flow_on_grid(law, s, grid, method="ode", rtol=1e-12)
+    R = flow_on_grid(law, s, grid, method="quad", rtol=1e-12)
     exact = 1.0 / (1.0 / (1.0 - s[:-1])[None, :] + 0.5 * grid[:, None])
     assert np.all(R[:, -1] == 0.0)
     assert np.max(np.abs(R[:, :-1] - exact) / np.abs(exact)) <= 1e-11
@@ -364,6 +373,48 @@ def test_compute_P_grid_rejects_unknown_method_before_marching(g025, monkeypatch
         kernel.compute_P_grid(g025, [0.3], [1.0], method="bogus")
     with pytest.raises(ModelError, match="unknown method"):
         compute_P(g025, 1.0, 0.3, method="bogus")
+
+
+# Route words of earlier vocabularies, which no entry point accepts.
+RETIRED_METHODS = ("exact", "ode", "ode-series", "sv")
+
+
+def _method_entry_points(model):
+    s, t = [0.0, 0.3], [0.5, 2.0]
+    return {
+        "flow_on_grid": lambda m: flow_on_grid(model, s, t, method=m),
+        "solve_F": lambda m: solve_F(model, 2.0, 0.3, method=m),
+        "compute_P_grid": lambda m: kernel.compute_P_grid(model, s, t, method=m),
+        "compute_P": lambda m: compute_P(model, 2.0, 0.3, method=m),
+        "gf_segment_integral": lambda m: gf_segment_integral(model, 0.3, 0.6, method=m),
+        "transition_grid": lambda m: transition_grid(model, [0, 1], t, 8, M=64, method=m),
+        "transition_probs": lambda m: transition_probs(model, 1, 2.0, 8, M=64, method=m),
+        "ratio_limits": lambda m: ratio_limits(model, 4, t, method=m),
+    }
+
+
+@pytest.mark.parametrize("entry", ["flow_on_grid", "solve_F", "compute_P_grid",
+                                   "compute_P", "gf_segment_integral",
+                                   "transition_grid", "transition_probs",
+                                   "ratio_limits"])
+def test_every_entry_point_takes_the_one_method_vocabulary(g025, entry, monkeypatch):
+    call = _method_entry_points(g025)[entry]
+    for method in METHODS:
+        call(method)
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("the route ran before the method was checked")
+
+    for name in ("_rk45", "exact_R", "doubling_quadrature"):
+        monkeypatch.setattr(kernel, name, no_march)
+    for word in RETIRED_METHODS:
+        with pytest.raises(ModelError, match="unknown method"):
+            call(word)
+
+
+def test_every_package_export_resolves():
+    missing = [name for name in mbpilab.__all__ if not hasattr(mbpilab, name)]
+    assert not missing and len(set(mbpilab.__all__)) == len(mbpilab.__all__)
 
 
 @pytest.mark.parametrize("method", ["auto", "closed", "quad", "series"])
@@ -398,7 +449,7 @@ def test_flow_telemetry_counts_steps_and_evaluations(gneg_pert, monkeypatch):
 
     monkeypatch.setattr(kernel, "_rk45", counting)
     with telemetry.recording() as record:
-        flow_on_grid(gneg_pert, S_BATCH, GRID_2_6, method="ode", rtol=1e-12)
+        flow_on_grid(gneg_pert, S_BATCH, GRID_2_6, method="quad", rtol=1e-12)
     counters = record.counters
     assert counters["flow.calls"] == 1
     assert counters["flow.rhs_evals"] == evals[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from mbpilab import (ModelError, ModelSpec, PreconditionError,
                      make_stable_immigration, make_stable_offspring,
                      validate_law)
 from mbpilab.laws import (CRIT_TOL, MASS_TOL, immigration_from_coefficients,
-                          offspring_from_coefficients, with_coefficient)
+                          offspring_from_coefficients)
 
 from oracles import binom_coeff, polyval_series
 
@@ -89,8 +90,15 @@ def test_validate_canonical_passes():
     assert mass.residual <= 1e-6
 
 
+def _with_coefficient(law, index, value):
+    """A copy of ``law`` with one coefficient replaced."""
+    coefficients = law.coefficients.copy()
+    coefficients[index] = value
+    return dataclasses.replace(law, coefficients=coefficients)
+
+
 def test_validate_flags_injected_negative_coefficient():
-    law = with_coefficient(make_stable_offspring(0.5, 1.0, J=100), 2, -0.1)
+    law = _with_coefficient(make_stable_offspring(0.5, 1.0, J=100), 2, -0.1)
     report = validate_law(law)
     bad = {c.name: c.passed for c in report.checks}
     assert not bad["sign_pattern"]
@@ -98,7 +106,7 @@ def test_validate_flags_injected_negative_coefficient():
 
 
 def test_validate_flags_broken_criticality():
-    law = with_coefficient(make_stable_offspring(0.5, 1.0, J=100), 1, -1.4)
+    law = _with_coefficient(make_stable_offspring(0.5, 1.0, J=100), 1, -1.4)
     report = validate_law(law)
     bad = {c.name: c.passed for c in report.checks}
     assert not bad["criticality"]
