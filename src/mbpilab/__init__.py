@@ -10,7 +10,7 @@ from .laws import (BranchingLaw, ImmigrationLaw, ModelSpec,
 from .rvcalc import (RVContext, SlowlyVaryingSpec, check_sv_remainder,
                      sv_constant, sv_log, sv_perturbed)
 from .kernel import (METHODS, GFValue, compute_P, exact_R, solve_F,
-                     transition_grid, transition_probs, transition_rows)
+                     transition_grid, transition_probs)
 from .invariants import (InvariantMeasure, check_invariance, compute_B,
                          extract_measure, ratio_limits, series_coefficients)
 from .asymptotics import (RateFit, check_lemma1, check_lemma2, check_lemma3,
@@ -26,7 +26,7 @@ __all__ = [
     "RVContext", "SlowlyVaryingSpec", "check_sv_remainder",
     "sv_constant", "sv_log", "sv_perturbed",
     "METHODS", "GFValue", "solve_F", "exact_R", "compute_P",
-    "transition_grid", "transition_probs", "transition_rows",
+    "transition_grid", "transition_probs",
     "InvariantMeasure", "compute_B", "extract_measure", "check_invariance",
     "ratio_limits", "series_coefficients",
     "RateFit", "fit_loglog", "rate_theorem1", "rate_theorem2",

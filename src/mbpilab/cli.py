@@ -9,7 +9,8 @@ re-derives the tables bit-exactly, and a one-page summary of verdicts.
 Every key is accepted in every task.  ``SCHEMA`` gives each key its default
 and its kind: every number must be finite; every integer but ``seed`` is a
 count within a capped range (``samples`` a power of two, ``points`` at least
-3, ``state_cap`` and ``initial`` at most 10^7); ``horizon`` is at most 10^4;
+3, ``state_cap`` and ``initial`` at most 10^7); ``horizon`` is at most 10^4,
+and ``t_list``, ``t_max`` and ``tau`` at most 10^16;
 ``tol``, ``residual_tol``, ``slope_tol`` and ``min_prob`` are at least 0,
 ``z_max`` above 0 and ``rsq_min`` in [0, 1]; a list holds 1 to 1000
 numbers; ``lemmas`` names some of the lemmas 1-4.
@@ -88,6 +89,12 @@ class Interval:
     open_lo: bool = False
 
 
+@dataclass(frozen=True)
+class Numbers:
+    """A list kind: 1 to max(_POINTS) comma-separated numbers of kind each."""
+    each: Interval = Interval()
+
+
 def _parse(kind, text: str):
     """``text`` as a value of ``kind`` (see SCHEMA); ValueError if it is not."""
     if kind is str:
@@ -101,8 +108,8 @@ def _parse(kind, text: str):
         if text not in kind:
             raise ValueError(f"must be one of {', '.join(kind)}")
         return text
-    if kind is list:
-        values = [_parse(float, tok) for tok in text.split(",") if tok.strip()]
+    if isinstance(kind, Numbers):
+        values = [_parse(kind.each, tok) for tok in text.split(",") if tok.strip()]
         if not 0 < len(values) <= _POINTS[-1]:
             raise ValueError(f"must list 1 to {_POINTS[-1]} numbers")
         return values
@@ -326,16 +333,19 @@ _TASK_RUNNERS = {"validate": _task_validate, "kernel": _task_kernel,
 _POINTS = range(3, 1001)
 _STATES = range(10 ** 7 + 1)
 _NONNEGATIVE = Interval(0.0)
+_TIME = Interval(hi=1e16)
 
 # Every config key: its default text (None where the key is required) and
 # its kind.  A kind is float (a finite number), an Interval (a number in
-# it), int or str (any integer or text), list (1 to max(_POINTS) finite
-# numbers, comma-separated), a tuple of words (one of them), a frozenset of
+# it), int or str (any integer or text), Numbers (1 to max(_POINTS) numbers,
+# comma-separated), a tuple of words (one of them), a frozenset of
 # words (a comma-separated list of some of them), a word (it, or a finite
 # number), or a range or tuple of integers (a count, one of them).  The caps
 # bound the memory or time one run can ask for: samples and truncation size
 # the series and FFT arrays, j_out, points and the lists the tables,
 # replicates and horizon the simulation time, state_cap the simulated pmf.
+# _TIME caps the task times where the backward flow still integrates; at
+# 10^300 its step size underflows, which would read as a numeric failure.
 SCHEMA = {
     "model": {
         "offspring": ("stable", ("stable",)),
@@ -351,19 +361,19 @@ SCHEMA = {
     "task": {
         "name": (None, tuple(_TASK_RUNNERS)),
         # kernel
-        "t_list": ("0.1,1,10,100,1000,10000", list),
-        "s_list": ("0,0.3,0.7,0.95", list),
+        "t_list": ("0.1,1,10,100,1000,10000", Numbers(_TIME)),
+        "s_list": ("0,0.3,0.7,0.95", Numbers()),
         "tol": ("1e-8", _NONNEGATIVE),
         # invariant
         "j_out": ("256", range(2 ** 16 + 1)),
         "radius": ("auto", "auto"),
         "samples": ("16384", tuple(2 ** k for k in range(2, 21))),
-        "tau": ("1.0", float),
+        "tau": ("1.0", _TIME),
         "residual_tol": ("1e-6", _NONNEGATIVE),
         # rates / lemmas
         "s": ("0.0", float),
         "t_min": ("1e2", float),
-        "t_max": ("1e6", float),
+        "t_max": ("1e6", _TIME),
         "points": ("25", _POINTS),
         "slope_tol": ("0.1", _NONNEGATIVE),
         "rsq_min": ("0.99", Interval(0.0, 1.0)),

@@ -30,8 +30,8 @@ from .errors import ModelError, PreconditionError
 from .inversion import (CoefficientSeries, circle_points,
                         coefficients_from_samples, complete_circle,
                         sample_count)
-from .kernel import (gf_integral_to_one, regularized_integral_to_one,
-                     transition_grid, transition_rows)
+from .kernel import (compute_P_grid, gf_integral_to_one,
+                     regularized_integral_to_one, transition_grid)
 from .laws import ModelSpec, _signed_binomials
 
 
@@ -150,6 +150,7 @@ class InvarianceReport:
     """Residuals of  m_j = sum_i m_i p_ij(tau)  over j."""
 
     tau: float
+    predicted: np.ndarray         # sum_{i<=I} m_i p_ij(tau), j = 0..j_max
     residuals: np.ndarray
     max_residual: float
     argmax_j: int
@@ -164,27 +165,38 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
     """Apply the transition semigroup at lag tau to the measure coefficients
     and report |sum_{i<=I} m_i p_ij(tau) - m_j| for j <= j_max (default I/2).
 
-    The i-truncation error is sum_{i>I} m_i p_ij(tau); for j far below I it
-    is negligible because a large population cannot collapse quickly, and
-    the report carries the remaining accounted error sources separately.
+    By the branching property the sum has the generating function
+    P(tau; s) * m(F(tau; s)), m(z) = sum_{i<=I} m_i z^i, so one circle
+    inversion of that product (P and F from one :func:`compute_P_grid`
+    call, m(F) by Horner) predicts every coefficient.  The i-truncation
+    error is sum_{i>I} m_i p_ij(tau); for j far below I it is negligible
+    because a large population cannot collapse quickly, and the report
+    carries the remaining accounted error sources separately.
     """
     m = measure.coefficients
     I = m.size - 1
     if j_max is None:
         j_max = I // 2
-    rows = transition_rows(model, I, tau, J_out=j_max, M=sample_count(j_max, 1024))
-    predicted = np.einsum("i,ij->j", m, rows.values)  # off threaded BLAS
-    residuals = np.abs(predicted - m[:j_max + 1])
+    r, M = 0.9, sample_count(j_max, 1024)
+    s_half = circle_points(r, M, half=True)
+    logp, R, err = compute_P_grid(model, s_half, [tau])
+    F = s_half if tau == 0 else 1.0 - R[0]
+    m_of_F = np.zeros_like(F)
+    for coefficient in m[::-1]:
+        m_of_F = m_of_F * F + coefficient
+    half = np.exp(logp[0]) * m_of_F
+    prediction = coefficients_from_samples(complete_circle(half, M), r, j_max)
+    residuals = np.abs(prediction.values - m[:j_max + 1])
     worst = int(np.argmax(residuals))
-    mass = float(np.sum(np.abs(m)))
     components = {
-        "row_aliasing": float(np.max(rows.aliasing_bound)) * mass,
-        "row_noise": float(np.max(rows.noise_floor())) * mass,
+        "prediction_aliasing": float(prediction.aliasing_bound),
+        "prediction_noise": float(np.max(prediction.noise_floor())),
         "measure_noise": float(np.max(measure.series.coefficient_bound()[:j_max + 1])),
         "measure_tail": measure.tail_estimate,
-        "quad_error": rows.meta["quad_error"],
+        "quad_error": err,
     }
-    return InvarianceReport(tau=tau, residuals=residuals,
+    return InvarianceReport(tau=tau, predicted=prediction.values,
+                            residuals=residuals,
                             max_residual=float(residuals[worst]),
                             argmax_j=worst, components=components)
 

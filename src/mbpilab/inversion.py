@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import telemetry
 from .errors import ModelError
 
 NOISE_FACTOR = 16.0  # empirical safety multiple of eps, validated in tests
@@ -110,10 +111,14 @@ def coefficients_from_samples(samples: np.ndarray, r: float, J_out: int,
                               clamp: bool = False,
                               meta: Optional[dict] = None) -> CoefficientSeries:
     """Invert full-circle samples (last axis; leading axes are a batch, each
-    entry inverted on its own) to coefficients 0..J_out."""
+    entry inverted on its own) to coefficients 0..J_out.  Reports
+    ``inversion.calls`` (one per batch entry) and ``inversion.fft_points``
+    (batch entries times M) to the run's telemetry."""
     M = samples.shape[-1]
     if M < 4 * J_out:
         raise ModelError(f"need M >= 4*J_out; got M={M}, J_out={J_out}")
+    telemetry.add("inversion.calls", samples.size // M)
+    telemetry.add("inversion.fft_points", samples.size)
     j = np.arange(J_out + 1)
     raw = np.fft.fft(samples)[..., :J_out + 1] / M * r ** (-j.astype(float))
     maxabs = np.max(np.abs(samples), axis=-1)

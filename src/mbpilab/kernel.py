@@ -577,16 +577,6 @@ def transition_probs(model: ModelSpec, i: int, t: float, J_out: int,
     return series
 
 
-def transition_rows(model: ModelSpec, i_max: int, t: float, J_out: int,
-                    r: float = 0.9, M: int = 4096) -> CoefficientSeries:
-    """All rows i = 0..i_max at one t (the batch over i of
-    :func:`transition_grid`): values of shape (i_max + 1, J_out + 1)."""
-    series = transition_grid(model, np.arange(i_max + 1), [t], J_out, r=r,
-                             M=M).row(0)
-    series.meta.update(t=t)
-    return series
-
-
 def gf_table_csv(t_list, s_list, logp, R, err: float) -> str:
     """Comma-separated kernel table t,s_re,s_im,F_re,F_im,P_re,P_im,err from
     :func:`compute_P_grid`'s log P and R on the grid t_list x s_list: one row

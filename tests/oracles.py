@@ -15,7 +15,8 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad, solve_ivp
 
 from mbpilab import sim
-from mbpilab.kernel import exact_R
+from mbpilab.inversion import sample_count
+from mbpilab.kernel import exact_R, transition_grid
 from mbpilab.quadrature import adaptive_quadrature, doubling_quadrature
 
 
@@ -78,6 +79,16 @@ def time_route_P(model, t: float, s, rtol=1e-10):
 
     val, _ = adaptive_quadrature(fun, 0.0, t, rtol=rtol, initial_panels=16)
     return np.exp(np.where(s_arr == 1.0, 0.0, val))
+
+
+def row_sum_invariance(measure, model, tau: float, j_max: int):
+    """sum_{i<=I} m_i p_ij(tau), j = 0..j_max, as a sum over the transition
+    rows i = 0..I, each inverted on its own at the invariance check's radius
+    and sample count; returns the sum and the rows."""
+    m = measure.coefficients
+    rows = transition_grid(model, np.arange(m.size), [tau], j_max,
+                           M=sample_count(j_max, 1024)).row(0)
+    return np.einsum("i,ij->j", m, rows.values), rows
 
 
 def polyval_series(coefficients, z):

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbpilab import invariants, kernel, rate_theorem2
-from mbpilab.cli import (SCHEMA, Interval, _parse, _sim_config, _values,
-                         build_model, load_config, main, run_config)
+from mbpilab.cli import (SCHEMA, Interval, Numbers, _parse, _sim_config,
+                         _values, build_model, load_config, main, run_config)
 from mbpilab.cli import ConfigError
 from mbpilab.errors import NumericsError
 from mbpilab.inversion import suggest_radius
@@ -223,6 +223,21 @@ def test_invariant_quadrature_counters(tmp_path):
     assert 0.0 <= counters["quad.max_error"] < 1e-10
 
 
+def test_stats_json_inversion_totals(tmp_path):
+    # a default invariant run inverts twice: the measure at samples = 16384
+    # and the invariance check's one prediction at M = 1024
+    cfg = write(tmp_path, RECURRENT.format(task="invariant", extra="",
+                                           out=tmp_path / "out"))
+    assert run_config(cfg) == 0
+    counters = json.loads((tmp_path / "out" / "stats.json").read_text())["counters"]
+    assert counters["inversion.calls"] == 2
+    assert counters["inversion.fft_points"] == 16384 + 1024
+    terms = {key for key in counters if key.startswith("invariance.")}
+    assert terms == {f"invariance.{term}" for term in (
+        "prediction_aliasing", "prediction_noise", "measure_noise",
+        "measure_tail", "quad_error")}
+
+
 @pytest.mark.parametrize("text,kind", [(RECURRENT, "distribution"),
                                        (TRANSIENT, "measure")])
 def test_stats_json_invariance_terms(tmp_path, text, kind):
@@ -245,9 +260,11 @@ def test_stats_json_invariance_terms(tmp_path, text, kind):
 
 def test_overflow_exits_4(tmp_path, capsys):
     # script_N takes (nu t) ** (1 / nu) as a Python float, which overflows
-    # after numpy's overflow warnings, printed as the CLI prints them
+    # after numpy's overflow warnings, printed as the CLI prints them: at
+    # nu = 0.04 and the largest admitted time, (nu t) ** 25 ~ 1e365
     out = tmp_path / "out"
-    path = write(tmp_path, _config(out, "lemmas", t_max="1e300", points="7"))
+    path = write(tmp_path, _config(out, "lemmas", nu="0.04", delta="0.29",
+                                   t_max="1e16", points="7"))
     with warnings.catch_warnings():
         warnings.simplefilter("default", RuntimeWarning)
         assert run_config(path) == 4
@@ -393,7 +410,9 @@ def _exits_2_naming(path, out, key):
     ("invariant", "residual_tol", "-1e-9"), ("rates", "slope_tol", "-0.1"),
     ("rates", "rsq_min", "-0.5"), ("rates", "rsq_min", "1.5"),
     ("compare", "min_prob", "-1"), ("compare", "z_max", "0"),
-    ("compare", "z_max", "-3")])
+    ("compare", "z_max", "-3"), ("rates", "t_max", "1e300"),
+    ("lemmas", "t_max", "1e300"), ("kernel", "t_list", "1e300"),
+    ("kernel", "t_list", "1,1e17"), ("invariant", "tau", "1e17")])
 def test_out_of_table_value_exits_2(tmp_path, task, key, value):
     out = tmp_path / "out"
     path = write(tmp_path, _config(out, task, **{key: value}))
@@ -413,8 +432,11 @@ def _refused(kind):
         if kind.lo > -math.inf:
             refused.append(st.floats(-1e300, kind.lo,
                                      exclude_max=not kind.open_lo).map(repr))
-    if kind is list:
+    if isinstance(kind, Numbers):
         refused.append(st.sampled_from([",", "1,nan", "-inf,2", "0.5, abc"]))
+        if kind.each.hi < math.inf:
+            refused.append(st.floats(kind.each.hi, 1e300, exclude_min=True)
+                           .map(lambda v: f"0.5,{v!r}"))
     if isinstance(kind, frozenset):
         refused.append(st.integers(5, 99).map(str))
     return st.one_of(refused)
@@ -459,8 +481,9 @@ def _admitted(kind):
         return st.integers(-2 ** 70, 2 ** 70).map(str)
     if isinstance(kind, (range, tuple)):
         return st.sampled_from(kind[:4]).map(str)
-    if kind is list:
-        return st.lists(st.sampled_from(_EDGES), min_size=1, max_size=3).map(
+    if isinstance(kind, Numbers):
+        edges = [v for v in _EDGES if kind.each.lo <= v <= kind.each.hi]
+        return st.lists(st.sampled_from(edges), min_size=1, max_size=3).map(
             lambda values: ",".join(map(repr, values)))
     edges = [repr(v) for v in _EDGES
              if not isinstance(kind, Interval) or kind.lo <= v <= kind.hi]

@@ -15,7 +15,7 @@ from mbpilab.laws import ModelSpec
 
 from oracles import (direct_integral_to_one, direct_regularized_integral,
                      direct_segment_integral, mp_exp_series_coeffs,
-                     scipy_gf_integral)
+                     row_sum_invariance, scipy_gf_integral)
 
 # The half circle behind extract_measure's default M = 2**14.
 HALF_CIRCLE = circle_points(0.9, 16384, half=True)
@@ -140,6 +140,25 @@ def test_invariance_detects_broken_measure(g025):
     measure.series.values[1] += 1e-3
     report = check_invariance(measure, g025, tau=1.0)
     assert report.max_residual >= 5e-4
+
+
+@pytest.mark.parametrize("name,tau", [("g025", 1.0), ("gneg", 0.5)])
+def test_invariance_prediction_matches_row_sum(name, tau, request):
+    """One inversion of P(tau; s) m(F(tau; s)) equals the sum of the rows
+    m_i p_ij(tau) inverted one by one, within the rows' roundoff floor
+    times the measure's mass plus the prediction's own floor."""
+    model = request.getfixturevalue(name)
+    r = suggest_radius(256, 8192, target=1e-10)
+    measure = extract_measure(model, J_out=256, r=r, M=8192)
+    report = check_invariance(measure, model, tau=tau)
+    expected, rows = row_sum_invariance(measure, model, tau, 128)
+    mass = np.sum(np.abs(measure.coefficients))
+    bound = (np.max(rows.noise_floor()) * mass
+             + report.components["prediction_noise"])
+    assert report.predicted.shape == expected.shape == (129,)
+    assert np.max(np.abs(report.predicted - expected)) <= bound
+    assert np.array_equal(report.residuals,
+                          np.abs(report.predicted - measure.coefficients[:129]))
 
 
 def test_invariance_residual_pi(gneg):

@@ -10,7 +10,7 @@ from mbpilab import kernel, telemetry
 from mbpilab.inversion import circle_points
 from mbpilab.kernel import (flow_on_grid, gf_integral_to_one,
                             gf_segment_integral, gf_table_csv,
-                            transition_grid, transition_rows)
+                            transition_grid)
 from mbpilab.laws import offspring_from_coefficients
 
 from oracles import scipy_R, scipy_gf_integral, time_route_P
@@ -223,7 +223,7 @@ def test_transition_probs_parameter_validation(g025):
 
 def test_transition_rows_match_single_extractions(g025):
     # 16 rows per inversion block at M = 1024: i_max = 20 spans two blocks
-    rows = transition_rows(g025, 20, 1.0, 24, r=0.9, M=1024)
+    rows = transition_grid(g025, np.arange(21), [1.0], 24, r=0.9, M=1024).row(0)
     assert rows.values.shape == (21, 25) and rows.aliasing_bound.shape == (21,)
     for i in (0, 2, 15, 16, 20):
         single = transition_probs(g025, i, 1.0, 24, r=0.9, M=1024, clamp=False)
@@ -248,10 +248,10 @@ def test_transition_grid_rows_are_the_single_rows(g025):
 def test_transition_rows_memory_flat(g025):
     """Rows are inverted in blocks, so 257 rows at M = 1024 stay far below
     the 8 MB that their samples and transforms would take at once."""
-    transition_rows(g025, 256, 1.0, 128, M=1024)
+    transition_grid(g025, np.arange(257), [1.0], 128, M=1024)
     tracemalloc.start()
     try:
-        transition_rows(g025, 256, 1.0, 128, M=1024)
+        transition_grid(g025, np.arange(257), [1.0], 128, M=1024)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
