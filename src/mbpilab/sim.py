@@ -21,11 +21,15 @@ state is reset reproduces any stream exactly, without building a generator
 per replicate.
 
 ``simulate_path`` runs the scalar event loop on the chunks of any
-generator.  ``estimate_pmf`` runs replicates in numpy lanes on the streams
-above: one step takes every lane through up to 32 events, guessed to be
-branching events and accepted up to the first that is not, with the scalar
-loop's floating-point operations, so both give every replicate the same
-path.  Its memory does not grow with the replicate count.
+generator.  ``estimate_pmf`` runs the streams above in two phases, both
+with the scalar loop's floating-point operations, so that both give every
+replicate the same path.  The block phase takes a group of blocks through
+their first 16 draws, one numpy pass per draw position over every
+replicate of the group; most paths end there.  The paths that need a 17th
+draw go on in numpy lanes, each on its own stream: one step takes every
+lane through up to 32 events, guessed to be branching events and accepted
+up to the first that is not.  Its memory does not grow with the replicate
+count.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ _CHUNK = 64  # events per refill from a replicate's own stream
 _BLOCK = 256  # replicates whose first chunks come from one bulk draw
 _FIRST = 16  # events in a replicate's first chunk, drawn with its block
 _LANES = 256  # replicates advanced together by one numpy step
+# blocks the block phase runs at a time: their first chunks hold as many
+# draws as the lane buffer
+_GROUP = max(1, _LANES * _CHUNK // (_BLOCK * _FIRST))
 _WINDOW = 32  # draws of its chunk one numpy step may take a lane through
 _ZERO_WORDS = (0, 0, 0, 0)
 _BLOCK_COUNTER = (0, 0, 0, 1)  # 2**192 steps past any replicate stream
@@ -258,25 +265,30 @@ def _tally(histogram: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def estimate_pmf(config: SimConfig) -> SimResult:
-    """Empirical transition pmf from the configured initial state.
+    """Empirical transition pmf from the configured initial state, in two
+    exact phases.
 
-    Up to ``_LANES`` replicates advance together in lane slots.  A block's
-    first chunks come in one bulk draw; its event-free replicates (first
-    event past the horizon, or rate 0) are found by one compare and tallied
-    without a lane, and the others queue to be copied, by array assignment,
-    into the last ``_FIRST`` draws of a free slot's rows of ``exps`` and
-    ``unis``.  A lane that uses them up re-keys its slot's Philox generator
-    to its replicate's own stream, which then draws each chunk straight
-    into the slot's rows.  One numpy step takes every live lane through up
-    to ``_WINDOW`` of its chunk's draws: it guesses that every event
-    branches, takes the states as ``x`` plus a running sum of the branching
-    jumps and the times as a left-to-right running sum from ``t``,
-    recomputes each decision on those states, and accepts the events up to
-    the first immigration, stopping before an event past the horizon or at
-    a zero rate and after one that reaches the cap.  Each accepted event
-    makes the scalar loop's IEEE operations on the same draws.  Ended lanes
-    are tallied by ``bincount`` and refilled from the queue.  Memory is
-    O(lanes * chunk + block * first chunk + largest state + longest path).
+    The block phase takes ``_GROUP`` blocks at a time.  It draws each
+    block's first chunks in one bulk draw, makes every draw's offspring and
+    immigration alias picks once, and runs every replicate of the group
+    through draws 0 .. ``_FIRST - 1`` in one numpy pass per draw position,
+    with the scalar loop's IEEE operations.  The paths that end there are
+    tallied at once.  Those that need one more draw wait for a lane.
+
+    Up to ``_LANES`` of them advance together in lane slots.  A path that
+    enters a slot re-keys the slot's Philox generator to its replicate's
+    own stream, which draws each chunk straight into the slot's rows.  One
+    numpy step takes every live lane through up to ``_WINDOW`` of its
+    chunk's draws: it guesses that every event branches, takes the states
+    as ``x`` plus a running sum of the branching jumps and the times as a
+    left-to-right running sum from ``t``, recomputes each decision on those
+    states, and accepts the events up to the first immigration, stopping
+    before an event past the horizon or at a zero rate and after one that
+    reaches the cap.  Each accepted event makes the scalar loop's IEEE
+    operations on the same draws.  Ended lanes are tallied by ``bincount``
+    and take the next waiting path, running the block phase on the next
+    group when none waits.  Memory is O(lanes * chunk + group * block *
+    first chunk + largest state + longest path).
     """
     model = config.model
     a_rate, b_rate, off, imm = _samplers(model)
@@ -284,63 +296,114 @@ def estimate_pmf(config: SimConfig) -> SimResult:
                            config.state_cap, config.initial)
     seed_word = config.seed & 0xFFFFFFFFFFFFFFFF
     width = min(_LANES, n)
+    n_blocks = -(-n // _BLOCK)
     # key 0 is a placeholder that _rekey replaces; giving one spares the
     # construction a draw of OS entropy
     gens = [np.random.Generator(np.random.Philox(key=0)) for _ in range(width)]
     block = np.random.Generator(np.random.Philox(key=0))
     exps = np.empty((width, _CHUNK))
     unis = np.empty((width, _CHUNK, 3))
-    first_exps = np.empty((_BLOCK, _FIRST))
-    first_unis = np.empty((_BLOCK, _FIRST, 3))
+    group = min(_GROUP, n_blocks)
+    block_exps = np.empty((_BLOCK, _FIRST))
+    block_unis = np.empty((_BLOCK, _FIRST, 3))
+    # row k of the group's (draw, replicate) arrays holds draw k of every
+    # replicate, so that the block phase reads it from contiguous memory;
+    # each draw's jump if the event branches and if it is an immigration
+    first_e, first_u = np.empty((2, _FIRST, group * _BLOCK))
+    branch_jump, arrive_jump = np.empty((2, _FIRST, group * _BLOCK),
+                                        dtype=np.int32)
     # one view per slot row, made once: a draw into a stored view costs a
     # third less than into a fresh one
     exp_rows, uni_rows = list(exps), list(unis)
-    rate0 = x0 * a_rate + b_rate
-    queue = np.empty(0, dtype=np.int64)  # event-taking, not yet started
-    blocks = event_free = 0
-
-    def start(slots):
-        """The next event-taking replicates, one per slot of ``slots`` while
-        any is left, each with its first chunk copied into its slot; draws
-        blocks as the queue runs dry."""
-        nonlocal queue, blocks, event_free
-        reps = [queue[:0]]
-        while slots.size and (queue.size or blocks * _BLOCK < n):
-            if not queue.size:
-                _rekey(block.bit_generator, seed_word, blocks, _BLOCK_COUNTER)
-                block.standard_exponential(out=first_exps)
-                block.random(out=first_unis)
-                size = min(_BLOCK, n - blocks * _BLOCK)
-                # the negation of the scalar loop's 0.0 + e / rate > horizon
-                takes = (first_exps[:size, 0] / rate0 <= horizon if rate0
-                         else np.zeros(size, dtype=bool))
-                queue = takes.nonzero()[0] + blocks * _BLOCK
-                event_free += size - queue.size
-                blocks += 1
-                continue
-            now, queue = queue[:slots.size], queue[slots.size:]
-            at, slots = slots[:now.size], slots[now.size:]
-            exps[at, _CHUNK - _FIRST:] = first_exps[now % _BLOCK]
-            unis[at, _CHUNK - _FIRST:] = first_unis[now % _BLOCK]
-            reps.append(now)
-        return np.concatenate(reps)
-
-    rep = start(np.arange(width))  # the replicate each lane runs
-    slot = np.arange(rep.size)
-    # flat views: gathering with take on one index is cheaper than 2-d
-    # fancy indexing
-    exps_flat, unis_rows = exps.reshape(-1), unis.reshape(-1, 3)
-    row = slot * _CHUNK
-    x, ptr, events = (np.full(slot.size, v, dtype=np.int64)
-                      for v in (x0, _CHUNK - _FIRST, 0))
-    t = np.zeros(slot.size)
     counts = np.zeros(x0 + 1, dtype=np.int64)  # uncapped paths by end state
-    lengths = np.zeros(1, dtype=np.int64)  # paths by number of events
-    window = np.arange(_WINDOW)
-    capped = refills = steps = 0
+    lengths = np.zeros(_FIRST + 1, dtype=np.int64)  # paths by number of events
+    empty = np.empty(0, dtype=np.int64)
+    waiting = (empty, empty, np.empty(0))  # replicate, state, time
+    blocks = capped = refills = steps = lane_paths = 0
+
+    def block_phase():
+        """Run the next group of blocks through their first chunks; tally
+        the paths that end there and return the others' (replicate, state,
+        time)."""
+        nonlocal blocks, counts, capped
+        size = min(group, n_blocks - blocks)
+        for g in range(size):
+            _rekey(block.bit_generator, seed_word, blocks + g, _BLOCK_COUNTER)
+            block.standard_exponential(out=block_exps)
+            block.random(out=block_unis)
+            u_index, u_accept = block_unis[..., 1], block_unis[..., 2]
+            cols = slice(g * _BLOCK, (g + 1) * _BLOCK)
+            first_e[:, cols] = block_exps.T
+            first_u[:, cols] = block_unis[..., 0].T
+            branch_jump[:, cols] = (off.pick_many(u_index, u_accept) - 1).T
+            arrive_jump[:, cols] = imm.pick_many(u_index, u_accept).T
+        rep = np.arange(min(size * _BLOCK, n - blocks * _BLOCK))
+        x = np.full(rep.size, x0, dtype=np.int64)
+        t = np.zeros(rep.size)
+        ended = []
+        for k in range(_FIRST):
+            branch_rate = x * a_rate
+            rate = branch_rate + b_rate
+            t_next = t + first_e[k].take(rep) / rate
+            # the negation of the scalar loop's t_next > horizon, and a zero
+            # rate, where the scalar loop's division raises, ends the path
+            go = (t_next <= horizon) & (rate != 0.0)
+            if not go.all():
+                ended.append(x[~go])
+                lengths[k] += ended[-1].size
+                rep, x, branch_rate, rate, t_next = (
+                    a[go] for a in (rep, x, branch_rate, rate, t_next))
+            t = t_next
+            branch = first_u[k].take(rep) * rate < branch_rate
+            x = x + np.where(branch, branch_jump[k].take(rep),
+                             arrive_jump[k].take(rep))
+            over = x >= cap
+            reached = int(over.sum())
+            if reached:
+                capped += reached
+                lengths[k + 1] += reached
+                rep, x, t = rep[~over], x[~over], t[~over]
+        counts = _tally(counts, np.concatenate(ended or [empty]))
+        rep += blocks * _BLOCK
+        blocks += size
+        return rep, x, t
+
+    def enter(free):
+        """Give the next waiting paths to the slots ``free``, one each while
+        any path is left, running the block phase as the waiting paths run
+        out; re-key each taken slot to its path's own stream and draw the
+        path's first own chunk into the slot's rows.  Returns the taken
+        slots and their paths' states and times."""
+        nonlocal waiting, refills, lane_paths
+        taken = [(empty, empty, np.empty(0))]
+        while free.size and (waiting[0].size or blocks < n_blocks):
+            if not waiting[0].size:
+                waiting = block_phase()
+                continue
+            m = min(free.size, waiting[0].size)
+            slots, free = free[:m], free[m:]
+            rep, x, t = (a[:m] for a in waiting)
+            waiting = tuple(a[m:] for a in waiting)
+            for s, r in zip(slots.tolist(), rep.tolist()):
+                _rekey(gens[s].bit_generator, seed_word, r)
+                gens[s].standard_exponential(out=exp_rows[s])
+                gens[s].random(out=uni_rows[s])
+            taken.append((slots, x, t))
+            refills += m
+            lane_paths += m
+        return (np.concatenate(a) for a in zip(*taken))
+
     # a zero total rate (no immigration, empty state) divides by zero: the
     # path then ends, as in the scalar loop, and the quotient is never used
     with np.errstate(divide="ignore", invalid="ignore"):
+        slot, x, t = enter(np.arange(width))
+        # flat views: gathering with take on one index is cheaper than 2-d
+        # fancy indexing
+        exps_flat, unis_rows = exps.reshape(-1), unis.reshape(-1, 3)
+        row = slot * _CHUNK
+        ptr = np.zeros(slot.size, dtype=np.int64)
+        events = np.full(slot.size, _FIRST, dtype=np.int64)
+        window = np.arange(_WINDOW)
         while slot.size:
             steps += 1
             lane = np.arange(slot.size)
@@ -381,32 +444,29 @@ def estimate_pmf(config: SimConfig) -> SimResult:
                 ended = done[~is_capped[done]]
                 counts = _tally(counts, x[ended])
                 lengths = _tally(lengths, events[done])
-                new = start(slot[done])
+                new, new_x, new_t = enter(slot[done])
                 fresh = done[:new.size]
-                x[fresh], t[fresh], ptr[fresh] = x0, 0.0, _CHUNK - _FIRST
-                events[fresh], rep[fresh] = 0, new
+                x[fresh], t[fresh], ptr[fresh] = new_x, new_t, 0
+                events[fresh] = _FIRST
                 if new.size < done.size:
                     live = np.ones(slot.size, dtype=bool)
                     live[done[new.size:]] = False
-                    slot, row, x, t, ptr, events, rep = (
-                        a[live] for a in (slot, row, x, t, ptr, events, rep))
+                    slot, row, x, t, ptr, events = (
+                        a[live] for a in (slot, row, x, t, ptr, events))
             for k in (ptr == _CHUNK).nonzero()[0].tolist():
                 s = slot[k]
-                if events[k] == _FIRST:  # leaving the block: own stream
-                    _rekey(gens[s].bit_generator, seed_word, int(rep[k]))
                 gens[s].standard_exponential(out=exp_rows[s])
                 gens[s].random(out=uni_rows[s])
                 ptr[k] = 0
                 refills += 1
-    counts[x0] += event_free
-    lengths[0] += event_free
     telemetry.add("sim.replicates", n)
     telemetry.add("sim.blocks", blocks)
-    telemetry.add("sim.event_free", event_free)
+    telemetry.add("sim.event_free", int(lengths[0]))
     telemetry.add("sim.events", int(lengths @ np.arange(lengths.size)))
     telemetry.add("sim.capped", capped)
     telemetry.add("sim.refills", refills)
     telemetry.add("sim.steps", steps)
+    telemetry.add("sim.lane_paths", lane_paths)
     telemetry.put("sim.events_p50", _quantile(lengths, 0.5))
     telemetry.put("sim.events_p99", _quantile(lengths, 0.99))
     kept = counts.nonzero()[0]

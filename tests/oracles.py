@@ -186,15 +186,19 @@ def per_replicate_pmf(config):
     """estimate_pmf one replicate at a time: simulate_path on each
     replicate's generator from replicate_rngs, with the per-state tally and
     pmf arithmetic of estimate_pmf.  Returns the pmf, the capped count, the
-    replicate and event totals and the events of each path."""
+    replicate and event totals, the events of each path and the number of
+    paths that drew past their block's first chunk (``own_stream``: paths
+    of more than 16 events, and those of 16 that the cap did not end)."""
     samplers = sim._samplers(config.model)
     n = config.replicates
-    counts, capped, lengths = {}, 0, []
+    counts, capped, lengths, own_stream = {}, 0, [], 0
     for rng in replicate_rngs(config.seed, n):
         path = sim.simulate_path(config.model, config.initial, config.horizon,
                                  rng, state_cap=config.state_cap,
                                  _samplers_cache=samplers)
         lengths.append(path.events)
+        own_stream += path.events > 16 or (path.events == 16
+                                           and not path.capped)
         if path.capped:
             capped += 1
         else:
@@ -203,4 +207,5 @@ def per_replicate_pmf(config):
     for state, cnt in counts.items():
         pmf[state] = cnt / n
     return SimpleNamespace(pmf=pmf, capped_count=capped, replicates=n,
-                           events=sum(lengths), lengths=lengths)
+                           events=sum(lengths), lengths=lengths,
+                           own_stream=own_stream)

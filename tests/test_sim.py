@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbpilab import (AliasTable, ModelError, SimConfig, estimate_pmf,
@@ -244,10 +244,17 @@ LANE_CASES = {
     # one full block of 256 first chunks and one replicate of the next
     "partial_last_block": dict(horizon=2.0, replicates=257, seed=10),
     # three paths take exactly the 16 events of their first chunk, so
-    # their first refill comes at event 16 and draws nothing they use;
-    # four take more
+    # they enter the lanes and draw a chunk of their own stream that they
+    # do not use; four take more
     "first_refill_at_16": dict(horizon=3.0, replicates=40, seed=20,
                                initial=2),
+    # every path ends within its first chunk, by event 12 at most: the
+    # block phase does all the work
+    "all_end_in_block": dict(horizon=0.2, replicates=301, seed=3, initial=2),
+    # many paths reach the cap within their first chunk, one of them at
+    # its 16th event
+    "cap_in_block": dict(horizon=5.0, replicates=301, seed=1, initial=3,
+                         state_cap=8),
 }
 
 
@@ -273,8 +280,43 @@ def test_lanes_match_per_replicate_loop(request, monkeypatch, case, lanes,
         assert 16 in expected.lengths
     assert record.counters["sim.blocks"] == -(-config.replicates // 256)
     assert record.counters["sim.event_free"] == expected.lengths.count(0)
-    if case in ("cap_next_state", "cap_mid_window", "infinite_horizon"):
+    assert record.counters["sim.lane_paths"] == expected.own_stream
+    if case == "all_end_in_block":
+        assert record.counters["sim.steps"] == 0
+        assert record.counters["sim.refills"] == 0
+    if case == "cap_in_block":
+        # some path of 16 events did not go on to its own stream: the cap
+        # ended it
+        assert expected.lengths.count(16) > expected.own_stream - sum(
+            events > 16 for events in expected.lengths)
+    if case in ("cap_next_state", "cap_mid_window", "infinite_horizon",
+                "cap_in_block"):
         assert result.capped_count > 0
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       horizon=st.one_of(st.floats(0.0, 3.0), st.just(np.inf)),
+       initial=st.integers(0, 40), headroom=st.integers(1, 60),
+       replicates=st.integers(1, 600), lanes=st.sampled_from([1, 3, 256]),
+       group=st.sampled_from([1, 2, sim._GROUP]))
+def test_lanes_match_per_replicate_loop_property(g025_small, seed, horizon,
+                                                 initial, headroom,
+                                                 replicates, lanes, group):
+    # an infinite horizon ends every path at the cap
+    config = SimConfig(model=g025_small, horizon=horizon,
+                       replicates=replicates, seed=seed, initial=initial,
+                       state_cap=initial + headroom)
+    expected = per_replicate_pmf(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_LANES", lanes)
+        patch.setattr(sim, "_GROUP", group)
+        with telemetry.recording() as record:
+            result = estimate_pmf(config)
+    assert np.array_equal(result.pmf, expected.pmf)
+    assert result.capped_count == expected.capped_count
+    assert record.counters["sim.events"] == expected.events
+    assert record.counters["sim.lane_paths"] == expected.own_stream
 
 
 @pytest.mark.parametrize("lanes", [3, 256])
@@ -336,9 +378,9 @@ def test_horizon_on_an_event_time(g025_small):
 
 
 def test_lane_steps_take_many_events(g025_small):
-    # A step takes a lane through up to _WINDOW events: here 213 steps for
-    # 69,645 events (0.0031 a step).  Steps of one event each take 6219
-    # (0.089), so the bound of 1/100 fails them.
+    # A step takes a lane through up to _WINDOW events: here 196 steps for
+    # 69,645 events (0.0028 a step).  Steps of one event each take 6151
+    # (0.088), so the bound of 1/100 fails them.
     config = SimConfig(model=g025_small, horizon=5.0, replicates=2000, seed=7)
     with telemetry.recording() as record:
         estimate_pmf(config)
@@ -347,9 +389,12 @@ def test_lane_steps_take_many_events(g025_small):
 
 
 def test_memory_flat_in_replicates(g025_small, monkeypatch):
-    # 16 lanes keep the fixed buffers near 150 kB, so one 8-byte word per
-    # replicate (320 kB at 40k) would show
+    # 16 lanes and one-block groups keep the fixed buffers near 260 kB and
+    # the peak near 450 kB, so one 8-byte word per replicate (320 kB at
+    # 40k) would show; the default four-block groups peak near 740 kB,
+    # where it would not
     monkeypatch.setattr(sim, "_LANES", 16)
+    monkeypatch.setattr(sim, "_GROUP", 1)
 
     def peak(replicates):
         config = SimConfig(model=g025_small, horizon=0.1,
