@@ -9,10 +9,10 @@ from .laws import (BranchingLaw, ImmigrationLaw, ModelSpec,
                    stable_model, validate_law)
 from .rvcalc import (RVContext, SlowlyVaryingSpec, check_sv_remainder,
                      sv_constant, sv_log, sv_perturbed)
-from .kernel import (METHODS, GFValue, compute_P, exact_R, solve_F,
+from .kernel import (METHODS, GFValue, compute_P, exact_R, log_limit, solve_F,
                      transition_grid, transition_probs)
-from .invariants import (InvariantMeasure, check_invariance, compute_B,
-                         extract_measure, ratio_limits, series_coefficients)
+from .invariants import (InvariantMeasure, check_invariance, extract_measure,
+                         ratio_limits, series_coefficients)
 from .asymptotics import (RateFit, check_lemma1, check_lemma2, check_lemma3,
                           check_lemma4, fit_loglog, rate_corollary1,
                           rate_theorem1, rate_theorem2, uniformity_ratio)
@@ -25,9 +25,9 @@ __all__ = [
     "validate_law",
     "RVContext", "SlowlyVaryingSpec", "check_sv_remainder",
     "sv_constant", "sv_log", "sv_perturbed",
-    "METHODS", "GFValue", "solve_F", "exact_R", "compute_P",
+    "METHODS", "GFValue", "solve_F", "exact_R", "compute_P", "log_limit",
     "transition_grid", "transition_probs",
-    "InvariantMeasure", "compute_B", "extract_measure", "check_invariance",
+    "InvariantMeasure", "extract_measure", "check_invariance",
     "ratio_limits", "series_coefficients",
     "RateFit", "fit_loglog", "rate_theorem1", "rate_theorem2",
     "rate_corollary1", "uniformity_ratio",

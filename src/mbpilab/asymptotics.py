@@ -28,8 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelError, PreconditionError
-from .invariants import compute_B, log_pi
-from .kernel import compute_P_grid, flow_on_grid, gf_integral_to_one
+from .kernel import compute_P_grid, flow_on_grid, log_limit
 from .laws import ModelSpec
 from .quadrature import doubling_quadrature
 from .rvcalc import SlowlyVaryingSpec
@@ -108,7 +107,7 @@ def rate_theorem1(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
     t_grid = np.asarray(t_grid, dtype=float)
     ctx = model.context()
     R = flow_on_grid(model, [s], t_grid, method="quad", rtol=1e-12)[:, 0]
-    tail, _ = gf_integral_to_one(model, one_minus_s=R)
+    tail, _ = log_limit(model, R)
     errors = np.abs(np.expm1(-np.real(tail)))
     tau = np.array([ctx.tau(float(t)) for t in t_grid])
     lam = ctx.lam_shift(t_grid, s)
@@ -127,10 +126,10 @@ def _transient_log_ratio(model: ModelSpec, s_batch, t_grid):
     log space, with log P by quadrature.  The flow is solved to 1e-12
     relative: T(t) + log P(t;s) cancels T(t) against R**(-|gamma|), which
     amplifies any error in R."""
-    model.require_transient_limit()
+    model.require_transient_limit()     # log_limit would give log U for gamma > 0
     ctx = model.context()
     s_arr = np.atleast_1d(np.asarray(s_batch, dtype=float))
-    lpi = np.real(log_pi(model, s_arr))
+    lpi = np.real(log_limit(model, 1.0 - s_arr)[0])
     logp, _, _ = compute_P_grid(model, s_arr, t_grid, rtol=1e-12, method="quad")
     T = np.array([ctx.big_T(float(t)) for t in t_grid])
     return T[:, None] + np.real(logp) - lpi[None, :]
@@ -150,6 +149,7 @@ def rate_theorem2(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
                   rsq_min: float = 0.99, log_ratio=None) -> RateFit:
     """Convergence rate of exp(T(t)) P(t; s) to pi(s) in the transient regime;
     ``log_ratio`` reuses the column for s of a :func:`_transient_log_ratio`."""
+    model.require_transient_limit()     # also for a given log_ratio
     t_grid = np.asarray(t_grid, dtype=float)
     if log_ratio is None:
         log_ratio = _transient_log_ratio(model, [s], t_grid)[:, 0]
@@ -163,7 +163,7 @@ def rate_theorem2(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
     fit.envelope = envelope
     fit.envelope_ratio = errors / envelope
     fit.extras["scaled_limit"] = np.exp(log_ratio) * float(np.exp(
-        np.real(log_pi(model, s))))
+        np.real(log_limit(model, 1.0 - s)[0])))
     fit.extras["envelope_slope"] = -model.mu / model.nu
     return fit
 
@@ -175,7 +175,7 @@ def rate_corollary1(model: ModelSpec, t_grid, slope_tol: float = 0.15,
     fit = rate_theorem2(model, 0.0, t_grid, slope_tol=slope_tol,
                         rsq_min=rsq_min, log_ratio=log_ratio)
     fit.label = "corollary1"
-    fit.extras["B0"] = float(np.real(compute_B(model, 0.0)))
+    fit.extras["B0"] = float(np.exp(np.real(log_limit(model, 1.0)[0]) - 1.0))
     return fit
 
 
@@ -289,7 +289,7 @@ def check_lemma4(model: ModelSpec, x_grid, bound: float = 2.0) -> LemmaReport:
         raise PreconditionError("lemma-4 check needs gamma > 0")
     ctx = model.context()
     x_grid = np.asarray(x_grid, dtype=float)
-    lhs, _ = gf_integral_to_one(model, x_grid)
+    lhs, _ = log_limit(model, 1.0 - x_grid)
     w = 1.0 - x_grid
     g_val = -w ** model.delta * ctx.ell(1.0 / w)
     lam = ctx.Lambda(w)

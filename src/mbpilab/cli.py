@@ -205,8 +205,6 @@ def _task_invariant(model, task, out, verdicts):
     j_out, M, r = task["j_out"], task["samples"], task["radius"]
     if r == "auto":
         r = suggest_radius(j_out, M, target=1e-10)
-    if model.gamma < 0:
-        model.require_transient_limit()
     measure = invariants.extract_measure(model, J_out=j_out, r=r, M=M)
     (out / "measure.csv").write_text(invariants.measure_csv(measure))
     floor = measure.series.coefficient_bound() + 1e-9
@@ -235,7 +233,6 @@ def _task_rates(model, task, out, verdicts):
         (out / "rate_theorem1.csv").write_text(asymptotics.rate_csv(fit))
         verdicts.line(fit.summary(), ok=fit.verdict)
     else:
-        model.require_transient_limit()
         uniform = (0.0, 0.25, 0.5, 0.75)
         batch = uniform + ((s,) if s not in uniform else ())
         log_ratio = asymptotics._transient_log_ratio(model, batch, grid)

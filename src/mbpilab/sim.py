@@ -297,9 +297,10 @@ def estimate_pmf(config: SimConfig) -> SimResult:
     seed_word = config.seed & 0xFFFFFFFFFFFFFFFF
     width = min(_LANES, n)
     n_blocks = -(-n // _BLOCK)
-    # key 0 is a placeholder that _rekey replaces; giving one spares the
-    # construction a draw of OS entropy
-    gens = [np.random.Generator(np.random.Philox(key=0)) for _ in range(width)]
+    # a slot's generator is built when its first path enters (none when
+    # every path ends in the block phase); key 0 is a placeholder that
+    # _rekey replaces, and giving one spares a draw of OS entropy
+    gens = [None] * width
     block = np.random.Generator(np.random.Philox(key=0))
     exps = np.empty((width, _CHUNK))
     unis = np.empty((width, _CHUNK, 3))
@@ -385,6 +386,8 @@ def estimate_pmf(config: SimConfig) -> SimResult:
             rep, x, t = (a[:m] for a in waiting)
             waiting = tuple(a[m:] for a in waiting)
             for s, r in zip(slots.tolist(), rep.tolist()):
+                if gens[s] is None:
+                    gens[s] = np.random.Generator(np.random.Philox(key=0))
                 _rekey(gens[s].bit_generator, seed_word, r)
                 gens[s].standard_exponential(out=exp_rows[s])
                 gens[s].random(out=uni_rows[s])

@@ -96,33 +96,31 @@ def polyval_series(coefficients, z):
     return npoly.polyval(np.asarray(z), coefficients)
 
 
-def direct_integral_to_one(model, s, rtol=1e-10):
-    """gf_integral_to_one with Lratio(x) evaluated at the complex argument
-    x = q**(-1/gamma) / (1-s), one complex power per node and point."""
-    w0 = np.atleast_1d(1.0 - np.asarray(s, dtype=complex))
-    gamma = model.gamma
-    lratio = model.context().L_ratio
+def direct_log_limit(model, one_minus_s, rtol=1e-10):
+    """log_limit with the tail functions evaluated at the complex argument
+    x = q**(-1/a) / w, one complex power per node and point: Lratio(x) for
+    log U (a = gamma > 0), the limit deficit of rvcalc for log B
+    (a = mu, gamma < 0), to which log pi adds w**(-|gamma|) in the
+    argument's own dtype."""
+    w = np.asarray(one_minus_s)
+    w0 = np.atleast_1d(w.astype(complex))
+    gamma, g_abs, mu = model.gamma, abs(model.gamma), model.mu
+    if gamma > 0:
+        lratio = model.context().L_ratio
 
-    def fun(q):
-        return lratio(q[:, None] ** (-1.0 / gamma) / w0[None, :])
+        def fun(q):
+            return lratio(q[:, None] ** (-1.0 / gamma) / w0[None, :])
+    else:
+        deficit = model.context().ratio_deficit_fun()
 
-    inner, err = doubling_quadrature(fun, 0.0, 1.0, rtol=rtol)
-    return -(w0 ** gamma) / gamma * inner, err
-
-
-def direct_regularized_integral(model, s, rtol=1e-10):
-    """regularized_integral_to_one with the limit deficit of rvcalc evaluated
-    at the complex argument x = q**(-1/mu) / (1-s)."""
-    w0 = np.atleast_1d(1.0 - np.asarray(s, dtype=complex))
-    g_abs, mu = abs(model.gamma), model.mu
-    deficit = model.context().ratio_deficit_fun()
-
-    def fun(q):
-        x = q[:, None] ** (-1.0 / mu) / w0[None, :]
-        return q[:, None] ** (-1.0 - g_abs / mu) * deficit(x) / mu
+        def fun(q):
+            x = q[:, None] ** (-1.0 / mu) / w0[None, :]
+            return q[:, None] ** (-1.0 - g_abs / mu) * deficit(x) / mu
 
     inner, err = doubling_quadrature(fun, 0.0, 1.0, rtol=rtol)
-    return w0 ** (-g_abs) * inner, err
+    if gamma > 0:
+        return -(w0 ** gamma) / gamma * inner, err
+    return w ** (-g_abs) + w0 ** (-g_abs) * inner, err
 
 
 def direct_segment_integral(model, w0, w1, rtol=1e-10):

@@ -15,8 +15,8 @@ import time
 import numpy as np
 
 from mbpilab import (SimConfig, check_invariance, check_lemma2, check_lemma3,
-                     check_lemma4, compute_B, estimate_pmf, exact_R,
-                     extract_measure, rate_corollary1, rate_theorem1,
+                     check_lemma4, estimate_pmf, exact_R, extract_measure,
+                     log_limit, rate_corollary1, rate_theorem1,
                      rate_theorem2, ratio_limits, series_coefficients,
                      solve_F, sv_perturbed, transition_probs,
                      uniformity_ratio)
@@ -208,7 +208,8 @@ def test_criterion6_p00_rate_envelope_exponent(gneg, gneg_pert):
 
 def test_criterion6_B0_and_early_value(gneg):
     started = time.time()
-    b0 = float(np.real(compute_B(gneg, 0.0)))
+    # B(0) = pi(0) / e
+    b0 = float(np.exp(np.real(log_limit(gneg, 1.0)[0]) - 1.0))
     fit = rate_corollary1(gneg, GRID_2_6)
     idx = int(np.argmin(np.abs(GRID_2_6 - 1e2)))
     early = fit.extras["scaled_limit"][idx]

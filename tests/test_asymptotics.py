@@ -92,6 +92,9 @@ def test_theorem2_perturbed_attains_envelope(gneg_pert):
 def test_theorem2_preconditions(g025):
     with pytest.raises(PreconditionError):
         rate_theorem2(g025, 0.0, GRID)
+    # a given log ratio does not skip the check: pi has no meaning here
+    with pytest.raises(PreconditionError):
+        rate_theorem2(g025, 0.0, GRID, log_ratio=np.zeros(len(GRID)))
 
 
 def test_corollary1(gneg):

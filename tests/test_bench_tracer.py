@@ -1,0 +1,49 @@
+"""The benchmark's span tracer (bench/tracer.py) binds names of the package:
+public functions at every import site, the private ``kernel._rk45``, law and
+class methods, and argument hooks on a few functions.  Installing it here,
+without running a benchmark pass, makes a refactor that deletes or renames
+one of those names fail the test suite and not only the benchmark's own
+self-test."""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+tracer = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracer)
+
+
+def _package_modules():
+    return {name: module for name, module in sys.modules.items()
+            if name == "mbpilab" or name.startswith("mbpilab.")}
+
+
+def test_tracer_wraps_every_bound_name_and_restores():
+    layers = {layer: importlib.import_module(f"mbpilab.{layer}")
+              for layer in tracer.LAYERS}
+    modules = _package_modules()
+    before = {name: dict(vars(module)) for name, module in modules.items()}
+    spans = tracer.Tracer()
+    with spans.patched() as patches:
+        assert patches
+        for owner, attr, original in patches:
+            assert vars(owner)[attr] is not original, f"{owner}.{attr}"
+        originals = {id(original) for _, _, original in patches}
+        missed = [f"{name}.{attr}" for name, module in modules.items()
+                  for attr, obj in vars(module).items() if id(obj) in originals]
+        assert not missed
+        # the private span and every argument hook land on a wrapped function
+        wrapped = {f"{owner.__name__.rsplit('.', 1)[-1]}.{attr}"
+                   for owner, attr, _ in patches if inspect.ismodule(owner)}
+        assert tracer.FLOW in wrapped
+        assert set(spans._hooks(layers)) <= wrapped
+    for owner, attr, original in patches:
+        assert vars(owner)[attr] is original, f"{owner}.{attr} left patched"
+    for name, module in modules.items():
+        after = vars(module)
+        assert after.keys() == before[name].keys()
+        assert all(after[attr] is obj for attr, obj in before[name].items())

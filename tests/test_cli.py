@@ -107,10 +107,15 @@ name = kernel
     assert run_config(write(tmp_path, bad), out_dir=tmp_path / "out") == 3
 
 
-def test_theorem2_wrong_pairing_exits_3(tmp_path):
-    cfg = write(tmp_path, TRANSIENT.format(task="rates", d="0.3", extra=(
-        "t_min = 1e2\nt_max = 1e4\npoints = 7"), out=tmp_path / "out"))
-    assert run_config(cfg) == 3
+def test_theorem2_wrong_pairing_exits_3(tmp_path, capsys):
+    # the transient limit behind both tasks refuses C_ell/C_L != |gamma|
+    for task, extra in (("rates", "t_min = 1e2\nt_max = 1e4\npoints = 7"),
+                        ("invariant", "")):
+        cfg = write(tmp_path, TRANSIENT.format(task=task, d="0.3", extra=extra,
+                                               out=tmp_path / task),
+                    name=f"{task}.ini")
+        assert run_config(cfg) == 3
+        assert "differs from |gamma|" in capsys.readouterr().err
 
 
 def test_kernel_task(tmp_path):

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from mbpilab import (ModelError, PreconditionError, check_invariance,
-                     compute_B, compute_P, extract_measure, ratio_limits, series_coefficients,
-                     solve_F, stable_model, transition_probs)
+                     compute_P, extract_measure, log_limit, ratio_limits,
+                     series_coefficients, solve_F, stable_model, transition_probs)
 from mbpilab import kernel, rvcalc
-from mbpilab.invariants import limit_ratios, log_pi, measure_csv
+from mbpilab.invariants import limit_ratios, measure_csv
 from mbpilab.inversion import circle_points, suggest_radius
-from mbpilab.kernel import (exact_R, gf_integral_to_one, gf_segment_integral,
-                            regularized_integral_to_one)
+from mbpilab.kernel import exact_R, gf_segment_integral
 from mbpilab.laws import ModelSpec
 
-from oracles import (direct_integral_to_one, direct_regularized_integral,
-                     direct_segment_integral, mp_exp_series_coeffs,
-                     row_sum_invariance, scipy_gf_integral)
+from oracles import (direct_log_limit, direct_segment_integral,
+                     mp_exp_series_coeffs, row_sum_invariance, scipy_gf_integral)
 
 # The half circle behind extract_measure's default M = 2**14.
 HALF_CIRCLE = circle_points(0.9, 16384, half=True)
@@ -29,16 +27,18 @@ def g025_pert_both():
 
 
 def _integral_pair(model):
-    if model.gamma > 0:
-        return (gf_integral_to_one(model, HALF_CIRCLE),
-                direct_integral_to_one(model, HALF_CIRCLE))
-    return (regularized_integral_to_one(model, HALF_CIRCLE),
-            direct_regularized_integral(model, HALF_CIRCLE))
+    return (log_limit(model, 1.0 - HALF_CIRCLE),
+            direct_log_limit(model, 1.0 - HALF_CIRCLE))
 
 
 def _U(model, s):
     """U(s) = exp(integral_s^1 g/f), gamma > 0."""
-    return np.exp(gf_integral_to_one(model, s)[0])
+    return np.exp(log_limit(model, 1.0 - s)[0])
+
+
+def _B(model, s):
+    """B(s) = pi(s) exp(-(1-s)**(-|gamma|)), gamma < 0."""
+    return np.exp(log_limit(model, 1.0 - s)[0] - (1.0 - s) ** model.gamma)
 
 
 def test_U_values(g025):
@@ -55,14 +55,9 @@ def test_U_matches_scipy(g025, g025_pert_imm):
             assert np.real(_U(model, s)) == pytest.approx(expected, rel=1e-7)
 
 
-def test_U_requires_positive_gamma(gneg):
-    with pytest.raises(PreconditionError):
-        gf_integral_to_one(gneg, 0.5)
-
-
 def test_B_is_one_for_canonical(gneg):
     for s in (0.0, 0.3, 0.8, 0.999):
-        assert np.real(compute_B(gneg, s)) == pytest.approx(1.0, abs=1e-14)
+        assert np.real(_B(gneg, s)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_B_perturbed_closed_form(gneg_pert):
@@ -70,20 +65,21 @@ def test_B_perturbed_closed_form(gneg_pert):
     g_abs, mu, kap = abs(gneg_pert.gamma), gneg_pert.mu, 1.0
     for s in (0.0, 0.4, 0.9):
         expected = np.exp(-(g_abs * kap / mu) * (1.0 - s) ** mu)
-        assert np.real(compute_B(gneg_pert, s)) == pytest.approx(expected, rel=1e-10)
+        assert np.real(_B(gneg_pert, s)) == pytest.approx(expected, rel=1e-10)
 
 
-def test_B_preconditions(g025, gneg):
-    with pytest.raises(PreconditionError):
-        compute_B(g025, 0.0)
+def test_B_preconditions():
+    # for gamma < 0 the limit needs the pairing C = |gamma| and mu > 0
     bad = stable_model(nu=0.75, c=1.0, delta=0.5, d=0.3)
-    with pytest.raises(PreconditionError):
-        compute_B(bad, 0.0)
+    with pytest.raises(PreconditionError, match="differs from"):
+        log_limit(bad, 1.0)
+    with pytest.raises(PreconditionError, match="mu = 2"):
+        log_limit(stable_model(nu=0.75, c=1.0, delta=0.3, d=0.45), 1.0)
 
 
 def test_pi_values(gneg):
-    assert np.exp(np.real(log_pi(gneg, 0.0))) == pytest.approx(np.e, rel=1e-13)
-    assert np.exp(np.real(log_pi(gneg, 0.5))) == pytest.approx(
+    assert np.exp(np.real(log_limit(gneg, 1.0)[0])) == pytest.approx(np.e, rel=1e-13)
+    assert np.exp(np.real(log_limit(gneg, 0.5)[0])) == pytest.approx(
         np.exp(2.0 ** 0.25), rel=1e-13)
 
 
@@ -119,7 +115,8 @@ def test_extract_distribution(g025):
 
 def test_extract_measure_pi(gneg):
     r = suggest_radius(64, 2048, target=1e-10)
-    measure = extract_measure(gneg, kind="measure", J_out=64, r=r, M=2048)
+    measure = extract_measure(gneg, J_out=64, r=r, M=2048)
+    assert measure.kind == "measure"
     assert measure.coefficients[0] == pytest.approx(np.e, abs=1e-9)
     exact = series_coefficients(gneg, "measure", 64)
     assert np.max(np.abs(measure.coefficients - exact)) < 1e-9
@@ -163,7 +160,7 @@ def test_invariance_prediction_matches_row_sum(name, tau, request):
 
 def test_invariance_residual_pi(gneg):
     r = suggest_radius(256, 8192, target=1e-10)
-    measure = extract_measure(gneg, kind="measure", J_out=256, r=r, M=8192)
+    measure = extract_measure(gneg, J_out=256, r=r, M=8192)
     report = check_invariance(measure, gneg, tau=0.5)
     assert report.ok(1e-5)
 
@@ -250,12 +247,15 @@ def test_upsilon_matches_normalized_pi(gneg):
 
 
 def test_log_pi_consistency(gneg, gneg_pert):
-    # log pi(s) = (1-s)**(-|gamma|) + log B(s)
+    # log pi(s) = (1-s)**(-|gamma|) + log B(s) with the leading term in the
+    # argument's dtype: for real s it is the real power (gneg's log B is
+    # exactly 0), and the same point given as a complex number agrees
     s = 0.3
+    assert log_limit(gneg, 1.0 - s)[0] == (1.0 - s) ** (-abs(gneg.gamma))
     for model in (gneg, gneg_pert):
-        expected = (1.0 - s) ** (-abs(model.gamma)) + np.log(compute_B(model, s))
-        assert np.real(log_pi(model, s)) == pytest.approx(
-            float(np.real(expected)), rel=1e-13)
+        real, _ = log_limit(model, 1.0 - s)
+        cplx, _ = log_limit(model, complex(1.0 - s))
+        assert np.real(cplx) == pytest.approx(float(np.real(real)), rel=1e-13)
 
 
 def test_measure_csv_format(g025):

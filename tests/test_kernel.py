@@ -8,9 +8,8 @@ from mbpilab import (METHODS, ModelError, NumericsError, compute_P, exact_R,
                      ratio_limits, solve_F, transition_probs)
 from mbpilab import kernel, telemetry
 from mbpilab.inversion import circle_points
-from mbpilab.kernel import (flow_on_grid, gf_integral_to_one,
-                            gf_segment_integral, gf_table_csv,
-                            transition_grid)
+from mbpilab.kernel import (flow_on_grid, gf_segment_integral, gf_table_csv,
+                            log_limit, transition_grid)
 from mbpilab.laws import offspring_from_coefficients
 
 from oracles import scipy_R, scipy_gf_integral, time_route_P
@@ -185,8 +184,8 @@ def test_segment_integral_additivity(g025):
     # integral_s^1 = integral_s^F + integral_F^1 for gamma > 0
     gv = solve_F(g025, 2.0, 0.2)
     seg, _ = gf_segment_integral(g025, 0.2, gv.F)
-    to_one_s, _ = gf_integral_to_one(g025, 0.2)
-    to_one_F, _ = gf_integral_to_one(g025, gv.F)
+    to_one_s, _ = log_limit(g025, 1.0 - 0.2)
+    to_one_F, _ = log_limit(g025, 1.0 - gv.F)
     assert abs((seg + to_one_F) - to_one_s) < 1e-12
 
 

@@ -294,6 +294,29 @@ def test_lanes_match_per_replicate_loop(request, monkeypatch, case, lanes,
         assert result.capped_count > 0
 
 
+def test_slot_generators_built_on_first_entry(g025_small, monkeypatch):
+    # a lane slot's generator is built when its first path enters: at
+    # horizon 0 no path leaves the block phase and only the block's
+    # generator is built.  Wrapping Generator counts the builds; a Philox
+    # subclass would fail _rekey's state check.
+    built = []
+    generator = np.random.Generator
+
+    def counting(bit_generator):
+        built.append(bit_generator)
+        return generator(bit_generator)
+
+    monkeypatch.setattr(np.random, "Generator", counting)
+    for horizon in (0.0, 2.0):
+        built.clear()
+        with telemetry.recording() as record:
+            estimate_pmf(SimConfig(model=g025_small, horizon=horizon,
+                                   replicates=600, seed=9))
+        lane_paths = record.counters["sim.lane_paths"]
+        assert (lane_paths == 0) == (horizon == 0.0)
+        assert len(built) == 1 + min(sim._LANES, lane_paths)
+
+
 @settings(max_examples=25)
 @given(seed=st.integers(0, 2 ** 64 - 1),
        horizon=st.one_of(st.floats(0.0, 3.0), st.just(np.inf)),
