@@ -14,8 +14,8 @@ from .kernel import (METHODS, GFValue, compute_P, exact_R, log_limit, solve_F,
 from .invariants import (InvariantMeasure, check_invariance, extract_measure,
                          ratio_limits, series_coefficients)
 from .asymptotics import (RateFit, check_lemma1, check_lemma2, check_lemma3,
-                          check_lemma4, fit_loglog, rate_corollary1,
-                          rate_theorem1, rate_theorem2, uniformity_ratio)
+                          check_lemma4, fit_loglog, rate_theorem1,
+                          rate_transient)
 from .sim import AliasTable, SimConfig, SimResult, estimate_pmf, simulate_path
 
 __all__ = [
@@ -29,8 +29,7 @@ __all__ = [
     "transition_grid", "transition_probs",
     "InvariantMeasure", "extract_measure", "check_invariance",
     "ratio_limits", "series_coefficients",
-    "RateFit", "fit_loglog", "rate_theorem1", "rate_theorem2",
-    "rate_corollary1", "uniformity_ratio",
+    "RateFit", "fit_loglog", "rate_theorem1", "rate_transient",
     "check_lemma1", "check_lemma2", "check_lemma3", "check_lemma4",
     "AliasTable", "SimConfig", "SimResult", "simulate_path", "estimate_pmf",
 ]

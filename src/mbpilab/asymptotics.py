@@ -14,7 +14,9 @@ Conventions:
   term instead, which decays at the faster exponent -delta/nu; the fit
   therefore predicts -delta/nu for exactly-constant specs and -mu/nu
   otherwise.
-* corollary (gamma < 0): same for exp(T(t)) p_00(t) against pi(0).
+* corollary (gamma < 0): the same error at s = 0, as exp(T(t)) p_00(t)
+  against pi(0); :func:`rate_transient` takes it, theorem 2 at s and the
+  uniformity ratio over s from one march.
 
 Everything that can overflow (exp(T) with T -> infinity) is handled by
 summing exponents in log space before a single expm1.
@@ -63,11 +65,6 @@ class RateFit:
     @property
     def verdict(self) -> bool:
         return self.margin <= self.slope_tol and self.r_squared >= self.rsq_min
-
-    def summary(self) -> str:
-        status = "PASS" if self.verdict else "FAIL"
-        return (f"{self.label} slope {self.fitted_slope:.3f} "
-                f"(predicted {self.predicted_slope:.3f}) {status}")
 
 
 def fit_loglog(t, err, predicted_slope, slope_tol=0.1, rsq_min=0.99,
@@ -121,20 +118,6 @@ def rate_theorem1(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
     return fit
 
 
-def _transient_log_ratio(model: ModelSpec, s_batch, t_grid):
-    """log( exp(T(t)) P(t;s) / pi(s) ), shape (len(t_grid), len(s_batch)), in
-    log space, with log P by quadrature.  The flow is solved to 1e-12
-    relative: T(t) + log P(t;s) cancels T(t) against R**(-|gamma|), which
-    amplifies any error in R."""
-    model.require_transient_limit()     # log_limit would give log U for gamma > 0
-    ctx = model.context()
-    s_arr = np.atleast_1d(np.asarray(s_batch, dtype=float))
-    lpi = np.real(log_limit(model, 1.0 - s_arr)[0])
-    logp, _, _ = compute_P_grid(model, s_arr, t_grid, rtol=1e-12, method="quad")
-    T = np.array([ctx.big_T(float(t)) for t in t_grid])
-    return T[:, None] + np.real(logp) - lpi[None, :]
-
-
 def transient_predicted_slope(model: ModelSpec) -> float:
     """-mu/nu when the tail functions carry a genuine remainder; -delta/nu
     for exactly constant tail functions (the envelope integrand vanishes
@@ -145,48 +128,50 @@ def transient_predicted_slope(model: ModelSpec) -> float:
     return -model.mu / model.nu
 
 
-def rate_theorem2(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
-                  rsq_min: float = 0.99, log_ratio=None) -> RateFit:
-    """Convergence rate of exp(T(t)) P(t; s) to pi(s) in the transient regime;
-    ``log_ratio`` reuses the column for s of a :func:`_transient_log_ratio`."""
-    model.require_transient_limit()     # also for a given log_ratio
+# The s values over which the uniformity ratio of theorem 2 is taken.
+UNIFORM_S = (0.0, 0.25, 0.5, 0.75)
+
+
+def rate_transient(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
+                   rsq_min: float = 0.99):
+    """(theorem-2 fit at s, corollary-1 fit, uniformity ratio) in the
+    transient regime, from one march of the batch UNIFORM_S + (s,).
+
+    rho(t; s) = |expm1(T(t) + log P(t; s) - log pi(s))| in log space, with
+    log P by quadrature and the flow solved to 1e-12 relative: T(t) + log P
+    cancels T(t) against R**(-|gamma|), which amplifies any error in R.
+    The corollary reads p_00 = P(t; 0), column 0, at the tolerance
+    max(slope_tol, 0.15); the uniformity ratio is max over s in UNIFORM_S of
+    rho(t; s)/rho(t; 0) along the grid.  s must lie in [-1, 1): log pi
+    diverges at s = 1.
+    """
+    model.require_transient_limit()
+    if not -1.0 <= s < 1.0:
+        raise ModelError("theorem-2 rate check expects s in [-1, 1)")
     t_grid = np.asarray(t_grid, dtype=float)
-    if log_ratio is None:
-        log_ratio = _transient_log_ratio(model, [s], t_grid)[:, 0]
-    errors = np.abs(np.expm1(log_ratio))
     ctx = model.context()
+    batch = UNIFORM_S + ((s,) if s not in UNIFORM_S else ())
+    lpi = np.real(log_limit(model, 1.0 - np.array(batch))[0])
+    logp, _, _ = compute_P_grid(model, batch, t_grid, rtol=1e-12, method="quad")
+    T = np.array([ctx.big_T(float(t)) for t in t_grid])
+    log_rel = T[:, None] + np.real(logp) - lpi
+    rho = np.abs(np.expm1(log_rel))
     tau = np.array([ctx.tau(float(t)) for t in t_grid])
     envelope = ctx.ell(tau) / tau ** model.mu
-    fit = fit_loglog(t_grid, errors, predicted_slope=transient_predicted_slope(model),
-                     slope_tol=slope_tol, rsq_min=rsq_min, floor=_FIT_FLOOR,
-                     label="theorem2")
-    fit.envelope = envelope
-    fit.envelope_ratio = errors / envelope
-    fit.extras["scaled_limit"] = np.exp(log_ratio) * float(np.exp(
-        np.real(log_limit(model, 1.0 - s)[0])))
-    fit.extras["envelope_slope"] = -model.mu / model.nu
-    return fit
-
-
-def rate_corollary1(model: ModelSpec, t_grid, slope_tol: float = 0.15,
-                    rsq_min: float = 0.99, log_ratio=None) -> RateFit:
-    """Rate of exp(T(t)) p_00(t) toward pi(0) = e * B(0), via p_00 = P(t; 0):
-    theorem 2 at s = 0 (``log_ratio`` as there), labelled."""
-    fit = rate_theorem2(model, 0.0, t_grid, slope_tol=slope_tol,
-                        rsq_min=rsq_min, log_ratio=log_ratio)
-    fit.label = "corollary1"
-    fit.extras["B0"] = float(np.exp(np.real(log_limit(model, 1.0)[0]) - 1.0))
-    return fit
-
-
-def uniformity_ratio(model: ModelSpec, s_values, t_grid, log_ratio=None) -> np.ndarray:
-    """max over s of rho(t; s)/rho(t; 0) along the grid (transient case);
-    ``log_ratio`` reuses marched columns for 0, then the nonzero s_values."""
-    if log_ratio is None:
-        s_batch = [0.0] + [float(s) for s in s_values if s != 0.0]
-        log_ratio = _transient_log_ratio(model, s_batch, t_grid)
-    rho = np.abs(np.expm1(log_ratio))
-    return np.max(rho[:, 1:] / rho[:, :1], axis=1, initial=1.0)
+    fits = []
+    for col, label, tol in ((batch.index(s), "theorem2", slope_tol),
+                            (0, "corollary1", max(slope_tol, 0.15))):
+        fit = fit_loglog(t_grid, rho[:, col], transient_predicted_slope(model),
+                         slope_tol=tol, rsq_min=rsq_min, floor=_FIT_FLOOR,
+                         label=label)
+        fit.envelope = envelope
+        fit.envelope_ratio = rho[:, col] / envelope
+        fit.extras["scaled_limit"] = np.exp(log_rel[:, col] + lpi[col])
+        fit.extras["envelope_slope"] = -model.mu / model.nu
+        fits.append(fit)
+    fits[1].extras["B0"] = float(np.exp(lpi[0] - 1.0))
+    ratio = np.max(rho[:, 1:len(UNIFORM_S)] / rho[:, :1], axis=1, initial=1.0)
+    return fits[0], fits[1], ratio
 
 
 @dataclass

@@ -168,11 +168,6 @@ class Verdicts:
         if not ok:
             self.failed = True
 
-    def line(self, text, ok=True):
-        self.lines.append(text)
-        if not ok:
-            self.failed = True
-
     def skip(self, name, reason):
         self.lines.append(f"{name} SKIP ({reason})")
 
@@ -228,27 +223,18 @@ def _task_rates(model, task, out, verdicts):
     grid = _t_grid(task)
     s, slope_tol, rsq_min = task["s"], task["slope_tol"], task["rsq_min"]
     if model.gamma > 0:
-        fit = asymptotics.rate_theorem1(model, s, grid, slope_tol=slope_tol,
-                                        rsq_min=rsq_min)
-        (out / "rate_theorem1.csv").write_text(asymptotics.rate_csv(fit))
-        verdicts.line(fit.summary(), ok=fit.verdict)
+        fits, ratio = [asymptotics.rate_theorem1(model, s, grid, slope_tol=slope_tol,
+                                                 rsq_min=rsq_min)], None
     else:
-        uniform = (0.0, 0.25, 0.5, 0.75)
-        batch = uniform + ((s,) if s not in uniform else ())
-        log_ratio = asymptotics._transient_log_ratio(model, batch, grid)
-        fit = asymptotics.rate_theorem2(model, s, grid, slope_tol=slope_tol,
-                                        rsq_min=rsq_min,
-                                        log_ratio=log_ratio[:, batch.index(s)])
-        (out / "rate_theorem2.csv").write_text(asymptotics.rate_csv(fit))
-        verdicts.line(fit.summary(), ok=fit.verdict)
-        cor = asymptotics.rate_corollary1(model, grid, slope_tol=max(slope_tol, 0.15),
-                                          rsq_min=rsq_min, log_ratio=log_ratio[:, 0])
-        (out / "rate_corollary1.csv").write_text(asymptotics.rate_csv(cor))
-        verdicts.line(cor.summary(), ok=cor.verdict)
-        ratio = asymptotics.uniformity_ratio(model, uniform, grid,
-                                             log_ratio=log_ratio[:, :len(uniform)])
-        ok = bool(np.all(ratio <= 10.0))
-        verdicts.record("uniformity_ratio", ok, f"max {ratio.max():.2f} (bound 10)")
+        *fits, ratio = asymptotics.rate_transient(model, s, grid, slope_tol=slope_tol,
+                                                  rsq_min=rsq_min)
+    for fit in fits:
+        (out / f"rate_{fit.label}.csv").write_text(asymptotics.rate_csv(fit))
+        verdicts.record(fit.label, fit.verdict, f"slope {fit.fitted_slope:.3f} "
+                        f"(predicted {fit.predicted_slope:.3f})")
+    if ratio is not None:
+        verdicts.record("uniformity_ratio", bool(np.all(ratio <= 10.0)),
+                        f"max {ratio.max():.2f} (bound 10)")
 
 
 def _task_lemmas(model, task, out, verdicts):

@@ -33,7 +33,7 @@ from .inversion import (CoefficientSeries, circle_points,
                         coefficients_from_samples, complete_circle,
                         sample_count)
 from .kernel import compute_P_grid, log_limit, transition_grid
-from .laws import ModelSpec, _signed_binomials
+from .laws import ModelSpec, signed_binomials
 
 
 def series_coefficients(model: ModelSpec, kind: str, J: int) -> np.ndarray:
@@ -54,14 +54,14 @@ def series_coefficients(model: ModelSpec, kind: str, J: int) -> np.ndarray:
     if kind == "distribution":
         if not gamma > 0:
             raise PreconditionError("distribution coefficients need gamma > 0")
-        h += -(d / (c * gamma)) * _signed_binomials(gamma, J)
+        h += -(d / (c * gamma)) * signed_binomials(gamma, J)
         if kap:
-            h += -(d * kap / (c * mu)) * _signed_binomials(mu, J)
+            h += -(d * kap / (c * mu)) * signed_binomials(mu, J)
     elif kind == "measure":
         model.require_transient_limit()
-        h += _signed_binomials(-abs(gamma), J)
+        h += signed_binomials(-abs(gamma), J)
         if kap:
-            h += -(abs(gamma) * kap / mu) * _signed_binomials(mu, J)
+            h += -(abs(gamma) * kap / mu) * signed_binomials(mu, J)
     else:
         raise ModelError(f"unknown kind {kind!r}")
     m = np.zeros(J + 1)

@@ -315,16 +315,16 @@ def _series_ratio(model, u):
             / model.offspring.gf(u, mode="series"))
 
 
-def gf_segment_integral(model: ModelSpec, s=None, F=None, method: str = "auto",
-                        one_minus_s=None, one_minus_F=None):
+def gf_segment_integral(model: ModelSpec, one_minus_s, one_minus_F,
+                        method: str = "auto"):
     """integral_s^F g(u)/f(u) du along the geometric path
     1-u = exp((1-x) log(1-s) + x log(1-F)), x in [0, 1].
 
     The path stays in the half-plane Re(1-u) > 0, where the tail-function
     form of the integrand is analytic; in the x parameter the integrand
-    varies like an exponential, so uniform panels resolve it.  Endpoints can
-    be supplied as 1-s / 1-F directly (``one_minus_*``), which preserves
-    full precision when F is exponentially close to 1.
+    varies like an exponential, so uniform panels resolve it.  The endpoints
+    are given as 1-s and 1-F, which keeps full precision when F is
+    exponentially close to 1.
 
     ``method`` "series" integrates the truncated-series ratio g/f; every
     other word of :data:`METHODS` takes the tail-function integrand
@@ -336,10 +336,8 @@ def gf_segment_integral(model: ModelSpec, s=None, F=None, method: str = "auto",
     keeps |Im logw| < pi/2, so Log(exp(logw)) = logw.
     """
     _check_method(method)
-    w0_in = one_minus_s if one_minus_s is not None else 1.0 - np.asarray(s, dtype=complex)
-    w1_in = one_minus_F if one_minus_F is not None else 1.0 - np.asarray(F, dtype=complex)
-    w0, scalar_s = _as_batch(w0_in)
-    w1, _ = _as_batch(w1_in)
+    w0, scalar_s = _as_batch(one_minus_s)
+    w1, _ = _as_batch(one_minus_F)
     w0, w1 = np.broadcast_arrays(w0, w1)
     if np.any(w1 == 0):
         raise ModelError("segment integral endpoint F = 1 is singular")
@@ -463,8 +461,7 @@ def compute_P_grid(model: ModelSpec, s_batch, t_grid, rtol: float = 1e-10,
     if method == "closed" or (method == "auto" and closed):
         logp, err = _closed_logP(model, w0, w1), 8.0 * np.finfo(float).eps
     else:
-        logp, err = gf_segment_integral(model, method=method,
-                                        one_minus_s=w0, one_minus_F=w1)
+        logp, err = gf_segment_integral(model, w0, w1, method=method)
     logp = np.where(at_one, 0.0, np.atleast_1d(logp)).reshape(R.shape)
     flow_err = _flow_error(model, float(t_arr.max()), method, rtol)
     return logp, R, float(err) + flow_err
@@ -540,20 +537,12 @@ def transition_grid(model: ModelSpec, i_values, t_grid, J_out: int,
 
 def transition_probs(model: ModelSpec, i: int, t: float, J_out: int,
                      r: float = 0.9, M: int = 16384, method: str = "auto",
-                     clamp: bool = True, alias_tol: float = None) -> CoefficientSeries:
+                     clamp: bool = True) -> CoefficientSeries:
     """Transition row p_ij(t), j = 0..J_out, by circle inversion of P_i: the
-    single-row case of :func:`transition_grid`.
-
-    When ``alias_tol`` is given, the extraction refuses to return a series
-    whose aliasing bound exceeds it (raise M or shrink r to fix).
-    """
+    single-row case of :func:`transition_grid`."""
     series = transition_grid(model, [i], [t], J_out, r=r, M=M, method=method,
                              clamp=clamp).row((0, 0))
     series.meta.update(t=t, i=int(i))
-    if alias_tol is not None and series.aliasing_bound > alias_tol:
-        raise ModelError(
-            f"aliasing bound {series.aliasing_bound:.3g} exceeds the requested "
-            f"{alias_tol:g}; raise M or shrink the radius")
     return series
 
 

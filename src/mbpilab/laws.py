@@ -34,7 +34,7 @@ MASS_TOL = 1e-9
 CRIT_TOL = 1e-9
 
 
-def _signed_binomials(alpha: float, J: int) -> np.ndarray:
+def signed_binomials(alpha: float, J: int) -> np.ndarray:
     """Return (-1)**j * binom(alpha, j) for j = 0..J via the stable recurrence."""
     out = [1.0] * (J + 1)
     v = 1.0  # a Python float makes the same IEEE operations as numpy's
@@ -181,9 +181,9 @@ def make_stable_offspring(nu: float, c: float, kappa: float = 0.0,
     J = int(J)
     if J < 2:
         raise ModelError("offspring truncation order must be at least 2")
-    a = c * _signed_binomials(1.0 + nu, J)
+    a = c * signed_binomials(1.0 + nu, J)
     if kappa:
-        a = a + c * kappa * _signed_binomials(1.0 + 2.0 * nu, J)
+        a = a + c * kappa * signed_binomials(1.0 + 2.0 * nu, J)
     s0 = math.fsum(a.tolist())
     s1 = math.fsum((np.arange(J + 1) * a).tolist())
     d_last = (s0 - s1) / (J - 1.0)
@@ -216,9 +216,9 @@ def make_stable_immigration(delta: float, d: float, kappa: float = 0.0,
     J = int(J)
     if J < 1:
         raise ModelError("immigration truncation order must be at least 1")
-    b = -d * _signed_binomials(delta, J)
+    b = -d * signed_binomials(delta, J)
     if kappa:
-        b = b - d * kappa * _signed_binomials(2.0 * delta, J)
+        b = b - d * kappa * signed_binomials(2.0 * delta, J)
     s0 = math.fsum(b.tolist())
     b[J] += -s0
     if b[0] >= 0 or np.any(b[1:] < 0):

@@ -145,16 +145,6 @@ class RVContext:
     def gamma(self) -> float:
         return self.delta - self.nu
 
-    @property
-    def mu(self) -> float:
-        return 2.0 * self.delta - self.nu
-
-    @property
-    def C_ratio(self) -> Optional[float]:
-        if self.L.limit is None or self.ell.limit is None:
-            return None
-        return self.ell.limit / self.L.limit
-
     def Lambda(self, y):
         """Lambda(y) = y**nu * L(1/y) for y in (0, 1]."""
         arr = np.asarray(y)
@@ -236,7 +226,8 @@ class RVContext:
         return self.L(x) ** (-self.delta / self.nu) * self.ell(x)
 
     def ratio_deficit_fun(self):
-        """Stable  C_ratio - Lratio(x)  evaluator, or None (see ratio_deficit)."""
+        """Stable  C - Lratio(x)  evaluator, C = ell.limit / L.limit, or None
+        (see ratio_deficit)."""
         return ratio_deficit(self.L, self.ell)
 
     def dLam(self, y):

@@ -16,10 +16,9 @@ import numpy as np
 
 from mbpilab import (SimConfig, check_invariance, check_lemma2, check_lemma3,
                      check_lemma4, estimate_pmf, exact_R, extract_measure,
-                     log_limit, rate_corollary1, rate_theorem1,
-                     rate_theorem2, ratio_limits, series_coefficients,
-                     solve_F, sv_perturbed, transition_probs,
-                     uniformity_ratio)
+                     log_limit, rate_theorem1, rate_transient, ratio_limits,
+                     series_coefficients, solve_F, sv_perturbed,
+                     transition_probs)
 from mbpilab.inversion import suggest_radius
 
 GRID_2_6 = np.logspace(2, 6, 25)
@@ -160,7 +159,7 @@ def test_criterion4_recurrent_rate(g025):
 
 def test_criterion5_transient_limit(gneg):
     started = time.time()
-    fit = rate_theorem2(gneg, 0.0, GRID_2_6)
+    fit = rate_transient(gneg, 0.0, GRID_2_6)[0]
     scaled = fit.extras["scaled_limit"][-1]
     dev = abs(scaled - np.e)
     elapsed = time.time() - started
@@ -181,13 +180,13 @@ def test_criterion5_transient_rate_envelope_exponent(gneg, gneg_pert):
     """
     check_envelope_exponent(
         "5b (transient rate, envelope exponent)", 0.1,
-        gneg, rate_theorem2(gneg, 0.0, GRID_2_6),
-        gneg_pert, rate_theorem2(gneg_pert, 0.0, GRID_2_6))
+        gneg, rate_transient(gneg, 0.0, GRID_2_6)[0],
+        gneg_pert, rate_transient(gneg_pert, 0.0, GRID_2_6)[0])
 
 
 def test_criterion5_uniformity(gneg):
     started = time.time()
-    ratio = uniformity_ratio(gneg, (0.0, 0.25, 0.5, 0.75), np.logspace(2, 6, 9))
+    ratio = rate_transient(gneg, 0.0, np.logspace(2, 6, 9))[2]
     elapsed = time.time() - started
     ok = bool(np.all(ratio <= 10.0))
     announce("5c (uniformity over s)", ok,
@@ -202,15 +201,15 @@ def test_criterion6_p00_rate_envelope_exponent(gneg, gneg_pert):
     rate (-mu/nu +- 0.15) on the remainder-bearing family."""
     check_envelope_exponent(
         "6a (p00 rate, envelope exponent)", 0.15,
-        gneg, rate_corollary1(gneg, GRID_2_6),
-        gneg_pert, rate_corollary1(gneg_pert, GRID_2_6))
+        gneg, rate_transient(gneg, 0.0, GRID_2_6)[1],
+        gneg_pert, rate_transient(gneg_pert, 0.0, GRID_2_6)[1])
 
 
 def test_criterion6_B0_and_early_value(gneg):
     started = time.time()
     # B(0) = pi(0) / e
     b0 = float(np.exp(np.real(log_limit(gneg, 1.0)[0]) - 1.0))
-    fit = rate_corollary1(gneg, GRID_2_6)
+    fit = rate_transient(gneg, 0.0, GRID_2_6)[1]
     idx = int(np.argmin(np.abs(GRID_2_6 - 1e2)))
     early = fit.extras["scaled_limit"][idx]
     elapsed = time.time() - started

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from mbpilab import (ModelError, PreconditionError, check_lemma1, check_lemma2,
-                     check_lemma3, check_lemma4, fit_loglog, rate_corollary1,
-                     rate_theorem1, rate_theorem2, sv_constant, sv_perturbed,
-                     uniformity_ratio)
+from mbpilab import (ModelError, PreconditionError, asymptotics, check_lemma1,
+                     check_lemma2, check_lemma3, check_lemma4, fit_loglog,
+                     rate_theorem1, rate_transient, sv_constant, sv_perturbed)
 from mbpilab.asymptotics import rate_csv, transient_predicted_slope
 
 GRID = np.logspace(2, 6, 25)
@@ -64,7 +63,7 @@ def test_theorem2_canonical_true_rate(gneg):
     """Exactly constant tail functions null the envelope integrand, so the
     scaled error decays at the compensation-term rate delta/nu = 2/3, faster
     than the generic envelope mu/nu = 1/3."""
-    fit = rate_theorem2(gneg, 0.0, GRID, rsq_min=0.999)
+    fit = rate_transient(gneg, 0.0, GRID, rsq_min=0.999)[0]
     assert transient_predicted_slope(gneg) == pytest.approx(-2.0 / 3.0)
     assert fit.verdict
     assert fit.fitted_slope == pytest.approx(-2.0 / 3.0, abs=0.02)
@@ -76,29 +75,32 @@ def test_theorem2_canonical_true_rate(gneg):
 
 
 def test_theorem2_scaled_limit(gneg):
-    fit = rate_theorem2(gneg, 0.0, GRID)
+    fit = rate_transient(gneg, 0.0, GRID)[0]
     assert abs(fit.extras["scaled_limit"][-1] - np.e) <= 1e-3
 
 
 def test_theorem2_perturbed_attains_envelope(gneg_pert):
     """With a genuine immigration-tail remainder the envelope term is present
     and the fitted slope is the generic rate -mu/nu = -1/3."""
-    fit = rate_theorem2(gneg_pert, 0.0, GRID, rsq_min=0.999)
+    fit = rate_transient(gneg_pert, 0.0, GRID, rsq_min=0.999)[0]
     assert transient_predicted_slope(gneg_pert) == pytest.approx(-1.0 / 3.0)
     assert fit.verdict
     assert fit.fitted_slope == pytest.approx(-1.0 / 3.0, abs=0.02)
 
 
-def test_theorem2_preconditions(g025):
+def test_theorem2_preconditions(g025, gneg, monkeypatch):
     with pytest.raises(PreconditionError):
-        rate_theorem2(g025, 0.0, GRID)
-    # a given log ratio does not skip the check: pi has no meaning here
-    with pytest.raises(PreconditionError):
-        rate_theorem2(g025, 0.0, GRID, log_ratio=np.zeros(len(GRID)))
+        rate_transient(g025, 0.0, GRID)
+    # s = 1 (log pi diverges) and |s| > 1 are refused before any quadrature
+    monkeypatch.setattr(asymptotics, "log_limit", None)
+    monkeypatch.setattr(asymptotics, "compute_P_grid", None)
+    for s in (1.0, 1.5, -1.01):
+        with pytest.raises(ModelError):
+            rate_transient(gneg, s, GRID)
 
 
 def test_corollary1(gneg):
-    fit = rate_corollary1(gneg, GRID)
+    fit = rate_transient(gneg, 0.0, GRID)[1]
     assert fit.extras["B0"] == pytest.approx(1.0, abs=1e-8)
     assert fit.fitted_slope == pytest.approx(-2.0 / 3.0, abs=0.02)
     # value check at t = 1e2
@@ -108,8 +110,18 @@ def test_corollary1(gneg):
     assert np.e * 0.95 < scaled < np.e * 1.05
 
 
+def test_transient_fits_read_their_columns(gneg):
+    # theorem 2 at s = 0 is the corollary's column: the same errors, with
+    # the corollary's slope tolerance raised to 0.15
+    thm, cor, _ = rate_transient(gneg, 0.0, GRID, slope_tol=0.05)
+    assert (thm.label, cor.label) == ("theorem2", "corollary1")
+    assert np.array_equal(thm.errors, cor.errors)
+    assert (thm.slope_tol, cor.slope_tol) == (0.05, 0.15)
+    assert rate_transient(gneg, 0.0, GRID, slope_tol=0.3)[1].slope_tol == 0.3
+
+
 def test_uniformity_ratio(gneg):
-    ratio = uniformity_ratio(gneg, (0.0, 0.25, 0.5, 0.75), np.logspace(2, 6, 7))
+    ratio = rate_transient(gneg, 0.0, np.logspace(2, 6, 7))[2]
     assert np.all(ratio <= 10.0)
     # exact value of the ratio envelope is (1-s)**(-nu) at s = 0.75
     assert ratio[-1] == pytest.approx(0.25 ** -0.75, rel=0.05)

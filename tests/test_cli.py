@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbpilab import invariants, kernel, rate_theorem2
+from mbpilab import invariants, kernel
 from mbpilab.cli import (SCHEMA, Interval, Numbers, _parse, _sim_config,
                          _values, build_model, load_config, main, run_config)
 from mbpilab.cli import ConfigError
@@ -174,9 +174,10 @@ def test_rates_transient_task(tmp_path):
 
 def test_rates_transient_task_off_uniformity_set(tmp_path):
     # The CLI marches s = 0.3 together with the uniformity set (0, 0.25, 0.5,
-    # 0.75); its theorem-2 column must match a fit of s = 0.3 alone.  The
-    # family carries an immigration-tail remainder, so rho(t) stays far above
-    # the roundoff floor eps * T(t) of the cancellation T(t) + log P(t; s).
+    # 0.75); its theorem-2 column must match rho(t; 0.3) of a march of s = 0.3
+    # alone.  The family carries an immigration-tail remainder, so rho(t)
+    # stays far above the roundoff floor eps * T(t) of the cancellation
+    # T(t) + log P(t; s).
     cfg = write(tmp_path, TRANSIENT.format(
         task="rates", d="0.25\nkappa_immigration = 1.0",
         extra="s = 0.3\nt_min = 1e2\nt_max = 1e5\npoints = 13",
@@ -186,8 +187,24 @@ def test_rates_transient_task_off_uniformity_set(tmp_path):
     errors = [float(line.split(",")[1]) for line in lines
               if line and line[0].isdigit()]
     model = build_model(load_config(cfg)["model"])
-    fit = rate_theorem2(model, 0.3, np.logspace(2, 5, 13))
-    assert errors == pytest.approx(fit.errors, rel=1e-12)
+    grid = np.logspace(2, 5, 13)
+    logp, _, _ = kernel.compute_P_grid(model, [0.3], grid, rtol=1e-12,
+                                       method="quad")
+    log_pi = np.real(kernel.log_limit(model, 0.7)[0])
+    T = np.array([model.context().big_T(t) for t in grid])
+    rho = np.abs(np.expm1(T + np.real(logp[:, 0]) - log_pi))
+    assert errors == pytest.approx(rho, rel=1e-12)
+
+
+def test_rates_transient_s_out_of_range_exits_3(tmp_path, capsys):
+    # log pi(s) diverges at s = 1; the task refuses s outside [-1, 1)
+    # before it writes a table
+    for s in ("1", "1.5", "-2"):
+        cfg = write(tmp_path, TRANSIENT.format(
+            task="rates", d="0.25", extra=f"s = {s}", out=tmp_path / s))
+        assert run_config(cfg) == 3
+        assert "s in [-1, 1)" in capsys.readouterr().err
+        assert not (tmp_path / s / "rate_theorem2.csv").exists()
 
 
 def test_lemmas_task_reports_skip_for_transient(tmp_path):

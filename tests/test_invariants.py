@@ -289,8 +289,7 @@ def test_separable_segment_matches_direct_integrand(name, request):
     model = request.getfixturevalue(name)
     s = HALF_CIRCLE[::8]
     R = exact_R(model.offspring, 2.0, s)
-    val, _ = gf_segment_integral(model, one_minus_s=1.0 - s, one_minus_F=R,
-                                 method="quad")
+    val, _ = gf_segment_integral(model, 1.0 - s, R, method="quad")
     ref, _ = direct_segment_integral(model, 1.0 - s, R)
     assert np.max(np.abs(val - ref) / np.abs(ref)) <= 1e-13
 

@@ -183,7 +183,7 @@ def test_P_i_values(g025):
 def test_segment_integral_additivity(g025):
     # integral_s^1 = integral_s^F + integral_F^1 for gamma > 0
     gv = solve_F(g025, 2.0, 0.2)
-    seg, _ = gf_segment_integral(g025, 0.2, gv.F)
+    seg, _ = gf_segment_integral(g025, 1.0 - 0.2, 1.0 - gv.F)
     to_one_s, _ = log_limit(g025, 1.0 - 0.2)
     to_one_F, _ = log_limit(g025, 1.0 - gv.F)
     assert abs((seg + to_one_F) - to_one_s) < 1e-12
@@ -269,14 +269,6 @@ def test_csv_formats(g025):
     assert rows[3, 3] == pytest.approx(float(np.real(gv.F)), rel=1e-14)
     assert rows[3, 5] == pytest.approx(float(np.real(gv.P)), rel=1e-12)
     assert rows[3, 7] == float(f"{err:.3g}")
-
-
-def test_transition_probs_alias_tolerance(g025):
-    # tiny M with r close to 1 gives a visible aliasing bound
-    with pytest.raises(ModelError):
-        transition_probs(g025, 0, 1.0, 4, r=0.99, M=16, alias_tol=1e-12)
-    series = transition_probs(g025, 0, 1.0, 4, r=0.5, M=256, alias_tol=1e-12)
-    assert series.aliasing_bound <= 1e-12
 
 
 GRID_2_6 = np.logspace(2, 6, 25)
@@ -385,7 +377,7 @@ def _method_entry_points(model):
         "solve_F": lambda m: solve_F(model, 2.0, 0.3, method=m),
         "compute_P_grid": lambda m: kernel.compute_P_grid(model, s, t, method=m),
         "compute_P": lambda m: compute_P(model, 2.0, 0.3, method=m),
-        "gf_segment_integral": lambda m: gf_segment_integral(model, 0.3, 0.6, method=m),
+        "gf_segment_integral": lambda m: gf_segment_integral(model, 0.7, 0.4, method=m),
         "transition_grid": lambda m: transition_grid(model, [0, 1], t, 8, M=64, method=m),
         "transition_probs": lambda m: transition_probs(model, 1, 2.0, 8, M=64, method=m),
         "ratio_limits": lambda m: ratio_limits(model, 4, t, method=m),

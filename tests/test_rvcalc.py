@@ -149,7 +149,7 @@ def test_L_ratio_limit_bound(gneg_pert):
     # |Lratio(t) - C| <= K * ell(t)/t**delta on the top decade (delta < nu)
     ctx = gneg_pert.context()
     ts = np.logspace(4, 6, 25)
-    dev = np.abs(ctx.L_ratio(ts) - ctx.C_ratio)
+    dev = np.abs(ctx.L_ratio(ts) - gneg_pert.C_ratio)
     envelope = ctx.ell(ts) / ts ** ctx.delta
     assert np.all(dev <= 2.0 * envelope)
 
