@@ -44,7 +44,7 @@ def series_coefficients(model: ModelSpec, kind: str, J: int) -> np.ndarray:
     coefficients of exp(h) satisfy  m_n = (1/n) sum_{k=1..n} k h_k m_{n-k}.
     Requires offspring kappa = 0 (otherwise no elementary exponent exists).
     """
-    if not model.has_closed_form or model.offspring.kappa:
+    if not model.canonical:
         raise ModelError("the coefficient recurrence needs canonical offspring "
                          "paired with a stable immigration law")
     c, d = model.offspring.scale, model.immigration.scale
@@ -113,7 +113,7 @@ def extract_measure(model: ModelSpec, J_out: int = 512, r: float = 0.9,
                                        meta={"kind": kind, "quad_error": err,
                                              "M": M})
     tail = None
-    if kind == "distribution" and model.has_closed_form and not model.offspring.kappa:
+    if kind == "distribution" and model.canonical:
         exact = series_coefficients(model, "distribution", J_out)
         tail = float(1.0 - exact.sum())
     return InvariantMeasure(kind=kind, series=series, tail_estimate=tail,
@@ -195,7 +195,7 @@ class RatioLimitTable:
 
 def limit_ratios(model: ModelSpec, j_max: int) -> np.ndarray:
     """Normalized limit ratios m_j/m_0 (u for gamma > 0, pi for gamma < 0)."""
-    if model.has_closed_form and not model.offspring.kappa:
+    if model.canonical:
         kind = "distribution" if model.gamma > 0 else "measure"
         m = series_coefficients(model, kind, j_max)
     else:

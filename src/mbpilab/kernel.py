@@ -448,7 +448,7 @@ def compute_P_grid(model: ModelSpec, s_batch, t_grid, rtol: float = 1e-10,
     closed-form log P for canonical offspring with a stable immigration law.
     The error estimate is the quadrature's plus the flow's to the last time."""
     _check_method(method)
-    closed = model.has_closed_form and not model.offspring.kappa
+    closed = model.canonical
     if method == "closed" and not closed:
         raise ModelError("closed-form P needs canonical offspring paired "
                          "with a stable immigration law")

@@ -1,21 +1,21 @@
-"""Offspring and immigration intensity families.
+"""Offspring and immigration intensity laws: one class of law, two roles.
 
-A critical offspring law is a sequence a_0..a_J with a_0 > 0, a_1 < 0,
-a_j >= 0 otherwise, zero total mass (sum a_j = 0) and zero drift
-(sum j*a_j = 0); its generating function is f(s) = sum a_j s^j.  An
-immigration law has b_0 < 0, b_j >= 0 for j >= 1 and zero total mass;
-g(s) = sum b_j s^j.
+An offspring law is a sequence a_0..a_J with a_0 > 0, a_1 < 0, a_j >= 0
+otherwise, zero total mass (sum a_j = 0) and zero drift (sum j*a_j = 0);
+its generating function is f(s) = sum a_j s^j.  An immigration law has
+b_0 < 0, b_j >= 0 for j >= 1 and zero total mass; g(s) = sum b_j s^j.
+One frozen dataclass carries either.  Its role subclasses, BranchingLaw (f)
+and ImmigrationLaw (g), only fix the sign SIGN (+1, -1) and the offset
+SHIFT (1, 0): the position of the negative coefficient and the highest
+order of the moments that vanish.  The built-in stable families are
 
-The built-in stable families are
+    SIGN * scale * ((1-s)**(SHIFT+index) + kappa*(1-s)**(SHIFT+2*index)),
 
-    f(s) = c * ((1-s)**(1+nu) + kappa*(1-s)**(1+2*nu)),
-    g(s) = -d * ((1-s)**delta  + kappa*(1-s)**(2*delta)),
-
-whose tail functions are L(x) = c*(1 + kappa*x**(-nu)) and
-ell(x) = d*(1 + kappa*x**(-delta)).  Coefficients come from the
+f with index nu and scale c, g with index delta and scale d, whose tail
+functions are scale*(1 + kappa*x**(-index)).  Coefficients come from the
 generalized binomial expansion, truncated at order J; the residual mass is
-folded into the last coefficient and the linear term is re-balanced so the
-truncated law is exactly conservative and exactly critical.
+folded into the last coefficient and, for f, the drift into a_1, so the
+truncated law is exactly conservative and f exactly critical.
 """
 
 from __future__ import annotations
@@ -95,8 +95,26 @@ def _check_unit_disc(z):
         raise ModelError("generating functions are only evaluated for |z| <= 1")
 
 
+@dataclass(frozen=True)
 class _IntensityLaw:
-    """Shared evaluation logic; concrete classes below fix the closed forms."""
+    """An intensity law: its coefficients, tail index (nu or delta) and tail
+    spec and, for a stable family, the closed form's scale (c or d; None
+    for no closed form) and perturbation weight."""
+
+    coefficients: np.ndarray
+    index: Optional[float] = None
+    sv_spec: Optional[SlowlyVaryingSpec] = None
+    scale: Optional[float] = None
+    kappa: float = 0.0
+    series_tail_bound: float = 0.0
+
+    @property
+    def truncation_order(self) -> int:
+        return self.coefficients.size - 1
+
+    @property
+    def closed_form(self) -> bool:
+        return self.scale is not None
 
     def gf(self, z, mode: str = "auto"):
         """Evaluate the generating function at z, |z| <= 1.
@@ -124,132 +142,105 @@ class _IntensityLaw:
     def _closed(self, mode: str) -> bool:
         """Whether ``mode`` resolves to the closed form (else the series)."""
         if mode == "auto":
-            return bool(self.closed_form)
+            return self.closed_form
         if mode == "closed" and not self.closed_form:
             raise ModelError("law has no closed form")
         if mode not in ("closed", "series"):
             raise ModelError(f"unknown evaluation mode {mode!r}")
         return mode == "closed"
 
+    def _closed_gf_one_minus(self, y):
+        val = y ** (self.SHIFT + self.index)
+        if self.kappa:
+            val = val + self.kappa * y ** (self.SHIFT + 2.0 * self.index)
+        return self.SIGN * self.scale * val
 
-@dataclass(frozen=True)
+    @classmethod
+    def _stable(cls, index: float, scale: float, kappa: float, J: int):
+        """The stable law of the role, truncated at J and re-balanced."""
+        role, idx, finite = cls.ROLE, cls.INDEX, ("mean", "variance")[cls.SHIFT]
+        if not 0.0 < index < 1.0:
+            raise ModelError(f"{role} tail index {idx} must lie in (0, 1); the "
+                             f"finite-{finite} boundary {idx} = 1 is unsupported")
+        if not 0 < scale < math.inf:
+            raise ModelError(f"{role} scale {cls.SCALE} must be positive and finite")
+        if not 0 <= kappa < math.inf:
+            raise ModelError("perturbation weight kappa must be nonnegative and finite")
+        J, k = int(J), cls.SHIFT
+        if J < k + 1:
+            raise ModelError(f"{role} truncation order must be at least {k + 1}")
+        a = cls.SIGN * scale * signed_binomials(k + index, J)
+        if kappa:
+            a = a + cls.SIGN * scale * kappa * signed_binomials(k + 2.0 * index, J)
+        s0 = math.fsum(a.tolist())
+        d_last, d_neg = -s0, 0.0
+        if k:  # f is critical too: a_J and a_1 take the mass and the drift
+            s1 = math.fsum((np.arange(J + 1) * a).tolist())
+            d_last = (s0 - s1) / (J - 1.0)
+            d_neg = -s0 - d_last
+        a[J] += d_last
+        a[k] += d_neg
+        if a[k] >= 0 or np.any(a[:k] <= 0) or np.any(a[k + 1:] < 0):
+            raise ModelError("sign pattern broken after truncation adjustment; kappa "
+                             f"is too large for the (1-s)**({k + 2.0 * index:g}) branch")
+        tail = abs(s0) + abs(d_neg) + abs(d_last)
+        spec = sv_perturbed(scale, kappa, index) if kappa else sv_constant(scale)
+        return cls(coefficients=a, index=index, sv_spec=spec, scale=scale,
+                   kappa=kappa, series_tail_bound=tail)
+
+    @classmethod
+    def _from_coefficients(cls, coefficients, index, sv_spec):
+        a = np.asarray(list(coefficients), dtype=float)
+        if a.size < cls.SHIFT + 2:
+            raise ModelError(f"an {cls.ROLE} law needs at least coefficients "
+                             f"{cls.SYMBOL}_0..{cls.SYMBOL}_{cls.SHIFT + 1}")
+        return cls(coefficients=a, index=index, sv_spec=sv_spec)
+
+
 class BranchingLaw(_IntensityLaw):
-    coefficients: np.ndarray
-    truncation_order: int
-    nu: Optional[float] = None
-    sv_spec: Optional[SlowlyVaryingSpec] = None
-    closed_form: Optional[str] = None      # "stable" | "stable-perturbed"
-    scale: Optional[float] = None          # c
-    kappa: float = 0.0
-    series_tail_bound: float = 0.0
+    """The offspring law f: a_0 > 0, a_1 < 0, zero mass and drift."""
 
-    def _closed_gf_one_minus(self, y):
-        val = y ** (1.0 + self.nu)
-        if self.kappa:
-            val = val + self.kappa * y ** (1.0 + 2.0 * self.nu)
-        return self.scale * val
+    SIGN, SHIFT = 1.0, 1
+    ROLE, SYMBOL, INDEX, SCALE = "offspring", "a", "nu", "c"
+
+    @property
+    def nu(self) -> Optional[float]:
+        return self.index
 
 
-@dataclass(frozen=True)
 class ImmigrationLaw(_IntensityLaw):
-    coefficients: np.ndarray
-    truncation_order: int
-    delta: Optional[float] = None
-    sv_spec: Optional[SlowlyVaryingSpec] = None
-    closed_form: Optional[str] = None
-    scale: Optional[float] = None          # d
-    kappa: float = 0.0
-    series_tail_bound: float = 0.0
+    """The immigration law g: b_0 < 0, zero mass."""
 
-    def _closed_gf_one_minus(self, y):
-        val = y ** self.delta
-        if self.kappa:
-            val = val + self.kappa * y ** (2.0 * self.delta)
-        return -self.scale * val
+    SIGN, SHIFT = -1.0, 0
+    ROLE, SYMBOL, INDEX, SCALE = "immigration", "b", "delta", "d"
+
+    @property
+    def delta(self) -> Optional[float]:
+        return self.index
 
 
 def make_stable_offspring(nu: float, c: float, kappa: float = 0.0,
                           J: int = DEFAULT_TRUNCATION) -> BranchingLaw:
     """Truncated, re-balanced coefficients of c((1-s)^(1+nu) + kappa(1-s)^(1+2nu))."""
-    if not 0.0 < nu < 1.0:
-        raise ModelError("offspring tail index nu must lie in (0, 1); the "
-                         "finite-variance boundary nu = 1 is unsupported")
-    if not 0 < c < math.inf:
-        raise ModelError("offspring scale c must be positive and finite")
-    if not 0 <= kappa < math.inf:
-        raise ModelError("perturbation weight kappa must be nonnegative and finite")
-    J = int(J)
-    if J < 2:
-        raise ModelError("offspring truncation order must be at least 2")
-    a = c * signed_binomials(1.0 + nu, J)
-    if kappa:
-        a = a + c * kappa * signed_binomials(1.0 + 2.0 * nu, J)
-    s0 = math.fsum(a.tolist())
-    s1 = math.fsum((np.arange(J + 1) * a).tolist())
-    d_last = (s0 - s1) / (J - 1.0)
-    d_lin = -s0 - d_last
-    a[J] += d_last
-    a[1] += d_lin
-    if a[0] <= 0 or a[1] >= 0 or np.any(a[2:] < 0):
-        raise ModelError(
-            "sign pattern broken after truncation adjustment; kappa is too "
-            "large for the (1+2*nu) branch (this always happens eventually "
-            "when 2*nu >= 1)")
-    tail = abs(s0) + abs(d_lin) + abs(d_last)
-    spec = sv_perturbed(c, kappa, nu) if kappa else sv_constant(c)
-    return BranchingLaw(coefficients=a, truncation_order=J, nu=nu,
-                        sv_spec=spec,
-                        closed_form="stable-perturbed" if kappa else "stable",
-                        scale=c, kappa=kappa, series_tail_bound=tail)
+    return BranchingLaw._stable(nu, c, kappa, J)
 
 
 def make_stable_immigration(delta: float, d: float, kappa: float = 0.0,
                             J: int = DEFAULT_TRUNCATION) -> ImmigrationLaw:
     """Truncated, re-balanced coefficients of -d((1-s)^delta + kappa(1-s)^(2delta))."""
-    if not 0.0 < delta < 1.0:
-        raise ModelError("immigration tail index delta must lie in (0, 1); "
-                         "the finite-mean boundary delta = 1 is unsupported")
-    if not 0 < d < math.inf:
-        raise ModelError("immigration scale d must be positive and finite")
-    if not 0 <= kappa < math.inf:
-        raise ModelError("perturbation weight kappa must be nonnegative and finite")
-    J = int(J)
-    if J < 1:
-        raise ModelError("immigration truncation order must be at least 1")
-    b = -d * signed_binomials(delta, J)
-    if kappa:
-        b = b - d * kappa * signed_binomials(2.0 * delta, J)
-    s0 = math.fsum(b.tolist())
-    b[J] += -s0
-    if b[0] >= 0 or np.any(b[1:] < 0):
-        raise ModelError("sign pattern broken after truncation adjustment; "
-                         "kappa is too large for the 2*delta branch")
-    tail = 2.0 * abs(s0)
-    spec = sv_perturbed(d, kappa, delta) if kappa else sv_constant(d)
-    return ImmigrationLaw(coefficients=b, truncation_order=J, delta=delta,
-                          sv_spec=spec,
-                          closed_form="stable-perturbed" if kappa else "stable",
-                          scale=d, kappa=kappa, series_tail_bound=tail)
+    return ImmigrationLaw._stable(delta, d, kappa, J)
 
 
 def offspring_from_coefficients(coefficients: Sequence[float],
                                 nu: Optional[float] = None,
                                 sv_spec: Optional[SlowlyVaryingSpec] = None) -> BranchingLaw:
-    a = np.asarray(list(coefficients), dtype=float)
-    if a.size < 3:
-        raise ModelError("an offspring law needs at least coefficients a_0..a_2")
-    return BranchingLaw(coefficients=a, truncation_order=a.size - 1, nu=nu,
-                        sv_spec=sv_spec)
+    return BranchingLaw._from_coefficients(coefficients, nu, sv_spec)
 
 
 def immigration_from_coefficients(coefficients: Sequence[float],
                                   delta: Optional[float] = None,
                                   sv_spec: Optional[SlowlyVaryingSpec] = None) -> ImmigrationLaw:
-    b = np.asarray(list(coefficients), dtype=float)
-    if b.size < 2:
-        raise ModelError("an immigration law needs at least coefficients b_0..b_1")
-    return ImmigrationLaw(coefficients=b, truncation_order=b.size - 1, delta=delta,
-                          sv_spec=sv_spec)
+    return ImmigrationLaw._from_coefficients(coefficients, delta, sv_spec)
 
 
 @dataclass
@@ -282,29 +273,22 @@ def validate_law(law) -> ValidationReport:
     """Report-only validation of the intensity constraints.  Mass balance
     and criticality are judged relative to the law's scale max(1, sum |a_j|),
     as the rounding of the re-balanced coefficients grows with it."""
-    a = law.coefficients
+    if not isinstance(law, (BranchingLaw, ImmigrationLaw)):
+        raise ModelError(f"cannot validate object of type {type(law).__name__}")
+    a, k, x = law.coefficients, law.SHIFT, law.SYMBOL
     scale = max(1.0, math.fsum(np.abs(a)))
-    checks = []
-    if isinstance(law, BranchingLaw):
-        checks.append(CheckResult("a0_positive", bool(a[0] > 0), float(-min(a[0], 0.0))))
-        checks.append(CheckResult("a1_negative", bool(a[1] < 0), float(max(a[1], 0.0))))
-        worst = float(np.min(a[2:])) if a.size > 2 else 0.0
-        checks.append(CheckResult("sign_pattern", bool(worst >= 0), abs(min(worst, 0.0)),
-                                  detail="a_j >= 0 for j >= 2"))
-        mass = math.fsum(a)
-        checks.append(CheckResult("mass_balance", abs(mass) <= MASS_TOL * scale, abs(mass)))
+    checks = [CheckResult(f"{x}{j}_positive", bool(a[j] > 0), float(-min(a[j], 0.0)))
+              for j in range(k)]
+    checks.append(CheckResult(f"{x}{k}_negative", bool(a[k] < 0), float(max(a[k], 0.0))))
+    worst = float(np.min(a[k + 1:])) if a.size > k + 1 else 0.0
+    checks.append(CheckResult("sign_pattern", bool(worst >= 0), abs(min(worst, 0.0)),
+                              detail=f"{x}_j >= 0 for j >= {k + 1}"))
+    mass = math.fsum(a)
+    checks.append(CheckResult("mass_balance", abs(mass) <= MASS_TOL * scale, abs(mass)))
+    if k:
         drift = math.fsum(j * aj for j, aj in enumerate(a))
         checks.append(CheckResult("criticality", abs(drift) <= CRIT_TOL * scale, abs(drift)))
-        return ValidationReport("offspring", checks)
-    if isinstance(law, ImmigrationLaw):
-        checks.append(CheckResult("b0_negative", bool(a[0] < 0), float(max(a[0], 0.0))))
-        worst = float(np.min(a[1:])) if a.size > 1 else 0.0
-        checks.append(CheckResult("sign_pattern", bool(worst >= 0), abs(min(worst, 0.0)),
-                                  detail="b_j >= 0 for j >= 1"))
-        mass = math.fsum(a)
-        checks.append(CheckResult("mass_balance", abs(mass) <= MASS_TOL * scale, abs(mass)))
-        return ValidationReport("immigration", checks)
-    raise ModelError(f"cannot validate object of type {type(law).__name__}")
+    return ValidationReport(law.ROLE, checks)
 
 
 @dataclass(frozen=True)
@@ -357,7 +341,13 @@ class ModelSpec:
 
     @property
     def has_closed_form(self) -> bool:
-        return bool(self.offspring.closed_form and self.immigration.closed_form)
+        return self.offspring.closed_form and self.immigration.closed_form
+
+    @property
+    def canonical(self) -> bool:
+        """Both laws stable and the offspring law unperturbed (kappa = 0):
+        the case with elementary closed forms for log P, U and pi."""
+        return self.has_closed_form and not self.offspring.kappa
 
     def context(self) -> RVContext:
         if self.offspring.sv_spec is None or self.immigration.sv_spec is None:

@@ -9,7 +9,6 @@ slowly varying at infinity) with indices nu and delta, this module evaluates
     tau(t)     = (nu t)**(1/nu) / N(t)
     T(t)       = tau(t)**|gamma|            (gamma = delta - nu < 0)
     M(s)       = integral_1^{1/(1-s)} dx / (x**(1-nu) L(x))
-    Lratio(x)  = ell(x) / L(x)
     K(x)       = L(x)**(-delta/nu) * ell(x)
 
 together with an empirical checker for the "slowly varying with remainder"
@@ -106,28 +105,6 @@ def power_form(spec: SlowlyVaryingSpec):
     return None
 
 
-def ratio_deficit(L: SlowlyVaryingSpec, ell: SlowlyVaryingSpec):
-    """Stable evaluator of  C - ell(x)/L(x)  with C = ell.limit / L.limit.
-
-    Returns None unless both specs have a power form; the subtraction must
-    then not be trusted near the limit (catastrophic cancellation), so
-    callers refuse to proceed.
-    """
-    form_L, form_g = power_form(L), power_form(ell)
-    if form_L is None or form_g is None:
-        return None
-    (c_L, kap_L, exp_L), (c_g, kap_g, exp_g) = form_L, form_g
-    C = c_g / c_L
-
-    def _deficit(x):
-        x = np.asarray(x)
-        pert_L = kap_L * x ** (-exp_L)
-        pert_g = kap_g * x ** (-exp_g)
-        return C * (pert_L - pert_g) / (1.0 + pert_L)
-
-    return _deficit
-
-
 @dataclass(frozen=True)
 class RVContext:
     """Derived evaluators for one (L, ell, nu, delta) configuration."""
@@ -217,18 +194,9 @@ class RVContext:
         val, _ = adaptive_quadrature(integrand, 0.0, v1)
         return float(np.real(val[0]))
 
-    def L_ratio(self, x):
-        """Lratio(x) = ell(x) / L(x)."""
-        return self.ell(x) / self.L(x)
-
     def K(self, x):
         """K(x) = L(x)**(-delta/nu) * ell(x)."""
         return self.L(x) ** (-self.delta / self.nu) * self.ell(x)
-
-    def ratio_deficit_fun(self):
-        """Stable  C - Lratio(x)  evaluator, C = ell.limit / L.limit, or None
-        (see ratio_deficit)."""
-        return ratio_deficit(self.L, self.ell)
 
     def dLam(self, y):
         """Diagnostic  y * Lambda'(y) / Lambda(y) - nu  via central differences

@@ -494,7 +494,12 @@ def zscore_table(result: SimResult, kernel_probs: np.ndarray,
             continue
         p_hat = result.pmf[j] if j < result.pmf.size else 0.0
         se_hat = result.se[j] if j < result.se.size else 0.0
-        z = (p_hat - p) / np.sqrt(p * (1.0 - p) / result.n)
+        var = p * (1.0 - p) / result.n
+        if var > 0:
+            z = (p_hat - p) / np.sqrt(var)
+        else:  # p is 0 or 1 (roundoff outside [0, 1] goes to the nearer end)
+            gap = p_hat - min(max(p, 0.0), 1.0)
+            z = np.copysign(np.inf, gap) if gap else 0.0
         rows.append((j, p_hat, se_hat, p, z))
     return rows
 

@@ -1,10 +1,11 @@
 """Independent oracles used by the tests: SciPy integration/quadrature and
 mpmath high-precision arithmetic, none of which share code with the package
-paths they check, plus the direct tail-function integrands that the kernel's
-separable forms replaced (run through the package's own quadrature, so that
-the two differ only in how the integrand is evaluated), the
-occupation-time route to P(t; s), a check on compute_P's segment integral,
-and the simulator's pmf one replicate at a time."""
+paths they check, plus the direct tail-function integrands (Lratio and the
+limit deficit straight from the specs) that the kernel's separable forms
+replaced (run through the package's own quadrature, so that the two differ
+only in how the integrand is evaluated), the occupation-time route to
+P(t; s), a check on compute_P's segment integral, and the simulator's pmf
+one replicate at a time."""
 
 import warnings
 from types import SimpleNamespace
@@ -18,12 +19,38 @@ from mbpilab import sim
 from mbpilab.inversion import sample_count
 from mbpilab.kernel import exact_R, transition_grid
 from mbpilab.quadrature import adaptive_quadrature, doubling_quadrature
+from mbpilab.rvcalc import power_form
 
 
 def binom_coeff(alpha: float, j: int) -> float:
     """(-1)**j * binomial(alpha, j) at 50 digits."""
     with mp.workdps(50):
         return float((-1) ** j * mp.binomial(alpha, j))
+
+
+def lratio(model):
+    """Lratio(x) = ell(x) / L(x), straight from the model's two tail specs."""
+    ctx = model.context()
+    return lambda x: ctx.ell(x) / ctx.L(x)
+
+
+def ratio_deficit(L, ell):
+    """C - ell(x)/L(x) with C = ell.limit / L.limit, from the power forms of
+    the two specs with the cancelling leading terms taken out by hand; None
+    unless both specs have a power form."""
+    form_L, form_g = power_form(L), power_form(ell)
+    if form_L is None or form_g is None:
+        return None
+    (c_L, kap_L, exp_L), (c_g, kap_g, exp_g) = form_L, form_g
+    C = c_g / c_L
+
+    def _deficit(x):
+        x = np.asarray(x)
+        pert_L = kap_L * x ** (-exp_L)
+        pert_g = kap_g * x ** (-exp_g)
+        return C * (pert_L - pert_g) / (1.0 + pert_L)
+
+    return _deficit
 
 
 def scipy_R(law, t: float, s: float, rtol=1e-12, atol=1e-14) -> float:
@@ -39,12 +66,12 @@ def scipy_R(law, t: float, s: float, rtol=1e-12, atol=1e-14) -> float:
 def scipy_gf_integral(model, a: float, b: float) -> float:
     """integral_a^b g(u)/f(u) du for real 0 <= a <= b < 1 via scipy.quad on the
     tail-function integrand."""
-    ctx = model.context()
+    ratio = lratio(model)
     gamma = model.gamma
 
     def integrand(u):
         w = 1.0 - u
-        return -w ** (gamma - 1.0) * float(ctx.L_ratio(1.0 / w))
+        return -w ** (gamma - 1.0) * float(ratio(1.0 / w))
 
     with warnings.catch_warnings():
         # QUADPACK grumbles about roundoff near the u=1 endpoint layer; the
@@ -99,19 +126,20 @@ def polyval_series(coefficients, z):
 def direct_log_limit(model, one_minus_s, rtol=1e-10):
     """log_limit with the tail functions evaluated at the complex argument
     x = q**(-1/a) / w, one complex power per node and point: Lratio(x) for
-    log U (a = gamma > 0), the limit deficit of rvcalc for log B
+    log U (a = gamma > 0), the limit deficit above for log B
     (a = mu, gamma < 0), to which log pi adds w**(-|gamma|) in the
     argument's own dtype."""
     w = np.asarray(one_minus_s)
     w0 = np.atleast_1d(w.astype(complex))
     gamma, g_abs, mu = model.gamma, abs(model.gamma), model.mu
     if gamma > 0:
-        lratio = model.context().L_ratio
+        ratio = lratio(model)
 
         def fun(q):
-            return lratio(q[:, None] ** (-1.0 / gamma) / w0[None, :])
+            return ratio(q[:, None] ** (-1.0 / gamma) / w0[None, :])
     else:
-        deficit = model.context().ratio_deficit_fun()
+        ctx = model.context()
+        deficit = ratio_deficit(ctx.L, ctx.ell)
 
         def fun(q):
             x = q[:, None] ** (-1.0 / mu) / w0[None, :]
@@ -131,11 +159,11 @@ def direct_segment_integral(model, w0, w1, rtol=1e-10):
     logw0 = np.log(w0)
     D = logw0 - np.log(w1)
     gamma = model.gamma
-    lratio = model.context().L_ratio
+    ratio = lratio(model)
 
     def fun(x):
         w = np.exp(logw0[None, :] - x[:, None] * D[None, :])
-        return -D[None, :] * w ** gamma * lratio(1.0 / w)
+        return -D[None, :] * w ** gamma * ratio(1.0 / w)
 
     n0 = int(max(8, min(256, np.ceil(2.0 * np.max(np.abs(D))))))
     return doubling_quadrature(fun, 0.0, 1.0, rtol=rtol, n0=n0)

@@ -11,6 +11,8 @@ import inspect
 import sys
 from pathlib import Path
 
+from mbpilab import laws
+
 _SPEC = importlib.util.spec_from_file_location(
     "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
 tracer = importlib.util.module_from_spec(_SPEC)
@@ -47,3 +49,16 @@ def test_tracer_wraps_every_bound_name_and_restores():
         after = vars(module)
         assert after.keys() == before[name].keys()
         assert all(after[attr] is obj for attr, obj in before[name].items())
+
+
+def test_law_classes_keep_the_tracer_contract():
+    # the tracer wraps the two law methods once, on the shared class, and
+    # counts flow right-hand sides by the offspring law's class
+    model = laws.stable_model(0.5, 1.0, 0.75, 0.25, J=50)
+    assert isinstance(model.offspring, laws.BranchingLaw)
+    assert not isinstance(model.immigration, laws.BranchingLaw)
+    for method in ("gf", "gf_at_one_minus"):
+        assert method in vars(laws._IntensityLaw)
+        assert method not in vars(laws.BranchingLaw)
+        assert method not in vars(laws.ImmigrationLaw)
+

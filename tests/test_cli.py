@@ -330,6 +330,19 @@ def test_compare_task_and_seed_override(tmp_path):
     assert compare.splitlines()[0] == "j,p_hat,se,p_kernel,z"
 
 
+@pytest.mark.parametrize("extra", ["", "initial = 3", "min_prob = 0"])
+def test_compare_at_horizon_zero_agrees_exactly(tmp_path, extra):
+    # at t = 0 the kernel puts mass 1 on the initial state, where the null
+    # deviation sqrt(p (1-p) / n) vanishes; the simulation agrees, so z = 0
+    cfg = write(tmp_path, RECURRENT.format(
+        task="compare", out=tmp_path / "out",
+        extra=f"horizon = 0\nreplicates = 200\nseed = 1\nj_out = 16\n{extra}"))
+    assert run_config(cfg) == 0
+    rows = (tmp_path / "out" / "compare.csv").read_text().splitlines()[1:]
+    assert len(rows) == (17 if "min_prob" in extra else 1)
+    assert all(float(row.split(",")[-1]) == 0.0 for row in rows)
+
+
 def test_manifest_rederives_tables(tmp_path):
     cfg = write(tmp_path, RECURRENT.format(
         task="rates", extra="t_min = 1e2\nt_max = 1e4\npoints = 7",

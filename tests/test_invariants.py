@@ -6,7 +6,7 @@ import pytest
 from mbpilab import (ModelError, PreconditionError, check_invariance,
                      compute_P, extract_measure, log_limit, ratio_limits,
                      series_coefficients, solve_F, stable_model, transition_probs)
-from mbpilab import kernel, rvcalc
+from mbpilab import kernel
 from mbpilab.invariants import limit_ratios, measure_csv
 from mbpilab.inversion import circle_points, suggest_radius
 from mbpilab.kernel import exact_R, gf_segment_integral
@@ -312,23 +312,11 @@ def _size_guarded(model, limit):
 
 
 def test_integrands_never_evaluate_specs_on_the_node_grid(
-        monkeypatch, g025_pert_off, gneg_pert, g025_pert_both):
-    # the tail functions are taken in separable form: no spec evaluation (or
-    # limit deficit) on a whole nodes x circle grid, only per-point batches
+        g025_pert_off, gneg_pert, g025_pert_both):
+    # the tail functions are taken in separable form: no spec evaluation on
+    # a whole nodes x circle grid, only per-point batches
     M = 2048
     batch = M // 2 + 1
-    direct_deficit = rvcalc.ratio_deficit
-
-    def guarded_deficit(L, ell):
-        deficit = direct_deficit(L, ell)
-
-        def checked(x):
-            if np.size(x) > batch:
-                raise AssertionError(f"limit deficit on {np.size(x)} points")
-            return deficit(x)
-        return checked
-
-    monkeypatch.setattr(rvcalc, "ratio_deficit", guarded_deficit)
     for model in (g025_pert_off, gneg_pert, g025_pert_both):
         extract_measure(_size_guarded(model, batch), J_out=64, r=0.9, M=M)
     # the tail-function segment integrand, behind compute_P's quadrature route

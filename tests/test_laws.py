@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -235,3 +236,36 @@ def test_validate_law_tolerance_follows_the_scale():
     report = validate_law(offspring_from_coefficients(a, nu=0.3))
     passed = {check.name: check.passed for check in report.checks}
     assert passed["mass_balance"] and not passed["criticality"]
+
+
+# Each distinct law of the four benchmark models at truncation 2000, pinned
+# by a digest of its coefficients, its closed form at 1 - Y and its series
+# tail bound: any change of the binomial expansion, the re-balance or the
+# closed form's floating-point operations changes one.
+_Y = np.array([1e-12, 1e-6, 0.3, 1.0])
+GOLDEN_LAWS = [
+    (make_stable_offspring, (0.5, 1.0, 0.0), "69bfd6d1ba533e58"),     # g025
+    (make_stable_immigration, (0.75, 0.25, 0.0), "5f3ab7a234562568"),  # g025
+    (make_stable_offspring, (0.75, 1.0, 0.0), "81edaf1261479de6"),    # gneg
+    (make_stable_immigration, (0.5, 0.25, 0.0), "ad9f704c28e1643c"),   # gneg
+    (make_stable_immigration, (0.5, 0.25, 1.0), "1129834e68889b7e"),   # gneg_pert
+    (make_stable_offspring, (0.5, 1.0, 1.0), "d054586c296f7696"),     # g025_pert_off
+]
+
+
+@pytest.mark.parametrize("make,args,digest", GOLDEN_LAWS)
+def test_stable_laws_pinned(make, args, digest):
+    law = make(*args, J=2000)
+    data = (law.coefficients.tobytes() + law.gf_at_one_minus(_Y).tobytes()
+            + np.float64(law.series_tail_bound).tobytes())
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+
+def test_truncation_order_and_closed_form_follow_the_fields():
+    law = make_stable_immigration(0.5, 0.25, J=40)
+    assert law.truncation_order == 40 and law.closed_form
+    bare = offspring_from_coefficients([0.5, -1.0, 0.5])
+    assert bare.truncation_order == 2 and not bare.closed_form
+    for derived in ("truncation_order", "closed_form"):
+        with pytest.raises(TypeError):
+            type(law)(coefficients=law.coefficients, **{derived: 3})

@@ -199,6 +199,18 @@ def test_cross_check_against_kernel(g025_small):
     assert worst <= 4.0
 
 
+def test_zscore_where_the_kernel_is_certain(g025_small):
+    # a kernel mass of 0 or 1 (or roundoff past 1) leaves no null deviation:
+    # an estimate that contradicts it scores |z| = inf, not nan
+    res = estimate_pmf(SimConfig(model=g025_small, horizon=2.0,
+                                 replicates=200, seed=3))
+    assert 0.0 < res.pmf[0] < 1.0 and res.pmf[1] > 0.0
+    rows = zscore_table(res, np.array([1.0, 0.0]), min_prob=0.0)
+    assert [z for *_, z in rows] == [-np.inf, np.inf]
+    (_, _, _, _, z), = zscore_table(res, np.array([1.0 + 2.0 ** -52]))
+    assert z == -np.inf
+
+
 def test_sim_csv_manifest(g025_small):
     cfg = SimConfig(model=g025_small, horizon=1.0, replicates=200, seed=5)
     res = estimate_pmf(cfg)
