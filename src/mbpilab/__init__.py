@@ -7,8 +7,7 @@ from .errors import ModelError, NumericsError, PreconditionError
 from .laws import (BranchingLaw, ImmigrationLaw, ModelSpec,
                    make_stable_immigration, make_stable_offspring,
                    stable_model, validate_law)
-from .rvcalc import (RVContext, SlowlyVaryingSpec, check_sv_remainder,
-                     sv_constant, sv_log, sv_perturbed)
+from .rvcalc import RVContext, SlowlyVaryingSpec, sv_constant, sv_perturbed
 from .kernel import (METHODS, GFValue, compute_P, exact_R, log_limit, solve_F,
                      transition_grid, transition_probs)
 from .invariants import (InvariantMeasure, check_invariance, extract_measure,
@@ -23,8 +22,7 @@ __all__ = [
     "BranchingLaw", "ImmigrationLaw", "ModelSpec",
     "make_stable_offspring", "make_stable_immigration", "stable_model",
     "validate_law",
-    "RVContext", "SlowlyVaryingSpec", "check_sv_remainder",
-    "sv_constant", "sv_log", "sv_perturbed",
+    "RVContext", "SlowlyVaryingSpec", "sv_constant", "sv_perturbed",
     "METHODS", "GFValue", "solve_F", "exact_R", "compute_P", "log_limit",
     "transition_grid", "transition_probs",
     "InvariantMeasure", "extract_measure", "check_invariance",

@@ -119,11 +119,11 @@ def rate_theorem1(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
 
 
 def transient_predicted_slope(model: ModelSpec) -> float:
-    """-mu/nu when the tail functions carry a genuine remainder; -delta/nu
-    for exactly constant tail functions (the envelope integrand vanishes
-    identically and the compensation term dominates)."""
+    """-mu/nu when a tail function carries a genuine remainder (kappa != 0);
+    -delta/nu for exactly constant tail functions (the envelope integrand
+    vanishes identically and the compensation term dominates)."""
     ctx = model.context()
-    if ctx.L.kind == "constant" and ctx.ell.kind == "constant":
+    if not ctx.L.kappa and not ctx.ell.kappa:
         return -model.delta / model.nu
     return -model.mu / model.nu
 
@@ -233,7 +233,7 @@ def check_lemma2(model: ModelSpec, s: float, t_grid, bound: float = 2.0) -> Lemm
 
 
 def check_lemma3(spec: SlowlyVaryingSpec, sigma: float, t_grid,
-                 bound: float = 2.0, remainder=None) -> LemmaReport:
+                 bound: float = 2.0) -> LemmaReport:
     """Tail-integral asymptotic for a slowly varying L with remainder rho:
 
         integral_t^inf y^{-(1+sigma)} L(y) dy
@@ -246,9 +246,9 @@ def check_lemma3(spec: SlowlyVaryingSpec, sigma: float, t_grid,
     """
     if not sigma > 0:
         raise ModelError("lemma-3 check needs sigma > 0")
-    rho = remainder or spec.remainder
+    rho = spec.remainder
     if rho is None:
-        raise ModelError("no remainder declared for this slowly varying spec")
+        raise ModelError("lemma 3 needs a tail function with remainder (kappa > 0)")
     t_grid = np.asarray(t_grid, dtype=float)
 
     def fun(q):

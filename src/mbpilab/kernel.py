@@ -26,7 +26,6 @@ from .inversion import (CoefficientSeries, circle_points,
                         coefficients_from_samples, complete_circle)
 from .laws import BranchingLaw, ModelSpec
 from .quadrature import doubling_quadrature
-from .rvcalc import power_form
 
 # The routes of every kernel function that takes a ``method``:
 #   "closed"  the stable-family closed forms: exact_R for the flow, the
@@ -273,19 +272,18 @@ def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
 
 
 def _sv_available(model: ModelSpec) -> bool:
-    specs = (model.offspring.sv_spec, model.immigration.sv_spec)
-    return all(sp is not None and power_form(sp) is not None for sp in specs)
+    return (model.offspring.sv_spec is not None
+            and model.immigration.sv_spec is not None)
 
 
 def _tail_terms(model: ModelSpec):
-    """C = C_ell / C_L and the (kappa, exponent) terms of ell and L from their
-    power forms, so that Lratio(x) = C (1 + pert_ell) / (1 + pert_L) and
+    """C = C_ell / C_L and the (kappa, exponent) terms of ell and L, so that
+    Lratio(x) = C (1 + pert_ell) / (1 + pert_L) and
     C - Lratio(x) = C (pert_L - pert_ell) / (1 + pert_L), with
     pert = kappa * x**(-exponent); a term is None where kappa is 0."""
-    c_g, kap_g, exp_g = power_form(model.immigration.sv_spec)
-    c_L, kap_L, exp_L = power_form(model.offspring.sv_spec)
-    return (c_g / c_L, (kap_g, exp_g) if kap_g else None,
-            (kap_L, exp_L) if kap_L else None)
+    ell, L = model.immigration.sv_spec, model.offspring.sv_spec
+    return (ell.c / L.c, (ell.kappa, ell.exponent) if ell.kappa else None,
+            (L.kappa, L.exponent) if L.kappa else None)
 
 
 def _separable_pert(term, q_scale: float, w0):
@@ -328,10 +326,10 @@ def gf_segment_integral(model: ModelSpec, one_minus_s, one_minus_F,
 
     ``method`` "series" integrates the truncated-series ratio g/f; every
     other word of :data:`METHODS` takes the tail-function integrand
-    -D w**gamma Lratio(1/w), w = 1-u, where both laws carry power-form tail
-    specs, else the series.  The tail-function integrand is evaluated from
+    -D w**gamma Lratio(1/w), w = 1-u, where both laws carry tail specs,
+    else the series.  The tail-function integrand is evaluated from
     logw = log(w0) - x D with no complex power: w**gamma = exp(gamma logw)
-    and, in the power forms of the tail specs, (1/w)**(-e) = exp(e logw).
+    and, in the tail specs c (1 + kappa x**(-e)), (1/w)**(-e) = exp(e logw).
     Both are exact on the principal branch because Re w > 0 along the path
     keeps |Im logw| < pi/2, so Log(exp(logw)) = logw.
     """

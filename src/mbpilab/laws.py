@@ -384,14 +384,16 @@ Built-in law families
 
 stable-offspring(nu, c, kappa=0, truncation=2000)
     f(s) = c*((1-s)**(1+nu) + kappa*(1-s)**(1+2*nu)),  0 < nu < 1
-    Critical, conservative; offspring tail function L(x) = c*(1+kappa*x**-nu).
-    Satisfies: offspring-tail(nu); sv-remainder with alpha(x) = x**-nu
-    (exactly constant L when kappa = 0).
+    Critical, conservative; offspring tail function L(x) = c*(1+kappa*x**-nu),
+    the power form c*(1+kappa*x**-theta) with theta = nu.
+    Satisfies: offspring-tail(nu); L(x) = c + O(alpha(x)) with remainder
+    alpha(x) = x**-nu (exactly constant L, no remainder, when kappa = 0).
 
 stable-immigration(delta, d, kappa=0, truncation=2000)
     g(s) = -d*((1-s)**delta + kappa*(1-s)**(2*delta)),  0 < delta < 1
-    Immigration tail function ell(x) = d*(1+kappa*x**-delta).
-    Satisfies: immigration-tail(delta); sv-remainder with beta(x) = x**-delta.
+    Immigration tail function ell(x) = d*(1+kappa*x**-delta), theta = delta.
+    Satisfies: immigration-tail(delta); ell(x) = d + O(beta(x)) with remainder
+    beta(x) = x**-delta (exactly constant ell when kappa = 0).
 
 Pairings
 --------

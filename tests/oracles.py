@@ -19,7 +19,6 @@ from mbpilab import sim
 from mbpilab.inversion import sample_count
 from mbpilab.kernel import exact_R, transition_grid
 from mbpilab.quadrature import adaptive_quadrature, doubling_quadrature
-from mbpilab.rvcalc import power_form
 
 
 def binom_coeff(alpha: float, j: int) -> float:
@@ -35,19 +34,14 @@ def lratio(model):
 
 
 def ratio_deficit(L, ell):
-    """C - ell(x)/L(x) with C = ell.limit / L.limit, from the power forms of
-    the two specs with the cancelling leading terms taken out by hand; None
-    unless both specs have a power form."""
-    form_L, form_g = power_form(L), power_form(ell)
-    if form_L is None or form_g is None:
-        return None
-    (c_L, kap_L, exp_L), (c_g, kap_g, exp_g) = form_L, form_g
-    C = c_g / c_L
+    """C - ell(x)/L(x) with C = ell.limit / L.limit, from the fields of the
+    two specs with the cancelling leading terms taken out by hand."""
+    C = ell.c / L.c
 
     def _deficit(x):
         x = np.asarray(x)
-        pert_L = kap_L * x ** (-exp_L)
-        pert_g = kap_g * x ** (-exp_g)
+        pert_L = L.kappa * x ** (-L.exponent)
+        pert_g = ell.kappa * x ** (-ell.exponent)
         return C * (pert_L - pert_g) / (1.0 + pert_L)
 
     return _deficit

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mbpilab import (ModelError, PreconditionError, asymptotics, check_lemma1,
                      check_lemma2, check_lemma3, check_lemma4, fit_loglog,
                      rate_theorem1, rate_transient, sv_constant, sv_perturbed)
 from mbpilab.asymptotics import rate_csv, transient_predicted_slope
+from mbpilab.laws import ModelSpec
 
 GRID = np.logspace(2, 6, 25)
 
@@ -88,6 +91,15 @@ def test_theorem2_perturbed_attains_envelope(gneg_pert):
     assert fit.fitted_slope == pytest.approx(-1.0 / 3.0, abs=0.02)
 
 
+def test_zero_kappa_spec_predicts_the_constant_slope(gneg):
+    # sv_perturbed(c, 0, theta) is the constant spec: -delta/nu, not -mu/nu
+    flat = ModelSpec(
+        dataclasses.replace(gneg.offspring, sv_spec=sv_perturbed(1.0, 0.0, 0.75)),
+        dataclasses.replace(gneg.immigration, sv_spec=sv_perturbed(0.25, 0.0, 0.5)))
+    assert transient_predicted_slope(flat) == transient_predicted_slope(gneg) \
+        == pytest.approx(-2.0 / 3.0)
+
+
 def test_theorem2_preconditions(g025, gneg, monkeypatch):
     with pytest.raises(PreconditionError):
         rate_transient(g025, 0.0, GRID)
@@ -157,17 +169,6 @@ def test_lemma2_perturbed_bounded(g025_pert_off):
     assert rep.ok()
     # the late-grid ratio approaches kappa/c = 1 from below
     assert 0.5 < rep.values[-1] < 1.1
-
-
-def test_lemma3_constant_exact():
-    spec = sv_constant(1.0)
-    rep = check_lemma3(spec, 0.5, np.logspace(1, 4, 5),
-                       remainder=lambda x: np.asarray(x) ** -0.5)
-    assert np.allclose(rep.details["ratios"], 1.0, atol=1e-11)
-    spec_c = sv_constant(3.0)
-    rep_c = check_lemma3(spec_c, 1.0, np.logspace(1, 3, 3),
-                         remainder=lambda x: np.asarray(x) ** -0.5)
-    assert np.allclose(rep_c.details["ratios"], 1.0, atol=1e-11)
 
 
 def test_lemma3_perturbed_constant():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,8 @@ from mbpilab import (ModelError, PreconditionError, check_invariance,
 from mbpilab import kernel
 from mbpilab.invariants import limit_ratios, measure_csv
 from mbpilab.inversion import circle_points, suggest_radius
-from mbpilab.kernel import exact_R, gf_segment_integral
-from mbpilab.laws import ModelSpec
+from mbpilab.kernel import compute_P_grid, exact_R, gf_segment_integral
+from mbpilab.rvcalc import SlowlyVaryingSpec
 
 from oracles import (direct_log_limit, direct_segment_integral,
                      mp_exp_series_coeffs, row_sum_invariance, scipy_gf_integral)
@@ -294,34 +292,19 @@ def test_separable_segment_matches_direct_integrand(name, request):
     assert np.max(np.abs(val - ref) / np.abs(ref)) <= 1e-13
 
 
-def _size_guarded(model, limit):
-    """``model`` with tail specs whose evaluate fails on arrays of more than
-    ``limit`` entries."""
-    def guard(spec):
-        def evaluate(x):
-            if np.size(x) > limit:
-                raise AssertionError(
-                    f"{spec.label} evaluated on {np.size(x)} > {limit} points")
-            return spec.evaluate(x)
-        return dataclasses.replace(spec, evaluate=evaluate)
-
-    return ModelSpec(
-        dataclasses.replace(model.offspring, sv_spec=guard(model.offspring.sv_spec)),
-        dataclasses.replace(model.immigration,
-                            sv_spec=guard(model.immigration.sv_spec)))
-
-
 def test_integrands_never_evaluate_specs_on_the_node_grid(
-        g025_pert_off, gneg_pert, g025_pert_both):
-    # the tail functions are taken in separable form: no spec evaluation on
-    # a whole nodes x circle grid, only per-point batches
-    M = 2048
-    batch = M // 2 + 1
+        monkeypatch, g025_pert_off, gneg_pert, g025_pert_both):
+    # the kernel reads the tail functions' fields and takes them in
+    # separable form: no tail spec is ever called pointwise
+    def refuse(spec, x):
+        raise AssertionError(f"{spec} evaluated on {np.size(x)} points")
+
+    monkeypatch.setattr(SlowlyVaryingSpec, "__call__", refuse)
+    s = circle_points(0.9, 2048, half=True)
     for model in (g025_pert_off, gneg_pert, g025_pert_both):
-        extract_measure(_size_guarded(model, batch), J_out=64, r=0.9, M=M)
-    # the tail-function segment integrand, behind compute_P's quadrature route
-    compute_P(_size_guarded(g025_pert_off, batch), 1.0,
-              circle_points(0.9, M, half=True), method="quad")
+        extract_measure(model, J_out=64, r=0.9, M=2048)
+        # the tail-function segment integrand, behind the quadrature route
+        compute_P_grid(model, s, [1.0], method="quad")
 
 
 def test_measure_extraction_reports_quadrature_error(gneg_pert):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mbpilab import (ModelError, check_sv_remainder, sv_constant,
-                     sv_log, sv_perturbed)
+from mbpilab import ModelError, sv_constant, sv_perturbed
 from mbpilab.rvcalc import RVContext
 
 from oracles import ratio_deficit
@@ -11,6 +10,30 @@ from oracles import ratio_deficit
 
 def ctx_const(nu=0.5, c=1.0, delta=0.75, d=0.25):
     return RVContext(nu=nu, delta=delta, L=sv_constant(c), ell=sv_constant(d))
+
+
+def test_spec_is_its_power_form():
+    xs = np.array([1.0, 4.0, 1e6])
+    const, pert = sv_constant(2.0), sv_perturbed(2.0, 0.5, 0.5)
+    assert np.array_equal(const(xs), np.full(3, 2.0))
+    assert np.array_equal(pert(xs), 2.0 * (1.0 + 0.5 * xs ** -0.5))
+    assert pert(4.0 + 0j) == pytest.approx(2.5, abs=1e-15)
+    assert const.limit == pert.limit == 2.0
+    assert const.remainder is None
+    assert np.array_equal(pert.remainder(xs), xs ** -0.5)
+    # kappa = 0 is exactly constant whatever the exponent, with no remainder
+    flat = sv_perturbed(2.0, 0.0, 0.5)
+    assert flat.remainder is None and np.array_equal(flat(xs), const(xs))
+    ctx = RVContext(nu=0.5, delta=0.75, L=flat, ell=sv_constant(0.25))
+    assert ctx.M(0.75) == ctx_const(c=2.0).M(0.75) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_specs_validate():
+    for bad in (lambda: sv_constant(0.0), lambda: sv_perturbed(0.0, 1.0, 0.5),
+                lambda: sv_perturbed(1.0, -0.1, 0.5),
+                lambda: sv_perturbed(1.0, 1.0, 0.0)):
+        with pytest.raises(ModelError):
+            bad()
 
 
 def test_lambda_values():
@@ -114,39 +137,6 @@ def test_M_perturbed_against_scipy():
         assert ctx.M(s) == pytest.approx(expected, rel=1e-9)
 
 
-def test_sv_remainder_constant_is_exact():
-    report = check_sv_remainder(sv_constant(2.0), [0.5, 2.0, 8.0],
-                                np.logspace(1, 6, 30))
-    assert report.passed
-    assert np.all(report.ratio_stat == 0)
-    assert np.all(report.limit_stat == 0)
-
-
-def test_sv_remainder_perturbed_limit_value():
-    spec = sv_perturbed(1.0, 1.0, 0.5)
-    xs = np.logspace(2, 8, 40)
-    report = check_sv_remainder(spec, [2.0], xs, bound=5.0)
-    assert report.passed
-    # |L(2x)/L(x) - 1| / x**-0.5 -> 1 - 2**-0.5
-    assert report.ratio_stat[-1] == pytest.approx(1.0 - 2 ** -0.5, rel=2e-2)
-    assert report.limit_stat[-1] == pytest.approx(1.0, rel=1e-6)
-
-
-def test_sv_remainder_log_declared_with_power_fails():
-    report = check_sv_remainder(sv_log(), [2.0], np.logspace(1, 8, 30),
-                                alpha=lambda x: np.asarray(x) ** -0.5,
-                                bound=10.0)
-    assert not report.passed
-    assert report.ratio_stat[-1] > 100
-
-
-def test_sv_remainder_grid_validation():
-    with pytest.raises(ModelError):
-        check_sv_remainder(sv_constant(1.0), [], np.array([1.0, 2.0]))
-    with pytest.raises(ModelError):
-        check_sv_remainder(sv_constant(1.0), [2.0], np.array([2.0, 1.0]))
-
-
 def test_L_ratio_limit_bound(gneg_pert):
     # |Lratio(t) - C| <= K * ell(t)/t**delta on the top decade (delta < nu)
     ctx = gneg_pert.context()
@@ -166,17 +156,6 @@ def test_K_asymptotically_constant(g025_pert_off, g025_pert_imm):
         assert dev[-1] < 1e-4
 
 
-def test_dLam_matches_exact_derivative():
-    kappa = 1.0
-    ctx = RVContext(nu=0.5, delta=0.75, L=sv_perturbed(1.0, kappa, 0.5),
-                    ell=sv_constant(0.25))
-    ys = np.array([1e-4, 1e-2, 0.5])
-    exact = 0.5 * kappa * ys ** 0.5 / (1.0 + kappa * ys ** 0.5)
-    assert np.allclose(ctx.dLam(ys), exact, rtol=1e-4, atol=1e-9)
-    const = ctx_const()
-    assert np.allclose(const.dLam(ys), 0.0, atol=1e-9)
-
-
 def test_ratio_deficit_matches_direct_subtraction_when_safe():
     L = sv_perturbed(1.0, 1.0, 0.5)
     ell = sv_perturbed(0.25, 0.3, 0.75)
@@ -184,4 +163,3 @@ def test_ratio_deficit_matches_direct_subtraction_when_safe():
     xs = np.logspace(0, 6, 20)
     direct = 0.25 - ell(xs) / L(xs)
     assert np.allclose(deficit(xs), direct, rtol=1e-10, atol=1e-18)
-    assert ratio_deficit(sv_log(), ell) is None
