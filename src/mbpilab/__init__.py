@@ -13,8 +13,7 @@ from .kernel import (METHODS, GFValue, compute_P, exact_R, log_limit, solve_F,
 from .invariants import (InvariantMeasure, check_invariance, extract_measure,
                          ratio_limits, series_coefficients)
 from .asymptotics import (RateFit, check_lemma1, check_lemma2, check_lemma3,
-                          check_lemma4, fit_loglog, rate_theorem1,
-                          rate_transient)
+                          check_lemma4, fit_loglog, rate_fits)
 from .sim import AliasTable, SimConfig, SimResult, estimate_pmf, simulate_path
 
 __all__ = [
@@ -27,7 +26,7 @@ __all__ = [
     "transition_grid", "transition_probs",
     "InvariantMeasure", "extract_measure", "check_invariance",
     "ratio_limits", "series_coefficients",
-    "RateFit", "fit_loglog", "rate_theorem1", "rate_transient",
+    "RateFit", "fit_loglog", "rate_fits",
     "check_lemma1", "check_lemma2", "check_lemma3", "check_lemma4",
     "AliasTable", "SimConfig", "SimResult", "simulate_path", "estimate_pmf",
 ]

@@ -2,21 +2,26 @@
 log-spaced time grids, log-log slope fits against predicted exponents, and
 the four auxiliary-lemma checkers.
 
-Conventions:
+Conventions: m is the invariant measure, U for gamma > 0 and pi for
+gamma < 0, and T(t) its time compensation (T = 0 for gamma > 0).  By the
+invariance identity P(t; s) m(F(t; s)) = m(s), every rate error is
 
-* theorem 1 (gamma > 0): e(t) = |P(t;s)/U(s) - 1|, predicted envelope
-  Delta(t;s) * K(tau(t)) with Delta ~ (1/gamma) lambda(t;s)^(-gamma/nu),
-  so the time exponent is -gamma/nu.
-* theorem 2 (gamma < 0, mu > 0, C = |gamma|): rho(t;s) =
-  |exp(T(t)) P(t;s)/pi(s) - 1|, envelope ell(tau)/tau^mu, exponent -mu/nu.
-  When both tail functions are exactly constant the envelope integrand
-  vanishes identically and the error is dominated by the T-compensation
-  term instead, which decays at the faster exponent -delta/nu; the fit
-  therefore predicts -delta/nu for exactly-constant specs and -mu/nu
-  otherwise.
+    |exp(T(t)) P(t;s)/m(s) - 1| = |expm1(T(t) - log m(F(t;s)))|,
+
+one limit evaluation at the marched F, never a quotient of nearly equal
+numbers; :func:`rate_fits` reads the regime from gamma.
+
+* theorem 1 (gamma > 0): predicted envelope Delta(t;s) * K(tau(t)) with
+  Delta ~ (1/gamma) lambda(t;s)^(-gamma/nu), time exponent -gamma/nu.
+* theorem 2 (gamma < 0, mu > 0, C = |gamma|): envelope ell(tau)/tau^mu,
+  exponent -mu/nu.  When both tail functions are exactly constant the
+  envelope integrand vanishes identically and the error is dominated by the
+  T-compensation term instead, which decays at the faster exponent
+  -delta/nu; the fit therefore predicts -delta/nu for exactly-constant
+  specs and -mu/nu otherwise.
 * corollary (gamma < 0): the same error at s = 0, as exp(T(t)) p_00(t)
-  against pi(0); :func:`rate_transient` takes it, theorem 2 at s and the
-  uniformity ratio over s from one march.
+  against pi(0), taken with theorem 2 at s and the uniformity ratio over s
+  from one march.
 
 Everything that can overflow (exp(T) with T -> infinity) is handled by
 summing exponents in log space before a single expm1.
@@ -30,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelError, PreconditionError
-from .kernel import compute_P_grid, flow_on_grid, log_limit
+from .kernel import flow_on_grid, log_limit
 from .laws import ModelSpec
 from .quadrature import doubling_quadrature
 from .rvcalc import SlowlyVaryingSpec
@@ -89,35 +94,6 @@ def fit_loglog(t, err, predicted_slope, slope_tol=0.1, rsq_min=0.99,
                    rsq_min=rsq_min, window=window, label=label)
 
 
-def rate_theorem1(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
-                  rsq_min: float = 0.99) -> RateFit:
-    """Convergence rate of P(t; s) to U(s) in the positive-recurrent regime.
-
-    e(t) = |P(t;s)/U(s) - 1| = |expm1(-integral_{F(t;s)}^1 g/f du)|; the
-    difference of exponents is computed directly (one tail integral), never
-    as a quotient of two nearly equal numbers.
-    """
-    if not model.gamma > 0:
-        raise PreconditionError("theorem-1 rates need gamma > 0")
-    if not 0.0 <= s <= 0.95:
-        raise ModelError("theorem-1 rate check expects s in [0, 0.95]")
-    t_grid = np.asarray(t_grid, dtype=float)
-    ctx = model.context()
-    R = flow_on_grid(model, [s], t_grid, method="quad", rtol=1e-12)[:, 0]
-    tail, _ = log_limit(model, R)
-    errors = np.abs(np.expm1(-np.real(tail)))
-    tau = np.array([ctx.tau(float(t)) for t in t_grid])
-    lam = ctx.lam_shift(t_grid, s)
-    envelope = (1.0 / model.gamma) / lam ** (model.gamma / model.nu) * ctx.K(tau)
-    fit = fit_loglog(t_grid, errors, predicted_slope=-model.gamma / model.nu,
-                     slope_tol=slope_tol, rsq_min=rsq_min, floor=_FIT_FLOOR,
-                     label="theorem1")
-    fit.envelope = envelope
-    fit.envelope_ratio = errors / envelope
-    fit.extras["compensated"] = errors * t_grid ** (model.gamma / model.nu)
-    return fit
-
-
 def transient_predicted_slope(model: ModelSpec) -> float:
     """-mu/nu when a tail function carries a genuine remainder (kappa != 0);
     -delta/nu for exactly constant tail functions (the envelope integrand
@@ -132,46 +108,60 @@ def transient_predicted_slope(model: ModelSpec) -> float:
 UNIFORM_S = (0.0, 0.25, 0.5, 0.75)
 
 
-def rate_transient(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
-                   rsq_min: float = 0.99):
-    """(theorem-2 fit at s, corollary-1 fit, uniformity ratio) in the
-    transient regime, from one march of the batch UNIFORM_S + (s,).
+def rate_fits(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
+              rsq_min: float = 0.99):
+    """(fits, uniformity ratio) of the regime gamma reads, from one march:
+    ([theorem-1 fit at s], None) for gamma > 0, s in [0, 0.95], batch (s,);
+    ([theorem-2 fit at s, corollary-1 fit], ratio) for gamma < 0, s in
+    [-1, 1) (log pi diverges at s = 1), batch UNIFORM_S + (s,).
 
-    rho(t; s) = |expm1(T(t) + log P(t; s) - log pi(s))| in log space, with
-    log P by quadrature and the flow solved to 1e-12 relative: T(t) + log P
-    cancels T(t) against R**(-|gamma|), which amplifies any error in R.
-    The corollary reads p_00 = P(t; 0), column 0, at the tolerance
-    max(slope_tol, 0.15); the uniformity ratio is max over s in UNIFORM_S of
-    rho(t; s)/rho(t; 0) along the grid.  s must lie in [-1, 1): log pi
-    diverges at s = 1.
+    The errors take log m(F) from one :func:`log_limit` call on the whole
+    march, with the flow solved to 1e-12 relative: for gamma < 0, T(t)
+    cancels against log pi(F) ~ R**(-|gamma|), which amplifies any error in
+    R.  The corollary reads p_00 = P(t; 0), column 0, at the tolerance
+    max(slope_tol, 0.15); the uniformity ratio is max over s in UNIFORM_S
+    of rho(t; s)/rho(t; 0) along the grid.
     """
-    model.require_transient_limit()
-    if not -1.0 <= s < 1.0:
-        raise ModelError("theorem-2 rate check expects s in [-1, 1)")
+    recurrent = model.gamma > 0
+    if recurrent and not 0.0 <= s <= 0.95:
+        raise ModelError("theorem-1 rate check expects s in [0, 0.95]")
+    if not recurrent:
+        model.require_transient_limit()
+        if not -1.0 <= s < 1.0:
+            raise ModelError("theorem-2 rate check expects s in [-1, 1)")
     t_grid = np.asarray(t_grid, dtype=float)
     ctx = model.context()
-    batch = UNIFORM_S + ((s,) if s not in UNIFORM_S else ())
-    lpi = np.real(log_limit(model, 1.0 - np.array(batch))[0])
-    logp, _, _ = compute_P_grid(model, batch, t_grid, rtol=1e-12, method="quad")
-    T = np.array([ctx.big_T(float(t)) for t in t_grid])
-    log_rel = T[:, None] + np.real(logp) - lpi
-    rho = np.abs(np.expm1(log_rel))
+    batch = (s,) if recurrent else UNIFORM_S + ((s,) if s not in UNIFORM_S else ())
+    R = flow_on_grid(model, batch, t_grid, method="quad", rtol=1e-12)
+    log_mF = np.real(log_limit(model, R.ravel())[0]).reshape(R.shape)
+    T = 0.0 if recurrent else np.array([ctx.big_T(float(t)) for t in t_grid])[:, None]
+    log_rel = T - log_mF
+    errors = np.abs(np.expm1(log_rel))
     tau = np.array([ctx.tau(float(t)) for t in t_grid])
-    envelope = ctx.ell(tau) / tau ** model.mu
+    if recurrent:
+        slope = -model.gamma / model.nu
+        envelope = (1.0 / model.gamma) / ctx.lam_shift(t_grid, s) ** -slope * ctx.K(tau)
+        columns = ((0, "theorem1", slope_tol),)
+        extras = [{"compensated": errors[:, 0] * t_grid ** -slope}]
+    else:
+        slope = transient_predicted_slope(model)
+        envelope = ctx.ell(tau) / tau ** model.mu
+        columns = ((batch.index(s), "theorem2", slope_tol),
+                   (0, "corollary1", max(slope_tol, 0.15)))
+        log_ms = np.real(log_limit(model, 1.0 - np.array(batch))[0])
+        extras = [{"scaled_limit": np.exp(log_rel[:, col] + log_ms[col]),
+                   "envelope_slope": -model.mu / model.nu} for col, _, _ in columns]
+        extras[1]["B0"] = float(np.exp(log_ms[0] - 1.0))
     fits = []
-    for col, label, tol in ((batch.index(s), "theorem2", slope_tol),
-                            (0, "corollary1", max(slope_tol, 0.15))):
-        fit = fit_loglog(t_grid, rho[:, col], transient_predicted_slope(model),
-                         slope_tol=tol, rsq_min=rsq_min, floor=_FIT_FLOOR,
-                         label=label)
-        fit.envelope = envelope
-        fit.envelope_ratio = rho[:, col] / envelope
-        fit.extras["scaled_limit"] = np.exp(log_rel[:, col] + lpi[col])
-        fit.extras["envelope_slope"] = -model.mu / model.nu
+    for (col, label, tol), extra in zip(columns, extras):
+        fit = fit_loglog(t_grid, errors[:, col], slope, slope_tol=tol,
+                         rsq_min=rsq_min, floor=_FIT_FLOOR, label=label)
+        fit.envelope, fit.envelope_ratio = envelope, errors[:, col] / envelope
+        fit.extras = extra
         fits.append(fit)
-    fits[1].extras["B0"] = float(np.exp(lpi[0] - 1.0))
-    ratio = np.max(rho[:, 1:len(UNIFORM_S)] / rho[:, :1], axis=1, initial=1.0)
-    return fits[0], fits[1], ratio
+    ratio = None if recurrent else np.max(
+        errors[:, 1:len(UNIFORM_S)] / errors[:, :1], axis=1, initial=1.0)
+    return fits, ratio
 
 
 @dataclass
@@ -221,6 +211,8 @@ def check_lemma2(model: ModelSpec, s: float, t_grid, bound: float = 2.0) -> Lemm
 
     Reports remainder(t)/log(nu(t;s)), which must stay bounded.
     """
+    if not 0.0 <= s < 1.0:
+        raise ModelError(f"lemma-2 check expects s in [0, 1), got s = {s:g}")
     ctx = model.context()
     t_grid = np.asarray(t_grid, dtype=float)
     lam0 = 1.0 / float(ctx.Lambda(1.0 - s))

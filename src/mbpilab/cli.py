@@ -222,12 +222,8 @@ def _task_invariant(model, task, out, verdicts):
 def _task_rates(model, task, out, verdicts):
     grid = _t_grid(task)
     s, slope_tol, rsq_min = task["s"], task["slope_tol"], task["rsq_min"]
-    if model.gamma > 0:
-        fits, ratio = [asymptotics.rate_theorem1(model, s, grid, slope_tol=slope_tol,
-                                                 rsq_min=rsq_min)], None
-    else:
-        *fits, ratio = asymptotics.rate_transient(model, s, grid, slope_tol=slope_tol,
-                                                  rsq_min=rsq_min)
+    fits, ratio = asymptotics.rate_fits(model, s, grid, slope_tol=slope_tol,
+                                        rsq_min=rsq_min)
     for fit in fits:
         (out / f"rate_{fit.label}.csv").write_text(asymptotics.rate_csv(fit))
         verdicts.record(fit.label, fit.verdict, f"slope {fit.fitted_slope:.3f} "

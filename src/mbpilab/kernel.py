@@ -342,16 +342,6 @@ def gf_segment_integral(model: ModelSpec, one_minus_s, one_minus_F,
     tail_form = method != "series" and _sv_available(model)
     logw0 = np.log(w0)
     D = logw0 - np.log(w1)
-    dmax = float(np.max(np.abs(D)))
-    if dmax < 1e-13:
-        logwmid = 0.5 * (logw0 + np.log(w1))
-        if tail_form:
-            val = -D * _wgamma_lratio(model.gamma, _tail_terms(model), logwmid)
-        else:
-            wmid = np.exp(logwmid)
-            val = _series_ratio(model, 1.0 - wmid) * wmid * D
-        return _unbatch(val, scalar_s), dmax
-
     if tail_form:
         gamma, terms = model.gamma, _tail_terms(model)
 
@@ -363,6 +353,9 @@ def gf_segment_integral(model: ModelSpec, one_minus_s, one_minus_F,
             w = np.exp(logw0[None, :] - x[:, None] * D[None, :])
             u = 1.0 - w
             return _series_ratio(model, u) * w * D[None, :]
+    dmax = float(np.max(np.abs(D)))
+    if dmax < 1e-13:     # one midpoint evaluation is exact to roundoff
+        return _unbatch(fun(np.array([0.5]))[0], scalar_s), dmax
     val, err = doubling_quadrature(fun, 0.0, 1.0)
     return _unbatch(val, scalar_s), err
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from mbpilab import (SimConfig, check_invariance, check_lemma2, check_lemma3,
                      check_lemma4, estimate_pmf, exact_R, extract_measure,
-                     log_limit, rate_theorem1, rate_transient, ratio_limits,
+                     log_limit, rate_fits, ratio_limits,
                      series_coefficients, solve_F, sv_perturbed,
                      transition_probs)
 from mbpilab.inversion import suggest_radius
@@ -139,7 +139,7 @@ def test_criterion3_invariance_residual(g025):
 
 def test_criterion4_recurrent_rate(g025):
     started = time.time()
-    fit = rate_theorem1(g025, 0.0, GRID_2_6, rsq_min=0.999)
+    fit = rate_fits(g025, 0.0, GRID_2_6, rsq_min=0.999)[0][0]
     # compensated limit (d/(c*gamma)) * (c*nu)**(-gamma/nu) = 2**0.5
     target = (0.25 / 0.25) * 0.5 ** -0.5
     compensated = fit.extras["compensated"][-1]
@@ -159,7 +159,7 @@ def test_criterion4_recurrent_rate(g025):
 
 def test_criterion5_transient_limit(gneg):
     started = time.time()
-    fit = rate_transient(gneg, 0.0, GRID_2_6)[0]
+    fit = rate_fits(gneg, 0.0, GRID_2_6)[0][0]
     scaled = fit.extras["scaled_limit"][-1]
     dev = abs(scaled - np.e)
     elapsed = time.time() - started
@@ -180,13 +180,13 @@ def test_criterion5_transient_rate_envelope_exponent(gneg, gneg_pert):
     """
     check_envelope_exponent(
         "5b (transient rate, envelope exponent)", 0.1,
-        gneg, rate_transient(gneg, 0.0, GRID_2_6)[0],
-        gneg_pert, rate_transient(gneg_pert, 0.0, GRID_2_6)[0])
+        gneg, rate_fits(gneg, 0.0, GRID_2_6)[0][0],
+        gneg_pert, rate_fits(gneg_pert, 0.0, GRID_2_6)[0][0])
 
 
 def test_criterion5_uniformity(gneg):
     started = time.time()
-    ratio = rate_transient(gneg, 0.0, np.logspace(2, 6, 9))[2]
+    ratio = rate_fits(gneg, 0.0, np.logspace(2, 6, 9))[1]
     elapsed = time.time() - started
     ok = bool(np.all(ratio <= 10.0))
     announce("5c (uniformity over s)", ok,
@@ -201,15 +201,15 @@ def test_criterion6_p00_rate_envelope_exponent(gneg, gneg_pert):
     rate (-mu/nu +- 0.15) on the remainder-bearing family."""
     check_envelope_exponent(
         "6a (p00 rate, envelope exponent)", 0.15,
-        gneg, rate_transient(gneg, 0.0, GRID_2_6)[1],
-        gneg_pert, rate_transient(gneg_pert, 0.0, GRID_2_6)[1])
+        gneg, rate_fits(gneg, 0.0, GRID_2_6)[0][1],
+        gneg_pert, rate_fits(gneg_pert, 0.0, GRID_2_6)[0][1])
 
 
 def test_criterion6_B0_and_early_value(gneg):
     started = time.time()
     # B(0) = pi(0) / e
     b0 = float(np.exp(np.real(log_limit(gneg, 1.0)[0]) - 1.0))
-    fit = rate_transient(gneg, 0.0, GRID_2_6)[1]
+    fit = rate_fits(gneg, 0.0, GRID_2_6)[0][1]
     idx = int(np.argmin(np.abs(GRID_2_6 - 1e2)))
     early = fit.extras["scaled_limit"][idx]
     elapsed = time.time() - started

@@ -5,7 +5,7 @@ import pytest
 
 from mbpilab import (ModelError, PreconditionError, asymptotics, check_lemma1,
                      check_lemma2, check_lemma3, check_lemma4, fit_loglog,
-                     rate_theorem1, rate_transient, sv_constant, sv_perturbed)
+                     rate_fits, sv_constant, sv_perturbed)
 from mbpilab.asymptotics import rate_csv, transient_predicted_slope
 from mbpilab.laws import ModelSpec
 
@@ -31,7 +31,7 @@ def test_fit_loglog_floor_guard():
 
 
 def test_theorem1_canonical(g025):
-    fit = rate_theorem1(g025, 0.0, GRID, rsq_min=0.999)
+    fit = rate_fits(g025, 0.0, GRID, rsq_min=0.999)[0][0]
     assert fit.verdict
     assert abs(fit.fitted_slope + 0.5) <= 0.1
     assert fit.r_squared >= 0.999
@@ -43,30 +43,32 @@ def test_theorem1_canonical(g025):
 
 def test_theorem1_determinism(g025):
     g = np.logspace(2, 4, 7)
-    a = rate_theorem1(g025, 0.0, g)
-    b = rate_theorem1(g025, 0.0, g)
+    a = rate_fits(g025, 0.0, g)[0][0]
+    b = rate_fits(g025, 0.0, g)[0][0]
     assert np.array_equal(a.errors, b.errors)
     assert a.fitted_slope == b.fitted_slope
 
 
 def test_theorem1_perturbed_offspring_exponent_only(g025_pert_off):
-    fit = rate_theorem1(g025_pert_off, 0.0, np.logspace(2, 5, 19))
+    fit = rate_fits(g025_pert_off, 0.0, np.logspace(2, 5, 19))[0][0]
     assert abs(fit.fitted_slope + 0.5) <= 0.1
     assert fit.r_squared >= 0.99
 
 
-def test_theorem1_preconditions(gneg):
-    with pytest.raises(PreconditionError):
-        rate_theorem1(gneg, 0.0, GRID)
-    with pytest.raises(ModelError):
-        rate_theorem1(gneg, 0.99, GRID)
+def test_theorem1_preconditions(g025, monkeypatch):
+    # the recurrent s-range is refused before any march
+    monkeypatch.setattr(asymptotics, "log_limit", None)
+    monkeypatch.setattr(asymptotics, "flow_on_grid", None)
+    for s in (0.99, -0.5):
+        with pytest.raises(ModelError, match=r"s in \[0, 0\.95\]"):
+            rate_fits(g025, s, GRID)
 
 
 def test_theorem2_canonical_true_rate(gneg):
     """Exactly constant tail functions null the envelope integrand, so the
     scaled error decays at the compensation-term rate delta/nu = 2/3, faster
     than the generic envelope mu/nu = 1/3."""
-    fit = rate_transient(gneg, 0.0, GRID, rsq_min=0.999)[0]
+    fit = rate_fits(gneg, 0.0, GRID, rsq_min=0.999)[0][0]
     assert transient_predicted_slope(gneg) == pytest.approx(-2.0 / 3.0)
     assert fit.verdict
     assert fit.fitted_slope == pytest.approx(-2.0 / 3.0, abs=0.02)
@@ -78,14 +80,14 @@ def test_theorem2_canonical_true_rate(gneg):
 
 
 def test_theorem2_scaled_limit(gneg):
-    fit = rate_transient(gneg, 0.0, GRID)[0]
+    fit = rate_fits(gneg, 0.0, GRID)[0][0]
     assert abs(fit.extras["scaled_limit"][-1] - np.e) <= 1e-3
 
 
 def test_theorem2_perturbed_attains_envelope(gneg_pert):
     """With a genuine immigration-tail remainder the envelope term is present
     and the fitted slope is the generic rate -mu/nu = -1/3."""
-    fit = rate_transient(gneg_pert, 0.0, GRID, rsq_min=0.999)[0]
+    fit = rate_fits(gneg_pert, 0.0, GRID, rsq_min=0.999)[0][0]
     assert transient_predicted_slope(gneg_pert) == pytest.approx(-1.0 / 3.0)
     assert fit.verdict
     assert fit.fitted_slope == pytest.approx(-1.0 / 3.0, abs=0.02)
@@ -100,19 +102,17 @@ def test_zero_kappa_spec_predicts_the_constant_slope(gneg):
         == pytest.approx(-2.0 / 3.0)
 
 
-def test_theorem2_preconditions(g025, gneg, monkeypatch):
-    with pytest.raises(PreconditionError):
-        rate_transient(g025, 0.0, GRID)
-    # s = 1 (log pi diverges) and |s| > 1 are refused before any quadrature
+def test_theorem2_preconditions(gneg, monkeypatch):
+    # s = 1 (log pi diverges) and |s| > 1 are refused before any march
     monkeypatch.setattr(asymptotics, "log_limit", None)
-    monkeypatch.setattr(asymptotics, "compute_P_grid", None)
+    monkeypatch.setattr(asymptotics, "flow_on_grid", None)
     for s in (1.0, 1.5, -1.01):
-        with pytest.raises(ModelError):
-            rate_transient(gneg, s, GRID)
+        with pytest.raises(ModelError, match=r"s in \[-1, 1\)"):
+            rate_fits(gneg, s, GRID)
 
 
 def test_corollary1(gneg):
-    fit = rate_transient(gneg, 0.0, GRID)[1]
+    fit = rate_fits(gneg, 0.0, GRID)[0][1]
     assert fit.extras["B0"] == pytest.approx(1.0, abs=1e-8)
     assert fit.fitted_slope == pytest.approx(-2.0 / 3.0, abs=0.02)
     # value check at t = 1e2
@@ -125,15 +125,15 @@ def test_corollary1(gneg):
 def test_transient_fits_read_their_columns(gneg):
     # theorem 2 at s = 0 is the corollary's column: the same errors, with
     # the corollary's slope tolerance raised to 0.15
-    thm, cor, _ = rate_transient(gneg, 0.0, GRID, slope_tol=0.05)
+    (thm, cor), _ = rate_fits(gneg, 0.0, GRID, slope_tol=0.05)
     assert (thm.label, cor.label) == ("theorem2", "corollary1")
     assert np.array_equal(thm.errors, cor.errors)
     assert (thm.slope_tol, cor.slope_tol) == (0.05, 0.15)
-    assert rate_transient(gneg, 0.0, GRID, slope_tol=0.3)[1].slope_tol == 0.3
+    assert rate_fits(gneg, 0.0, GRID, slope_tol=0.3)[0][1].slope_tol == 0.3
 
 
 def test_uniformity_ratio(gneg):
-    ratio = rate_transient(gneg, 0.0, np.logspace(2, 6, 7))[2]
+    ratio = rate_fits(gneg, 0.0, np.logspace(2, 6, 7))[1]
     assert np.all(ratio <= 10.0)
     # exact value of the ratio envelope is (1-s)**(-nu) at s = 0.75
     assert ratio[-1] == pytest.approx(0.25 ** -0.75, rel=0.05)
@@ -169,6 +169,13 @@ def test_lemma2_perturbed_bounded(g025_pert_off):
     assert rep.ok()
     # the late-grid ratio approaches kappa/c = 1 from below
     assert 0.5 < rep.values[-1] < 1.1
+
+
+def test_lemma2_refuses_s_outside_unit_interval(g025, monkeypatch):
+    monkeypatch.setattr(asymptotics, "flow_on_grid", None)
+    for s in (-0.5, 1.0, 1.5):
+        with pytest.raises(ModelError, match=r"s in \[0, 1\), got s = "):
+            check_lemma2(g025, s, GRID)
 
 
 def test_lemma3_perturbed_constant():
@@ -210,7 +217,7 @@ def test_lemma4_requires_positive_gamma(gneg):
 
 
 def test_rate_csv_format(g025):
-    fit = rate_theorem1(g025, 0.0, np.logspace(2, 4, 7))
+    fit = rate_fits(g025, 0.0, np.logspace(2, 4, 7))[0][0]
     text = rate_csv(fit)
     lines = text.splitlines()
     assert lines[0].startswith("# label = theorem1")

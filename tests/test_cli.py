@@ -207,6 +207,27 @@ def test_rates_transient_s_out_of_range_exits_3(tmp_path, capsys):
         assert not (tmp_path / s / "rate_theorem2.csv").exists()
 
 
+def test_rates_recurrent_s_out_of_range_exits_3(tmp_path, capsys):
+    # theorem 1 is checked for s in [0, 0.95] only; the task refuses other s
+    # before it writes a table
+    for s in ("0.99", "-0.5"):
+        cfg = write(tmp_path, RECURRENT.format(
+            task="rates", extra=f"s = {s}", out=tmp_path / s))
+        assert run_config(cfg) == 3
+        assert "s in [0, 0.95]" in capsys.readouterr().err
+        assert not (tmp_path / s / "rate_theorem1.csv").exists()
+
+
+def test_lemmas_s_out_of_range_exits_3(tmp_path, capsys):
+    # lemma 2 takes Lambda(1 - s), so it refuses s outside [0, 1) by name
+    cfg = write(tmp_path, RECURRENT.format(
+        task="lemmas", extra="s = -0.5", out=tmp_path / "out"))
+    assert run_config(cfg) == 3
+    assert "lemma-2 check expects s in [0, 1), got s = -0.5" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out" / "lemma2.csv").exists()
+
+
 def test_lemmas_task_reports_skip_for_transient(tmp_path):
     cfg = write(tmp_path, TRANSIENT.format(
         task="lemmas", d="0.25",

@@ -189,6 +189,26 @@ def test_segment_integral_additivity(g025):
     assert abs((seg + to_one_F) - to_one_s) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["g025", "gneg", "gneg_pert", "g025_pert_off"])
+def test_log_P_is_the_limit_difference(name, request):
+    """Invariance identity P(t; s) m(F(t; s)) = m(s): log P from
+    compute_P_grid equals log m(s) - log m(F) at the F it marched, on the
+    quad route and, for canonical models, the closed one; within the two
+    limit quadrature errors plus 8 eps of the scale of the terms."""
+    model = request.getfixturevalue(name)
+    s = np.array([0.0, 0.3, 0.7, -0.5 + 0.5j, 0.9j, -1.0])
+    methods = ("quad", "closed") if model.canonical else ("quad",)
+    for method in methods:
+        logp, R, _ = kernel.compute_P_grid(model, s, [1.0, 1e2, 1e4],
+                                           method=method)
+        log_ms, err_s = log_limit(model, 1.0 - s)
+        log_mF, err_F = log_limit(model, R.ravel())
+        log_mF = log_mF.reshape(R.shape)
+        scale = np.maximum(1.0, np.abs(log_ms) + np.abs(log_mF))
+        gap = np.abs(logp - (log_ms - log_mF))
+        assert np.all(gap <= err_s + err_F + 8 * np.finfo(float).eps * scale)
+
+
 def test_transition_probs_identity_at_t0(g025):
     series = transition_probs(g025, 2, 0.0, 16, r=0.5, M=256)
     expected = np.zeros(17)
