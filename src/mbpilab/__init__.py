@@ -8,8 +8,8 @@ from .laws import (BranchingLaw, ImmigrationLaw, ModelSpec,
                    make_stable_immigration, make_stable_offspring,
                    stable_model, validate_law)
 from .rvcalc import RVContext, SlowlyVaryingSpec, sv_constant, sv_perturbed
-from .kernel import (METHODS, GFValue, compute_P, exact_R, log_limit, solve_F,
-                     transition_grid, transition_probs)
+from .kernel import (METHODS, compute_P_grid, exact_R, flow_on_grid, log_limit,
+                     solve_F, transition_grid)
 from .invariants import (InvariantMeasure, check_invariance, extract_measure,
                          ratio_limits, series_coefficients)
 from .asymptotics import (RateFit, check_lemma1, check_lemma2, check_lemma3,
@@ -22,8 +22,8 @@ __all__ = [
     "make_stable_offspring", "make_stable_immigration", "stable_model",
     "validate_law",
     "RVContext", "SlowlyVaryingSpec", "sv_constant", "sv_perturbed",
-    "METHODS", "GFValue", "solve_F", "exact_R", "compute_P", "log_limit",
-    "transition_grid", "transition_probs",
+    "METHODS", "solve_F", "exact_R", "flow_on_grid", "compute_P_grid",
+    "log_limit", "transition_grid",
     "InvariantMeasure", "extract_measure", "check_invariance",
     "ratio_limits", "series_coefficients",
     "RateFit", "fit_loglog", "rate_fits",

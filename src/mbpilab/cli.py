@@ -289,10 +289,10 @@ def _task_compare(model, task, out, verdicts):
     j_out = task["j_out"]
     result = _task_simulate(model, task, out, verdicts)
     with telemetry.stage("series"):
-        series = kernel.transition_probs(model, task["initial"], task["horizon"],
-                                         j_out, r=0.9,
-                                         M=sample_count(j_out, 256),
-                                         method="series")
+        series = kernel.transition_grid(model, [task["initial"]],
+                                        [task["horizon"]], j_out, r=0.9,
+                                        M=sample_count(j_out, 256),
+                                        method="series", clamp=True).row((0, 0))
     rows = sim.zscore_table(result, series.values, task["min_prob"])
     lines = ["j,p_hat,se,p_kernel,z"]
     for j, p_hat, se, p, z in rows:

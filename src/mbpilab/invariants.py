@@ -13,9 +13,11 @@ converges to
 
 whose coefficients pi_j form an invariant measure.  Both logarithms come
 from the one primitive :func:`mbpilab.kernel.log_limit`, which reads the
-regime from the sign of gamma.  Both coefficient sequences are recovered by
-circle inversion, with a direct power-series recurrence available for the
-stable families as a second, independent route (and for tail accounting:
+regime from the sign of gamma; the invariance check evaluates it at
+F(tau; s) as well, so its prediction needs no truncation of the measure.
+Both coefficient sequences are recovered by circle inversion, with a
+direct power-series recurrence available for the stable families as a
+second, independent route (and for tail accounting:
 the coefficient tails are heavy, e.g. u_j ~ const * j^(-1-gamma), so
 truncated sums converge slowly and the normalization checks must account
 for the missing tail explicitly).
@@ -126,7 +128,8 @@ class InvarianceReport:
     """Residuals of  m_j = sum_i m_i p_ij(tau)  over j."""
 
     tau: float
-    predicted: np.ndarray         # sum_{i<=I} m_i p_ij(tau), j = 0..j_max
+    predicted: np.ndarray         # sum_i m_i p_ij(tau), j = 0..j_max
+    truncated: np.ndarray         # sum_{i<=I} m_i p_ij(tau), j = 0..j_max
     residuals: np.ndarray
     max_residual: float
     argmax_j: int
@@ -139,16 +142,20 @@ class InvarianceReport:
 def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
                      j_max: Optional[int] = None) -> InvarianceReport:
     """Apply the transition semigroup at lag tau to the measure coefficients
-    and report |sum_{i<=I} m_i p_ij(tau) - m_j| for j <= j_max (default I/2).
+    and report |sum_i m_i p_ij(tau) - m_j| for j <= j_max (default I/2).
 
     By the branching property the sum has the generating function
-    P(tau; s) * m(F(tau; s)), m(z) = sum_{i<=I} m_i z^i, so one circle
-    inversion of that product (P and F from one :func:`compute_P_grid`
-    call, m(F) by Horner) predicts every coefficient.  The report carries
-    the extraction's error sources separately, but not the i-truncation
-    error sum_{i>I} m_i p_ij(tau), which grows with tau and limits the
-    check to short lags: at tau = 10 it dominates (max residual 9.5e-5 on
-    g025, 2.6e-2 on gneg_pert, I = 256).
+    P(tau; s) * m(F(tau; s)), where m is the limit generating function
+    (U for gamma > 0, pi for gamma < 0).  P and F come from one
+    :func:`compute_P_grid` call and log m(F) from one :func:`log_limit`
+    call, so one circle inversion of the product predicts every
+    coefficient, at any lag.  The same inversion takes the product with the
+    truncated m_I(z) = sum_{i<=I} m_i z^i (by Horner over the extracted
+    coefficients): the report keeps that sum as ``truncated`` and its
+    largest departure from the prediction as the component
+    ``i_truncation``, the part of sum_{i>I} m_i p_ij(tau) the extracted
+    coefficients leave out.  The other components are the extraction's
+    error sources; ``quad_error`` adds the estimates of log P and log m(F).
     """
     m = measure.coefficients
     I = m.size - 1
@@ -157,12 +164,15 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
     r, M = 0.9, sample_count(j_max, 1024)
     s_half = circle_points(r, M, half=True)
     logp, R, err = compute_P_grid(model, s_half, [tau])
+    log_mF, limit_err = log_limit(model, R[0])
     F = s_half if tau == 0 else 1.0 - R[0]
     m_of_F = np.zeros_like(F)
     for coefficient in m[::-1]:
         m_of_F = m_of_F * F + coefficient
-    half = np.exp(logp[0]) * m_of_F
-    prediction = coefficients_from_samples(complete_circle(half, M), r, j_max)
+    P = np.exp(logp[0])
+    half = np.stack([P * np.exp(log_mF), P * m_of_F])
+    both = coefficients_from_samples(complete_circle(half, M), r, j_max)
+    prediction, truncated = both.row(0), both.values[1]
     residuals = np.abs(prediction.values - m[:j_max + 1])
     worst = int(np.argmax(residuals))
     components = {
@@ -170,10 +180,11 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
         "prediction_noise": float(np.max(prediction.noise_floor())),
         "measure_noise": float(np.max(measure.series.coefficient_bound()[:j_max + 1])),
         "measure_tail": measure.tail_estimate,
-        "quad_error": err,
+        "i_truncation": float(np.max(np.abs(prediction.values - truncated))),
+        "quad_error": err + limit_err,
     }
     return InvarianceReport(tau=tau, predicted=prediction.values,
-                            residuals=residuals,
+                            truncated=truncated, residuals=residuals,
                             max_residual=float(residuals[worst]),
                             argmax_j=worst, components=components)
 
@@ -186,11 +197,6 @@ class RatioLimitTable:
     ratios: np.ndarray            # shape (len(t_grid), j_max+1)
     targets: Optional[np.ndarray]
     stabilization: np.ndarray     # max_j |row_k - row_{k-1}|
-
-    def final_deviation(self) -> Optional[np.ndarray]:
-        if self.targets is None:
-            return None
-        return np.abs(self.ratios[-1] - self.targets)
 
 
 def limit_ratios(model: ModelSpec, j_max: int) -> np.ndarray:

@@ -60,9 +60,8 @@ class CoefficientSeries:
     """Extracted coefficients plus the error accounting of the extraction.
 
     A batched extraction keeps its leading batch axes in ``values`` and in
-    every bound; :meth:`row` takes out one entry.  ``len`` counts the
-    coefficients of a row; :meth:`validity_index` and :attr:`total` read a
-    single row."""
+    every bound; :meth:`row` takes out one entry.  :meth:`validity_index`
+    and :attr:`total` read a single row."""
 
     values: np.ndarray            # real coefficients, last axis j = 0..J_out
     radius: float
@@ -71,9 +70,6 @@ class CoefficientSeries:
     clamp_magnitude: float = 0.0  # largest negative entry removed by clamping
     imag_residual: float = 0.0    # max |Im| discarded when taking real parts
     meta: dict = field(default_factory=dict)
-
-    def __len__(self):
-        return self.values.shape[-1]
 
     def row(self, index) -> "CoefficientSeries":
         """The series of one entry (or sub-batch) of a batched extraction;

@@ -12,11 +12,15 @@ g(u)/f(u) = -(1-u)**(gamma-1) * Lratio(1/(1-u)), gamma = delta - nu.
 
 Transition probabilities p_ij(t) are the power-series coefficients of
 P_i(t; s), recovered by circle sampling (see :mod:`mbpilab.inversion`).
+
+The API is three grid primitives: :func:`flow_on_grid` (R on a (t, s)
+grid), :func:`compute_P_grid` (log P on the same grid) and
+:func:`transition_grid` (rows p_ij over t and i).  Every function here takes
+array-likes and returns arrays with their batch axis, a scalar argument as
+a batch of one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,28 +135,6 @@ def _offspring(model) -> BranchingLaw:
     return model.offspring if isinstance(model, ModelSpec) else model
 
 
-def _as_batch(s):
-    arr = np.atleast_1d(np.asarray(s, dtype=complex))
-    return arr, np.ndim(s) == 0
-
-
-def _unbatch(x, scalar):
-    return x[0] if scalar else x
-
-
-@dataclass
-class GFValue:
-    """A point evaluation of the kernel generating functions."""
-
-    t: float
-    s: object
-    F: object
-    R: object
-    P: object = None
-    logP: object = None
-    error_estimate: float = 0.0
-
-
 def exact_R(law: BranchingLaw, t: float, s) -> np.ndarray:
     """Closed-form R(t; s) for the stable families.
 
@@ -162,14 +144,13 @@ def exact_R(law: BranchingLaw, t: float, s) -> np.ndarray:
     """
     if not law.closed_form:
         raise ModelError("exact_R needs a stable-family law")
-    s_arr, scalar = _as_batch(s)
-    w0 = 1.0 - s_arr
+    w0 = 1.0 - np.atleast_1d(np.asarray(s, dtype=complex))
     at_one = w0 == 0
     w0 = np.where(at_one, 1.0, w0)
     nu, c, kappa = law.nu, law.scale, law.kappa
     w_init = w0 ** (-nu) + c * nu * t
     if not kappa:
-        return _unbatch(np.where(at_one, 0.0, w_init ** (-1.0 / nu)), scalar)
+        return np.where(at_one, 0.0, w_init ** (-1.0 / nu))
     target = w0 ** (-nu) - kappa * np.log(w0 ** (-nu) + kappa) + c * nu * t
     w = w_init
     for _ in range(100):
@@ -180,23 +161,14 @@ def exact_R(law: BranchingLaw, t: float, s) -> np.ndarray:
             break
     else:
         raise NumericsError("implicit closed form for the perturbed flow stalled")
-    return _unbatch(np.where(at_one, 0.0, w ** (-1.0 / nu)), scalar)
+    return np.where(at_one, 0.0, w ** (-1.0 / nu))
 
 
 def solve_F(model, t: float, s, rtol: float = 1e-10,
-            method: str = "auto") -> GFValue:
-    """F(t; s) and R(t; s) for |s| <= 1, t >= 0: the single-time view of
-    :func:`flow_on_grid` (``method`` one of :data:`METHODS`).
-
-    The ODE routes hold R to the relative tolerance rtol; there is no
-    absolute floor, since R decays through many orders of magnitude but
-    never reaches 0 for s != 1.
-    """
-    s_arr, scalar = _as_batch(s)
-    R = flow_on_grid(model, s_arr, [t], method=method, rtol=rtol)[0]
-    F = s_arr if t == 0 else 1.0 - R
-    return GFValue(t=t, s=s, F=_unbatch(F, scalar), R=_unbatch(R, scalar),
-                   error_estimate=_flow_error(model, t, method, rtol))
+            method: str = "auto") -> np.ndarray:
+    """R(t; s) for the batch s, |s| <= 1, t >= 0: the single-time row of
+    :func:`flow_on_grid` (``method`` one of :data:`METHODS`)."""
+    return flow_on_grid(model, s, [t], method=method, rtol=rtol)[0]
 
 
 def _flow_route(model, method: str) -> str:
@@ -209,8 +181,8 @@ def _flow_route(model, method: str) -> str:
 
 
 def _flow_error(model, t: float, method: str, rtol: float) -> float:
-    """The error :func:`solve_F` reports for the flow to t: none at t = 0,
-    roundoff on the closed-form route, else the tolerance."""
+    """The error :func:`compute_P_grid` reports for the flow to t: none at
+    t = 0, roundoff on the closed-form route, else the tolerance."""
     if t == 0:
         return 0.0
     closed = _flow_route(model, method) == "closed"
@@ -334,9 +306,9 @@ def gf_segment_integral(model: ModelSpec, one_minus_s, one_minus_F,
     keeps |Im logw| < pi/2, so Log(exp(logw)) = logw.
     """
     _check_method(method)
-    w0, scalar_s = _as_batch(one_minus_s)
-    w1, _ = _as_batch(one_minus_F)
-    w0, w1 = np.broadcast_arrays(w0, w1)
+    w0, w1 = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(one_minus_s, dtype=complex)),
+        np.atleast_1d(np.asarray(one_minus_F, dtype=complex)))
     if np.any(w1 == 0):
         raise ModelError("segment integral endpoint F = 1 is singular")
     tail_form = method != "series" and _sv_available(model)
@@ -355,9 +327,8 @@ def gf_segment_integral(model: ModelSpec, one_minus_s, one_minus_F,
             return _series_ratio(model, u) * w * D[None, :]
     dmax = float(np.max(np.abs(D)))
     if dmax < 1e-13:     # one midpoint evaluation is exact to roundoff
-        return _unbatch(fun(np.array([0.5]))[0], scalar_s), dmax
-    val, err = doubling_quadrature(fun, 0.0, 1.0)
-    return _unbatch(val, scalar_s), err
+        return fun(np.array([0.5]))[0], dmax
+    return doubling_quadrature(fun, 0.0, 1.0)
 
 
 def log_limit(model: ModelSpec, one_minus_s):
@@ -386,8 +357,8 @@ def log_limit(model: ModelSpec, one_minus_s):
         model.require_transient_limit()
     if not _sv_available(model):
         raise ModelError("the limit needs the built-in tail-function specs")
-    w = np.asarray(one_minus_s)
-    w0, scalar = _as_batch(w)
+    w = np.atleast_1d(np.asarray(one_minus_s))
+    w0 = w.astype(complex)
     at_one = w0 == 0
     w0_safe = np.where(at_one, 1.0, w0)
     g_abs = abs(gamma)
@@ -412,7 +383,7 @@ def log_limit(model: ModelSpec, one_minus_s):
         val = -(w0_safe ** gamma) / gamma * inner
     else:
         val = w0_safe ** (-g_abs) * inner
-    val = _unbatch(np.where(at_one, 0.0, val), scalar)
+    val = np.where(at_one, 0.0, val)
     if not recurrent:
         val = w ** (-g_abs) + val
     return val, err
@@ -453,21 +424,9 @@ def compute_P_grid(model: ModelSpec, s_batch, t_grid, rtol: float = 1e-10,
         logp, err = _closed_logP(model, w0, w1), 8.0 * np.finfo(float).eps
     else:
         logp, err = gf_segment_integral(model, w0, w1, method=method)
-    logp = np.where(at_one, 0.0, np.atleast_1d(logp)).reshape(R.shape)
+    logp = np.where(at_one, 0.0, logp).reshape(R.shape)
     flow_err = _flow_error(model, float(t_arr.max()), method, rtol)
     return logp, R, float(err) + flow_err
-
-
-def compute_P(model: ModelSpec, t: float, s, method: str = "auto") -> GFValue:
-    """P(t; s) = P_0(t; s), with its logarithm exposed for scaled limits: the
-    single-time view of :func:`compute_P_grid`.  log P integrates g/f
-    between s and F(t; s), by the route ``method`` of :data:`METHODS`."""
-    s_arr, scalar = _as_batch(s)
-    logp, R, err = compute_P_grid(model, s_arr, [t], method=method)
-    F = s_arr if t == 0 else 1.0 - R[0]
-    return GFValue(t=t, s=s, F=_unbatch(F, scalar), R=_unbatch(R[0], scalar),
-                   P=_unbatch(np.exp(logp[0]), scalar),
-                   logP=_unbatch(logp[0], scalar), error_estimate=err)
 
 
 def _log_P_i(logP, F, i):
@@ -524,17 +483,6 @@ def transition_grid(model: ModelSpec, i_values, t_grid, J_out: int,
         noise_scale=joined("noise_scale"), clamp_magnitude=joined("clamp_magnitude"),
         imag_residual=joined("imag_residual"),
         meta={"quad_error": err})
-
-
-def transition_probs(model: ModelSpec, i: int, t: float, J_out: int,
-                     r: float = 0.9, M: int = 16384, method: str = "auto",
-                     clamp: bool = True) -> CoefficientSeries:
-    """Transition row p_ij(t), j = 0..J_out, by circle inversion of P_i: the
-    single-row case of :func:`transition_grid`."""
-    series = transition_grid(model, [i], [t], J_out, r=r, M=M, method=method,
-                             clamp=clamp).row((0, 0))
-    series.meta.update(t=t, i=int(i))
-    return series
 
 
 def gf_table_csv(t_list, s_list, logp, R, err: float) -> str:

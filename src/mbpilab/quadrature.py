@@ -2,15 +2,15 @@
 
 Two engines are provided on top of the classical (G7, K15) pair:
 
-* ``adaptive_quadrature`` -- a worst-panel-first refinement loop, meant for
-  scalar or small-batch integrands.
 * ``doubling_quadrature`` -- composite K15 on 1, 2, 4, ... equal panels,
   accepted on its own embedded |K15 - G7| estimate, doubling the panel
   count only when that estimate misses the tolerance (or until two
   successive levels agree); every accepted error is floored at QUADPACK's
   roundoff bound 50 eps resabs.  Memory stays O(batch), which makes it the
   right engine for integrands evaluated simultaneously at many circle
-  points.
+  points.  It is the one engine the lab computes with.
+* ``adaptive_quadrature`` -- a worst-panel-first refinement loop, kept as
+  an independent reference for the tests' oracles.
 
 Each call of either engine reports once to ``telemetry``: ``quad.calls``,
 ``quad.panels``, ``quad.levels`` (levels evaluated, or bisections),
@@ -92,9 +92,12 @@ def adaptive_quadrature(fun, a, b, rtol=1e-10, max_panels=4096,
     """Integrate ``fun`` over [a, b] by worst-panel bisection.
 
     Returns ``(value, error_estimate)`` where ``value`` has the batch shape
-    of the integrand (scalars come back as 0-d via ``value[0]`` being the
-    single entry of a length-1 array).  Raises :class:`NumericsError` when
-    the panel cap is hit before the tolerance is met.
+    of the integrand (length 1 for a 1-d integrand).  Raises
+    :class:`NumericsError` when the panel cap is hit before the tolerance
+    is met.  No computation of the lab calls it: it stays as a second,
+    differently refined engine that the tests' oracles check
+    :func:`doubling_quadrature`'s results against, and because the
+    benchmark's tracer binds it.
     """
     if not b > a:
         raise ValueError("integration interval must have b > a")

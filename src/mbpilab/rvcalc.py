@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ModelError, NumericsError
-from .quadrature import adaptive_quadrature
+from .quadrature import doubling_quadrature
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ class RVContext:
             x = np.exp(v)
             return x ** self.nu / self.L(x)
 
-        val, _ = adaptive_quadrature(integrand, 0.0, v1)
+        val, _ = doubling_quadrature(integrand, 0.0, v1)
         return float(np.real(val[0]))
 
     def K(self, x):

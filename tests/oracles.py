@@ -4,7 +4,7 @@ paths they check, plus the direct tail-function integrands (Lratio and the
 limit deficit straight from the specs) that the kernel's separable forms
 replaced (run through the package's own quadrature, so that the two differ
 only in how the integrand is evaluated), the occupation-time route to
-P(t; s), a check on compute_P's segment integral, and the simulator's pmf
+P(t; s), a check on compute_P_grid's segment integral, and the simulator's pmf
 one replicate at a time."""
 
 import warnings
@@ -85,7 +85,7 @@ def mp_exp_series_coeffs(h_fun, n: int, dps: int = 40):
 def time_route_P(model, t: float, s, rtol=1e-10):
     """P(t; s) via the occupation-time form exp(integral_0^t g(F(u; s)) du) on
     the closed-form flow (stable families only), with no use of the g/f
-    segment integral that compute_P takes."""
+    segment integral that compute_P_grid takes."""
     s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
     if t == 0:
         return np.ones_like(s_arr)

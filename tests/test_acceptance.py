@@ -18,7 +18,7 @@ from mbpilab import (SimConfig, check_invariance, check_lemma2, check_lemma3,
                      check_lemma4, estimate_pmf, exact_R, extract_measure,
                      log_limit, rate_fits, ratio_limits,
                      series_coefficients, solve_F, sv_perturbed,
-                     transition_probs)
+                     transition_grid)
 from mbpilab.inversion import suggest_radius
 
 GRID_2_6 = np.logspace(2, 6, 25)
@@ -77,8 +77,8 @@ def test_criterion1_kernel_closed_form_oracle(g025):
     worst = 0.0
     for t in (0.1, 1.0, 10.0, 1e2, 1e3, 1e4):
         for s in (0.0, 0.3, 0.7, 0.95):
-            ode = solve_F(g025, t, s, method="quad").R
-            exact = exact_R(g025.offspring, t, complex(s))
+            ode = solve_F(g025, t, s, method="quad")[0]
+            exact = exact_R(g025.offspring, t, complex(s))[0]
             worst = max(worst, abs(ode - exact) / abs(exact))
     elapsed = time.time() - started
     ok = worst <= 1e-8 and elapsed < 5.0
@@ -208,7 +208,7 @@ def test_criterion6_p00_rate_envelope_exponent(gneg, gneg_pert):
 def test_criterion6_B0_and_early_value(gneg):
     started = time.time()
     # B(0) = pi(0) / e
-    b0 = float(np.exp(np.real(log_limit(gneg, 1.0)[0]) - 1.0))
+    b0 = float(np.exp(np.real(log_limit(gneg, 1.0)[0][0]) - 1.0))
     fit = rate_fits(gneg, 0.0, GRID_2_6)[0][1]
     idx = int(np.argmin(np.abs(GRID_2_6 - 1e2)))
     early = fit.extras["scaled_limit"][idx]
@@ -258,7 +258,8 @@ def test_criterion8_simulation_cross_check(g025):
     config = SimConfig(model=g025, horizon=5.0, replicates=100_000, seed=seed)
     result = estimate_pmf(config)
     # same truncated law on the kernel side: series evaluation end to end
-    series = transition_probs(g025, 0, 5.0, 64, r=0.9, M=256, method="series")
+    series = transition_grid(g025, [0], [5.0], 64, r=0.9, M=256, method="series",
+                             clamp=True).row((0, 0))
     checked = worst_z = 0
     ok_states = True
     for j, p in enumerate(series.values):

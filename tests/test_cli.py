@@ -253,32 +253,36 @@ def test_invariant_task(tmp_path):
 
 
 def test_invariant_quadrature_counters(tmp_path):
-    # the run's one circle quadrature starts from one panel and doubles the
-    # count at each further level: 1 + 2 + ... + 2**(levels - 1) panels
+    # the run's two circle quadratures, the measure's on the 4097 points of
+    # the half circle and the invariance check's log m(F) on 513, each start
+    # from one panel and double the count at each further level, 1 + 2 +
+    # ... + 2**(levels - 1) panels; this model's limit integrand is
+    # constant, so each stops at its first level
     cfg = write(tmp_path, RECURRENT.format(
         task="invariant", extra="j_out = 256\nsamples = 8192",
         out=tmp_path / "out"))
     assert run_config(cfg) == 0
     counters = json.loads((tmp_path / "out" / "stats.json").read_text())["counters"]
-    assert counters["quad.calls"] == 1
-    assert counters["quad.panels"] == 2 ** counters["quad.levels"] - 1
-    assert counters["quad.integrand_values"] == 15 * counters["quad.panels"] * 4097
+    assert counters["quad.calls"] == 2
+    assert counters["quad.panels"] == counters["quad.levels"] == 2
+    assert counters["quad.integrand_values"] == 15 * (4097 + 513)
     assert 0.0 <= counters["quad.max_error"] < 1e-10
 
 
 def test_stats_json_inversion_totals(tmp_path):
-    # a default invariant run inverts twice: the measure at samples = 16384
-    # and the invariance check's one prediction at M = 1024
+    # a default invariant run inverts three times: the measure at samples =
+    # 16384, and the invariance check's full and truncated predictions as
+    # one batch of two at M = 1024
     cfg = write(tmp_path, RECURRENT.format(task="invariant", extra="",
                                            out=tmp_path / "out"))
     assert run_config(cfg) == 0
     counters = json.loads((tmp_path / "out" / "stats.json").read_text())["counters"]
-    assert counters["inversion.calls"] == 2
-    assert counters["inversion.fft_points"] == 16384 + 1024
+    assert counters["inversion.calls"] == 3
+    assert counters["inversion.fft_points"] == 16384 + 2048
     terms = {key for key in counters if key.startswith("invariance.")}
     assert terms == {f"invariance.{term}" for term in (
         "prediction_aliasing", "prediction_noise", "measure_noise",
-        "measure_tail", "quad_error")}
+        "measure_tail", "i_truncation", "quad_error")}
 
 
 @pytest.mark.parametrize("text,kind", [(RECURRENT, "distribution"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mbpilab import compute_P, exact_R, solve_F, stable_model
+from mbpilab import compute_P_grid, exact_R, solve_F, stable_model
 
 # complex |s| <= 0.95, and times log-uniform in [1e-2, 1e3]
 points = st.builds(lambda rho, theta: rho * np.exp(1j * theta),
@@ -25,9 +25,9 @@ def _semigroup_residual(model, method, s, t1, t2):
     """|R(t1+t2; s) - R(t2; F(t1; s))| / |R(t1+t2; s)|.  The restart point
     enters as s = 1 - R(t1; s), which costs eps/|R| of R: under 1e-10 on
     these draws."""
-    whole = solve_F(model, t1 + t2, s, method=method).R
-    inner = solve_F(model, t1, s, method=method).F
-    split = solve_F(model, t2, inner, method=method).R
+    whole = solve_F(model, t1 + t2, s, method=method)
+    inner = 1.0 - solve_F(model, t1, s, method=method)
+    split = solve_F(model, t2, inner, method=method)
     return abs(whole - split) / abs(whole)
 
 
@@ -50,7 +50,7 @@ def test_ode_matches_closed_form(name, request):
 
     @given(s=points, t=times)
     def check(s, t):
-        ode = solve_F(model, t, s, method="quad", rtol=1e-13).R
+        ode = solve_F(model, t, s, method="quad", rtol=1e-13)
         exact = exact_R(model.offspring, t, s)
         assert abs(ode - exact) <= 1e-12 * abs(exact)
 
@@ -61,7 +61,7 @@ def test_ode_matches_closed_form(name, request):
 def test_fixed_point_stays_exact(g025, method):
     @given(t=times, others=st.lists(points, max_size=3))
     def check(t, others):
-        R = solve_F(g025, t, np.array([1.0] + others), method=method).R
+        R = solve_F(g025, t, np.array([1.0] + others), method=method)
         assert R[0] == 0.0
         assert np.all(R[1:] != 0.0)
 
@@ -72,7 +72,7 @@ def test_fixed_point_stays_exact(g025, method):
 @pytest.mark.parametrize("name", ["g025", "gneg_pert"])
 def test_chapman_kolmogorov(name, method, request):
     # P(t1+t2; s) = P(t1; s) P(t2; F(t1; s)), with log P to within the
-    # errors compute_P reports plus the rounding of the restart point:
+    # errors compute_P_grid reports plus the rounding of the restart point:
     # F = 1 - R(t1; s) is only good to an absolute eps, which
     # log P(t2; .) amplifies by its slope, about gamma R**(gamma-1) on the
     # closed route (without it the closed route misses by up to 3.4x on
@@ -85,12 +85,13 @@ def test_chapman_kolmogorov(name, method, request):
            t1=st.floats(-1.0, 3.0).map(lambda x: 10.0 ** x),
            t2=st.floats(-1.0, 3.0).map(lambda x: 10.0 ** x))
     def check(s, t1, t2):
-        whole = compute_P(model, t1 + t2, s, method=method)
-        first = compute_P(model, t1, s, method=method)
-        second = compute_P(model, t2, first.F, method=method)
-        nudged = compute_P(model, t2, first.F + eps, method=method)
-        tol = (whole.error_estimate + first.error_estimate
-               + second.error_estimate + abs(nudged.logP - second.logP))
-        assert abs(whole.logP - (first.logP + second.logP)) <= tol
+        whole, _, whole_err = compute_P_grid(model, [s], [t1 + t2], method=method)
+        first, R, first_err = compute_P_grid(model, [s], [t1], method=method)
+        F = 1.0 - R[0, 0]
+        second, _, second_err = compute_P_grid(model, [F], [t2], method=method)
+        nudged, _, _ = compute_P_grid(model, [F + eps], [t2], method=method)
+        tol = (whole_err + first_err + second_err
+               + abs(nudged[0, 0] - second[0, 0]))
+        assert abs(whole[0, 0] - (first[0, 0] + second[0, 0])) <= tol
 
     check()

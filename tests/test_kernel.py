@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import mbpilab
-from mbpilab import (METHODS, ModelError, NumericsError, compute_P, exact_R,
-                     ratio_limits, solve_F, transition_probs)
+from mbpilab import (METHODS, ModelError, NumericsError, compute_P_grid,
+                     exact_R, ratio_limits, solve_F)
 from mbpilab import kernel, telemetry
 from mbpilab.inversion import circle_points
 from mbpilab.kernel import (flow_on_grid, gf_segment_integral, gf_table_csv,
@@ -16,29 +16,29 @@ from oracles import scipy_R, scipy_gf_integral, time_route_P
 
 
 def test_initial_condition(g025):
-    gv = solve_F(g025, 0.0, 0.3)
-    assert gv.F == 0.3 and gv.R == 0.7
+    R = solve_F(g025, 0.0, 0.3)
+    assert R.shape == (1,) and R[0] == 0.7
 
 
 def test_fixed_point_at_one(g025):
     for t in (0.5, 10.0):
-        gv = solve_F(g025, t, 1.0)
-        assert gv.F == pytest.approx(1.0, abs=1e-14)
-        assert gv.R == pytest.approx(0.0, abs=1e-14)
+        R = solve_F(g025, t, 1.0)[0]
+        assert 1.0 - R == pytest.approx(1.0, abs=1e-14)
+        assert R == pytest.approx(0.0, abs=1e-14)
 
 
 def test_closed_form_value(g025):
-    gv = solve_F(g025, 2.0, 0.0)
-    assert np.real(gv.R) == pytest.approx(0.25, abs=1e-14)
-    assert np.real(gv.F) == pytest.approx(0.75, abs=1e-14)
+    R = solve_F(g025, 2.0, 0.0)[0]
+    assert np.real(R) == pytest.approx(0.25, abs=1e-14)
+    assert np.real(1.0 - R) == pytest.approx(0.75, abs=1e-14)
 
 
 def test_ode_matches_closed_form_grid(g025):
     worst = 0.0
     for t in (0.1, 1.0, 10.0, 1e2, 1e3, 1e4):
         for s in (0.0, 0.3, 0.7, 0.95):
-            ode = solve_F(g025, t, s, method="quad").R
-            exact = exact_R(g025.offspring, t, complex(s))
+            ode = solve_F(g025, t, s, method="quad")[0]
+            exact = exact_R(g025.offspring, t, complex(s))[0]
             worst = max(worst, abs(ode - exact) / abs(exact))
     assert worst <= 1e-8
 
@@ -46,7 +46,7 @@ def test_ode_matches_closed_form_grid(g025):
 def test_ode_matches_scipy(g025, g025_pert_off):
     for model in (g025, g025_pert_off):
         for t, s in ((0.5, 0.0), (3.0, 0.4)):
-            mine = float(np.real(solve_F(model, t, s, method="quad").R))
+            mine = float(np.real(solve_F(model, t, s, method="quad")[0]))
             assert mine == pytest.approx(scipy_R(model.offspring, t, s), rel=1e-9)
 
 
@@ -55,13 +55,13 @@ def test_perturbed_implicit_matches_ode(g025_pert_off):
     for t in (0.5, 5.0, 200.0):
         for s in (0.0, 0.6, 0.3 + 0.4j):
             implicit = exact_R(law, t, s)
-            ode = solve_F(g025_pert_off, t, s, method="quad").R
+            ode = solve_F(g025_pert_off, t, s, method="quad")
             assert abs(implicit - ode) / abs(implicit) < 1e-8
 
 
 def test_complex_circle_batch(g025):
     s = circle_points(0.9, 64)
-    ode = solve_F(g025, 2.0, s, method="quad").R
+    ode = solve_F(g025, 2.0, s, method="quad")
     exact = exact_R(g025.offspring, 2.0, s)
     assert np.max(np.abs(ode - exact) / np.abs(exact)) < 1e-9
 
@@ -69,7 +69,7 @@ def test_complex_circle_batch(g025):
 def test_R_monotone_in_t(g025, gneg):
     for model in (g025, gneg):
         for s in (0.0, 0.5, 0.9):
-            Rs = [float(np.real(solve_F(model, t, s).R))
+            Rs = [float(np.real(solve_F(model, t, s)[0]))
                   for t in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)]
             assert all(a > b for a, b in zip(Rs, Rs[1:]))
 
@@ -77,50 +77,54 @@ def test_R_monotone_in_t(g025, gneg):
 def test_gf_value_ranges(g025):
     for t in (0.5, 2.0, 10.0):
         for s in (0.0, 0.4, 0.9):
-            gv = compute_P(g025, t, s)
-            F, R, P = np.real(gv.F), np.real(gv.R), np.real(gv.P)
+            logp, R, _ = compute_P_grid(g025, [s], [t])
+            R, P = np.real(R[0, 0]), np.real(np.exp(logp[0, 0]))
+            F = 1.0 - R
             assert s <= F <= 1.0
             assert 0.0 < R <= 1.0 - s + 1e-15
             assert 0.0 < P <= 1.0
 
 
 def test_P_initial_and_boundary(g025):
-    assert compute_P(g025, 0.0, 0.3).P == pytest.approx(1.0, abs=1e-13)
-    assert compute_P(g025, 5.0, 1.0).P == pytest.approx(1.0, abs=1e-13)
+    at_zero = compute_P_grid(g025, [0.3], [0.0])[0]
+    at_one = compute_P_grid(g025, [1.0], [5.0])[0]
+    assert np.exp(at_zero[0, 0]) == pytest.approx(1.0, abs=1e-13)
+    assert np.exp(at_one[0, 0]) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_P_closed_form_examples(g025, gneg):
     # gamma = 0.25 family at t=2, s=0: exp(R**gamma - 1) with R = 1/4
     expected = np.exp(0.25 ** 0.25 - 1.0)
-    assert np.real(compute_P(g025, 2.0, 0.0, method="closed").P) == \
-        pytest.approx(expected, rel=1e-12)
+    logp = compute_P_grid(g025, [0.0], [2.0], method="closed")[0]
+    assert np.real(np.exp(logp[0, 0])) == pytest.approx(expected, rel=1e-12)
     # gamma = -0.25 family: P(t;0) = exp(1 - (1 + 0.75 t)**(1/3))
     for t in (0.5, 2.0, 50.0):
         expected = np.exp(1.0 - (1.0 + 0.75 * t) ** (1.0 / 3.0))
-        assert np.real(compute_P(gneg, t, 0.0, method="closed").P) == \
-            pytest.approx(expected, rel=1e-12)
+        logp = compute_P_grid(gneg, [0.0], [t], method="closed")[0]
+        assert np.real(np.exp(logp[0, 0])) == pytest.approx(expected, rel=1e-12)
 
 
 def test_P_quad_matches_closed(g025, gneg, g025_pert_imm):
     for model in (g025, gneg, g025_pert_imm):
         for t, s in ((0.5, 0.0), (2.0, 0.3), (30.0, 0.8)):
-            q = compute_P(model, t, s, method="quad").P
-            c = compute_P(model, t, s, method="closed").P
+            q = np.exp(compute_P_grid(model, [s], [t], method="quad")[0][0, 0])
+            c = np.exp(compute_P_grid(model, [s], [t], method="closed")[0][0, 0])
             assert abs(q - c) / abs(c) < 1e-9
 
 
 def test_P_quad_matches_scipy(g025, gneg):
     for model in (g025, gneg):
-        gv = solve_F(model, 2.0, 0.1)
-        expected = scipy_gf_integral(model, 0.1, float(np.real(gv.F)))
-        mine = float(np.real(compute_P(model, 2.0, 0.1, method="quad").logP))
+        F = 1.0 - solve_F(model, 2.0, 0.1)[0]
+        expected = scipy_gf_integral(model, 0.1, float(np.real(F)))
+        logp = compute_P_grid(model, [0.1], [2.0], method="quad")[0]
+        mine = float(np.real(logp[0, 0]))
         assert mine == pytest.approx(expected, rel=1e-9, abs=1e-11)
 
 
 def test_P_series_route_close_to_closed(g025):
     # truncated law differs from the exact one only by the re-balanced tail
-    q = compute_P(g025, 5.0, 0.0, method="series").P
-    c = compute_P(g025, 5.0, 0.0, method="closed").P
+    q = np.exp(compute_P_grid(g025, [0.0], [5.0], method="series")[0][0, 0])
+    c = np.exp(compute_P_grid(g025, [0.0], [5.0], method="closed")[0][0, 0])
     assert abs(q - c) / abs(c) < 1e-3
 
 
@@ -129,7 +133,7 @@ def test_route_equivalence(g025, gneg, rng):
         for _ in range(3):
             t = float(rng.uniform(0.2, 4.0))
             s = float(rng.uniform(0.0, 0.9))
-            space = compute_P(model, t, s, method="quad").P
+            space = np.exp(compute_P_grid(model, [s], [t], method="quad")[0][0, 0])
             time_route = time_route_P(model, t, s)[0]
             assert abs(space - time_route) <= 1e-8
 
@@ -139,9 +143,9 @@ def test_semigroup_property(g025, rng):
         t = float(rng.uniform(0.1, 3.0))
         tau = float(rng.uniform(0.1, 3.0))
         s = float(rng.uniform(0.0, 0.9))
-        lhs = solve_F(g025, t + tau, s, method="quad").F
-        inner = solve_F(g025, tau, s, method="quad").F
-        rhs = solve_F(g025, t, inner, method="quad").F
+        lhs = 1.0 - solve_F(g025, t + tau, s, method="quad")
+        inner = 1.0 - solve_F(g025, tau, s, method="quad")
+        rhs = 1.0 - solve_F(g025, t, inner, method="quad")
         assert abs(lhs - rhs) <= 10 * 1e-10
 
 
@@ -151,30 +155,31 @@ def test_immigration_cocycle(g025, gneg, rng):
             t = float(rng.uniform(0.1, 3.0))
             tau = float(rng.uniform(0.1, 3.0))
             s = float(rng.uniform(0.0, 0.9))
-            lhs = compute_P(model, t + tau, s, method="quad").P
-            inner = solve_F(model, tau, s).F
-            rhs = (compute_P(model, tau, s, method="quad").P
-                   * compute_P(model, t, inner, method="quad").P)
+            lhs = np.exp(compute_P_grid(model, [s], [t + tau], method="quad")[0])
+            inner = 1.0 - solve_F(model, tau, s)
+            rhs = (np.exp(compute_P_grid(model, [s], [tau], method="quad")[0])
+                   * np.exp(compute_P_grid(model, inner, [t], method="quad")[0]))
             assert abs(lhs - rhs) <= 10 * 1e-10
 
 
 def _P_i(model, i, t, s):
     """P_i(t; s) = F**i P, by the log-space product transition_grid inverts."""
-    gv = compute_P(model, t, s)
-    return np.exp(kernel._log_P_i(gv.logP, gv.F, i))
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    logp, R, _ = compute_P_grid(model, s, [t])
+    return np.exp(kernel._log_P_i(logp[0], s if t == 0 else 1.0 - R[0], i))
 
 
 def test_P_i_values(g025):
-    assert _P_i(g025, 0, 2.0, 0.3) == compute_P(g025, 2.0, 0.3).P
+    assert _P_i(g025, 0, 2.0, 0.3) == np.exp(compute_P_grid(g025, [0.3], [2.0])[0][0, 0])
     assert np.real(_P_i(g025, 3, 0.0, 0.4)) == pytest.approx(0.4 ** 3, abs=1e-13)
-    base = compute_P(g025, 2.0, 0.0)
+    logp, R, _ = compute_P_grid(g025, [0.0], [2.0])
     assert np.real(_P_i(g025, 1, 2.0, 0.0)) == pytest.approx(
-        float(np.real(base.F)) * float(np.real(base.P)), rel=1e-12)
+        float(np.real(1.0 - R[0, 0])) * float(np.real(np.exp(logp[0, 0]))), rel=1e-12)
     with pytest.raises(ModelError):
         transition_grid(g025, [-1], [1.0], 16, M=256)
     # F(0; 0) = 0: P_i vanishes for i > 0, and P_0 = 1 takes no log of 0
-    gv = compute_P(g025, 0.0, np.array([0.0, 0.5]))
-    gone = kernel._log_P_i(gv.logP, gv.F, 2)
+    s = np.array([0.0, 0.5], dtype=complex)
+    gone = kernel._log_P_i(compute_P_grid(g025, s, [0.0])[0][0], s, 2)
     assert gone[0] == -np.inf and np.exp(gone[0]) == 0.0
     assert np.exp(gone[1]) == pytest.approx(0.25, rel=1e-15)
     assert _P_i(g025, 0, 0.0, 0.0) == 1.0
@@ -182,10 +187,10 @@ def test_P_i_values(g025):
 
 def test_segment_integral_additivity(g025):
     # integral_s^1 = integral_s^F + integral_F^1 for gamma > 0
-    gv = solve_F(g025, 2.0, 0.2)
-    seg, _ = gf_segment_integral(g025, 1.0 - 0.2, 1.0 - gv.F)
+    F = 1.0 - solve_F(g025, 2.0, 0.2)
+    seg, _ = gf_segment_integral(g025, 1.0 - 0.2, 1.0 - F)
     to_one_s, _ = log_limit(g025, 1.0 - 0.2)
-    to_one_F, _ = log_limit(g025, 1.0 - gv.F)
+    to_one_F, _ = log_limit(g025, 1.0 - F)
     assert abs((seg + to_one_F) - to_one_s) < 1e-12
 
 
@@ -210,7 +215,7 @@ def test_log_P_is_the_limit_difference(name, request):
 
 
 def test_transition_probs_identity_at_t0(g025):
-    series = transition_probs(g025, 2, 0.0, 16, r=0.5, M=256)
+    series = transition_grid(g025, [2], [0.0], 16, r=0.5, M=256, clamp=True).row((0, 0))
     expected = np.zeros(17)
     expected[2] = 1.0
     assert np.max(np.abs(series.values - expected)) <= \
@@ -218,26 +223,27 @@ def test_transition_probs_identity_at_t0(g025):
 
 
 def test_transition_probs_p00_matches_P(g025):
-    series = transition_probs(g025, 0, 2.0, 32, r=0.9, M=256)
-    expected = float(np.real(compute_P(g025, 2.0, 0.0).P))
+    series = transition_grid(g025, [0], [2.0], 32, r=0.9, M=256, clamp=True).row((0, 0))
+    expected = float(np.real(np.exp(compute_P_grid(g025, [0.0], [2.0])[0][0, 0])))
     assert series.values[0] == pytest.approx(expected, abs=1e-10)
 
 
 def test_transition_row_heavy_tail_mass(g025):
     # rows are sub-stochastic after truncation: the missing mass is the
     # heavy coefficient tail, a genuine feature of these laws
-    series = transition_probs(g025, 0, 5.0, 512, r=0.97, M=4096)
+    series = transition_grid(g025, [0], [5.0], 512, r=0.97, M=4096,
+                             clamp=True).row((0, 0))
     missing = 1.0 - series.values.sum()
     assert 0.0 < missing < 0.01
 
 
 def test_transition_probs_parameter_validation(g025):
     with pytest.raises(ModelError):
-        transition_probs(g025, 0, 1.0, 64, r=0.9, M=128)   # M < 4*J
+        transition_grid(g025, [0], [1.0], 64, r=0.9, M=128)   # M < 4*J
     with pytest.raises(ModelError):
-        transition_probs(g025, 0, 1.0, 16, r=0.9, M=100)   # not a power of 2
+        transition_grid(g025, [0], [1.0], 16, r=0.9, M=100)   # not a power of 2
     with pytest.raises(ModelError):
-        transition_probs(g025, 0, 1.0, 16, r=1.1, M=256)
+        transition_grid(g025, [0], [1.0], 16, r=1.1, M=256)
 
 
 def test_transition_rows_match_single_extractions(g025):
@@ -245,7 +251,7 @@ def test_transition_rows_match_single_extractions(g025):
     rows = transition_grid(g025, np.arange(21), [1.0], 24, r=0.9, M=1024).row(0)
     assert rows.values.shape == (21, 25) and rows.aliasing_bound.shape == (21,)
     for i in (0, 2, 15, 16, 20):
-        single = transition_probs(g025, i, 1.0, 24, r=0.9, M=1024, clamp=False)
+        single = transition_grid(g025, [i], [1.0], 24, r=0.9, M=1024).row((0, 0))
         assert np.array_equal(rows.values[i], single.values)
         assert rows.aliasing_bound[i] == single.aliasing_bound
         assert rows.noise_scale[i] == single.noise_scale
@@ -257,7 +263,7 @@ def test_transition_grid_rows_are_the_single_rows(g025):
     assert grid.values.shape == (3, 2, 17) and grid.noise_scale.shape == (3, 2)
     for a, t in enumerate((0.0, 0.5, 5.0)):
         for b, i in enumerate((0, 3)):
-            single = transition_probs(g025, i, t, 16, M=256)
+            single = transition_grid(g025, [i], [t], 16, M=256, clamp=True).row((0, 0))
             assert np.array_equal(grid.values[a, b], single.values)
             assert grid.clamp_magnitude[a, b] == single.clamp_magnitude
     with pytest.raises(ModelError):
@@ -285,9 +291,9 @@ def test_csv_formats(g025):
     assert len(lines) == 5
     rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     assert rows[1, 3] == 0.5 and rows[1, 5] == 1.0      # t = 0: F = s, P = 1
-    gv = compute_P(g025, 2.0, 0.5)
-    assert rows[3, 3] == pytest.approx(float(np.real(gv.F)), rel=1e-14)
-    assert rows[3, 5] == pytest.approx(float(np.real(gv.P)), rel=1e-12)
+    logp, R, _ = compute_P_grid(g025, [0.5], [2.0])
+    assert rows[3, 3] == pytest.approx(float(np.real(1.0 - R[0, 0])), rel=1e-14)
+    assert rows[3, 5] == pytest.approx(float(np.real(np.exp(logp[0, 0]))), rel=1e-12)
     assert rows[3, 7] == float(f"{err:.3g}")
 
 
@@ -331,7 +337,7 @@ def test_flow_on_grid_one_point_equals_solve_F(g025, g025_pert_off):
     for model in (g025, g025_pert_off):
         for t in (0.5, 30.0, 1e4):
             R = flow_on_grid(model, s, [t], method="quad")[0]
-            assert np.array_equal(R, solve_F(model, t, s, method="quad").R)
+            assert np.array_equal(R, solve_F(model, t, s, method="quad"))
 
 
 @pytest.mark.parametrize("name", ["g025", "gneg_pert"])
@@ -382,8 +388,6 @@ def test_compute_P_grid_rejects_unknown_method_before_marching(g025, monkeypatch
     monkeypatch.setattr(kernel, "flow_on_grid", no_march)
     with pytest.raises(ModelError, match="unknown method"):
         kernel.compute_P_grid(g025, [0.3], [1.0], method="bogus")
-    with pytest.raises(ModelError, match="unknown method"):
-        compute_P(g025, 1.0, 0.3, method="bogus")
 
 
 # Route words of earlier vocabularies, which no entry point accepts.
@@ -396,17 +400,14 @@ def _method_entry_points(model):
         "flow_on_grid": lambda m: flow_on_grid(model, s, t, method=m),
         "solve_F": lambda m: solve_F(model, 2.0, 0.3, method=m),
         "compute_P_grid": lambda m: kernel.compute_P_grid(model, s, t, method=m),
-        "compute_P": lambda m: compute_P(model, 2.0, 0.3, method=m),
         "gf_segment_integral": lambda m: gf_segment_integral(model, 0.7, 0.4, method=m),
         "transition_grid": lambda m: transition_grid(model, [0, 1], t, 8, M=64, method=m),
-        "transition_probs": lambda m: transition_probs(model, 1, 2.0, 8, M=64, method=m),
         "ratio_limits": lambda m: ratio_limits(model, 4, t, method=m),
     }
 
 
 @pytest.mark.parametrize("entry", ["flow_on_grid", "solve_F", "compute_P_grid",
-                                   "compute_P", "gf_segment_integral",
-                                   "transition_grid", "transition_probs",
+                                   "gf_segment_integral", "transition_grid",
                                    "ratio_limits"])
 def test_every_entry_point_takes_the_one_method_vocabulary(g025, entry, monkeypatch):
     call = _method_entry_points(g025)[entry]
@@ -430,18 +431,16 @@ def test_every_package_export_resolves():
 
 @pytest.mark.parametrize("method", ["auto", "closed", "quad", "series"])
 def test_compute_P_is_the_single_time_grid(g025, method):
-    """compute_P is the one-time view of compute_P_grid, bit for bit, and
-    the grid's error estimate carries the flow's: the tolerance on the ODE
-    routes, roundoff on the closed-form one."""
+    """compute_P_grid at one time marches the flow solve_F gives, bit for
+    bit, with P = 1 at t = 0 and at s = 1, and its error estimate carries
+    the flow's: the tolerance on the ODE routes, roundoff on the
+    closed-form one."""
     s = np.array([0.0, 0.3, -0.5 + 0.2j, 0.95, 1.0])
     for t in (0.0, 0.5, 5.0, 1e3):
-        gv = compute_P(g025, t, s, method=method)
         logp, R, err = kernel.compute_P_grid(g025, s, [t], method=method)
-        assert np.array_equal(gv.logP, logp[0])
-        assert np.array_equal(gv.P, np.exp(logp[0]))
-        assert np.array_equal(gv.R, R[0])
-        assert np.array_equal(gv.F, s if t == 0 else 1.0 - R[0])
-        assert gv.error_estimate == err
+        assert logp.shape == R.shape == (1, s.size)
+        assert np.array_equal(R[0], solve_F(g025, t, s, method=method))
+        assert logp[0, -1] == 0.0 and (t > 0 or np.all(logp == 0.0))
         if t > 0 and method in ("quad", "series"):
             assert 1e-10 <= err < 2e-10
         elif method in ("auto", "closed"):

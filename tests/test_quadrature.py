@@ -271,7 +271,7 @@ WORKLOADS = {
                for t in ("kernel", "rates", "lemmas")], 6),
     "crosscheck": ([("g025", "compare", "replicates = 200\nhorizon = 5.0\n"
                      "j_out = 64\nz_max = 1e9")], 1),
-    "invariant": ([(m, "invariant", "") for m in WORKLOAD_MODELS], 5),
+    "invariant": ([(m, "invariant", "") for m in WORKLOAD_MODELS], 9),
 }
 
 

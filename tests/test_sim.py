@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbpilab import (AliasTable, ModelError, SimConfig, estimate_pmf,
-                     simulate_path, stable_model, transition_probs)
+                     simulate_path, stable_model, transition_grid)
 from mbpilab import sim, telemetry
 from mbpilab.sim import _samplers, sim_csv, zscore_table
 from oracles import per_replicate_pmf, replicate_rngs
@@ -191,8 +191,8 @@ def test_cross_check_against_kernel(g025_small):
     # desk-scale version of the full acceptance cross-check
     cfg = SimConfig(model=g025_small, horizon=2.0, replicates=20_000, seed=42)
     res = estimate_pmf(cfg)
-    series = transition_probs(g025_small, 0, 2.0, 32, r=0.9, M=256,
-                              method="series")
+    series = transition_grid(g025_small, [0], [2.0], 32, r=0.9, M=256,
+                             method="series", clamp=True).row((0, 0))
     rows = zscore_table(res, series.values, min_prob=2e-3)
     assert len(rows) >= 8
     worst = max(abs(z) for _, _, _, _, z in rows)
