@@ -156,6 +156,12 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
     ``i_truncation``, the part of sum_{i>I} m_i p_ij(tau) the extracted
     coefficients leave out.  The other components are the extraction's
     error sources; ``quad_error`` adds the estimates of log P and log m(F).
+
+    On the quad route (offspring with a kappa term) log P is h(s) - h(F) for
+    the h that :func:`log_limit` returns, so the prediction is m(s) up to
+    roundoff and the verdict checks the two inversions and the i-truncation,
+    not the kernel's log P; canonical models keep an independent check, the
+    closed antiderivative against log_limit's quadrature.
     """
     m = measure.coefficients
     I = m.size - 1

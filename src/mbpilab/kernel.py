@@ -8,7 +8,8 @@ R = 1 - F, the immigration generating functions are
     P(t; s)   = exp( integral_s^{F(t;s)} g(u)/f(u) du ),
 
 and the tail-function form of the integrand is
-g(u)/f(u) = -(1-u)**(gamma-1) * Lratio(1/(1-u)), gamma = delta - nu.
+g(u)/f(u) = -(1-u)**(gamma-1) * Lratio(1/(1-u)), gamma = delta - nu, whose
+one potential h gives log P = h(s) - h(F) and the limits' log U and log pi.
 
 Transition probabilities p_ij(t) are the power-series coefficients of
 P_i(t; s), recovered by circle sampling (see :mod:`mbpilab.inversion`).
@@ -35,7 +36,7 @@ from .quadrature import doubling_quadrature
 #   "closed"  the stable-family closed forms: exact_R for the flow, the
 #             antiderivative for log P;
 #   "quad"    numerics on the law's preferred evaluation: the flow ODE, and
-#             quadrature of log P with the tail-function integrand;
+#             log P = h(s) - h(F) by quadrature of the tail-function potential;
 #   "series"  numerics on the truncated series end to end: the exact kernel
 #             of the truncated law, e.g. for simulator cross-checks;
 #   "auto"    "closed" where the layer has an exact closed form, else "quad".
@@ -243,27 +244,10 @@ def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
     return R[order]
 
 
-def _sv_available(model: ModelSpec) -> bool:
-    return (model.offspring.sv_spec is not None
-            and model.immigration.sv_spec is not None)
-
-
-def _tail_terms(model: ModelSpec):
-    """C = C_ell / C_L and the (kappa, exponent) terms of ell and L, so that
-    Lratio(x) = C (1 + pert_ell) / (1 + pert_L) and
-    C - Lratio(x) = C (pert_L - pert_ell) / (1 + pert_L), with
-    pert = kappa * x**(-exponent); a term is None where kappa is 0."""
-    ell, L = model.immigration.sv_spec, model.offspring.sv_spec
-    return (ell.c / L.c, (ell.kappa, ell.exponent) if ell.kappa else None,
-            (L.kappa, L.exponent) if L.kappa else None)
-
-
 def _separable_pert(term, q_scale: float, w0):
     """q -> kappa * x**(-e) at x = q**(-q_scale) / w0 for nodes q > 0, as the
     outer product of the real powers q**(e*q_scale) with the per-call row
-    kappa * w0**e, exact for Re w0 > 0; 0.0 when the term is None.  The one
-    user is :func:`log_limit`, with q_scale = 1/gamma for log U and 1/mu for
-    log pi."""
+    kappa * w0**e, exact for Re w0 > 0; 0.0 when the term is None."""
     if term is None:
         return lambda q: 0.0
     kappa, e = term
@@ -271,122 +255,126 @@ def _separable_pert(term, q_scale: float, w0):
     return lambda q: np.multiply.outer(q ** (e * q_scale), row)
 
 
-def _wgamma_lratio(gamma: float, terms, logw):
-    """w**gamma * Lratio(1/w) from logw = log(w) and terms = _tail_terms(model),
-    as exp(gamma*logw) times the power form with (1/w)**(-e) = exp(e*logw)."""
-    C, term_g, term_L = terms
-    pert_g = term_g[0] * np.exp(term_g[1] * logw) if term_g else 0.0
-    pert_L = term_L[0] * np.exp(term_L[1] * logw) if term_L else 0.0
-    return np.exp(gamma * logw) * (C * (1.0 + pert_g) / (1.0 + pert_L))
+def _smoothing(powers) -> int:
+    """The k of q = v**k, q**p dq = k v**(k p + k - 1) dv, that leaves the
+    endpoint powers q**p smooth at v = 0: the least k <= 12 making every
+    k p an integer (1 where each is one already), else 12, which lifts
+    every fractional power past 11."""
+    ks = range(1, 13)
+    return next((k for k in ks if all(abs(k * p - round(k * p)) <= 1e-9 * max(1.0, k * p)
+                                      for p in powers)), ks[-1])
 
 
-def _series_ratio(model, u):
-    return (model.immigration.gf(u, mode="series")
-            / model.offspring.gf(u, mode="series"))
+def _potential(model: ModelSpec, one_minus_s):
+    """The potential h(w), w = 1 - s, and its quadrature error estimate: a
+    primitive in s of -g/f, so log P(t; s) = h(s) - h(F(t; s)), for a model
+    whose laws both carry tail specs pert = kappa x**(-e) (e = nu for L,
+    delta for ell).  With y = 1 - u, g/f = -y**(gamma-1) Lratio(1/y), and
+    q = (y/w)**a leaves integrands on [0, 1] in x = q**(-1/a)/w:
+
+      gamma > 0, a = gamma:  h = log U = -w**gamma/gamma * int Lratio dq;
+      gamma < 0, a = mu > 0: h = (C/|gamma|) w**(-|gamma|)
+          + w**(-|gamma|) * int q**(-1-|gamma|/mu) (C - Lratio)/mu dq,
+        with C - Lratio = C (pert_L - pert_ell)/(1 + pert_L), never a
+        difference of divergent integrals; log pi when C = |gamma|;
+      gamma < 0, mu <= 0:    the deficit's term -C kappa_ell y**(mu-1) is
+        not integrable at y = 0; its primitive -C kappa_ell (w**mu - 1)/mu
+        (log w at mu = 0) is closed, and the rest, a = delta, is
+        C kappa_L w**delta/delta * int (1 + pert_ell)/(1 + pert_L) dq.
+
+    The integrand is taken in v, q = v**k, k = :func:`_smoothing` of its
+    powers of q at 0 (1 where they are integers).  x**(-e) = q**(e/a) w**e
+    is exact on the principal branch (q > 0, Re w > 0): one complex power
+    of w per kappa != 0 term.  w**(-|gamma|) is taken in the argument's
+    dtype; 1 - s given directly keeps full precision for s near 1."""
+    gamma, g_abs, mu = model.gamma, abs(model.gamma), model.mu
+    C = model.C_ratio
+    term_g, term_L = ((sv.kappa, sv.exponent) if sv.kappa else None
+                      for sv in (model.immigration.sv_spec, model.offspring.sv_spec))
+    exponents = [term[1] for term in (term_g, term_L) if term]
+    w = np.atleast_1d(np.asarray(one_minus_s))
+    at_one = w == 0
+    w0 = np.where(at_one, 1.0, w.astype(complex))
+    leading = None if gamma > 0 else C / g_abs * w ** (-g_abs)
+    if gamma > 0:
+        a, prefactor = gamma, -(w0 ** gamma) / gamma
+    elif mu > 0:
+        a, prefactor = mu, w0 ** (-g_abs)
+        if exponents:   # the deficit's factor q**(-1-|gamma|/mu)
+            exponents.append(g_abs)
+    else:
+        if term_g:
+            beta, log_w = term_g[1] - g_abs, np.log(w0)
+            leading = leading - C * term_g[0] * (
+                log_w if beta == 0 else np.expm1(beta * log_w) / beta)
+        if not term_L:
+            return leading, 0.0
+        a = term_L[1] - g_abs
+        prefactor = C * term_L[0] * w0 ** a / a
+    pert_g, pert_L = (_separable_pert(term, 1.0 / a, w0) for term in (term_g, term_L))
+
+    def fun(q):
+        # unnamed temporaries let numpy reuse their buffers: naming both
+        # terms made the 8193-point call on g025_pert_off 1.6 times slower
+        if gamma > 0:   # Lratio, a scalar when neither law has a kappa term
+            val = C * (1.0 + pert_g(q)) / (1.0 + pert_L(q))
+        elif mu > 0:
+            p_L = pert_L(q)
+            deficit = C * (p_L - pert_g(q)) / (1.0 + p_L)     # C - Lratio
+            val = q[:, None] ** (-1.0 - g_abs / a) * deficit / a
+        else:
+            val = (1.0 + pert_g(q)) / (1.0 + pert_L(q))
+        return np.broadcast_to(val, (q.size, w0.size)).astype(complex, copy=False)
+
+    k = _smoothing([e / a for e in exponents])
+    inner, err = doubling_quadrature(fun if k == 1 else (
+        lambda v: fun(v ** k) * (k * v ** (k - 1))[:, None]), 0.0, 1.0)
+    val = np.where(at_one, 0.0, prefactor * inner)
+    return (val if leading is None else leading + val), err
 
 
-def gf_segment_integral(model: ModelSpec, one_minus_s, one_minus_F,
-                        method: str = "auto"):
-    """integral_s^F g(u)/f(u) du along the geometric path
-    1-u = exp((1-x) log(1-s) + x log(1-F)), x in [0, 1].
+def log_limit(model: ModelSpec, one_minus_s):
+    """The log of the limit generating function at s = 1 - ``one_minus_s``,
+    |s| <= 1, and its quadrature error estimate: the potential h of
+    :func:`_potential`, log U for gamma > 0 and log pi for gamma < 0, where
+    it raises the error of :meth:`ModelSpec.require_transient_limit`."""
+    if model.gamma < 0:
+        model.require_transient_limit()
+    if model.C_ratio is None:
+        raise ModelError("the limit needs the built-in tail-function specs")
+    if np.any(np.abs(1.0 - np.asarray(one_minus_s)) > 1 + 1e-12):
+        raise ModelError("the limit needs |s| <= 1")
+    return _potential(model, one_minus_s)
 
-    The path stays in the half-plane Re(1-u) > 0, where the tail-function
-    form of the integrand is analytic; in the x parameter the integrand
-    varies like an exponential, so uniform panels resolve it.  The endpoints
-    are given as 1-s and 1-F, which keeps full precision when F is
-    exponentially close to 1.
 
-    ``method`` "series" integrates the truncated-series ratio g/f; every
-    other word of :data:`METHODS` takes the tail-function integrand
-    -D w**gamma Lratio(1/w), w = 1-u, where both laws carry tail specs,
-    else the series.  The tail-function integrand is evaluated from
-    logw = log(w0) - x D with no complex power: w**gamma = exp(gamma logw)
-    and, in the tail specs c (1 + kappa x**(-e)), (1/w)**(-e) = exp(e logw).
-    Both are exact on the principal branch because Re w > 0 along the path
-    keeps |Im logw| < pi/2, so Log(exp(logw)) = logw.
+def gf_segment_integral(model: ModelSpec, one_minus_s, one_minus_F):
+    """integral_s^F g(u)/f(u) du of the truncated-series ratio g/f along the
+    geometric path 1-u = exp((1-x) log(1-s) + x log(1-F)), x in [0, 1]: the
+    log P of the series route, and of laws without tail specs.
+
+    The path stays in the half-plane Re(1-u) > 0; in the x parameter the
+    integrand varies like an exponential, so uniform panels resolve it.
+    The endpoints are given as 1-s and 1-F, which keeps full precision when
+    F is exponentially close to 1.
     """
-    _check_method(method)
     w0, w1 = np.broadcast_arrays(
         np.atleast_1d(np.asarray(one_minus_s, dtype=complex)),
         np.atleast_1d(np.asarray(one_minus_F, dtype=complex)))
     if np.any(w1 == 0):
         raise ModelError("segment integral endpoint F = 1 is singular")
-    tail_form = method != "series" and _sv_available(model)
     logw0 = np.log(w0)
     D = logw0 - np.log(w1)
-    if tail_form:
-        gamma, terms = model.gamma, _tail_terms(model)
 
-        def fun(x):
-            logw = logw0[None, :] - x[:, None] * D[None, :]
-            return -D[None, :] * _wgamma_lratio(gamma, terms, logw)
-    else:
-        def fun(x):
-            w = np.exp(logw0[None, :] - x[:, None] * D[None, :])
-            u = 1.0 - w
-            return _series_ratio(model, u) * w * D[None, :]
+    def fun(x):
+        w = np.exp(logw0[None, :] - x[:, None] * D[None, :])
+        u = 1.0 - w
+        return (model.immigration.gf(u, mode="series")
+                / model.offspring.gf(u, mode="series")) * w * D[None, :]
+
     dmax = float(np.max(np.abs(D)))
     if dmax < 1e-13:     # one midpoint evaluation is exact to roundoff
         return fun(np.array([0.5]))[0], dmax
     return doubling_quadrature(fun, 0.0, 1.0)
-
-
-def log_limit(model: ModelSpec, one_minus_s):
-    """The log of the limit generating function at s = 1 - ``one_minus_s``
-    and its quadrature error estimate, the regime read from gamma.  With
-    w = 1 - s, q = ((1-u)/w)**a leaves smooth bounded integrands in
-    x = q**(-1/a)/w:
-
-      gamma > 0, a = gamma:  log U(s) = integral_s^1 g/f du
-          = -w**gamma / gamma * integral_0^1 Lratio(x) dq;
-      gamma < 0, a = mu:     log pi(s) = w**(-|gamma|) + log B(s),
-          log B(s) = integral_s^1 [g/f + |gamma| (1-u)**(-1-|gamma|)] du
-          = w**(-|gamma|) * integral_0^1 q**(-1-|gamma|/mu) (C - Lratio(x)) / mu dq,
-
-    log B through the limit deficit C - Lratio, never as a difference of
-    divergent integrals; for gamma < 0 this raises the error of
-    :meth:`ModelSpec.require_transient_limit`.  The tail functions are taken
-    in separable form, x**(-e) = q**(e/a) w**e, exact on the principal
-    branch (q > 0, Re w > 0): one complex power of w per call and kappa != 0
-    term.  w**(-|gamma|) is taken in the argument's dtype, real for real s;
-    1 - s given directly keeps full precision for s exponentially near 1.
-    """
-    gamma = model.gamma
-    recurrent = gamma > 0
-    if not recurrent:
-        model.require_transient_limit()
-    if not _sv_available(model):
-        raise ModelError("the limit needs the built-in tail-function specs")
-    w = np.atleast_1d(np.asarray(one_minus_s))
-    w0 = w.astype(complex)
-    at_one = w0 == 0
-    w0_safe = np.where(at_one, 1.0, w0)
-    g_abs = abs(gamma)
-    a = gamma if recurrent else model.mu
-    C, term_g, term_L = _tail_terms(model)
-    pert_g = _separable_pert(term_g, 1.0 / a, w0_safe)
-    pert_L = _separable_pert(term_L, 1.0 / a, w0_safe)
-
-    def fun(q):
-        # unnamed temporaries let numpy reuse their buffers: naming both
-        # terms made the 8193-point call on g025_pert_off 1.6 times slower
-        if recurrent:   # Lratio, a scalar when neither law has a kappa term
-            val = C * (1.0 + pert_g(q)) / (1.0 + pert_L(q))
-        else:
-            p_L = pert_L(q)
-            deficit = C * (p_L - pert_g(q)) / (1.0 + p_L)     # C - Lratio
-            val = q[:, None] ** (-1.0 - g_abs / a) * deficit / a
-        return np.broadcast_to(val, (q.size, w0_safe.size)).astype(complex, copy=False)
-
-    inner, err = doubling_quadrature(fun, 0.0, 1.0)
-    if recurrent:
-        val = -(w0_safe ** gamma) / gamma * inner
-    else:
-        val = w0_safe ** (-g_abs) * inner
-    val = np.where(at_one, 0.0, val)
-    if not recurrent:
-        val = w ** (-g_abs) + val
-    return val, err
 
 
 def _closed_logP(model: ModelSpec, w0, R):
@@ -405,10 +393,11 @@ def compute_P_grid(model: ModelSpec, s_batch, t_grid, rtol: float = 1e-10,
                    method: str = "auto"):
     """(log P, R, error estimate) on a (len(t_grid), len(s_batch)) grid, from
     one :func:`flow_on_grid` march at the relative tolerance ``rtol`` and one
-    closed-form evaluation or batched :func:`gf_segment_integral` of log P,
-    both by the route ``method`` of :data:`METHODS`; "auto" takes the
-    closed-form log P for canonical offspring with a stable immigration law.
-    The error estimate is the quadrature's plus the flow's to the last time."""
+    log P by the route ``method`` of :data:`METHODS`: the antiderivative for
+    "closed" ("auto" on canonical models), h(1 - s) - h(R) of
+    :func:`_potential` for "quad" ("auto" otherwise) where both laws carry
+    tail specs, else :func:`gf_segment_integral`.  The error estimate is the
+    quadrature's plus the flow's to the last time."""
     _check_method(method)
     closed = model.canonical
     if method == "closed" and not closed:
@@ -417,14 +406,18 @@ def compute_P_grid(model: ModelSpec, s_batch, t_grid, rtol: float = 1e-10,
     s_arr = np.atleast_1d(np.asarray(s_batch, dtype=complex))
     t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))
     R = flow_on_grid(model, s_arr, t_arr, method=method, rtol=rtol)
-    one_minus_s = np.broadcast_to(1.0 - s_arr, R.shape).ravel()
-    at_one = np.abs(one_minus_s) == 0        # log P = 0 where s = 1
-    w0, w1 = np.where(at_one, 1.0, one_minus_s), np.where(at_one, 1.0, R.ravel())
+    at_one = s_arr == 1.0
+    w0, w1 = np.where(at_one, 1.0, 1.0 - s_arr), np.where(at_one, 1.0, R)
     if method == "closed" or (method == "auto" and closed):
         logp, err = _closed_logP(model, w0, w1), 8.0 * np.finfo(float).eps
+    elif method != "series" and model.C_ratio is not None:    # both tail specs
+        (h_s, err_s), (h_F, err_F) = _potential(model, w0), _potential(model, w1.ravel())
+        logp, err = h_s - h_F.reshape(R.shape), err_s + err_F
     else:
-        logp, err = gf_segment_integral(model, w0, w1, method=method)
-    logp = np.where(at_one, 0.0, logp).reshape(R.shape)
+        logp, err = gf_segment_integral(model, np.broadcast_to(w0, R.shape).ravel(),
+                                        w1.ravel())
+        logp = logp.reshape(R.shape)
+    logp = np.where(w0 == w1, 0.0, logp)      # F = s: at t = 0 and at s = 1
     flow_err = _flow_error(model, float(t_arr.max()), method, rtol)
     return logp, R, float(err) + flow_err
 

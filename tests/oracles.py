@@ -4,8 +4,8 @@ paths they check, plus the direct tail-function integrands (Lratio and the
 limit deficit straight from the specs) that the kernel's separable forms
 replaced (run through the package's own quadrature, so that the two differ
 only in how the integrand is evaluated), the occupation-time route to
-P(t; s), a check on compute_P_grid's segment integral, and the simulator's pmf
-one replicate at a time."""
+P(t; s), the reference integral of g/f from s to F for compute_P_grid's quad
+route, and the simulator's pmf one replicate at a time."""
 
 import warnings
 from types import SimpleNamespace
@@ -146,9 +146,10 @@ def direct_log_limit(model, one_minus_s, rtol=1e-10):
 
 
 def direct_segment_integral(model, w0, w1, rtol=1e-10):
-    """The tail-function branch of gf_segment_integral from 1-u = w0 to
-    1-u = w1 with w = exp(logw) raised to gamma and Lratio evaluated at 1/w
-    directly."""
+    """integral_s^F g(u)/f(u) du of the tail-function integrand
+    -w**gamma Lratio(1/w), w = 1-u, along the geometric path from 1-u = w0 to
+    1-u = w1, w = exp(logw), with w raised to gamma and Lratio evaluated at
+    1/w directly: the reference for log P = h(s) - h(F) on the quad route."""
     w0, w1 = np.atleast_1d(w0), np.atleast_1d(w1)
     logw0 = np.log(w0)
     D = logw0 - np.log(w1)

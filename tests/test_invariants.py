@@ -7,7 +7,7 @@ from mbpilab import (ModelError, PreconditionError, check_invariance,
 from mbpilab import kernel
 from mbpilab.invariants import limit_ratios, measure_csv
 from mbpilab.inversion import circle_points, suggest_radius
-from mbpilab.kernel import compute_P_grid, exact_R, gf_segment_integral
+from mbpilab.kernel import compute_P_grid
 from mbpilab.rvcalc import SlowlyVaryingSpec
 
 from oracles import (direct_log_limit, direct_segment_integral,
@@ -312,15 +312,37 @@ def test_separable_integrals_exact_without_kappa(name, request):
     assert np.array_equal(val, ref) and err == ref_err
 
 
-@pytest.mark.parametrize("name", ["g025_pert_off", "gneg_pert", "g025_pert_both"])
-def test_separable_segment_matches_direct_integrand(name, request):
-    # measured: at most 4.6e-16 relative
-    model = request.getfixturevalue(name)
+# Models off the workload set for the quad route: (nu, delta, d, kappa_offspring,
+# kappa_immigration), c = 1.
+QUAD_ROUTE_MODELS = {
+    "unpaired": (0.75, 0.5, 0.5, 0.0, 1.0),           # C/|gamma| = 2
+    "unpaired_fractional": (0.5, 0.4, 0.04, 0.1, 0.5),  # C/|gamma| = 0.4, k = 3
+    "mu_negative": (0.75, 0.35, 0.4, 0.1, 0.5),       # mu = -0.05
+    "mu_zero": (0.8, 0.4, 0.4, 0.1, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", ["g025_pert_off", "gneg_pert", "g025_pert_both",
+                                  *QUAD_ROUTE_MODELS])
+def test_quad_route_matches_reference_integral(name, request):
+    """log P on the quad route, h(s) - h(F), against the reference segment
+    integral of g/f from s to the F it marched, within the two routes'
+    quadrature errors plus 8 eps of the scale |h(s)| + |h(F)|."""
+    if name in QUAD_ROUTE_MODELS:
+        nu, delta, d, k_off, k_imm = QUAD_ROUTE_MODELS[name]
+        model = stable_model(nu=nu, c=1.0, delta=delta, d=d,
+                             kappa_offspring=k_off, kappa_immigration=k_imm)
+    else:
+        model = request.getfixturevalue(name)
     s = HALF_CIRCLE[::8]
-    R = exact_R(model.offspring, 2.0, s)
-    val, _ = gf_segment_integral(model, 1.0 - s, R, method="quad")
-    ref, _ = direct_segment_integral(model, 1.0 - s, R)
-    assert np.max(np.abs(val - ref) / np.abs(ref)) <= 1e-13
+    h_s = kernel._potential(model, 1.0 - s)[0]
+    for t in (1.0, 1e2, 1e4, 1e6):
+        logp, R, err = compute_P_grid(model, s, [t], method="quad")
+        ref, ref_err = direct_segment_integral(model, 1.0 - s, R[0])
+        quad_err = err - kernel._flow_error(model, t, "quad", 1e-10)
+        scale = np.abs(h_s) + np.abs(kernel._potential(model, R[0])[0])
+        bound = quad_err + ref_err + 8 * np.finfo(float).eps * scale
+        assert np.all(np.abs(logp[0] - ref) <= bound)
 
 
 def test_integrands_never_evaluate_specs_on_the_node_grid(
@@ -334,7 +356,7 @@ def test_integrands_never_evaluate_specs_on_the_node_grid(
     s = circle_points(0.9, 2048, half=True)
     for model in (g025_pert_off, gneg_pert, g025_pert_both):
         extract_measure(model, J_out=64, r=0.9, M=2048)
-        # the tail-function segment integrand, behind the quadrature route
+        # the potential h(s) - h(F), behind the quad route
         compute_P_grid(model, s, [1.0], method="quad")
 
 

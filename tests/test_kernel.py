@@ -8,11 +8,11 @@ from mbpilab import (METHODS, ModelError, NumericsError, compute_P_grid,
                      exact_R, ratio_limits, solve_F)
 from mbpilab import kernel, telemetry
 from mbpilab.inversion import circle_points
-from mbpilab.kernel import (flow_on_grid, gf_segment_integral, gf_table_csv,
-                            log_limit, transition_grid)
+from mbpilab.kernel import flow_on_grid, gf_table_csv, log_limit, transition_grid
 from mbpilab.laws import offspring_from_coefficients
 
-from oracles import scipy_R, scipy_gf_integral, time_route_P
+from oracles import (direct_segment_integral, scipy_R, scipy_gf_integral,
+                     time_route_P)
 
 
 def test_initial_condition(g025):
@@ -186,12 +186,47 @@ def test_P_i_values(g025):
 
 
 def test_segment_integral_additivity(g025):
-    # integral_s^1 = integral_s^F + integral_F^1 for gamma > 0
+    # integral_s^1 = integral_s^F + integral_F^1 for gamma > 0, the middle
+    # term by the reference segment integral
     F = 1.0 - solve_F(g025, 2.0, 0.2)
-    seg, _ = gf_segment_integral(g025, 1.0 - 0.2, 1.0 - F)
+    seg, _ = direct_segment_integral(g025, 1.0 - 0.2, 1.0 - F)
     to_one_s, _ = log_limit(g025, 1.0 - 0.2)
     to_one_F, _ = log_limit(g025, 1.0 - F)
     assert abs((seg + to_one_F) - to_one_s) < 1e-12
+
+
+# Models whose limit integrands have fractional powers of q at q = 0 (nu,
+# delta, d, kappa_offspring, kappa_immigration), c = 1: 1/3 and 5/3 in the
+# transient one, 1/2 in the recurrent one.
+ROUGH_MODELS = {"rough_transient": (0.5, 0.4, 0.1, 0.1, 0.5),
+                "rough_recurrent": (0.3, 0.9, 0.25, 0.5, 0.0)}
+
+
+@pytest.mark.parametrize("name", [*ROUGH_MODELS, "g025", "gneg", "gneg_pert",
+                                  "g025_pert_off"])
+def test_log_limit_takes_few_panels(name, request):
+    # the substitution q = v**k keeps every integrand smooth at q = 0: the
+    # rough models took 16383 and 8191 panels in q itself
+    if name in ROUGH_MODELS:
+        nu, delta, d, k_off, k_imm = ROUGH_MODELS[name]
+        model = mbpilab.stable_model(nu=nu, c=1.0, delta=delta, d=d,
+                                     kappa_offspring=k_off,
+                                     kappa_immigration=k_imm)
+    else:
+        model = request.getfixturevalue(name)
+    with telemetry.recording() as record:
+        log_limit(model, 1.0 - circle_points(0.9, 4096, half=True))
+    assert record.counters["quad.calls"] == 1
+    assert record.counters["quad.panels"] <= 15
+
+
+@pytest.mark.parametrize("name", ["g025", "gneg"])
+def test_log_limit_refuses_s_outside_the_unit_disc(name, request):
+    model = request.getfixturevalue(name)
+    for one_minus_s in (-0.5, 2.5, 1.0 + 1.5j):      # s = 1.5, -1.5, -1.5j
+        with pytest.raises(ModelError, match=r"\|s\| <= 1"):
+            log_limit(model, one_minus_s)
+    log_limit(model, [1.0, 2.0, 1.0 + 1.0j])          # s = 0, -1, -1j
 
 
 @pytest.mark.parametrize("name", ["g025", "gneg", "gneg_pert", "g025_pert_off"])
@@ -400,15 +435,13 @@ def _method_entry_points(model):
         "flow_on_grid": lambda m: flow_on_grid(model, s, t, method=m),
         "solve_F": lambda m: solve_F(model, 2.0, 0.3, method=m),
         "compute_P_grid": lambda m: kernel.compute_P_grid(model, s, t, method=m),
-        "gf_segment_integral": lambda m: gf_segment_integral(model, 0.7, 0.4, method=m),
         "transition_grid": lambda m: transition_grid(model, [0, 1], t, 8, M=64, method=m),
         "ratio_limits": lambda m: ratio_limits(model, 4, t, method=m),
     }
 
 
 @pytest.mark.parametrize("entry", ["flow_on_grid", "solve_F", "compute_P_grid",
-                                   "gf_segment_integral", "transition_grid",
-                                   "ratio_limits"])
+                                   "transition_grid", "ratio_limits"])
 def test_every_entry_point_takes_the_one_method_vocabulary(g025, entry, monkeypatch):
     call = _method_entry_points(g025)[entry]
     for method in METHODS:
