@@ -12,12 +12,14 @@ converges to
     B(s)  = exp( integral_s^1 [ g/f + |gamma| (1-u)^(-1-|gamma|) ] du ),
 
 whose coefficients pi_j form an invariant measure.  Both logarithms come
-from the one primitive :func:`mbpilab.kernel.log_limit`, which reads the
-regime from the sign of gamma; the invariance check evaluates it at
-F(tau; s) as well, so its prediction needs no truncation of the measure.
-Both coefficient sequences are recovered by circle inversion, with a
-direct power-series recurrence available for the stable families as a
-second, independent route (and for tail accounting:
+from the one primitive :func:`mbpilab.kernel.log_limit`, the potential h,
+in every regime its closed power terms (:attr:`ModelSpec.potential_terms`)
+plus one integral where the offspring tail function has a remainder; the
+invariance check evaluates it at F(tau; s) as well, so its prediction needs
+no truncation of the measure.  Both coefficient sequences are recovered by
+circle inversion, with a direct power-series recurrence on the same closed
+terms available for canonical models as a second route (and for tail
+accounting:
 the coefficient tails are heavy, e.g. u_j ~ const * j^(-1-gamma), so
 truncated sums converge slowly and the normalization checks must account
 for the missing tail explicitly).
@@ -42,30 +44,23 @@ def series_coefficients(model: ModelSpec, kind: str, J: int) -> np.ndarray:
     """Coefficients of U (kind="distribution") or pi (kind="measure") by the
     exponential-of-series recurrence, for canonical offspring families.
 
-    With h(s) = sum h_k s^k the exponent of the limit function, the
-    coefficients of exp(h) satisfy  m_n = (1/n) sum_{k=1..n} k h_k m_{n-k}.
-    Requires offspring kappa = 0 (otherwise no elementary exponent exists).
+    The exponent is the limit's potential h, here its closed terms alone
+    (:attr:`ModelSpec.potential_terms`): h(s) = sum beta/e (1-s)**e, whose
+    coefficients are beta/e times signed_binomials(e, J).  The coefficients
+    of exp(h) satisfy  m_n = (1/n) sum_{k=1..n} k h_k m_{n-k}.  Requires
+    offspring kappa = 0 (otherwise h has a non-elementary remainder).
     """
     if not model.canonical:
         raise ModelError("the coefficient recurrence needs canonical offspring "
                          "paired with a stable immigration law")
-    c, d = model.offspring.scale, model.immigration.scale
-    kap = model.immigration.kappa
-    gamma, mu = model.gamma, model.mu
-    h = np.zeros(J + 1)
     if kind == "distribution":
-        if not gamma > 0:
+        if not model.gamma > 0:
             raise PreconditionError("distribution coefficients need gamma > 0")
-        h += -(d / (c * gamma)) * signed_binomials(gamma, J)
-        if kap:
-            h += -(d * kap / (c * mu)) * signed_binomials(mu, J)
     elif kind == "measure":
         model.require_transient_limit()
-        h += signed_binomials(-abs(gamma), J)
-        if kap:
-            h += -(abs(gamma) * kap / mu) * signed_binomials(mu, J)
     else:
         raise ModelError(f"unknown kind {kind!r}")
+    h = sum(beta / e * signed_binomials(e, J) for beta, e in model.potential_terms)
     m = np.zeros(J + 1)
     m[0] = np.exp(h[0])
     kh = np.arange(J + 1) * h
@@ -156,12 +151,13 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
     ``i_truncation``, the part of sum_{i>I} m_i p_ij(tau) the extracted
     coefficients leave out.  The other components are the extraction's
     error sources; ``quad_error`` adds the estimates of log P and log m(F).
+    The prediction is taken as exp(log P + log m(F)), one exponent, which
+    stays finite at long transient lags where P underflows and m(F)
+    overflows.
 
-    On the quad route (offspring with a kappa term) log P is h(s) - h(F) for
-    the h that :func:`log_limit` returns, so the prediction is m(s) up to
-    roundoff and the verdict checks the two inversions and the i-truncation,
-    not the kernel's log P; canonical models keep an independent check, the
-    closed antiderivative against log_limit's quadrature.
+    log P is h(s) - h(F) for the h that :func:`log_limit` returns, so the
+    prediction is m(s) up to roundoff and the verdict checks the two
+    inversions and the i-truncation, not the kernel's log P.
     """
     m = measure.coefficients
     I = m.size - 1
@@ -175,8 +171,7 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
     m_of_F = np.zeros_like(F)
     for coefficient in m[::-1]:
         m_of_F = m_of_F * F + coefficient
-    P = np.exp(logp[0])
-    half = np.stack([P * np.exp(log_mF), P * m_of_F])
+    half = np.stack([np.exp(logp[0] + log_mF), np.exp(logp[0]) * m_of_F])
     both = coefficients_from_samples(complete_circle(half, M), r, j_max)
     prediction, truncated = both.row(0), both.values[1]
     residuals = np.abs(prediction.values - m[:j_max + 1])

@@ -9,7 +9,9 @@ R = 1 - F, the immigration generating functions are
 
 and the tail-function form of the integrand is
 g(u)/f(u) = -(1-u)**(gamma-1) * Lratio(1/(1-u)), gamma = delta - nu, whose
-one potential h gives log P = h(s) - h(F) and the limits' log U and log pi.
+one potential h gives log P = h(s) - h(F) and the limits' log U and log pi:
+closed power terms, plus one integral where the offspring tail function
+has a remainder.
 
 Transition probabilities p_ij(t) are the power-series coefficients of
 P_i(t; s), recovered by circle sampling (see :mod:`mbpilab.inversion`).
@@ -33,10 +35,10 @@ from .laws import BranchingLaw, ModelSpec
 from .quadrature import doubling_quadrature
 
 # The routes of every kernel function that takes a ``method``:
-#   "closed"  the stable-family closed forms: exact_R for the flow, the
-#             antiderivative for log P;
+#   "closed"  the stable-family closed forms: exact_R for the flow, and for
+#             log P on canonical models h(s) - h(F), h its closed terms;
 #   "quad"    numerics on the law's preferred evaluation: the flow ODE, and
-#             log P = h(s) - h(F) by quadrature of the tail-function potential;
+#             log P = h(s) - h(F), h's offspring-remainder term by quadrature;
 #   "series"  numerics on the truncated series end to end: the exact kernel
 #             of the truncated law, e.g. for simulator cross-checks;
 #   "auto"    "closed" where the layer has an exact closed form, else "quad".
@@ -244,15 +246,15 @@ def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
     return R[order]
 
 
-def _separable_pert(term, q_scale: float, w0):
-    """q -> kappa * x**(-e) at x = q**(-q_scale) / w0 for nodes q > 0, as the
-    outer product of the real powers q**(e*q_scale) with the per-call row
-    kappa * w0**e, exact for Re w0 > 0; 0.0 when the term is None."""
-    if term is None:
+def _separable_pert(sv, q_scale: float, w0):
+    """q -> kappa * x**(-theta) of the spec ``sv`` at x = q**(-q_scale) / w0
+    for nodes q > 0, as the outer product of the real powers
+    q**(theta*q_scale) with the per-call row kappa * w0**theta, exact for
+    Re w0 > 0; 0.0 when kappa = 0."""
+    if not sv.kappa:
         return lambda q: 0.0
-    kappa, e = term
-    row = kappa * w0 ** e
-    return lambda q: np.multiply.outer(q ** (e * q_scale), row)
+    row = sv.kappa * w0 ** sv.exponent
+    return lambda q: np.multiply.outer(q ** (sv.exponent * q_scale), row)
 
 
 def _smoothing(powers) -> int:
@@ -266,76 +268,58 @@ def _smoothing(powers) -> int:
 
 
 def _potential(model: ModelSpec, one_minus_s):
-    """The potential h(w), w = 1 - s, and its quadrature error estimate: a
-    primitive in s of -g/f, so log P(t; s) = h(s) - h(F(t; s)), for a model
-    whose laws both carry tail specs pert = kappa x**(-e) (e = nu for L,
-    delta for ell).  With y = 1 - u, g/f = -y**(gamma-1) Lratio(1/y), and
-    q = (y/w)**a leaves integrands on [0, 1] in x = q**(-1/a)/w:
+    """The potential h(w), w = 1 - s, and its error estimate: a primitive in
+    s of -g/f, so log P(t; s) = h(s) - h(F(t; s)), for a model whose laws
+    both carry tail specs pert = kappa x**(-theta).  With y = 1 - u,
+    -g/f = C y**(gamma-1) (1 + pert_ell)/(1 + pert_L), and the split
+    (1 + pert_ell)/(1 + pert_L) = 1 + pert_ell - pert_L (...)/(1 + pert_L)
+    gives h in every regime as
 
-      gamma > 0, a = gamma:  h = log U = -w**gamma/gamma * int Lratio dq;
-      gamma < 0, a = mu > 0: h = (C/|gamma|) w**(-|gamma|)
-          + w**(-|gamma|) * int q**(-1-|gamma|/mu) (C - Lratio)/mu dq,
-        with C - Lratio = C (pert_L - pert_ell)/(1 + pert_L), never a
-        difference of divergent integrals; log pi when C = |gamma|;
-      gamma < 0, mu <= 0:    the deficit's term -C kappa_ell y**(mu-1) is
-        not integrable at y = 0; its primitive -C kappa_ell (w**mu - 1)/mu
-        (log w at mu = 0) is closed, and the rest, a = delta, is
-        C kappa_L w**delta/delta * int (1 + pert_ell)/(1 + pert_L) dq.
+      h = sum of beta w**e/e over :attr:`ModelSpec.potential_terms`
+          + C kappa_L w**a/a * int_0^1 (1 + pert_ell)/(1 + pert_L) dq,
+
+    a = gamma + theta_L (delta for the stable law), q = (y/w)**a, the
+    integral present only when kappa_L != 0.  Every term but the first
+    vanishes at w = 0, so h is log U for gamma > 0 and log pi for gamma < 0
+    when C = |gamma|.  A later term with e <= 0 (mu <= 0) is taken as
+    beta expm1(e log w)/e (beta log w at e = 0), its primitive vanishing at
+    w = 1.
 
     The integrand is taken in v, q = v**k, k = :func:`_smoothing` of its
-    powers of q at 0 (1 where they are integers).  x**(-e) = q**(e/a) w**e
-    is exact on the principal branch (q > 0, Re w > 0): one complex power
-    of w per kappa != 0 term.  w**(-|gamma|) is taken in the argument's
-    dtype; 1 - s given directly keeps full precision for s near 1."""
-    gamma, g_abs, mu = model.gamma, abs(model.gamma), model.mu
-    C = model.C_ratio
-    term_g, term_L = ((sv.kappa, sv.exponent) if sv.kappa else None
-                      for sv in (model.immigration.sv_spec, model.offspring.sv_spec))
-    exponents = [term[1] for term in (term_g, term_L) if term]
+    powers of q at 0 (1 where they are integers).  pert at y = w q**(1/a)
+    is kappa q**(theta/a) w**theta, exact on the principal branch (q > 0,
+    Re w > 0): one complex power of w per kappa != 0 term.  The closed
+    terms are taken in the argument's dtype; 1 - s given directly keeps
+    full precision for s near 1.  The error is the integral's times the
+    largest |C kappa_L w**a/a|, plus 8 eps of the largest |h|."""
     w = np.atleast_1d(np.asarray(one_minus_s))
-    at_one = w == 0
-    w0 = np.where(at_one, 1.0, w.astype(complex))
-    leading = None if gamma > 0 else C / g_abs * w ** (-g_abs)
-    if gamma > 0:
-        a, prefactor = gamma, -(w0 ** gamma) / gamma
-    elif mu > 0:
-        a, prefactor = mu, w0 ** (-g_abs)
-        if exponents:   # the deficit's factor q**(-1-|gamma|/mu)
-            exponents.append(g_abs)
-    else:
-        if term_g:
-            beta, log_w = term_g[1] - g_abs, np.log(w0)
-            leading = leading - C * term_g[0] * (
-                log_w if beta == 0 else np.expm1(beta * log_w) / beta)
-        if not term_L:
-            return leading, 0.0
-        a = term_L[1] - g_abs
-        prefactor = C * term_L[0] * w0 ** a / a
-    pert_g, pert_L = (_separable_pert(term, 1.0 / a, w0) for term in (term_g, term_L))
+    (beta, e), *later = model.potential_terms
+    h = beta * (w ** e / e)
+    for beta, e in later:
+        h = h + beta * (w ** e / e if e > 0 else
+                        np.log(w) if e == 0 else np.expm1(e * np.log(w)) / e)
+    err = 0.0
+    L, ell = model.offspring.sv_spec, model.immigration.sv_spec
+    if L.kappa:
+        a = model.gamma + L.exponent
+        w0 = np.where(w == 0, 1.0, w.astype(complex))
+        pert_g, pert_L = (_separable_pert(sv, 1.0 / a, w0) for sv in (ell, L))
 
-    def fun(q):
-        # unnamed temporaries let numpy reuse their buffers: naming both
-        # terms made the 8193-point call on g025_pert_off 1.6 times slower
-        if gamma > 0:   # Lratio, a scalar when neither law has a kappa term
-            val = C * (1.0 + pert_g(q)) / (1.0 + pert_L(q))
-        elif mu > 0:
-            p_L = pert_L(q)
-            deficit = C * (p_L - pert_g(q)) / (1.0 + p_L)     # C - Lratio
-            val = q[:, None] ** (-1.0 - g_abs / a) * deficit / a
-        else:
-            val = (1.0 + pert_g(q)) / (1.0 + pert_L(q))
-        return np.broadcast_to(val, (q.size, w0.size)).astype(complex, copy=False)
+        def fun(q):
+            return (1.0 + pert_g(q)) / (1.0 + pert_L(q))
 
-    k = _smoothing([e / a for e in exponents])
-    inner, err = doubling_quadrature(fun if k == 1 else (
-        lambda v: fun(v ** k) * (k * v ** (k - 1))[:, None]), 0.0, 1.0)
-    val = np.where(at_one, 0.0, prefactor * inner)
-    return (val if leading is None else leading + val), err
+        k = _smoothing([sv.exponent / a for sv in (ell, L) if sv.kappa])
+        inner, err = doubling_quadrature(fun if k == 1 else (
+            lambda v: fun(v ** k) * (k * v ** (k - 1))[:, None]), 0.0, 1.0)
+        prefactor = model.C_ratio * L.kappa * w ** a / a
+        h = h + prefactor * inner
+        err *= float(np.max(np.abs(prefactor)))
+    return h, err + 8.0 * np.finfo(float).eps * float(np.max(np.abs(h)))
 
 
 def log_limit(model: ModelSpec, one_minus_s):
     """The log of the limit generating function at s = 1 - ``one_minus_s``,
-    |s| <= 1, and its quadrature error estimate: the potential h of
+    |s| <= 1, and its error estimate: the potential h of
     :func:`_potential`, log U for gamma > 0 and log pi for gamma < 0, where
     it raises the error of :meth:`ModelSpec.require_transient_limit`."""
     if model.gamma < 0:
@@ -377,30 +361,17 @@ def gf_segment_integral(model: ModelSpec, one_minus_s, one_minus_F):
     return doubling_quadrature(fun, 0.0, 1.0)
 
 
-def _closed_logP(model: ModelSpec, w0, R):
-    """Antiderivative route for canonical offspring (kappa = 0) paired with a
-    stable immigration law (possibly perturbed)."""
-    c, nu = model.offspring.scale, model.offspring.nu
-    d, kap = model.immigration.scale, model.immigration.kappa
-    gamma, mu = model.gamma, model.mu
-    val = d / (c * gamma) * (R ** gamma - w0 ** gamma)
-    if kap:
-        val = val - (d * kap / c) * (w0 ** mu - R ** mu) / mu
-    return val
-
-
 def compute_P_grid(model: ModelSpec, s_batch, t_grid, rtol: float = 1e-10,
                    method: str = "auto"):
     """(log P, R, error estimate) on a (len(t_grid), len(s_batch)) grid, from
     one :func:`flow_on_grid` march at the relative tolerance ``rtol`` and one
-    log P by the route ``method`` of :data:`METHODS`: the antiderivative for
-    "closed" ("auto" on canonical models), h(1 - s) - h(R) of
-    :func:`_potential` for "quad" ("auto" otherwise) where both laws carry
-    tail specs, else :func:`gf_segment_integral`.  The error estimate is the
-    quadrature's plus the flow's to the last time."""
+    log P by the route ``method`` of :data:`METHODS`: h(1 - s) - h(R) of
+    :func:`_potential` where both laws carry tail specs ("closed", for
+    canonical models only, where h is its closed terms, and "quad"), else
+    :func:`gf_segment_integral`.  The error estimate is the two potentials'
+    plus the flow's to the last time."""
     _check_method(method)
-    closed = model.canonical
-    if method == "closed" and not closed:
+    if method == "closed" and not model.canonical:
         raise ModelError("closed-form P needs canonical offspring paired "
                          "with a stable immigration law")
     s_arr = np.atleast_1d(np.asarray(s_batch, dtype=complex))
@@ -408,9 +379,7 @@ def compute_P_grid(model: ModelSpec, s_batch, t_grid, rtol: float = 1e-10,
     R = flow_on_grid(model, s_arr, t_arr, method=method, rtol=rtol)
     at_one = s_arr == 1.0
     w0, w1 = np.where(at_one, 1.0, 1.0 - s_arr), np.where(at_one, 1.0, R)
-    if method == "closed" or (method == "auto" and closed):
-        logp, err = _closed_logP(model, w0, w1), 8.0 * np.finfo(float).eps
-    elif method != "series" and model.C_ratio is not None:    # both tail specs
+    if method != "series" and model.C_ratio is not None:    # both tail specs
         (h_s, err_s), (h_F, err_F) = _potential(model, w0), _potential(model, w1.ravel())
         logp, err = h_s - h_F.reshape(R.shape), err_s + err_F
     else:

@@ -326,18 +326,22 @@ class ModelSpec:
         return 2.0 * self.immigration.delta - self.offspring.nu
 
     @property
-    def C_L(self) -> Optional[float]:
-        return None if self.offspring.sv_spec is None else self.offspring.sv_spec.limit
-
-    @property
-    def C_ell(self) -> Optional[float]:
-        return None if self.immigration.sv_spec is None else self.immigration.sv_spec.limit
-
-    @property
     def C_ratio(self) -> Optional[float]:
-        if self.C_L is None or self.C_ell is None:
-            return None
-        return self.C_ell / self.C_L
+        """C = C_ell/C_L, the ratio of the tail functions' limits; None
+        unless both laws carry tail specs."""
+        L, ell = self.offspring.sv_spec, self.immigration.sv_spec
+        return None if L is None or ell is None else ell.limit / L.limit
+
+    @property
+    def potential_terms(self) -> tuple:
+        """The closed power terms (beta, e) of the potential h, w = 1 - s:
+        g's tail terms over f's leading power C_L y**(1+nu), beta = -C at
+        e = gamma and beta = -C kappa_ell at e = gamma + theta_ell (mu for
+        the stable law) when kappa_ell != 0.  Each adds beta w**e/e to h
+        (beta log w at e = 0); what f's own remainder adds is not closed."""
+        C, ell = self.C_ratio, self.immigration.sv_spec
+        terms = ((-C, self.gamma),)
+        return terms + ((-C * ell.kappa, self.gamma + ell.exponent),) if ell.kappa else terms
 
     @property
     def has_closed_form(self) -> bool:

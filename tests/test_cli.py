@@ -253,19 +253,26 @@ def test_invariant_task(tmp_path):
 
 
 def test_invariant_quadrature_counters(tmp_path):
-    # the run's two circle quadratures, the measure's on the 4097 points of
-    # the half circle and the invariance check's log m(F) on 513, each start
-    # from one panel and double the count at each further level, 1 + 2 +
-    # ... + 2**(levels - 1) panels; this model's limit integrand is
-    # constant, so each stops at its first level
+    # without an offspring kappa the potential is closed: no quadrature runs.
+    # With one, its remainder integral runs four times, the measure's on the
+    # 4097 points of the half circle and, on 513, h(s) and h(F) of the
+    # check's log P and its log m(F); each starts from one panel and doubles
+    # the count at each further level, and each stops at its second level,
+    # 1 + 2 panels
     cfg = write(tmp_path, RECURRENT.format(
         task="invariant", extra="j_out = 256\nsamples = 8192",
         out=tmp_path / "out"))
     assert run_config(cfg) == 0
     counters = json.loads((tmp_path / "out" / "stats.json").read_text())["counters"]
-    assert counters["quad.calls"] == 2
-    assert counters["quad.panels"] == counters["quad.levels"] == 2
-    assert counters["quad.integrand_values"] == 15 * (4097 + 513)
+    assert not any(key.startswith("quad.") for key in counters)
+    cfg = write(tmp_path, RECURRENT.replace("d = 0.25", "d = 0.25\nkappa_offspring = 1.0")
+                .format(task="invariant", extra="j_out = 256\nsamples = 8192",
+                        out=tmp_path / "pert"), name="pert.ini")
+    assert run_config(cfg) == 0
+    counters = json.loads((tmp_path / "pert" / "stats.json").read_text())["counters"]
+    assert counters["quad.calls"] == 4
+    assert counters["quad.levels"] == 8 and counters["quad.panels"] == 12
+    assert counters["quad.integrand_values"] == 15 * 3 * (4097 + 3 * 513)
     assert 0.0 <= counters["quad.max_error"] < 1e-10
 
 

@@ -4,10 +4,11 @@ import pytest
 from mbpilab import (ModelError, PreconditionError, check_invariance,
                      extract_measure, log_limit, ratio_limits,
                      series_coefficients, stable_model, transition_grid)
-from mbpilab import kernel
+from mbpilab import kernel, telemetry
 from mbpilab.invariants import limit_ratios, measure_csv
 from mbpilab.inversion import circle_points, suggest_radius
 from mbpilab.kernel import compute_P_grid
+from mbpilab.quadrature import doubling_quadrature
 from mbpilab.rvcalc import SlowlyVaryingSpec
 
 from oracles import (direct_log_limit, direct_segment_integral,
@@ -162,12 +163,14 @@ def test_invariance_holds_at_every_lag(name, request):
     radius) the verdict passes the default residual_tol 1e-6 at short and
     long lags alike: the prediction takes m(F) from the full limit, so the
     sum over i > I that the extracted coefficients leave out never enters
-    it.  Measured: every residual at most 5.1e-11."""
+    it, and P m(F) is taken as one exponent, which neither factor's
+    overflow at long transient lags reaches.  Measured: every residual at
+    most 5.1e-11 up to tau = 100, and 2.6e-9 (gneg) at tau = 1e9."""
     model = request.getfixturevalue(name)
     M = 2 ** 14
     measure = extract_measure(model, J_out=256,
                               r=suggest_radius(256, M, target=1e-10), M=M)
-    for tau in (1.0, 10.0, 100.0):
+    for tau in (1.0, 10.0, 100.0, 1e9):
         assert check_invariance(measure, model, tau).ok(1e-6)
 
 
@@ -306,10 +309,16 @@ def test_separable_integrals_match_direct_integrands(name, request):
 
 @pytest.mark.parametrize("name", ["g025", "gneg"])
 def test_separable_integrals_exact_without_kappa(name, request):
-    # no kappa term: the integrand is the constant C (or 0), as before
+    # no offspring kappa: h is its closed terms alone, with no quadrature,
+    # and equals the reference's quadrature of the constant C (or 0) bit
+    # for bit; its error is the closed terms' roundoff
     model = request.getfixturevalue(name)
-    (val, err), (ref, ref_err) = _integral_pair(model)
-    assert np.array_equal(val, ref) and err == ref_err
+    with telemetry.recording() as record:
+        val, err = log_limit(model, 1.0 - HALF_CIRCLE)
+    ref, _ = direct_log_limit(model, 1.0 - HALF_CIRCLE)
+    assert np.array_equal(val, ref)
+    assert err == 8 * np.finfo(float).eps * np.max(np.abs(val))
+    assert not any(key.startswith("quad.") for key in record.counters)
 
 
 # Models off the workload set for the quad route: (nu, delta, d, kappa_offspring,
@@ -319,15 +328,18 @@ QUAD_ROUTE_MODELS = {
     "unpaired_fractional": (0.5, 0.4, 0.04, 0.1, 0.5),  # C/|gamma| = 0.4, k = 3
     "mu_negative": (0.75, 0.35, 0.4, 0.1, 0.5),       # mu = -0.05
     "mu_zero": (0.8, 0.4, 0.4, 0.1, 0.5),
+    "mu_zero_canonical": (0.5, 0.25, 0.25, 0.0, 0.5),  # log w term, no quadrature
 }
 
 
 @pytest.mark.parametrize("name", ["g025_pert_off", "gneg_pert", "g025_pert_both",
+                                  "g025", "gneg", "g025_pert_imm",
                                   *QUAD_ROUTE_MODELS])
 def test_quad_route_matches_reference_integral(name, request):
-    """log P on the quad route, h(s) - h(F), against the reference segment
-    integral of g/f from s to the F it marched, within the two routes'
-    quadrature errors plus 8 eps of the scale |h(s)| + |h(F)|."""
+    """log P, h(s) - h(F), on the quad route and, for canonical models, the
+    closed one, against the reference segment integral of g/f from s to the
+    F it marched, within the two routes' error estimates plus 8 eps of the
+    scale |h(s)| + |h(F)|."""
     if name in QUAD_ROUTE_MODELS:
         nu, delta, d, k_off, k_imm = QUAD_ROUTE_MODELS[name]
         model = stable_model(nu=nu, c=1.0, delta=delta, d=d,
@@ -336,13 +348,14 @@ def test_quad_route_matches_reference_integral(name, request):
         model = request.getfixturevalue(name)
     s = HALF_CIRCLE[::8]
     h_s = kernel._potential(model, 1.0 - s)[0]
-    for t in (1.0, 1e2, 1e4, 1e6):
-        logp, R, err = compute_P_grid(model, s, [t], method="quad")
-        ref, ref_err = direct_segment_integral(model, 1.0 - s, R[0])
-        quad_err = err - kernel._flow_error(model, t, "quad", 1e-10)
-        scale = np.abs(h_s) + np.abs(kernel._potential(model, R[0])[0])
-        bound = quad_err + ref_err + 8 * np.finfo(float).eps * scale
-        assert np.all(np.abs(logp[0] - ref) <= bound)
+    for method in ("quad", "closed") if model.canonical else ("quad",):
+        for t in (1.0, 1e2, 1e4, 1e6):
+            logp, R, err = compute_P_grid(model, s, [t], method=method)
+            ref, ref_err = direct_segment_integral(model, 1.0 - s, R[0])
+            h_err = err - kernel._flow_error(model, t, method, 1e-10)
+            scale = np.abs(h_s) + np.abs(kernel._potential(model, R[0])[0])
+            bound = h_err + ref_err + 8 * np.finfo(float).eps * scale
+            assert np.all(np.abs(logp[0] - ref) <= bound)
 
 
 def test_integrands_never_evaluate_specs_on_the_node_grid(
@@ -360,10 +373,43 @@ def test_integrands_never_evaluate_specs_on_the_node_grid(
         compute_P_grid(model, s, [1.0], method="quad")
 
 
-def test_measure_extraction_reports_quadrature_error(gneg_pert):
-    measure = extract_measure(gneg_pert, J_out=64, r=0.9, M=2048)
+def test_measure_extraction_reports_quadrature_error(g025_pert_off):
+    # the offspring kappa term leaves one integral, whose error quad_error
+    # carries on top of the closed terms' roundoff
+    with telemetry.recording() as record:
+        measure = extract_measure(g025_pert_off, J_out=64, r=0.9, M=2048)
     err = measure.series.meta["quad_error"]
-    assert np.isfinite(err) and err > 0.0
+    log_m, _ = log_limit(g025_pert_off, 1.0 - circle_points(0.9, 2048, half=True))
+    assert record.counters["quad.calls"] == 1
+    assert np.isfinite(err) and err > 8 * np.finfo(float).eps * np.max(np.abs(log_m))
+
+
+# (nu, delta, d, kappa_offspring), c = 1: the remainder's prefactor
+# C kappa_L |w**delta|/delta reaches 2.4 on the half circle |s| = 0.9
+# (g025_pert_off's 0.54), so an unscaled error would not bound the shift
+WIDE_PREFACTOR = (0.5, 0.6, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("name", ["g025_pert_off", "wide_prefactor"])
+def test_potential_error_bounds_a_shifted_integral(name, request, monkeypatch):
+    """An offspring-remainder integral off by its own error estimate moves
+    h by no more than the error log_limit reports: the estimate is scaled
+    by the integral's prefactor, not left as the inner integral's."""
+    if name == "wide_prefactor":
+        nu, delta, d, k_off = WIDE_PREFACTOR
+        model = stable_model(nu=nu, c=1.0, delta=delta, d=d, kappa_offspring=k_off)
+    else:
+        model = request.getfixturevalue(name)
+    w = 1.0 - circle_points(0.9, 2048, half=True)
+    h, _ = log_limit(model, w)
+
+    def shifted(fun, a, b):
+        val, err = doubling_quadrature(fun, a, b)
+        return val + err, err
+
+    monkeypatch.setattr(kernel, "doubling_quadrature", shifted)
+    moved, err = log_limit(model, w)
+    assert 0.0 < np.max(np.abs(moved - h)) <= err
 
 
 @pytest.mark.parametrize("name", ["gneg", "g025", "gneg_pert"])

@@ -104,14 +104,6 @@ def test_P_closed_form_examples(g025, gneg):
         assert np.real(np.exp(logp[0, 0])) == pytest.approx(expected, rel=1e-12)
 
 
-def test_P_quad_matches_closed(g025, gneg, g025_pert_imm):
-    for model in (g025, gneg, g025_pert_imm):
-        for t, s in ((0.5, 0.0), (2.0, 0.3), (30.0, 0.8)):
-            q = np.exp(compute_P_grid(model, [s], [t], method="quad")[0][0, 0])
-            c = np.exp(compute_P_grid(model, [s], [t], method="closed")[0][0, 0])
-            assert abs(q - c) / abs(c) < 1e-9
-
-
 def test_P_quad_matches_scipy(g025, gneg):
     for model in (g025, gneg):
         F = 1.0 - solve_F(model, 2.0, 0.1)[0]
@@ -196,8 +188,8 @@ def test_segment_integral_additivity(g025):
 
 
 # Models whose limit integrands have fractional powers of q at q = 0 (nu,
-# delta, d, kappa_offspring, kappa_immigration), c = 1: 1/3 and 5/3 in the
-# transient one, 1/2 in the recurrent one.
+# delta, d, kappa_offspring, kappa_immigration), c = 1: 5/4 in the transient
+# one, 1/3 in the recurrent one.
 ROUGH_MODELS = {"rough_transient": (0.5, 0.4, 0.1, 0.1, 0.5),
                 "rough_recurrent": (0.3, 0.9, 0.25, 0.5, 0.0)}
 
@@ -205,8 +197,10 @@ ROUGH_MODELS = {"rough_transient": (0.5, 0.4, 0.1, 0.1, 0.5),
 @pytest.mark.parametrize("name", [*ROUGH_MODELS, "g025", "gneg", "gneg_pert",
                                   "g025_pert_off"])
 def test_log_limit_takes_few_panels(name, request):
-    # the substitution q = v**k keeps every integrand smooth at q = 0: the
-    # rough models took 16383 and 8191 panels in q itself
+    # the substitution q = v**k keeps the remainder integrand smooth at
+    # q = 0: in q itself it takes 4095 panels on g025_pert_off and does not
+    # converge within 8192 on rough_recurrent; without an offspring kappa,
+    # h is closed and takes no quadrature
     if name in ROUGH_MODELS:
         nu, delta, d, k_off, k_imm = ROUGH_MODELS[name]
         model = mbpilab.stable_model(nu=nu, c=1.0, delta=delta, d=d,
@@ -216,8 +210,8 @@ def test_log_limit_takes_few_panels(name, request):
         model = request.getfixturevalue(name)
     with telemetry.recording() as record:
         log_limit(model, 1.0 - circle_points(0.9, 4096, half=True))
-    assert record.counters["quad.calls"] == 1
-    assert record.counters["quad.panels"] <= 15
+    assert record.counters.get("quad.calls", 0) == bool(model.offspring.kappa)
+    assert record.counters.get("quad.panels", 0) <= 15
 
 
 @pytest.mark.parametrize("name", ["g025", "gneg"])

@@ -268,10 +268,10 @@ WORKLOAD_MODELS = {
 }
 WORKLOADS = {
     "rates": ([(m, t, "") for m in ("g025", "gneg_pert")
-               for t in ("kernel", "rates", "lemmas")], 8),
+               for t in ("kernel", "rates", "lemmas")], 0),
     "crosscheck": ([("g025", "compare", "replicates = 200\nhorizon = 5.0\n"
                      "j_out = 64\nz_max = 1e9")], 1),
-    "invariant": ([(m, "invariant", "") for m in WORKLOAD_MODELS], 10),
+    "invariant": ([(m, "invariant", "") for m in WORKLOAD_MODELS], 4),
 }
 
 
