@@ -226,7 +226,8 @@ def check_lemma2(model: ModelSpec, s: float, t_grid, bound: float = 2.0) -> Lemm
 
 def check_lemma3(spec: SlowlyVaryingSpec, sigma: float, t_grid,
                  bound: float = 2.0) -> LemmaReport:
-    """Tail-integral asymptotic for a slowly varying L with remainder rho:
+    """Tail-integral asymptotic for a slowly varying L with remainder
+    rho(t) = t**(-exponent):
 
         integral_t^inf y^{-(1+sigma)} L(y) dy
             = (1/sigma) t^{-sigma} L(t) (1 + O(rho(t))).
@@ -238,8 +239,7 @@ def check_lemma3(spec: SlowlyVaryingSpec, sigma: float, t_grid,
     """
     if not sigma > 0:
         raise ModelError("lemma-3 check needs sigma > 0")
-    rho = spec.remainder
-    if rho is None:
+    if not spec.kappa:
         raise ModelError("lemma 3 needs a tail function with remainder (kappa > 0)")
     t_grid = np.asarray(t_grid, dtype=float)
 
@@ -249,7 +249,7 @@ def check_lemma3(spec: SlowlyVaryingSpec, sigma: float, t_grid,
 
     means, _ = doubling_quadrature(fun, 0.0, 1.0)
     ratios = means / np.asarray(spec(t_grid), dtype=float)
-    stats = np.abs(ratios - 1.0) / np.asarray(rho(t_grid), dtype=float)
+    stats = np.abs(ratios - 1.0) / t_grid ** (-spec.exponent)
     return LemmaReport(name="lemma3", t_grid=t_grid, values=stats, bound=bound,
                        details={"ratios": ratios, "sigma": sigma})
 

@@ -248,7 +248,7 @@ def _task_lemmas(model, task, out, verdicts):
                         f"sup remainder/log {rep.sup:.3f} (bound {rep.bound:g})")
     if "3" in which:
         spec = model.offspring.sv_spec
-        if spec is None or spec.remainder is None:
+        if spec is None or not spec.kappa:
             verdicts.skip("lemma3", "offspring tail spec has no remainder; "
                           "exactly-constant specs satisfy the statement trivially")
         else:
@@ -460,7 +460,7 @@ def main(argv=None) -> int:
     sub.add_parser("list-families", help="describe the built-in law families")
     args = parser.parse_args(argv)
     if args.command == "list-families":
-        print(laws.describe_families(), end="")
+        print(laws.FAMILY_NOTES, end="")
         return 0
     return run_config(args.config, out_dir=args.out, seed=args.seed,
                       strict=args.strict)

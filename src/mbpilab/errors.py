@@ -7,7 +7,8 @@ class ModelError(ValueError):
 
 class PreconditionError(ModelError):
     """A computation was requested for a model that does not satisfy its
-    preconditions (wrong sign of gamma, mu <= 0, C_L != |gamma|, ...)."""
+    preconditions (wrong sign of gamma, mu <= 0, C_ell/C_L differing from
+    |gamma|, ...)."""
 
 
 class NumericsError(RuntimeError):

@@ -17,12 +17,10 @@ in every regime its closed power terms (:attr:`ModelSpec.potential_terms`)
 plus one integral where the offspring tail function has a remainder; the
 invariance check evaluates it at F(tau; s) as well, so its prediction needs
 no truncation of the measure.  Both coefficient sequences are recovered by
-circle inversion, with a direct power-series recurrence on the same closed
-terms available for canonical models as a second route (and for tail
-accounting:
-the coefficient tails are heavy, e.g. u_j ~ const * j^(-1-gamma), so
-truncated sums converge slowly and the normalization checks must account
-for the missing tail explicitly).
+circle inversion; for canonical models a direct power-series recurrence on
+the same closed terms gives them a second time.  The coefficient tails are
+heavy (u_j ~ const * j^(-1-gamma)), so truncated sums converge slowly, and
+the normalization check takes the missing tail from the recurrence.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from .errors import ModelError, PreconditionError
 from .inversion import (CoefficientSeries, circle_points,
                         coefficients_from_samples, complete_circle,
                         sample_count)
-from .kernel import compute_P_grid, log_limit, transition_grid
+from .kernel import compute_P_grid, log_limit
 from .laws import ModelSpec, signed_binomials
 
 
@@ -188,49 +186,6 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
                             truncated=truncated, residuals=residuals,
                             max_residual=float(residuals[worst]),
                             argmax_j=worst, components=components)
-
-
-@dataclass
-class RatioLimitTable:
-    """upsilon_j(t) = p_0j(t) / p_00(t) over a time grid, with targets."""
-
-    t_grid: np.ndarray
-    ratios: np.ndarray            # shape (len(t_grid), j_max+1)
-    targets: Optional[np.ndarray]
-    stabilization: np.ndarray     # max_j |row_k - row_{k-1}|
-
-
-def limit_ratios(model: ModelSpec, j_max: int) -> np.ndarray:
-    """Normalized limit ratios m_j/m_0 (u for gamma > 0, pi for gamma < 0)."""
-    if model.canonical:
-        kind = "distribution" if model.gamma > 0 else "measure"
-        m = series_coefficients(model, kind, j_max)
-    else:
-        m = extract_measure(model, J_out=j_max).coefficients
-    return m / m[0]
-
-
-def ratio_limits(model: ModelSpec, j_max: int, t_grid,
-                 method: str = "auto") -> RatioLimitTable:
-    """Strong-ratio-limit table: rows p_0j(t)/p_00(t) along the grid, from
-    one :func:`transition_grid` call."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) <= 0):
-        raise ModelError("t_grid must be increasing")
-    p = transition_grid(model, [0], t_grid, j_max, M=sample_count(j_max, 1024),
-                        method=method).values[:, 0]
-    low = np.flatnonzero(p[:, 0] <= 1e-300)
-    if low.size:
-        raise ModelError(f"p_00({t_grid[low[0]]:g}) below the numeric floor")
-    ratios = p / p[:, :1]
-    stab = np.max(np.abs(np.diff(ratios, axis=0)), axis=1)
-    targets = None
-    try:
-        targets = limit_ratios(model, j_max)
-    except (ModelError, PreconditionError):
-        pass
-    return RatioLimitTable(t_grid=t_grid, ratios=ratios, targets=targets,
-                           stabilization=stab)
 
 
 def measure_csv(measure: InvariantMeasure) -> str:

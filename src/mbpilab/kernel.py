@@ -8,10 +8,11 @@ R = 1 - F, the immigration generating functions are
     P(t; s)   = exp( integral_s^{F(t;s)} g(u)/f(u) du ),
 
 and the tail-function form of the integrand is
-g(u)/f(u) = -(1-u)**(gamma-1) * Lratio(1/(1-u)), gamma = delta - nu, whose
-one potential h gives log P = h(s) - h(F) and the limits' log U and log pi:
-closed power terms, plus one integral where the offspring tail function
-has a remainder.
+g(u)/f(u) = -(1-u)**(gamma-1) * Lratio(1/(1-u)), gamma = delta - nu, with
+Lratio(x) = ell(x)/L(x) the ratio of the immigration and offspring tail
+functions.  Its one potential h gives log P = h(s) - h(F) and the limits'
+log U and log pi: closed power terms, plus one integral where the
+offspring tail function has a remainder.
 
 Transition probabilities p_ij(t) are the power-series coefficients of
 P_i(t; s), recovered by circle sampling (see :mod:`mbpilab.inversion`).

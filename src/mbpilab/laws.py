@@ -330,7 +330,7 @@ class ModelSpec:
         """C = C_ell/C_L, the ratio of the tail functions' limits; None
         unless both laws carry tail specs."""
         L, ell = self.offspring.sv_spec, self.immigration.sv_spec
-        return None if L is None or ell is None else ell.limit / L.limit
+        return None if L is None or ell is None else ell.c / L.c
 
     @property
     def potential_terms(self) -> tuple:
@@ -410,8 +410,3 @@ Truncation folds residual mass into the last coefficient and re-balances
 the linear term, so every generated law is exactly conservative (and the
 offspring law exactly critical) at machine precision.
 """
-
-
-def describe_families() -> str:
-    """Static text describing the built-in families (stable across runs)."""
-    return FAMILY_NOTES

@@ -18,7 +18,6 @@ c * (1 + kappa * x**(-exponent)) (:class:`SlowlyVaryingSpec`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,10 +30,10 @@ class SlowlyVaryingSpec:
     """L(x) = c * (1 + kappa * x**(-exponent)) on [1, inf), kappa >= 0.
 
     Calls accept scalars or arrays, complex ones included (the
-    generating-function kernel needs them).  L(x) -> ``limit`` = c with
-    ``remainder`` alpha(x) = x**(-exponent); a spec with kappa = 0 is
-    exactly constant and has no remainder (None).  Build specs with
-    :func:`sv_constant` and :func:`sv_perturbed`, which validate.
+    generating-function kernel needs them).  L(x) tends to c with the
+    remainder x**(-exponent); a spec with kappa = 0 is exactly constant and
+    has none.  Build specs with :func:`sv_constant` and
+    :func:`sv_perturbed`, which validate.
     """
 
     c: float
@@ -46,16 +45,6 @@ class SlowlyVaryingSpec:
         if not self.kappa:
             return self.c * np.ones_like(x)
         return self.c * (1.0 + self.kappa * x ** (-self.exponent))
-
-    @property
-    def limit(self) -> float:
-        return self.c
-
-    @property
-    def remainder(self) -> Optional[Callable]:
-        if not self.kappa:
-            return None
-        return lambda x: np.asarray(x) ** (-self.exponent)
 
 
 def sv_constant(c: float) -> SlowlyVaryingSpec:

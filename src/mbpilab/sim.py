@@ -150,19 +150,24 @@ def _samplers(model: ModelSpec):
     return a_rate, b_rate, AliasTable(off_w), AliasTable(imm_w)
 
 
-def _advance(x, rng, horizon, state_cap, samplers, log=None):
-    """The scalar event loop: advance one path from state ``x`` at time 0
-    until its next event would pass the horizon or it reaches the state cap.
+def simulate_path(model: ModelSpec, initial: int, horizon: float,
+                  rng: np.random.Generator, state_cap: int = 10 ** 6,
+                  collect_events: bool = False,
+                  _samplers_cache=None) -> PathResult:
+    """Simulate one trajectory to the horizon (or to the state cap) by the
+    scalar event loop: advance from ``initial`` at time 0 until the next
+    event would pass the horizon or the state reaches the cap.
 
     Draws come from ``rng`` in chunks of whatever size it returns for a
     request of ``_CHUNK``, as Python floats: Python floats and ints carry
     the same IEEE operations as numpy scalars at a fraction of the cost per
-    event.  Returns (x, t, events, capped).
+    event.
     """
-    a_rate, b_rate, off, imm = samplers
+    log = [] if collect_events else None
+    a_rate, b_rate, off, imm = _samplers_cache or _samplers(model)
     n_off, off_prob, off_alias = off.n, off._prob, off._alias
     n_imm, imm_prob, imm_alias = imm.n, imm._prob, imm._alias
-    t, events, ptr, end = 0.0, 0, 0, 0
+    x, t, events, ptr, end = int(initial), 0.0, 0, 0, 0
     capped = x >= state_cap
     while not capped:
         if ptr == end:  # refill at the end of whatever chunk rng gave
@@ -197,17 +202,6 @@ def _advance(x, rng, horizon, state_cap, samplers, log=None):
         if log is not None:
             log.append((t, jump, x))
         capped = x >= state_cap
-    return x, t, events, capped
-
-
-def simulate_path(model: ModelSpec, initial: int, horizon: float,
-                  rng: np.random.Generator, state_cap: int = 10 ** 6,
-                  collect_events: bool = False,
-                  _samplers_cache=None) -> PathResult:
-    """Simulate one trajectory to the horizon (or to the state cap)."""
-    log = [] if collect_events else None
-    x, t, events, capped = _advance(int(initial), rng, horizon, state_cap,
-                                    _samplers_cache or _samplers(model), log)
     return PathResult(state=x, capped=capped, events=events,
                       time=min(t, horizon), log=log)
 

@@ -34,7 +34,7 @@ def lratio(model):
 
 
 def ratio_deficit(L, ell):
-    """C - ell(x)/L(x) with C = ell.limit / L.limit, from the fields of the
+    """C - ell(x)/L(x) with C = ell.c / L.c, from the fields of the
     two specs with the cancelling leading terms taken out by hand."""
     C = ell.c / L.c
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import time
 import warnings
@@ -239,6 +240,17 @@ def test_lemmas_task_reports_skip_for_transient(tmp_path):
     assert "lemma3 SKIP" in summary  # constant offspring tail: no remainder
     assert (tmp_path / "out" / "lemma1.csv").exists()
     assert (tmp_path / "out" / "lemma2.csv").exists()
+
+
+def test_lemmas_task_checks_lemma3_on_an_offspring_remainder(tmp_path):
+    # kappa_offspring > 0 gives the offspring tail function a remainder
+    text = RECURRENT.replace("truncation", "kappa_offspring = 1.0\ntruncation")
+    cfg = write(tmp_path, text.format(task="lemmas", extra="lemmas = 3",
+                                      out=tmp_path / "out"))
+    assert run_config(cfg) == 0
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert re.search(r"^lemma3 .* PASS$", summary, re.M)
+    assert (tmp_path / "out" / "lemma3.csv").exists()
 
 
 def test_invariant_task(tmp_path):

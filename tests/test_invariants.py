@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from mbpilab import (ModelError, PreconditionError, check_invariance,
-                     extract_measure, log_limit, ratio_limits,
-                     series_coefficients, stable_model, transition_grid)
+                     extract_measure, log_limit, series_coefficients,
+                     stable_model, transition_grid)
 from mbpilab import kernel, telemetry
-from mbpilab.invariants import limit_ratios, measure_csv
+from mbpilab.invariants import measure_csv
 from mbpilab.inversion import circle_points, suggest_radius
 from mbpilab.kernel import compute_P_grid
 from mbpilab.quadrature import doubling_quadrature
@@ -217,17 +217,22 @@ def test_P_converges_to_U_monotonically(g025):
         assert all(a > b for a, b in zip(dev, dev[1:]))
 
 
+# The strong ratio limit p_0j(t)/p_00(t) -> m_j/m_0 is read off the rows of
+# one transition_grid call, with targets from the series recurrence.
+
 def test_ratio_limits_upsilon0_and_convergence(g025):
-    table = ratio_limits(g025, 4, [1e2, 1e3])
-    assert np.allclose(table.ratios[:, 0], 1.0)
-    assert abs(table.ratios[-1, 1] - table.targets[1]) <= 1e-3
-    assert np.all(np.diff(table.stabilization) <= 0) or table.stabilization.size < 2
+    p = transition_grid(g025, [0], [1e2, 1e3], 4, M=1024).values[:, 0]
+    ratios, u = p / p[:, :1], series_coefficients(g025, "distribution", 4)
+    assert np.allclose(ratios[:, 0], 1.0)
+    assert abs(ratios[-1, 1] - u[1] / u[0]) <= 1e-3
 
 
 def test_ratio_limits_transient(gneg):
-    table = ratio_limits(gneg, 4, [1e1, 1e2, 1e3])
-    assert abs(table.ratios[-1, 1] - table.targets[1]) <= 1e-2
-    assert np.abs(table.ratios[-1] - table.targets)[0] == 0.0
+    p = transition_grid(gneg, [0], [1e1, 1e2, 1e3], 4, M=1024).values[:, 0]
+    pi = series_coefficients(gneg, "measure", 4)
+    ratios, targets = p / p[:, :1], pi / pi[0]
+    assert abs(ratios[-1, 1] - targets[1]) <= 1e-2
+    assert np.abs(ratios[-1] - targets)[0] == 0.0
 
 
 @pytest.mark.parametrize("name, exact", [("g025", True), ("gneg", True),
@@ -238,19 +243,20 @@ def test_ratio_limits_are_the_single_rows(name, exact, request):
     integral is shared across t, which moves the rows by a few ulps."""
     model = request.getfixturevalue(name)
     grid = [1e1, 1e2, 1e3]
-    table = ratio_limits(model, 6, grid)
+    p = transition_grid(model, [0], grid, 6, M=1024).values[:, 0]
+    ratios = p / p[:, :1]
     for k, t in enumerate(grid):
-        p = transition_grid(model, [0], [t], 6, M=1024).values[0, 0]
+        row = transition_grid(model, [0], [t], 6, M=1024).values[0, 0]
         if exact:
-            assert np.array_equal(table.ratios[k], p / p[0])
+            assert np.array_equal(ratios[k], row / row[0])
         else:
-            assert np.allclose(table.ratios[k], p / p[0], rtol=1e-14, atol=0)
+            assert np.allclose(ratios[k], row / row[0], rtol=1e-14, atol=0)
 
 
 def test_ratio_limits_march_the_flow_once(g025, monkeypatch):
-    """The grid costs one integration to its last time plus one step (six
-    evaluations after first-same-as-last) per inner landing, not a restart
-    from t = 0 at every time."""
+    """transition_grid over a time grid costs one integration to its last
+    time plus one step (six evaluations after first-same-as-last) per inner
+    landing, not a restart from t = 0 at every time."""
     rk45 = kernel._rk45
     evals = []
 
@@ -259,23 +265,18 @@ def test_ratio_limits_march_the_flow_once(g025, monkeypatch):
 
     monkeypatch.setattr(kernel, "_rk45", counted)
     grid = np.logspace(1, 4, 7)
-    ratio_limits(g025, 4, grid[-1:], method="quad")
+    transition_grid(g025, [0], grid[-1:], 4, M=1024, method="quad")
     single = len(evals)
     evals.clear()
-    ratio_limits(g025, 4, grid, method="quad")
+    transition_grid(g025, [0], grid, 4, M=1024, method="quad")
     assert len(evals) <= single + 6 * (grid.size - 1)
-
-
-def test_ratio_limit_grid_validation(g025):
-    with pytest.raises(ModelError):
-        ratio_limits(g025, 4, [1e3, 1e2])
 
 
 def test_upsilon_matches_normalized_pi(gneg):
     # the two invariant-measure constructions agree up to normalization
-    table = ratio_limits(gneg, 8, [1e2, 1e3])
-    targets = limit_ratios(gneg, 8)
-    assert np.max(np.abs(table.ratios[-1] - targets)) <= 1e-2
+    p = transition_grid(gneg, [0], [1e2, 1e3], 8, M=1024).values[:, 0]
+    pi = series_coefficients(gneg, "measure", 8)
+    assert np.max(np.abs(p[-1] / p[-1, 0] - pi / pi[0])) <= 1e-2
 
 
 def test_log_pi_consistency(gneg, gneg_pert):

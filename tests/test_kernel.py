@@ -1,11 +1,13 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mbpilab
 from mbpilab import (METHODS, ModelError, NumericsError, compute_P_grid,
-                     exact_R, ratio_limits, solve_F)
+                     exact_R, solve_F)
 from mbpilab import kernel, telemetry
 from mbpilab.inversion import circle_points
 from mbpilab.kernel import flow_on_grid, gf_table_csv, log_limit, transition_grid
@@ -430,12 +432,11 @@ def _method_entry_points(model):
         "solve_F": lambda m: solve_F(model, 2.0, 0.3, method=m),
         "compute_P_grid": lambda m: kernel.compute_P_grid(model, s, t, method=m),
         "transition_grid": lambda m: transition_grid(model, [0, 1], t, 8, M=64, method=m),
-        "ratio_limits": lambda m: ratio_limits(model, 4, t, method=m),
     }
 
 
 @pytest.mark.parametrize("entry", ["flow_on_grid", "solve_F", "compute_P_grid",
-                                   "transition_grid", "ratio_limits"])
+                                   "transition_grid"])
 def test_every_entry_point_takes_the_one_method_vocabulary(g025, entry, monkeypatch):
     call = _method_entry_points(g025)[entry]
     for method in METHODS:
@@ -454,6 +455,16 @@ def test_every_entry_point_takes_the_one_method_vocabulary(g025, entry, monkeypa
 def test_every_package_export_resolves():
     missing = [name for name in mbpilab.__all__ if not hasattr(mbpilab, name)]
     assert not missing and len(set(mbpilab.__all__)) == len(mbpilab.__all__)
+
+
+def test_package_exports_are_the_names_it_imports():
+    """``__all__`` is exactly what ``__init__`` binds from its submodules:
+    no import is left out of the exports, and no export lacks its import."""
+    tree = ast.parse(Path(mbpilab.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
+    assert imported == set(mbpilab.__all__)
 
 
 @pytest.mark.parametrize("method", ["auto", "closed", "quad", "series"])

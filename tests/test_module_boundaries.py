@@ -50,9 +50,9 @@ def test_scan_finds_both_kinds_of_reach():
               "from .laws import ModelSpec, _binomials\n"
               "from .cli import _own\n"
               "x = asy._helper(kernel.log_limit, _own, y._z)\n"
-              "n = mbpilab.sim._advance, mbpilab.sim.AliasTable, kernel.__name__\n")
+              "n = mbpilab.sim._samplers, mbpilab.sim.AliasTable, kernel.__name__\n")
     assert sorted(private_uses("cli", source)) == [
-        "cli: asymptotics._helper", "cli: laws._binomials", "cli: sim._advance"]
+        "cli: asymptotics._helper", "cli: laws._binomials", "cli: sim._samplers"]
     assert private_uses("sim", "from .sim import _x\n") == []
 
 

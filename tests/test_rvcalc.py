@@ -18,12 +18,11 @@ def test_spec_is_its_power_form():
     assert np.array_equal(const(xs), np.full(3, 2.0))
     assert np.array_equal(pert(xs), 2.0 * (1.0 + 0.5 * xs ** -0.5))
     assert pert(4.0 + 0j) == pytest.approx(2.5, abs=1e-15)
-    assert const.limit == pert.limit == 2.0
-    assert const.remainder is None
-    assert np.array_equal(pert.remainder(xs), xs ** -0.5)
+    assert const.c == pert.c == 2.0
+    assert not const.kappa and (pert.kappa, pert.exponent) == (0.5, 0.5)
     # kappa = 0 is exactly constant whatever the exponent, with no remainder
     flat = sv_perturbed(2.0, 0.0, 0.5)
-    assert flat.remainder is None and np.array_equal(flat(xs), const(xs))
+    assert not flat.kappa and np.array_equal(flat(xs), const(xs))
     ctx = RVContext(nu=0.5, delta=0.75, L=flat, ell=sv_constant(0.25))
     assert ctx.M(0.75) == ctx_const(c=2.0).M(0.75) == pytest.approx(1.0, rel=1e-15)
 
@@ -149,7 +148,7 @@ def test_L_ratio_limit_bound(gneg_pert):
 def test_K_asymptotically_constant(g025_pert_off, g025_pert_imm):
     for model in (g025_pert_off, g025_pert_imm):
         ctx = model.context()
-        target = ctx.L.limit ** (-ctx.delta / ctx.nu) * ctx.ell.limit
+        target = ctx.L.c ** (-ctx.delta / ctx.nu) * ctx.ell.c
         xs = np.logspace(2, 10, 9)
         dev = np.abs(ctx.K(xs) - target)
         assert np.all(np.diff(dev) < 0)
