@@ -275,35 +275,3 @@ def check_lemma4(model: ModelSpec, x_grid, bound: float = 2.0) -> LemmaReport:
     return LemmaReport(name="lemma4", t_grid=x_grid, values=stats, bound=bound,
                        details={"ratios": ratios})
 
-
-def lemma_csv(report: LemmaReport) -> str:
-    """Comma-separated (t, statistic) rows plus a summary comment block."""
-    lines = [
-        f"# check = {report.name}",
-        f"# bound = {report.bound:.17g}",
-        f"# sup = {report.sup:.17g}",
-        f"# verdict = {'pass' if report.ok() else 'fail'}",
-        "t,statistic",
-    ]
-    for t, v in zip(report.t_grid, report.values):
-        lines.append(f"{t:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def rate_csv(fit: RateFit) -> str:
-    """Comma-separated (t, error, predicted_envelope, ratio) plus a summary
-    comment block."""
-    lines = [
-        f"# label = {fit.label}",
-        f"# fitted_slope = {fit.fitted_slope:.17g}",
-        f"# predicted_slope = {fit.predicted_slope:.17g}",
-        f"# r_squared = {fit.r_squared:.17g}",
-        f"# verdict = {'pass' if fit.verdict else 'fail'}",
-        "t,error,predicted_envelope,ratio",
-    ]
-    env = fit.envelope if fit.envelope is not None else np.full_like(fit.errors, np.nan)
-    ratio = (fit.envelope_ratio if fit.envelope_ratio is not None
-             else np.full_like(fit.errors, np.nan))
-    for t, e, ev, ra in zip(fit.t_grid, fit.errors, env, ratio):
-        lines.append(f"{t:.17g},{e:.17g},{ev:.17g},{ra:.17g}")
-    return "\n".join(lines) + "\n"

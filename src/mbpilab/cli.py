@@ -5,6 +5,9 @@ parameters, a [task] section selecting one of validate | kernel |
 invariant | rates | lemmas | simulate | compare, and an optional [output]
 section.  Every run writes comma-separated result tables, a manifest that
 re-derives the tables bit-exactly, and a one-page summary of verdicts.
+``_table`` formats every table: ``# key = value`` lines (a ``verdict``
+line is the verdict the summary records), a column line, and rows with
+floats at ``.17g``.  The numerical modules return arrays.
 
 Every key is accepted in every task.  ``SCHEMA`` gives each key its default
 and its kind: every number must be finite; every integer but ``seed`` is a
@@ -156,6 +159,14 @@ def _t_grid(task):
                        task["points"])
 
 
+def _table(path, columns, row_format, rows, comments):
+    """Write ``path``: a ``# key = value`` line per pair of ``comments``, the
+    ``columns`` line, then each of ``rows`` filled into ``row_format``."""
+    lines = [f"# {key} = {value}" for key, value in comments]
+    lines += [columns] + [row_format.format(*row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
 class Verdicts:
     def __init__(self):
         self.lines = []
@@ -186,7 +197,12 @@ def _task_validate(model, task, out, verdicts):
 def _task_kernel(model, task, out, verdicts):
     tol, t_list, s_list = task["tol"], task["t_list"], task["s_list"]
     logp, R, err = kernel.compute_P_grid(model, s_list, t_list, method="quad")
-    (out / "kernel.csv").write_text(kernel.gf_table_csv(t_list, s_list, logp, R, err))
+    t, s = np.broadcast_arrays(np.asarray(t_list)[:, None], s_list)
+    F, P = np.where(t == 0, s, 1.0 - R), np.exp(logp)  # F(0; s) = s
+    columns = (t, s.real, s.imag, F.real, F.imag, P.real, P.imag,
+               np.full(R.shape, err))
+    _table(out / "kernel.csv", "t,s_re,s_im,F_re,F_im,P_re,P_im,err",
+           "{:.17g}," * 7 + "{:.3g}", zip(*(c.ravel() for c in columns)), ())
     if model.offspring.closed_form:
         exact = kernel.flow_on_grid(model, s_list, t_list, method="closed")
         worst = float(np.max(np.abs(R - exact) / np.maximum(np.abs(exact), 1e-300)))
@@ -201,11 +217,14 @@ def _task_invariant(model, task, out, verdicts):
     if r == "auto":
         r = suggest_radius(j_out, M, target=1e-10)
     measure = invariants.extract_measure(model, J_out=j_out, r=r, M=M)
-    (out / "measure.csv").write_text(invariants.measure_csv(measure))
-    floor = measure.series.coefficient_bound() + 1e-9
-    nonneg = bool(np.all(measure.coefficients >= -floor))
-    verdicts.record("coefficients_nonnegative", nonneg,
-                    f"min {measure.coefficients.min():.3e}")
+    m, bound = measure.coefficients, measure.series.coefficient_bound()
+    _table(out / "measure.csv", "j,m_j,bound", "{},{:.17g},{:.3g}",
+           zip(range(m.size), m, bound),
+           [("J_out", j_out), ("M", M), ("gamma", model.gamma),
+            ("kind", measure.kind), ("r", r)])
+    floor = bound + 1e-9
+    nonneg = bool(np.all(m >= -floor))
+    verdicts.record("coefficients_nonnegative", nonneg, f"min {m.min():.3e}")
     if measure.kind == "distribution" and measure.tail_estimate is not None:
         defect = measure.normalization_defect()
         verdicts.record("normalization", defect <= 1e-8,
@@ -225,7 +244,14 @@ def _task_rates(model, task, out, verdicts):
     fits, ratio = asymptotics.rate_fits(model, s, grid, slope_tol=slope_tol,
                                         rsq_min=rsq_min)
     for fit in fits:
-        (out / f"rate_{fit.label}.csv").write_text(asymptotics.rate_csv(fit))
+        _table(out / f"rate_{fit.label}.csv", "t,error,predicted_envelope,ratio",
+               "{:.17g},{:.17g},{:.17g},{:.17g}",
+               zip(fit.t_grid, fit.errors, fit.envelope, fit.envelope_ratio),
+               [("label", fit.label),
+                ("fitted_slope", f"{fit.fitted_slope:.17g}"),
+                ("predicted_slope", f"{fit.predicted_slope:.17g}"),
+                ("r_squared", f"{fit.r_squared:.17g}"),
+                ("verdict", "pass" if fit.verdict else "fail")])
         verdicts.record(fit.label, fit.verdict, f"slope {fit.fitted_slope:.3f} "
                         f"(predicted {fit.predicted_slope:.3f})")
     if ratio is not None:
@@ -236,16 +262,22 @@ def _task_rates(model, task, out, verdicts):
 def _task_lemmas(model, task, out, verdicts):
     which = task["lemmas"]
     grid = _t_grid(task)
+
+    def report(rep, ok, detail):
+        _table(out / f"{rep.name}.csv", "t,statistic", "{:.17g},{:.17g}",
+               zip(rep.t_grid, rep.values),
+               [("check", rep.name), ("bound", f"{rep.bound:.17g}"),
+                ("sup", f"{rep.sup:.17g}"), ("verdict", "pass" if ok else "fail")])
+        verdicts.record(rep.name, ok, detail)
+
     if "1" in which:
         rep = asymptotics.check_lemma1(model, (0.0, 0.3, 0.7), grid)
-        (out / "lemma1.csv").write_text(asymptotics.lemma_csv(rep))
-        verdicts.record("lemma1", rep.ok() and rep.details["decreasing"],
-                        f"final deviation {rep.sup:.3e} (tol {rep.bound:g})")
+        report(rep, rep.ok() and rep.details["decreasing"],
+               f"final deviation {rep.sup:.3e} (tol {rep.bound:g})")
     if "2" in which:
         rep = asymptotics.check_lemma2(model, task["s"], grid)
-        (out / "lemma2.csv").write_text(asymptotics.lemma_csv(rep))
-        verdicts.record("lemma2", rep.ok(),
-                        f"sup remainder/log {rep.sup:.3f} (bound {rep.bound:g})")
+        report(rep, rep.ok(),
+               f"sup remainder/log {rep.sup:.3f} (bound {rep.bound:g})")
     if "3" in which:
         spec = model.offspring.sv_spec
         if spec is None or not spec.kappa:
@@ -253,16 +285,12 @@ def _task_lemmas(model, task, out, verdicts):
                           "exactly-constant specs satisfy the statement trivially")
         else:
             rep = asymptotics.check_lemma3(spec, sigma=0.25, t_grid=grid)
-            (out / "lemma3.csv").write_text(asymptotics.lemma_csv(rep))
-            verdicts.record("lemma3", rep.ok(),
-                            f"sup deviation/remainder {rep.sup:.3f}")
+            report(rep, rep.ok(), f"sup deviation/remainder {rep.sup:.3f}")
     if "4" in which:
         if model.gamma > 0:
             xs = 1.0 - np.logspace(-6, -1, 11)[::-1]
             rep = asymptotics.check_lemma4(model, xs)
-            (out / "lemma4.csv").write_text(asymptotics.lemma_csv(rep))
-            verdicts.record("lemma4", rep.ok(),
-                            f"sup deviation/Lambda {rep.sup:.3f}")
+            report(rep, rep.ok(), f"sup deviation/Lambda {rep.sup:.3f}")
         else:
             verdicts.skip("lemma4", "needs gamma > 0")
 
@@ -277,7 +305,12 @@ def _task_simulate(model, task, out, verdicts):
     config = _sim_config(model, task)
     with telemetry.stage("simulate"):
         result = sim.estimate_pmf(config)
-    (out / "sim.csv").write_text(sim.sim_csv(result))
+    pmf, n = result.pmf, result.n
+    _table(out / "sim.csv", "j,p_hat,se,n", "{},{:.17g},{:.17g},{}",
+           zip(range(pmf.size), pmf, result.se, [n] * pmf.size),
+           [("seed", config.seed), ("config_hash", config.digest()),
+            ("rng", sim.RNG_SCHEME),
+            ("capped_fraction", f"{result.capped_fraction:.17g}")])
     verdicts.record("simulate", True,
                     f"n {result.n}, capped_fraction {result.capped_fraction:.2e}")
     if result.capped_fraction > 1e-3:
@@ -294,10 +327,8 @@ def _task_compare(model, task, out, verdicts):
                                         M=sample_count(j_out, 256),
                                         method="series", clamp=True).row((0, 0))
     rows = sim.zscore_table(result, series.values, task["min_prob"])
-    lines = ["j,p_hat,se,p_kernel,z"]
-    for j, p_hat, se, p, z in rows:
-        lines.append(f"{j},{p_hat:.17g},{se:.17g},{p:.17g},{z:.4f}")
-    (out / "compare.csv").write_text("\n".join(lines) + "\n")
+    _table(out / "compare.csv", "j,p_hat,se,p_kernel,z",
+           "{},{:.17g},{:.17g},{:.17g},{:.4f}", rows, ())
     z_max = task["z_max"]
     worst = max((abs(row[4]) for row in rows), default=0.0)
     verdicts.record("compare", worst <= z_max,
@@ -403,12 +434,17 @@ def run_config(path: str, out_dir=None, seed=None, strict: bool = False) -> int:
                 if not 0 < task["t_min"] < task["t_max"]:
                     raise ConfigError("fields 't_min' and 't_max' need "
                                       "0 < t_min < t_max")
+                out = Path(out_dir if out_dir is not None
+                           else cfg["output"]["dir"])
+                try:
+                    out.mkdir(parents=True, exist_ok=True)
+                except OSError as exc:
+                    raise ConfigError(f"cannot create output directory "
+                                      f"{str(out)!r}: {exc.strerror}") from None
         except (ConfigError, configparser.Error) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        out = Path(out_dir if out_dir is not None else cfg["output"]["dir"])
         try:
-            out.mkdir(parents=True, exist_ok=True)
             with telemetry.stage("model"):
                 model = build_model(cfg["model"])
             verdicts = Verdicts()

@@ -25,7 +25,7 @@ the normalization check takes the missing tail from the recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -74,7 +74,6 @@ class InvariantMeasure:
     kind: str                     # "distribution" | "measure"
     series: CoefficientSeries
     tail_estimate: Optional[float] = None   # sum_{j>J} m_j (distribution only)
-    meta: dict = field(default_factory=dict)
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -105,15 +104,12 @@ def extract_measure(model: ModelSpec, J_out: int = 512, r: float = 0.9,
     log_vals, err = log_limit(model, 1.0 - s_half)
     samples = complete_circle(np.exp(np.atleast_1d(log_vals)), M)
     series = coefficients_from_samples(samples, r, J_out, clamp=False,
-                                       meta={"kind": kind, "quad_error": err,
-                                             "M": M})
+                                       meta={"quad_error": err})
     tail = None
     if kind == "distribution" and model.canonical:
         exact = series_coefficients(model, "distribution", J_out)
         tail = float(1.0 - exact.sum())
-    return InvariantMeasure(kind=kind, series=series, tail_estimate=tail,
-                            meta={"J_out": J_out, "r": r, "M": M,
-                                  "gamma": model.gamma})
+    return InvariantMeasure(kind=kind, series=series, tail_estimate=tail)
 
 
 @dataclass
@@ -187,16 +183,3 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
                             max_residual=float(residuals[worst]),
                             argmax_j=worst, components=components)
 
-
-def measure_csv(measure: InvariantMeasure) -> str:
-    """Comma-separated (j, m_j, bound) rows with a comment header block."""
-    lines = []
-    info = {"kind": measure.kind}
-    info.update(measure.meta)
-    for key in sorted(info):
-        lines.append(f"# {key} = {info[key]}")
-    lines.append("j,m_j,bound")
-    bounds = measure.series.coefficient_bound()
-    for j, (v, b) in enumerate(zip(measure.coefficients, bounds)):
-        lines.append(f"{j},{v:.17g},{b:.3g}")
-    return "\n".join(lines) + "\n"

@@ -447,19 +447,3 @@ def transition_grid(model: ModelSpec, i_values, t_grid, J_out: int,
         imag_residual=joined("imag_residual"),
         meta={"quad_error": err})
 
-
-def gf_table_csv(t_list, s_list, logp, R, err: float) -> str:
-    """Comma-separated kernel table t,s_re,s_im,F_re,F_im,P_re,P_im,err from
-    :func:`compute_P_grid`'s log P and R on the grid t_list x s_list: one row
-    per (t, s), F = s at t = 0 and 1 - R after."""
-    lines = ["t,s_re,s_im,F_re,F_im,P_re,P_im,err"]
-    for a, t in enumerate(t_list):
-        for b, s in enumerate(s_list):
-            sv = complex(s)
-            fv = sv if t == 0 else complex(1.0 - R[a, b])
-            pv = complex(np.exp(logp[a, b]))
-            lines.append(
-                f"{t:.17g},{sv.real:.17g},{sv.imag:.17g},"
-                f"{fv.real:.17g},{fv.imag:.17g},{pv.real:.17g},{pv.imag:.17g},"
-                f"{err:.3g}")
-    return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ past them continues on its own stream, keyed (seed, r) with the counter at
 of stream never overlap, as they start 2**192 counter steps apart.  Since a
 Philox stream is a pure function of its key and counter, a generator whose
 state is reset reproduces any stream exactly, without building a generator
-per replicate.
+per replicate.  ``RNG_SCHEME`` states this layout in one line.
 
 ``simulate_path`` runs the scalar event loop on the chunks of any
 generator.  ``estimate_pmf`` runs the streams above in two phases, both
@@ -29,13 +29,14 @@ replicate of the group; most paths end there.  The paths that need a 17th
 draw go on in numpy lanes, each on its own stream: one step takes every
 lane through up to 32 events, guessed to be branching events and accepted
 up to the first that is not.  Its memory does not grow with the replicate
-count.
+count.  The result is arrays (the pmf and its standard errors), and
+``zscore_table`` gives the rows that compare them with kernel probabilities.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -56,6 +57,9 @@ _GROUP = max(1, _LANES * _CHUNK // (_BLOCK * _FIRST))
 _WINDOW = 32  # draws of its chunk one numpy step may take a lane through
 _ZERO_WORDS = (0, 0, 0, 0)
 _BLOCK_COUNTER = (0, 0, 0, 1)  # 2**192 steps past any replicate stream
+RNG_SCHEME = ("philox: events 1-16 from key=(seed, replicate // 256)"
+              " counter=2**192 row replicate % 256, then "
+              "key=(seed, replicate) in 64-event chunks")
 
 
 class AliasTable:
@@ -212,18 +216,14 @@ class SimResult:
 
     Capped replicates are excluded from the per-state estimates and reported
     through ``capped_fraction``; the pmf plus the capped fraction sums to 1.
+    The run is named by its :class:`SimConfig` (``digest()``) and the stream
+    layout by ``RNG_SCHEME``, which the caller holds.
     """
 
     pmf: np.ndarray
     se: np.ndarray
     n: int
     capped_count: int
-    seed: int
-    config_digest: str
-    rng_scheme: str = ("philox: events 1-16 from key=(seed, replicate // 256)"
-                       " counter=2**192 row replicate % 256, then "
-                       "key=(seed, replicate) in 64-event chunks")
-    meta: dict = field(default_factory=dict)
 
     @property
     def capped_fraction(self) -> float:
@@ -469,10 +469,7 @@ def estimate_pmf(config: SimConfig) -> SimResult:
     kept = counts.nonzero()[0]
     pmf = counts[:kept[-1] + 1 if kept.size else 1] / n
     se = np.sqrt(pmf * (1.0 - pmf) / n)
-    return SimResult(pmf=pmf, se=se, n=n, capped_count=capped,
-                     seed=config.seed, config_digest=config.digest(),
-                     meta={"initial": config.initial, "horizon": config.horizon,
-                           "state_cap": config.state_cap})
+    return SimResult(pmf=pmf, se=se, n=n, capped_count=capped)
 
 
 def zscore_table(result: SimResult, kernel_probs: np.ndarray,
@@ -497,16 +494,3 @@ def zscore_table(result: SimResult, kernel_probs: np.ndarray,
         rows.append((j, p_hat, se_hat, p, z))
     return rows
 
-
-def sim_csv(result: SimResult) -> str:
-    """Comma-separated (j, p_hat, se, n) plus a manifest comment block."""
-    lines = [
-        f"# seed = {result.seed}",
-        f"# config_hash = {result.config_digest}",
-        f"# rng = {result.rng_scheme}",
-        f"# capped_fraction = {result.capped_fraction:.17g}",
-        "j,p_hat,se,n",
-    ]
-    for j, (p, s) in enumerate(zip(result.pmf, result.se)):
-        lines.append(f"{j},{p:.17g},{s:.17g},{result.n}")
-    return "\n".join(lines) + "\n"

@@ -60,5 +60,28 @@ def g025_small():
 
 
 @pytest.fixture
+def run_task(tmp_path):
+    """``run_task(task, **keys)``: run a g025 config of ``task``, with
+    ``keys`` set in their sections, through ``cli.run_config``; returns the
+    exit code and the output directory."""
+    from mbpilab.cli import SCHEMA, run_config
+
+    def run(task, **keys):
+        out = tmp_path / "out"
+        sections = {"model": {"nu": "0.5", "delta": "0.75"},
+                    "task": {"name": task}, "output": {"dir": str(out)}}
+        for key, value in keys.items():
+            next(section for name, section in sections.items()
+                 if key in SCHEMA[name])[key] = value
+        path = tmp_path / "config.ini"
+        path.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in section.items())
+            for name, section in sections.items()))
+        return run_config(str(path)), out
+
+    return run
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240801)

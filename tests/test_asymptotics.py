@@ -6,7 +6,7 @@ import pytest
 from mbpilab import (ModelError, PreconditionError, asymptotics, check_lemma1,
                      check_lemma2, check_lemma3, check_lemma4, fit_loglog,
                      rate_fits, sv_constant, sv_perturbed)
-from mbpilab.asymptotics import rate_csv, transient_predicted_slope
+from mbpilab.asymptotics import transient_predicted_slope
 from mbpilab.laws import ModelSpec
 
 GRID = np.logspace(2, 6, 25)
@@ -216,10 +216,10 @@ def test_lemma4_requires_positive_gamma(gneg):
         check_lemma4(gneg, np.array([0.5]))
 
 
-def test_rate_csv_format(g025):
-    fit = rate_fits(g025, 0.0, np.logspace(2, 4, 7))[0][0]
-    text = rate_csv(fit)
-    lines = text.splitlines()
+def test_rate_csv_format(run_task):
+    code, out = run_task("rates", s="0", t_min="1e2", t_max="1e4", points="7")
+    assert code == 0
+    lines = (out / "rate_theorem1.csv").read_text().splitlines()
     assert lines[0].startswith("# label = theorem1")
     assert "t,error,predicted_envelope,ratio" in lines
     assert len([l for l in lines if not l.startswith("#")]) == 8

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbpilab import invariants, kernel
+from mbpilab import asymptotics, invariants, kernel
 from mbpilab.cli import (SCHEMA, Interval, Numbers, _parse, _sim_config,
                          _values, build_model, load_config, main, run_config)
 from mbpilab.cli import ConfigError
@@ -251,6 +251,43 @@ def test_lemmas_task_checks_lemma3_on_an_offspring_remainder(tmp_path):
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert re.search(r"^lemma3 .* PASS$", summary, re.M)
     assert (tmp_path / "out" / "lemma3.csv").exists()
+
+
+def test_lemma1_table_states_the_summary_verdict(tmp_path, monkeypatch):
+    # a deviation within its bound that does not decrease fails lemma 1; the
+    # table's verdict line says so, as the summary does
+    check = asymptotics.check_lemma1
+
+    def not_decreasing(*args):
+        rep = check(*args)
+        rep.details["decreasing"] = False
+        return rep
+
+    monkeypatch.setattr(asymptotics, "check_lemma1", not_decreasing)
+    out = tmp_path / "out"
+    path = write(tmp_path, _config(out, "lemmas", lemmas="1", points="7"))
+    assert run_config(path) == 1
+    assert re.search(r"^lemma1 .* FAIL$", (out / "summary.txt").read_text(), re.M)
+    head = dict(line[2:].split(" = ") for line in
+                (out / "lemma1.csv").read_text().splitlines() if line[0] == "#")
+    assert float(head["sup"]) <= float(head["bound"])
+    assert head["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("option", [False, True])
+def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, option):
+    # an existing file stands where a directory is needed: as the parent of
+    # [output] dir, or as the --out directory itself
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker if option else blocker / "sub"
+    path = write(tmp_path, _config(tmp_path / "unused" if option else out,
+                                   "validate"))
+    assert main(["run", path] + (["--out", str(out)] if option else [])) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot create output directory {str(out)!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "unused").exists()
 
 
 def test_invariant_task(tmp_path):

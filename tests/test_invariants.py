@@ -5,7 +5,6 @@ from mbpilab import (ModelError, PreconditionError, check_invariance,
                      extract_measure, log_limit, series_coefficients,
                      stable_model, transition_grid)
 from mbpilab import kernel, telemetry
-from mbpilab.invariants import measure_csv
 from mbpilab.inversion import circle_points, suggest_radius
 from mbpilab.kernel import compute_P_grid
 from mbpilab.quadrature import doubling_quadrature
@@ -291,10 +290,9 @@ def test_log_pi_consistency(gneg, gneg_pert):
         assert np.real(cplx) == pytest.approx(np.real(real), rel=1e-13)
 
 
-def test_measure_csv_format(g025):
-    measure = extract_measure(g025, J_out=8, r=0.9, M=256)
-    text = measure_csv(measure)
-    lines = text.splitlines()
+def test_measure_csv_format(run_task):
+    _, out = run_task("invariant", j_out="8", radius="0.9", samples="256")
+    lines = (out / "measure.csv").read_text().splitlines()
     assert any(line.startswith("# kind = distribution") for line in lines)
     header_idx = lines.index("j,m_j,bound")
     assert len(lines) - header_idx - 1 == 9

@@ -10,7 +10,7 @@ from mbpilab import (METHODS, ModelError, NumericsError, compute_P_grid,
                      exact_R, solve_F)
 from mbpilab import kernel, telemetry
 from mbpilab.inversion import circle_points
-from mbpilab.kernel import flow_on_grid, gf_table_csv, log_limit, transition_grid
+from mbpilab.kernel import flow_on_grid, log_limit, transition_grid
 from mbpilab.laws import offspring_from_coefficients
 
 from oracles import (direct_segment_integral, scipy_R, scipy_gf_integral,
@@ -314,15 +314,17 @@ def test_transition_rows_memory_flat(g025):
     assert peak <= 4e6
 
 
-def test_csv_formats(g025):
-    t_list, s_list = [0.0, 2.0], [0.0, 0.5]
-    logp, R, err = kernel.compute_P_grid(g025, s_list, t_list)
-    lines = gf_table_csv(t_list, s_list, logp, R, err).splitlines()
+def test_csv_formats(g025, run_task):
+    # the kernel task's table, against compute_P_grid on its quad route
+    code, out = run_task("kernel", t_list="0,2", s_list="0,0.5")
+    assert code == 0
+    _, _, err = kernel.compute_P_grid(g025, [0.0, 0.5], [0.0, 2.0], method="quad")
+    lines = (out / "kernel.csv").read_text().splitlines()
     assert lines[0] == "t,s_re,s_im,F_re,F_im,P_re,P_im,err"
     assert len(lines) == 5
     rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     assert rows[1, 3] == 0.5 and rows[1, 5] == 1.0      # t = 0: F = s, P = 1
-    logp, R, _ = compute_P_grid(g025, [0.5], [2.0])
+    logp, R, _ = compute_P_grid(g025, [0.5], [2.0], method="quad")
     assert rows[3, 3] == pytest.approx(float(np.real(1.0 - R[0, 0])), rel=1e-14)
     assert rows[3, 5] == pytest.approx(float(np.real(np.exp(logp[0, 0]))), rel=1e-12)
     assert rows[3, 7] == float(f"{err:.3g}")

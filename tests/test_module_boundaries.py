@@ -1,8 +1,10 @@
 """No module of the package reaches into another one's private names: a name
 with a leading underscore is imported and read only in the module that
-defines it."""
+defines it.  No module but ``cli`` formats a result table: the numerical
+layers return arrays, and ``cli`` writes every table."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mbpilab"
@@ -60,3 +62,35 @@ def test_no_module_reads_another_modules_private_names():
     uses = [use for path in sorted(PACKAGE.glob("*.py"))
             for use in private_uses(path.stem, path.read_text())]
     assert uses == []
+
+
+def float_formats(source):
+    """'f-string' or 'format string' for every .17g format spec in
+    ``source``: the spec of an f-string field, or a replacement field of a
+    string constant (as str.format reads it)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FormattedValue) and node.format_spec:
+            spec = "".join(str(part.value) for part in node.format_spec.values
+                           if isinstance(part, ast.Constant))
+            if ".17g" in spec:
+                found.append("f-string")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.search(r"\{[^{}]*:[^{}]*\.17g\}", node.value)):
+            found.append("format string")
+    return found
+
+
+def test_float_scan_finds_both_kinds_of_format():
+    source = ('a = f"{x:.17g},{y:.3g}"\n'
+              'b = "{},{:.17g}".format(j, v)\n'
+              'c = f"{x!r:>30.17g}" + "{0:.3g}"\n'
+              '"""A docstring may name .17g, as may {x: .17g braces."""\n')
+    assert sorted(float_formats(source)) == [
+        "f-string", "f-string", "format string"]
+
+
+def test_only_cli_formats_tables():
+    formatting = sorted(path.stem for path in PACKAGE.glob("*.py")
+                        if float_formats(path.read_text()))
+    assert formatting == ["cli"]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import threading
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from mbpilab import (AliasTable, ModelError, SimConfig, estimate_pmf,
                      simulate_path, stable_model, transition_grid)
 from mbpilab import sim, telemetry
-from mbpilab.sim import _samplers, sim_csv, zscore_table
+from mbpilab.sim import _samplers, zscore_table
 from oracles import per_replicate_pmf, replicate_rngs
 
 
@@ -94,8 +95,8 @@ def test_path_event_log_pinned(g025_small):
         "a8ea064737c004de1ef406b4abad919605c1136a0ba147932b192ddd2820eab3")
 
 
-# sha256 of sim_csv(estimate_pmf(config)) for fixed configs on g025_small,
-# taken from the scalar oracle (oracles.per_replicate_pmf: simulate_path on
+# sha256 of the sim.csv a simulate run writes for fixed configs on
+# g025_small (truncation 500), taken from the scalar oracle (oracles.per_replicate_pmf: simulate_path on
 # generators built afresh from the description of the block layout, one
 # replicate at a time), not from the lanes.  Any change of stream, chunk
 # layout, draw order or floating-point operation changes a digest.
@@ -113,11 +114,13 @@ GOLDEN_SIM = [
 
 
 @pytest.mark.parametrize("fields,digest", GOLDEN_SIM)
-def test_sim_csv_pinned(g025_small, fields, digest):
-    res = estimate_pmf(SimConfig(model=g025_small, **fields))
+def test_sim_csv_pinned(run_task, fields, digest):
+    code, out = run_task("simulate", truncation=500, **fields)
+    assert code == 0
+    text = (out / "sim.csv").read_text()
     if fields.get("state_cap"):
-        assert res.capped_count > 0
-    assert hashlib.sha256(sim_csv(res).encode()).hexdigest() == digest
+        assert float(text.split("# capped_fraction = ")[1].split()[0]) > 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_point_mass_at_initial_state(g025_small):
@@ -131,9 +134,10 @@ def test_reproducibility_bit_exact(g025_small):
     cfg = SimConfig(model=g025_small, horizon=2.0, replicates=3000, seed=123)
     r1, r2 = estimate_pmf(cfg), estimate_pmf(cfg)
     assert np.array_equal(r1.pmf, r2.pmf)
-    assert r1.config_digest == r2.config_digest
-    other = estimate_pmf(SimConfig(model=g025_small, horizon=2.0,
-                                   replicates=3000, seed=124))
+    # the digest names the run: equal configs share it, another seed not
+    other_cfg = dataclasses.replace(cfg, seed=124)
+    assert cfg.digest() == dataclasses.replace(cfg).digest() != other_cfg.digest()
+    other = estimate_pmf(other_cfg)
     assert not np.array_equal(r1.pmf[:5], other.pmf[:5])
 
 
@@ -211,11 +215,11 @@ def test_zscore_where_the_kernel_is_certain(g025_small):
     assert z == -np.inf
 
 
-def test_sim_csv_manifest(g025_small):
-    cfg = SimConfig(model=g025_small, horizon=1.0, replicates=200, seed=5)
-    res = estimate_pmf(cfg)
-    text = sim_csv(res)
-    lines = text.splitlines()
+def test_sim_csv_manifest(run_task):
+    code, out = run_task("simulate", truncation=500, horizon=1.0,
+                         replicates=200, seed=5)
+    assert code == 0
+    lines = (out / "sim.csv").read_text().splitlines()
     assert lines[0] == "# seed = 5"
     assert any(line.startswith("# config_hash = ") for line in lines)
     assert any(line.startswith("# capped_fraction = ") for line in lines)
