@@ -36,7 +36,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -125,8 +125,8 @@ def _parse(kind, text: str):
     if text == kind:  # the word that may stand in for the number
         return text
     value = float(text)
-    lo, hi, open_lo = astuple(kind if isinstance(kind, Interval)
-                              else Interval())
+    iv = kind if isinstance(kind, Interval) else Interval()
+    lo, hi, open_lo = iv.lo, iv.hi, iv.open_lo
     if not (math.isfinite(value) and value <= hi
             and (value > lo if open_lo else value >= lo)):
         ops = ((">" if open_lo else ">=", lo), ("<=", hi))

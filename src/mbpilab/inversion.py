@@ -108,13 +108,15 @@ def coefficients_from_samples(samples: np.ndarray, r: float, J_out: int,
                               meta: Optional[dict] = None) -> CoefficientSeries:
     """Invert full-circle samples (last axis; leading axes are a batch, each
     entry inverted on its own) to coefficients 0..J_out.  Reports
-    ``inversion.calls`` (one per batch entry) and ``inversion.fft_points``
-    (batch entries times M) to the run's telemetry."""
+    ``inversion.calls`` (one per batch entry), ``inversion.fft_points``
+    (batch entries times M) and ``inversion.M`` (the largest M) to the run's
+    telemetry."""
     M = samples.shape[-1]
     if M < 4 * J_out:
         raise ModelError(f"need M >= 4*J_out; got M={M}, J_out={J_out}")
     telemetry.add("inversion.calls", samples.size // M)
     telemetry.add("inversion.fft_points", samples.size)
+    telemetry.peak("inversion.M", M)
     j = np.arange(J_out + 1)
     raw = np.fft.fft(samples)[..., :J_out + 1] / M * r ** (-j.astype(float))
     maxabs = np.max(np.abs(samples), axis=-1)

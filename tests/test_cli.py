@@ -328,13 +328,14 @@ def test_invariant_quadrature_counters(tmp_path):
 def test_stats_json_inversion_totals(tmp_path):
     # a default invariant run inverts three times: the measure at samples =
     # 16384, and the invariance check's full and truncated predictions as
-    # one batch of two at M = 1024
+    # one batch of two at M = 1024; inversion.M keeps the largest
     cfg = write(tmp_path, RECURRENT.format(task="invariant", extra="",
                                            out=tmp_path / "out"))
     assert run_config(cfg) == 0
     counters = json.loads((tmp_path / "out" / "stats.json").read_text())["counters"]
     assert counters["inversion.calls"] == 3
     assert counters["inversion.fft_points"] == 16384 + 2048
+    assert counters["inversion.M"] == 16384
     terms = {key for key in counters if key.startswith("invariance.")}
     assert terms == {f"invariance.{term}" for term in (
         "prediction_aliasing", "prediction_noise", "measure_noise",
@@ -660,8 +661,9 @@ def test_stats_json_written_by_every_task(tmp_path):
 
 
 def test_stats_json_flow_counters(tmp_path):
-    # a rates run of g025 marches the flow once, one lane wide; Dormand-Prince
-    # with first-same-as-last costs one evaluation plus six per attempted step
+    # a rates run of g025 marches the flow once, one lane wide, landing on
+    # each of its 13 times; Dormand-Prince with first-same-as-last costs one
+    # evaluation plus six per attempted step
     cfg = write(tmp_path, RECURRENT.format(
         task="rates", extra="t_min = 1e2\nt_max = 1e5\npoints = 13",
         out=tmp_path / "out"))
@@ -669,6 +671,7 @@ def test_stats_json_flow_counters(tmp_path):
     counters = json.loads((tmp_path / "out" / "stats.json").read_text())["counters"]
     assert counters["flow.calls"] == 1
     assert counters["flow.steps"] >= 13
+    assert counters["flow.landings"] == 13
     assert counters["flow.rhs_evals"] == (
         counters["flow.calls"]
         + 6 * (counters["flow.steps"] + counters["flow.rejected"]))

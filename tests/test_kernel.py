@@ -7,7 +7,7 @@ import pytest
 
 import mbpilab
 from mbpilab import (METHODS, ModelError, NumericsError, compute_P_grid,
-                     exact_R, solve_F)
+                     exact_R, solve_F, stable_model)
 from mbpilab import kernel, telemetry
 from mbpilab.inversion import circle_points
 from mbpilab.kernel import flow_on_grid, log_limit, transition_grid
@@ -518,3 +518,45 @@ def test_flow_telemetry_reports_a_failed_integration():
     assert counters["flow.rejected"] > 0
     assert counters["flow.rhs_evals"] == 1 + 6 * counters["flow.rejected"]
     assert counters["flow.rhs_points"] == 3 * counters["flow.rhs_evals"]
+
+
+@pytest.mark.parametrize("name", ["g025", "gneg_pert", "g025_pert_off"])
+def test_tail_function_rhs_is_the_flow_in_w(name, request):
+    """The quad route's nu L(1/R) = nu c (1 + kappa w**(-theta/nu)) is the
+    flow nu (w/R) f(1-R) of the closed form, at w over |arg w| < nu pi/2
+    (Re R > 0) and |w| from 1 to 1e12."""
+    law = request.getfixturevalue(name).offspring
+    nu = law.nu
+    radius, angle = np.meshgrid(np.logspace(0, 12, 25),
+                                np.linspace(-0.99, 0.99, 21) * nu * np.pi / 2)
+    w = (radius * np.exp(1j * angle)).ravel()
+    R = w ** (-1.0 / nu)
+    direct = nu * (w / R) * law.gf_at_one_minus(R, mode="closed")
+    got = kernel._flow_rhs(law, "quad", nu)(w)
+    assert got.shape == w.shape
+    assert np.max(np.abs(got - direct) / np.abs(direct)) <= 1e-13
+
+
+def test_march_telemetry_is_pinned(g025):
+    """One lane of g025 over the 25-point grid: the stacked stages and the
+    tail-function right-hand side take the steps of the direct flow."""
+    with telemetry.recording() as record:
+        flow_on_grid(g025, (0.0,), GRID_2_6, method="quad", rtol=1e-12)
+    counters = record.counters
+    assert counters["flow.rhs_evals"] == 217
+    assert counters["flow.steps"] == 36 and counters["flow.rejected"] == 0
+    assert counters["flow.landings"] == GRID_2_6.size
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.1])
+@pytest.mark.parametrize("delta", [0.3, 0.9])
+def test_march_survives_R_underflow_at_small_nu(nu, delta):
+    """At nu = 0.05 R(1e16) is about 1e-294 and w/R about 5e308, past the
+    largest double, so the direct flow nu (w/R) f(1-R) overflows and its
+    steps underflow; the tail-function right-hand side forms no R and lands
+    on the closed form (at nu = 0.1 the direct flow read 3.9e-13 off it)."""
+    model = stable_model(nu=nu, c=1.0, delta=delta, d=0.25, J=200)
+    s = np.array([0.0, 0.5], dtype=complex)
+    R = flow_on_grid(model, s, [1e16], method="quad", rtol=1e-12)[0]
+    exact = exact_R(model.offspring, 1e16, s)
+    assert np.max(np.abs(R - exact) / np.abs(exact)) <= 1e-13
