@@ -15,7 +15,12 @@ f with index nu and scale c, g with index delta and scale d, whose tail
 functions are scale*(1 + kappa*x**(-index)).  Coefficients come from the
 generalized binomial expansion, truncated at order J; the residual mass is
 folded into the last coefficient and, for f, the drift into a_1, so the
-truncated law is exactly conservative and f exactly critical.
+truncated law is exactly conservative and f exactly critical.  A stable law
+builds that truncated series on the first read of its coefficients (the
+kernel, rate, lemma and invariant computations run on the closed form and
+never read it), except where the re-balance can break the sign pattern:
+with kappa > 0 and index > 1/2 the (1-s)**(SHIFT+2*index) branch has
+negative terms, so construction builds and checks the series at once.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ModelError, PreconditionError
+from .errors import ModelError, NumericsError, PreconditionError
 from .rvcalc import RVContext, SlowlyVaryingSpec, sv_constant, sv_perturbed
 
 DEFAULT_TRUNCATION = 2000
@@ -95,22 +100,50 @@ def _check_unit_disc(z):
         raise ModelError("generating functions are only evaluated for |z| <= 1")
 
 
+class _Truncated:
+    """A field of a law that a stable law fills from its truncated series.
+
+    A value given at construction is kept.  Otherwise (a stable law built
+    with its truncation order) the first read builds the series, which sets
+    both such fields, and every later read returns the kept value."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, law, owner=None):
+        if law is None:
+            return None  # the dataclass default: not given
+        if self.name not in law.__dict__:
+            law._truncate()
+        return law.__dict__[self.name]
+
+    def __set__(self, law, value):
+        if value is not None:
+            law.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class _IntensityLaw:
     """An intensity law: its coefficients, tail index (nu or delta) and tail
     spec and, for a stable family, the closed form's scale (c or d; None
-    for no closed form) and perturbation weight."""
+    for no closed form), perturbation weight and truncation order J.  A
+    stable law's ``coefficients`` and ``series_tail_bound`` are built from
+    those fields on first read (see :meth:`_truncate`)."""
 
-    coefficients: np.ndarray
+    coefficients: np.ndarray = _Truncated()
     index: Optional[float] = None
     sv_spec: Optional[SlowlyVaryingSpec] = None
     scale: Optional[float] = None
     kappa: float = 0.0
-    series_tail_bound: float = 0.0
+    series_tail_bound: float = _Truncated()
+    truncation: Optional[int] = None
 
     @property
     def truncation_order(self) -> int:
-        return self.coefficients.size - 1
+        """J; a stable law reads it from its field and builds no series."""
+        if self.truncation is None:
+            return self.coefficients.size - 1
+        return self.truncation
 
     @property
     def closed_form(self) -> bool:
@@ -157,7 +190,8 @@ class _IntensityLaw:
 
     @classmethod
     def _stable(cls, index: float, scale: float, kappa: float, J: int):
-        """The stable law of the role, truncated at J and re-balanced."""
+        """The stable law of the role, truncated at J and re-balanced (on
+        the first read of its coefficients; see the module docstring)."""
         role, idx, finite = cls.ROLE, cls.INDEX, ("mean", "variance")[cls.SHIFT]
         if not 0.0 < index < 1.0:
             raise ModelError(f"{role} tail index {idx} must lie in (0, 1); the "
@@ -169,24 +203,45 @@ class _IntensityLaw:
         J, k = int(J), cls.SHIFT
         if J < k + 1:
             raise ModelError(f"{role} truncation order must be at least {k + 1}")
-        a = cls.SIGN * scale * signed_binomials(k + index, J)
-        if kappa:
-            a = a + cls.SIGN * scale * kappa * signed_binomials(k + 2.0 * index, J)
-        s0 = math.fsum(a.tolist())
-        d_last, d_neg = -s0, 0.0
-        if k:  # f is critical too: a_J and a_1 take the mass and the drift
-            s1 = math.fsum((np.arange(J + 1) * a).tolist())
-            d_last = (s0 - s1) / (J - 1.0)
-            d_neg = -s0 - d_last
-        a[J] += d_last
-        a[k] += d_neg
+        spec = sv_perturbed(scale, kappa, index) if kappa else sv_constant(scale)
+        law = cls(index=index, sv_spec=spec, scale=scale, kappa=kappa, truncation=J)
+        if kappa and index > 0.5:
+            # Only a branch exponent SHIFT + 2*index above SHIFT + 1 has
+            # negative terms that can break the sign pattern: check it now.
+            law._truncate()
+        return law
+
+    def _truncate(self) -> None:
+        """Build and keep the stable law's truncated, re-balanced
+        coefficients and its series tail bound: the size of the mass s0 the
+        truncation cut plus those of the corrections to a_J and a_SHIFT.
+        A series that overflows raises NumericsError."""
+        k, J, index, kappa = self.SHIFT, self.truncation, self.index, self.kappa
+        sign_scale = self.SIGN * self.scale
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                a = sign_scale * signed_binomials(k + index, J)
+                if kappa:
+                    a = a + sign_scale * kappa * signed_binomials(k + 2.0 * index, J)
+                s0 = math.fsum(a.tolist())
+                d_last, d_neg = -s0, 0.0
+                if k:  # f is critical too: a_J and a_1 take the mass and the drift
+                    s1 = math.fsum((np.arange(J + 1) * a).tolist())
+                    d_last = (s0 - s1) / (J - 1.0)
+                    d_neg = -s0 - d_last
+                a[J] += d_last
+                a[k] += d_neg
+            tail = abs(s0) + abs(d_neg) + abs(d_last)
+        except (OverflowError, ValueError):  # fsum met inf - inf or overflowed
+            tail = math.inf
+        if not (math.isfinite(tail) and np.all(np.isfinite(a))):
+            raise NumericsError(f"the {self.ROLE} series truncated at J = {J} overflows "
+                                f"at {self.SCALE} = {self.scale:g}")
         if a[k] >= 0 or np.any(a[:k] <= 0) or np.any(a[k + 1:] < 0):
             raise ModelError("sign pattern broken after truncation adjustment; kappa "
                              f"is too large for the (1-s)**({k + 2.0 * index:g}) branch")
-        tail = abs(s0) + abs(d_neg) + abs(d_last)
-        spec = sv_perturbed(scale, kappa, index) if kappa else sv_constant(scale)
-        return cls(coefficients=a, index=index, sv_spec=spec, scale=scale,
-                   kappa=kappa, series_tail_bound=tail)
+        object.__setattr__(self, "coefficients", a)
+        object.__setattr__(self, "series_tail_bound", tail)
 
     @classmethod
     def _from_coefficients(cls, coefficients, index, sv_spec):
@@ -194,7 +249,8 @@ class _IntensityLaw:
         if a.size < cls.SHIFT + 2:
             raise ModelError(f"an {cls.ROLE} law needs at least coefficients "
                              f"{cls.SYMBOL}_0..{cls.SYMBOL}_{cls.SHIFT + 1}")
-        return cls(coefficients=a, index=index, sv_spec=sv_spec)
+        return cls(coefficients=a, index=index, sv_spec=sv_spec,
+                   series_tail_bound=0.0)
 
 
 class BranchingLaw(_IntensityLaw):

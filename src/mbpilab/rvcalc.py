@@ -107,6 +107,9 @@ class RVContext:
         n = float(self.L(x_t)) ** (-1.0 / self.nu)
         prev_step = np.inf
         for _ in range(200):
+            if not 0.0 < n < np.inf:  # L(x_t) ** (-1/nu) under- or overflowed
+                raise NumericsError(f"script_N left the floating-point range at "
+                                    f"t={t:g} (N = {n:g})")
             n_new = g(n)
             step = abs(n_new - n)
             if step > prev_step:          # oscillation: damp

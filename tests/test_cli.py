@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbpilab import asymptotics, invariants, kernel
+from mbpilab import asymptotics, invariants, kernel, laws
 from mbpilab.cli import (SCHEMA, Interval, Numbers, _parse, _sim_config,
                          _values, build_model, load_config, main, run_config)
 from mbpilab.cli import ConfigError
@@ -373,6 +373,62 @@ def test_overflow_exits_4(tmp_path, capsys):
         warnings.simplefilter("default", RuntimeWarning)
         assert run_config(path) == 4
     assert "numeric failure in stage 'task'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c", ["1e308", "1.7e308"])
+def test_overflowing_truncation_exits_4(run_task, capsys, c):
+    # c (1-s)**1.9 truncated at J = 2000: a_1 = -1.9 c overflows, and the
+    # sums of the re-balance meet inf - inf or overflow on the way
+    code, _ = run_task("validate", nu="0.9", c=c, delta="0.95")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "numeric failure in stage 'task'" in err and "overflows" in err
+
+
+@pytest.mark.parametrize("c", ["1e300", "1.7e308"])
+def test_lemmas_at_a_huge_scale_exits_4(run_task, capsys, c):
+    # N = L(x_t) ** (-1/nu) = c ** -2 underflows to 0, which the fixed
+    # point of script_N must not divide by; the kernel's exact_R overflows
+    # first, with warnings the CLI prints
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", RuntimeWarning)
+        code, _ = run_task("lemmas", c=c, points="7")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "numeric failure in stage 'task'" in err and "script_N" in err
+
+
+# The benchmark's four models (tests/conftest.py) at truncation 2000.
+_WORKLOAD_MODELS = {
+    "g025": {"nu": "0.5", "delta": "0.75"},
+    "gneg": {"nu": "0.75", "delta": "0.5"},
+    "gneg_pert": {"nu": "0.75", "delta": "0.5", "kappa_immigration": "1.0"},
+    "g025_pert_off": {"nu": "0.5", "delta": "0.75", "kappa_offspring": "1.0"},
+}
+
+
+@pytest.mark.parametrize("model", _WORKLOAD_MODELS)
+def test_closed_form_tasks_build_no_truncated_series(run_task, monkeypatch, model):
+    def refused(law):
+        raise AssertionError(f"the {law.ROLE} law built its truncated series")
+    monkeypatch.setattr(laws._IntensityLaw, "_truncate", refused)
+    for task in ("kernel", "rates", "lemmas", "invariant"):
+        assert run_task(task, **_WORKLOAD_MODELS[model])[0] == 0
+
+
+@pytest.mark.parametrize("model", _WORKLOAD_MODELS)
+@pytest.mark.parametrize("task", ["validate", "simulate"])
+def test_series_tasks_build_each_law_once(run_task, monkeypatch, task, model):
+    built, truncate = [], laws._IntensityLaw._truncate
+
+    def counted(law):
+        built.append(law.ROLE)
+        truncate(law)
+    monkeypatch.setattr(laws._IntensityLaw, "_truncate", counted)
+    code, _ = run_task(task, replicates="200", horizon="1.0",
+                       **_WORKLOAD_MODELS[model])
+    assert code == 0
+    assert sorted(built) == ["immigration", "offspring"]
 
 
 def test_numerics_error_names_its_stage(tmp_path, capsys, monkeypatch):

@@ -264,8 +264,33 @@ def test_stable_laws_pinned(make, args, digest):
 def test_truncation_order_and_closed_form_follow_the_fields():
     law = make_stable_immigration(0.5, 0.25, J=40)
     assert law.truncation_order == 40 and law.closed_form
+    assert "coefficients" not in vars(law)  # J is read without the series
     bare = offspring_from_coefficients([0.5, -1.0, 0.5])
     assert bare.truncation_order == 2 and not bare.closed_form
+    # coefficients stay an init keyword; the derived properties are not
+    assert type(law)(coefficients=law.coefficients).truncation_order == 40
     for derived in ("truncation_order", "closed_form"):
         with pytest.raises(TypeError):
             type(law)(coefficients=law.coefficients, **{derived: 3})
+
+
+def test_sign_safe_laws_build_on_first_read():
+    # With every branch exponent SHIFT+index and SHIFT+2*index at most
+    # SHIFT+1, each term of the expansion has the role's sign and the
+    # re-balance keeps it: such a law defers its series to the first read,
+    # which never refuses.  Above 1/2 a perturbed law is checked at once.
+    indices = (1e-3, 0.25, math.nextafter(0.5, 0.0), 0.5, 0.75, 0.999)
+    for make, shift in ((make_stable_offspring, 1), (make_stable_immigration, 0)):
+        for index in indices:
+            for kappa in (0.0, 1e-9, 1.0, 10.0, 1e6):
+                if kappa and index > 0.5:
+                    continue
+                for J in [*range(shift + 1, 41), 200, 2000]:
+                    law = make(index, 1.0, kappa, J)
+                    assert "coefficients" not in vars(law)
+                    report = validate_law(law)
+                    sign = next(c for c in report.checks if c.name == "sign_pattern")
+                    assert sign.passed, (make.__name__, index, kappa, J)
+        for J in (40, 2000):
+            with pytest.raises(ModelError, match="sign pattern"):
+                make(0.75, 1.0, 1.0, J)

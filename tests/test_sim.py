@@ -434,6 +434,9 @@ def test_memory_flat_in_replicates(g025_small, monkeypatch):
     # where it would not
     monkeypatch.setattr(sim, "_LANES", 16)
     monkeypatch.setattr(sim, "_GROUP", 1)
+    # the laws build their truncated series on first read: before either peak
+    for law in (g025_small.offspring, g025_small.immigration):
+        assert law.coefficients.size == 501
 
     def peak(replicates):
         config = SimConfig(model=g025_small, horizon=0.1,
