@@ -52,7 +52,6 @@ class RateFit:
     t_grid: np.ndarray
     errors: np.ndarray
     fitted_slope: float
-    fitted_intercept: float
     r_squared: float
     predicted_slope: float
     slope_tol: float
@@ -73,13 +72,13 @@ class RateFit:
 
 
 def fit_loglog(t, err, predicted_slope, slope_tol=0.1, rsq_min=0.99,
-               window_decades=2.0, floor=0.0, label="") -> RateFit:
-    """Fit ln(err) = a*ln(t) + b over the top ``window_decades`` of the grid,
+               floor=0.0, label="") -> RateFit:
+    """Fit ln(err) = a*ln(t) + b over the top two decades of the grid,
     excluding points at or below the numeric ``floor`` (tolerance
     contamination guard)."""
     t = np.asarray(t, dtype=float)
     err = np.asarray(err, dtype=float)
-    window = (t >= t.max() / 10.0 ** window_decades) & (err > floor)
+    window = (t >= t.max() / 100.0) & (err > floor)
     if np.count_nonzero(window) < 3:
         raise ModelError("fewer than 3 usable points in the fit window")
     x = np.log(t[window])
@@ -89,17 +88,16 @@ def fit_loglog(t, err, predicted_slope, slope_tol=0.1, rsq_min=0.99,
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
     return RateFit(t_grid=t, errors=err, fitted_slope=float(slope),
-                   fitted_intercept=float(intercept), r_squared=r2,
-                   predicted_slope=predicted_slope, slope_tol=slope_tol,
-                   rsq_min=rsq_min, window=window, label=label)
+                   r_squared=r2, predicted_slope=predicted_slope,
+                   slope_tol=slope_tol, rsq_min=rsq_min, window=window,
+                   label=label)
 
 
 def transient_predicted_slope(model: ModelSpec) -> float:
     """-mu/nu when a tail function carries a genuine remainder (kappa != 0);
     -delta/nu for exactly constant tail functions (the envelope integrand
     vanishes identically and the compensation term dominates)."""
-    ctx = model.context()
-    if not ctx.L.kappa and not ctx.ell.kappa:
+    if not model.offspring.sv_spec.kappa and not model.immigration.sv_spec.kappa:
         return -model.delta / model.nu
     return -model.mu / model.nu
 
@@ -134,10 +132,12 @@ def rate_fits(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
     batch = (s,) if recurrent else UNIFORM_S + ((s,) if s not in UNIFORM_S else ())
     R = flow_on_grid(model, batch, t_grid, method="quad", rtol=1e-12)
     log_mF = np.real(log_limit(model, R.ravel())[0]).reshape(R.shape)
-    T = 0.0 if recurrent else np.array([ctx.big_T(float(t)) for t in t_grid])[:, None]
+    tau = np.array([ctx.tau(float(t)) for t in t_grid])
+    # T = tau**|gamma| as RVContext.big_T takes it, on Python floats (a numpy
+    # power can differ in the last bit), so script_N runs once per t
+    T = 0.0 if recurrent else np.array([x ** abs(ctx.gamma) for x in tau.tolist()])[:, None]
     log_rel = T - log_mF
     errors = np.abs(np.expm1(log_rel))
-    tau = np.array([ctx.tau(float(t)) for t in t_grid])
     if recurrent:
         slope = -model.gamma / model.nu
         envelope = (1.0 / model.gamma) / ctx.lam_shift(t_grid, s) ** -slope * ctx.K(tau)
@@ -206,10 +206,10 @@ def check_lemma1(model: ModelSpec, s_grid, t_grid) -> LemmaReport:
     return report
 
 
-def check_lemma2(model: ModelSpec, s: float, t_grid, bound: float = 2.0) -> LemmaReport:
+def check_lemma2(model: ModelSpec, s: float, t_grid) -> LemmaReport:
     """Remainder of 1/Lambda(R(t;s)) - 1/Lambda(1-s) = nu*t + O(log nu(t;s)).
 
-    Reports remainder(t)/log(nu(t;s)), which must stay bounded.
+    Reports remainder(t)/log(nu(t;s)), which must stay at most 2.
     """
     if not 0.0 <= s < 1.0:
         raise ModelError(f"lemma-2 check expects s in [0, 1), got s = {s:g}")
@@ -220,12 +220,11 @@ def check_lemma2(model: ModelSpec, s: float, t_grid, bound: float = 2.0) -> Lemm
     remainders = np.abs(1.0 / ctx.Lambda(R) - lam0 - ctx.nu * t_grid)
     lognu = np.log(ctx.nu_shift(t_grid, s))
     stats = np.where(lognu > 0, remainders / np.where(lognu > 0, lognu, 1.0), 0.0)
-    return LemmaReport(name="lemma2", t_grid=t_grid, values=stats, bound=bound,
+    return LemmaReport(name="lemma2", t_grid=t_grid, values=stats, bound=2.0,
                        details={"remainders": remainders, "s": s})
 
 
-def check_lemma3(spec: SlowlyVaryingSpec, sigma: float, t_grid,
-                 bound: float = 2.0) -> LemmaReport:
+def check_lemma3(spec: SlowlyVaryingSpec, sigma: float, t_grid) -> LemmaReport:
     """Tail-integral asymptotic for a slowly varying L with remainder
     rho(t) = t**(-exponent):
 
@@ -235,7 +234,7 @@ def check_lemma3(spec: SlowlyVaryingSpec, sigma: float, t_grid,
     The substitution q = (t/y)^sigma maps the integral exactly onto
     (1/sigma) t^{-sigma} integral_0^1 L(t q^{-1/sigma}) dq, so the reported
     statistic is |mean_q L(t q^{-1/sigma}) / L(t) - 1| / rho(t), with the
-    means over the grid taken in one batched quadrature.
+    means over the grid taken in one batched quadrature.  Its bound is 2.
     """
     if not sigma > 0:
         raise ModelError("lemma-3 check needs sigma > 0")
@@ -250,17 +249,17 @@ def check_lemma3(spec: SlowlyVaryingSpec, sigma: float, t_grid,
     means, _ = doubling_quadrature(fun, 0.0, 1.0)
     ratios = means / np.asarray(spec(t_grid), dtype=float)
     stats = np.abs(ratios - 1.0) / t_grid ** (-spec.exponent)
-    return LemmaReport(name="lemma3", t_grid=t_grid, values=stats, bound=bound,
+    return LemmaReport(name="lemma3", t_grid=t_grid, values=stats, bound=2.0,
                        details={"ratios": ratios, "sigma": sigma})
 
 
-def check_lemma4(model: ModelSpec, x_grid, bound: float = 2.0) -> LemmaReport:
+def check_lemma4(model: ModelSpec, x_grid) -> LemmaReport:
     """Near-1 behavior of the tail integral in the recurrent regime:
 
         integral_x^1 g/f du = (1/gamma) g(x)/Lambda(1-x) (1 + O(Lambda(1-x))).
 
-    Reports |ratio - 1| / Lambda(1-x) over the x grid, with the integrals
-    taken in one batched quadrature.
+    Reports |ratio - 1| / Lambda(1-x) over the x grid, bounded by 2, with
+    the integrals taken in one batched quadrature.
     """
     if not model.gamma > 0:
         raise PreconditionError("lemma-4 check needs gamma > 0")
@@ -272,6 +271,6 @@ def check_lemma4(model: ModelSpec, x_grid, bound: float = 2.0) -> LemmaReport:
     lam = ctx.Lambda(w)
     ratios = np.real(lhs) / (g_val / (model.gamma * lam))
     stats = np.abs(ratios - 1.0) / lam
-    return LemmaReport(name="lemma4", t_grid=x_grid, values=stats, bound=bound,
+    return LemmaReport(name="lemma4", t_grid=x_grid, values=stats, bound=2.0,
                        details={"ratios": ratios})
 

@@ -215,7 +215,7 @@ def _task_kernel(model, task, out, verdicts):
 def _task_invariant(model, task, out, verdicts):
     j_out, M, r = task["j_out"], task["samples"], task["radius"]
     if r == "auto":
-        r = suggest_radius(j_out, M, target=1e-10)
+        r = suggest_radius(j_out, M)
     measure = invariants.extract_measure(model, J_out=j_out, r=r, M=M)
     m, bound = measure.coefficients, measure.series.coefficient_bound()
     _table(out / "measure.csv", "j,m_j,bound", "{},{:.17g},{:.3g}",

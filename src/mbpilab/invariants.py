@@ -98,13 +98,14 @@ def extract_measure(model: ModelSpec, J_out: int = 512, r: float = 0.9,
     Coefficients are reported raw (no clamping); negative entries within the
     reported noise floor are extraction noise, not signal.  For heavy-tail
     accuracy at large j prefer a radius from ``inversion.suggest_radius``.
+    The error of log m on the circle is not kept here; :func:`check_invariance`
+    reports :func:`log_limit`'s estimate as ``quad_error``.
     """
     kind = "distribution" if model.gamma > 0 else "measure"
     s_half = circle_points(r, M, half=True)
-    log_vals, err = log_limit(model, 1.0 - s_half)
+    log_vals, _ = log_limit(model, 1.0 - s_half)
     samples = complete_circle(np.exp(np.atleast_1d(log_vals)), M)
-    series = coefficients_from_samples(samples, r, J_out, clamp=False,
-                                       meta={"quad_error": err})
+    series = coefficients_from_samples(samples, r, J_out)
     tail = None
     if kind == "distribution" and model.canonical:
         exact = series_coefficients(model, "distribution", J_out)
@@ -128,10 +129,11 @@ class InvarianceReport:
         return self.max_residual <= tol
 
 
-def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
-                     j_max: Optional[int] = None) -> InvarianceReport:
+def check_invariance(measure: InvariantMeasure, model: ModelSpec,
+                     tau: float) -> InvarianceReport:
     """Apply the transition semigroup at lag tau to the measure coefficients
-    and report |sum_i m_i p_ij(tau) - m_j| for j <= j_max (default I/2).
+    and report |sum_i m_i p_ij(tau) - m_j| for j <= I // 2, I the measure's
+    last index.
 
     By the branching property the sum has the generating function
     P(tau; s) * m(F(tau; s)), where m is the limit generating function
@@ -154,9 +156,7 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec, tau: float,
     inversions and the i-truncation, not the kernel's log P.
     """
     m = measure.coefficients
-    I = m.size - 1
-    if j_max is None:
-        j_max = I // 2
+    j_max = (m.size - 1) // 2
     r, M = 0.9, sample_count(j_max, 1024)
     s_half = circle_points(r, M, half=True)
     logp, R, err = compute_P_grid(model, s_half, [tau])

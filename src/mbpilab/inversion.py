@@ -14,8 +14,7 @@ bound for callers that need many coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,7 +68,6 @@ class CoefficientSeries:
     noise_scale: float            # NOISE_FACTOR * eps * max|G| / sqrt(M)
     clamp_magnitude: float = 0.0  # largest negative entry removed by clamping
     imag_residual: float = 0.0    # max |Im| discarded when taking real parts
-    meta: dict = field(default_factory=dict)
 
     def row(self, index) -> "CoefficientSeries":
         """The series of one entry (or sub-batch) of a batched extraction;
@@ -78,20 +76,18 @@ class CoefficientSeries:
                        aliasing_bound=self.aliasing_bound[index],
                        noise_scale=self.noise_scale[index],
                        clamp_magnitude=self.clamp_magnitude[index],
-                       imag_residual=self.imag_residual[index],
-                       meta=dict(self.meta))
+                       imag_residual=self.imag_residual[index])
 
-    def noise_floor(self, j=None) -> np.ndarray:
+    def noise_floor(self) -> np.ndarray:
         """Roundoff amplification bound per coefficient index."""
-        idx = np.arange(self.values.shape[-1]) if j is None else np.asarray(j)
+        idx = np.arange(self.values.shape[-1])
         return np.multiply.outer(self.noise_scale, self.radius ** (-idx.astype(float)))
 
-    def coefficient_bound(self, j=None) -> np.ndarray:
+    def coefficient_bound(self) -> np.ndarray:
         """Total per-coefficient error bound: aliasing, the roundoff floor
         and the rounding of the coefficient itself (eps * |m_j|)."""
-        idx = slice(None) if j is None else np.asarray(j)
-        return (self.noise_floor(j) + np.expand_dims(self.aliasing_bound, -1)
-                + np.finfo(float).eps * np.abs(self.values[..., idx]))
+        return (self.noise_floor() + np.expand_dims(self.aliasing_bound, -1)
+                + np.finfo(float).eps * np.abs(self.values))
 
     def validity_index(self, target: float) -> int:
         """Largest index whose error bound stays below ``target`` (-1: none)."""
@@ -104,8 +100,7 @@ class CoefficientSeries:
 
 
 def coefficients_from_samples(samples: np.ndarray, r: float, J_out: int,
-                              clamp: bool = False,
-                              meta: Optional[dict] = None) -> CoefficientSeries:
+                              clamp: bool = False) -> CoefficientSeries:
     """Invert full-circle samples (last axis; leading axes are a batch, each
     entry inverted on its own) to coefficients 0..J_out.  Reports
     ``inversion.calls`` (one per batch entry), ``inversion.fft_points``
@@ -130,16 +125,17 @@ def coefficients_from_samples(samples: np.ndarray, r: float, J_out: int,
         vals = np.maximum(vals, 0.0)
     return CoefficientSeries(values=vals, radius=r, aliasing_bound=aliasing,
                              noise_scale=noise, clamp_magnitude=clamp_mag[()],
-                             imag_residual=imag_residual, meta=dict(meta or {}))
+                             imag_residual=imag_residual)
 
 
-def suggest_radius(J_out: int, M: int, target: float = 1e-10) -> float:
-    """Radius whose roundoff floor at index J_out stays below ``target``.
+def suggest_radius(J_out: int, M: int) -> float:
+    """Radius whose roundoff floor at index J_out stays below 1e-10.
 
     Assumes samples of magnitude ~1.  Raises when no radius in
     (0.5, 0.995] satisfies both the noise and aliasing requirements with
     the given M.
     """
+    target = 1e-10
     noise = NOISE_FACTOR * np.finfo(float).eps / np.sqrt(M)
     if J_out <= 0:
         return 0.9
@@ -148,7 +144,7 @@ def suggest_radius(J_out: int, M: int, target: float = 1e-10) -> float:
     if r > 0.995:
         raise ModelError(
             f"no radius supports {J_out + 1} coefficients at target {target:g} "
-            f"in double precision with M={M}; reduce J_out or target")
+            f"in double precision with M={M}; reduce J_out")
     if r ** M / (1.0 - r) > target:
         raise ModelError(f"M={M} too small: aliasing exceeds target at r={r:.4f}")
     return r

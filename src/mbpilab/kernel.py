@@ -155,7 +155,9 @@ def exact_R(law: BranchingLaw, t: float, s) -> np.ndarray:
 
     Plain stable: R = ((1-s)**(-nu) + c*nu*t)**(-1/nu).  Perturbed stable:
     with w = R**(-nu), the flow conserves  w - kappa*log(w + kappa) - c*nu*t,
-    solved for w by Newton from the plain-stable start.
+    solved for w by Newton from the plain-stable start.  R = w**(-1/nu) is
+    the complex power wherever that is finite; where the power overflows
+    inside (R underflows) it comes from log|w| and arg w, 0 at |w| = inf.
     """
     if not law.closed_form:
         raise ModelError("exact_R needs a stable-family law")
@@ -163,20 +165,24 @@ def exact_R(law: BranchingLaw, t: float, s) -> np.ndarray:
     at_one = w0 == 0
     w0 = np.where(at_one, 1.0, w0)
     nu, c, kappa = law.nu, law.scale, law.kappa
-    w_init = w0 ** (-nu) + c * nu * t
-    if not kappa:
-        return np.where(at_one, 0.0, w_init ** (-1.0 / nu))
-    target = w0 ** (-nu) - kappa * np.log(w0 ** (-nu) + kappa) + c * nu * t
-    w = w_init
-    for _ in range(100):
-        h = w - kappa * np.log(w + kappa) - target
-        step = h * (w + kappa) / w
-        w = w - step
-        if np.max(np.abs(step) / np.abs(w)) < 1e-14:
-            break
-    else:
-        raise NumericsError("implicit closed form for the perturbed flow stalled")
-    return np.where(at_one, 0.0, w ** (-1.0 / nu))
+    w = w0 ** (-nu) + c * nu * t
+    if kappa:
+        target = w0 ** (-nu) - kappa * np.log(w0 ** (-nu) + kappa) + c * nu * t
+        for _ in range(100):
+            h = w - kappa * np.log(w + kappa) - target
+            step = h * (w + kappa) / w
+            w = w - step
+            if np.max(np.abs(step) / np.abs(w)) < 1e-14:
+                break
+        else:
+            raise NumericsError("implicit closed form for the perturbed flow stalled")
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = w ** (-1.0 / nu)
+    lost = ~np.isfinite(R)
+    if np.any(lost):
+        log_w = np.log(w[lost])
+        R[lost] = np.exp(-log_w.real / nu) * np.exp(-1j * log_w.imag / nu)
+    return np.where(at_one, 0.0, R)
 
 
 def solve_F(model, t: float, s, rtol: float = 1e-10,
@@ -445,15 +451,13 @@ def transition_grid(model: ModelSpec, i_values, t_grid, J_out: int,
     row is the circle inversion of P_i = F**i P, taken in log space.  The
     rows are inverted in blocks of ``_BLOCK_SAMPLES`` samples (one row at
     least), so memory does not grow with the number of rows.
-    ``meta["quad_error"]`` is the error estimate of log P on the circle
-    (quadrature plus flow), shared by all rows.
     """
     i_arr = np.atleast_1d(np.asarray(i_values))
     t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(i_arr < 0) or np.any(i_arr != np.floor(i_arr)):
         raise ModelError("initial state i must be a nonnegative integer")
     s_half = circle_points(r, M, half=True)
-    logp, R, err = compute_P_grid(model, s_half, t_arr, method=method)
+    logp, R, _ = compute_P_grid(model, s_half, t_arr, method=method)
     F = np.where((t_arr == 0)[:, None], s_half, 1.0 - R)
     i_col = i_arr.astype(int)[:, None]
     block = max(1, _BLOCK_SAMPLES // M)
@@ -471,6 +475,5 @@ def transition_grid(model: ModelSpec, i_values, t_grid, J_out: int,
     return CoefficientSeries(
         values=joined("values"), radius=r, aliasing_bound=joined("aliasing_bound"),
         noise_scale=joined("noise_scale"), clamp_magnitude=joined("clamp_magnitude"),
-        imag_residual=joined("imag_residual"),
-        meta={"quad_error": err})
+        imag_residual=joined("imag_residual"))
 

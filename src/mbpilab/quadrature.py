@@ -145,7 +145,7 @@ def _composite(fun, a, b, n_panels):
     return sums
 
 
-def doubling_quadrature(fun, a, b, rtol=1e-10, n0=1, max_doublings=13):
+def doubling_quadrature(fun, a, b, rtol=1e-10, n0=1):
     """Composite K15 integration on n0, 2 n0, ... equal panels.  Memory is
     O(batch).
 
@@ -158,13 +158,13 @@ def doubling_quadrature(fun, a, b, rtol=1e-10, n0=1, max_doublings=13):
     50 eps resabs (resabs the K15 sum of |f|); the error returned is the
     largest floored estimate.  So an integrand that cancels past
     resabs / |value| ~ rtol / (50 eps) fails every level.  Raises
-    :class:`NumericsError` when neither test passes within
-    ``max_doublings`` doublings (by default up to 8192 panels).
+    :class:`NumericsError` when neither test passes within 13 doublings (up
+    to 8192 n0 panels).
     """
     if not b > a:
         raise ValueError("integration interval must have b > a")
     n, prev, panels = n0, None, 0
-    for level in range(1, max_doublings + 2):
+    for level in range(1, 15):
         cur, est, resabs = _composite(fun, a, b, n)
         panels += n
         tol = 1e-300 + rtol * np.maximum(np.abs(cur), 1e-300)

@@ -353,7 +353,7 @@ def test_stats_json_invariance_terms(tmp_path, text, kind):
     counters = json.loads((tmp_path / "out" / "stats.json").read_text())["counters"]
     model = build_model(load_config(cfg)["model"])
     measure = invariants.extract_measure(
-        model, J_out=64, r=suggest_radius(64, 1024, target=1e-10), M=1024)
+        model, J_out=64, r=suggest_radius(64, 1024), M=1024)
     assert measure.kind == kind
     report = invariants.check_invariance(measure, model, 1.0)
     assert {f"invariance.{term}": value
@@ -363,15 +363,14 @@ def test_stats_json_invariance_terms(tmp_path, text, kind):
 
 
 def test_overflow_exits_4(tmp_path, capsys):
-    # script_N takes (nu t) ** (1 / nu) as a Python float, which overflows
-    # after numpy's overflow warnings, printed as the CLI prints them: at
-    # nu = 0.04 and the largest admitted time, (nu t) ** 25 ~ 1e365
+    # script_N takes (nu t) ** (1 / nu) as a Python float, which overflows:
+    # at nu = 0.04 and the largest admitted time, (nu t) ** 25 ~ 1e365.  The
+    # kernel's exact_R before it gives R = 0 where R underflows, with no
+    # RuntimeWarning
     out = tmp_path / "out"
     path = write(tmp_path, _config(out, "lemmas", nu="0.04", delta="0.29",
                                    t_max="1e16", points="7"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("default", RuntimeWarning)
-        assert run_config(path) == 4
+    assert run_config(path) == 4
     assert "numeric failure in stage 'task'" in capsys.readouterr().err
 
 
@@ -388,11 +387,9 @@ def test_overflowing_truncation_exits_4(run_task, capsys, c):
 @pytest.mark.parametrize("c", ["1e300", "1.7e308"])
 def test_lemmas_at_a_huge_scale_exits_4(run_task, capsys, c):
     # N = L(x_t) ** (-1/nu) = c ** -2 underflows to 0, which the fixed
-    # point of script_N must not divide by; the kernel's exact_R overflows
-    # first, with warnings the CLI prints
-    with warnings.catch_warnings():
-        warnings.simplefilter("default", RuntimeWarning)
-        code, _ = run_task("lemmas", c=c, points="7")
+    # point of script_N must not divide by; the kernel's exact_R before it
+    # gives R = 0 where R underflows, with no RuntimeWarning
+    code, _ = run_task("lemmas", c=c, points="7")
     assert code == 4
     err = capsys.readouterr().err
     assert "numeric failure in stage 'task'" in err and "script_N" in err

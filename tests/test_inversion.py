@@ -141,7 +141,7 @@ def test_round_trip_within_coefficient_bound(coef, r, log2_M):
 
 def test_suggest_radius_supports_target(g025):
     from mbpilab import extract_measure, series_coefficients
-    r = suggest_radius(512, 2 ** 14, target=1e-10)
+    r = suggest_radius(512, 2 ** 14)
     assert 0.9 < r < 0.995
     exact = series_coefficients(g025, "distribution", 512)
     measure = extract_measure(g025, J_out=512, r=r, M=2 ** 14)
@@ -150,7 +150,7 @@ def test_suggest_radius_supports_target(g025):
 
 def test_suggest_radius_rejects_impossible():
     with pytest.raises(ModelError):
-        suggest_radius(20000, 2 ** 16, target=1e-12)
+        suggest_radius(20000, 2 ** 16)   # r ~ 0.9992 > 0.995
 
 
 def test_sample_count_smallest_power_of_two():

@@ -11,7 +11,7 @@ from mbpilab import (METHODS, ModelError, NumericsError, compute_P_grid,
 from mbpilab import kernel, telemetry
 from mbpilab.inversion import circle_points
 from mbpilab.kernel import flow_on_grid, log_limit, transition_grid
-from mbpilab.laws import offspring_from_coefficients
+from mbpilab.laws import make_stable_offspring, offspring_from_coefficients
 
 from oracles import (direct_segment_integral, scipy_R, scipy_gf_integral,
                      time_route_P)
@@ -59,6 +59,15 @@ def test_perturbed_implicit_matches_ode(g025_pert_off):
             implicit = exact_R(law, t, s)
             ode = solve_F(g025_pert_off, t, s, method="quad")
             assert abs(implicit - ode) / abs(implicit) < 1e-8
+
+
+@pytest.mark.parametrize("c, kappa", [(1e300, 0.0), (1.7e308, 0.0), (1e300, 1.0)])
+def test_exact_R_is_zero_where_R_underflows(c, kappa):
+    # w = R**(-nu) reaches 5e301 at t = 100, or inf where the Python product
+    # c nu t overflows; R = w**-2 underflows, and the complex power gave nan
+    # with RuntimeWarnings, which the suite's filter turns into errors
+    R = exact_R(make_stable_offspring(0.5, c, kappa), 100.0, [0, 0.3])
+    assert np.array_equal(R, [0.0, 0.0])
 
 
 def test_complex_circle_batch(g025):

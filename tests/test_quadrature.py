@@ -9,7 +9,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mbpilab import asymptotics, kernel, telemetry
+from mbpilab import asymptotics, kernel, quadrature, telemetry
 from mbpilab.cli import run_config
 from mbpilab.errors import NumericsError
 from mbpilab.quadrature import (adaptive_quadrature, doubling_quadrature,
@@ -107,7 +107,7 @@ def test_panel_cap_raises():
     with pytest.raises(NumericsError):
         adaptive_quadrature(nasty, 0.0, 1.0, rtol=1e-13, max_panels=16)
     with pytest.raises(NumericsError):
-        doubling_quadrature(nasty, 0.0, 1.0, rtol=1e-13, max_doublings=2)
+        doubling_quadrature(nasty, 0.0, 1.0, rtol=1e-13)   # 16383 panels
 
 
 def test_interval_validation():
@@ -174,10 +174,11 @@ def test_doubling_error_covers_closed_form(case):
     assert np.all(np.abs(val - exact) <= np.maximum(err, 8 * eps * np.abs(exact)))
 
 
-def test_doubling_without_doublings_raises_numerics_error():
-    fun, a, b, _ = PEAK
-    with pytest.raises(NumericsError, match="8 panels"):
-        doubling_quadrature(fun, a, b, rtol=1e-10, n0=8, max_doublings=0)
+def test_stalled_doubling_raises_numerics_error():
+    # sin(2 pi x) integrates to 0 on [0, 1], so every level's roundoff floor
+    # 50 eps resabs exceeds rtol |value|: all 14 levels fail
+    with pytest.raises(NumericsError, match="8192 panels"):
+        doubling_quadrature(lambda x: np.sin(2 * np.pi * x), 0.0, 1.0)
 
 
 def test_quadrature_reports_once_per_call():
@@ -284,7 +285,7 @@ def test_workload_integrals_within_error_of_64_panels(tmp_path, monkeypatch,
 
     def checked(fun, a, b):
         val, err = doubling_quadrature(fun, a, b)
-        ref, _ = doubling_quadrature(fun, a, b, n0=64, max_doublings=0)
+        ref = quadrature._composite(fun, a, b, 64)[0]
         seen.append((float(np.max(np.abs(val - ref))), err))
         return val, err
 
