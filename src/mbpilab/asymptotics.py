@@ -169,7 +169,7 @@ class LemmaReport:
     """Grid diagnostics for one auxiliary asymptotic statement."""
 
     name: str
-    t_grid: np.ndarray
+    grid: np.ndarray              # the points the statistic is indexed by
     values: np.ndarray            # the normalized statistic per grid point
     bound: float                  # declared admissible bound
     details: dict = field(default_factory=dict)
@@ -187,7 +187,7 @@ def check_lemma1(model: ModelSpec, s_grid, t_grid) -> LemmaReport:
 
     The representation is asymptotic: the relative deviation must decay
     toward 0 along the time grid for every s, reaching 1e-3 at the last
-    point.
+    point.  The statistic is that last deviation per s, over the s grid.
     """
     ctx = model.context()
     t_grid = np.asarray(t_grid, dtype=float)
@@ -199,11 +199,8 @@ def check_lemma1(model: ModelSpec, s_grid, t_grid) -> LemmaReport:
            * (1.0 + Ms[:, None] / t_grid) ** (1.0 / ctx.nu))
     dev = np.abs(R * rhs - 1.0)
     decreasing = bool(np.all(np.diff(dev, axis=1) <= 1e-12 + dev[:, :-1] * 1e-6))
-    report = LemmaReport(name="lemma1", t_grid=t_grid, values=dev[:, -1],
-                         bound=1e-3,
-                         details={"deviation": dev, "decreasing": decreasing,
-                                  "s_grid": s_grid})
-    return report
+    return LemmaReport(name="lemma1", grid=s_grid, values=dev[:, -1], bound=1e-3,
+                       details={"deviation": dev, "decreasing": decreasing})
 
 
 def check_lemma2(model: ModelSpec, s: float, t_grid) -> LemmaReport:
@@ -220,7 +217,7 @@ def check_lemma2(model: ModelSpec, s: float, t_grid) -> LemmaReport:
     remainders = np.abs(1.0 / ctx.Lambda(R) - lam0 - ctx.nu * t_grid)
     lognu = np.log(ctx.nu_shift(t_grid, s))
     stats = np.where(lognu > 0, remainders / np.where(lognu > 0, lognu, 1.0), 0.0)
-    return LemmaReport(name="lemma2", t_grid=t_grid, values=stats, bound=2.0,
+    return LemmaReport(name="lemma2", grid=t_grid, values=stats, bound=2.0,
                        details={"remainders": remainders, "s": s})
 
 
@@ -249,7 +246,7 @@ def check_lemma3(spec: SlowlyVaryingSpec, sigma: float, t_grid) -> LemmaReport:
     means, _ = doubling_quadrature(fun, 0.0, 1.0)
     ratios = means / np.asarray(spec(t_grid), dtype=float)
     stats = np.abs(ratios - 1.0) / t_grid ** (-spec.exponent)
-    return LemmaReport(name="lemma3", t_grid=t_grid, values=stats, bound=2.0,
+    return LemmaReport(name="lemma3", grid=t_grid, values=stats, bound=2.0,
                        details={"ratios": ratios, "sigma": sigma})
 
 
@@ -271,6 +268,6 @@ def check_lemma4(model: ModelSpec, x_grid) -> LemmaReport:
     lam = ctx.Lambda(w)
     ratios = np.real(lhs) / (g_val / (model.gamma * lam))
     stats = np.abs(ratios - 1.0) / lam
-    return LemmaReport(name="lemma4", t_grid=x_grid, values=stats, bound=2.0,
+    return LemmaReport(name="lemma4", grid=x_grid, values=stats, bound=2.0,
                        details={"ratios": ratios})
 

@@ -263,20 +263,20 @@ def _task_lemmas(model, task, out, verdicts):
     which = task["lemmas"]
     grid = _t_grid(task)
 
-    def report(rep, ok, detail):
-        _table(out / f"{rep.name}.csv", "t,statistic", "{:.17g},{:.17g}",
-               zip(rep.t_grid, rep.values),
+    def report(rep, variable, ok, detail):
+        _table(out / f"{rep.name}.csv", f"{variable},statistic", "{:.17g},{:.17g}",
+               zip(rep.grid, rep.values),
                [("check", rep.name), ("bound", f"{rep.bound:.17g}"),
                 ("sup", f"{rep.sup:.17g}"), ("verdict", "pass" if ok else "fail")])
         verdicts.record(rep.name, ok, detail)
 
     if "1" in which:
         rep = asymptotics.check_lemma1(model, (0.0, 0.3, 0.7), grid)
-        report(rep, rep.ok() and rep.details["decreasing"],
+        report(rep, "s", rep.ok() and rep.details["decreasing"],
                f"final deviation {rep.sup:.3e} (tol {rep.bound:g})")
     if "2" in which:
         rep = asymptotics.check_lemma2(model, task["s"], grid)
-        report(rep, rep.ok(),
+        report(rep, "t", rep.ok(),
                f"sup remainder/log {rep.sup:.3f} (bound {rep.bound:g})")
     if "3" in which:
         spec = model.offspring.sv_spec
@@ -285,12 +285,12 @@ def _task_lemmas(model, task, out, verdicts):
                           "exactly-constant specs satisfy the statement trivially")
         else:
             rep = asymptotics.check_lemma3(spec, sigma=0.25, t_grid=grid)
-            report(rep, rep.ok(), f"sup deviation/remainder {rep.sup:.3f}")
+            report(rep, "t", rep.ok(), f"sup deviation/remainder {rep.sup:.3f}")
     if "4" in which:
         if model.gamma > 0:
             xs = 1.0 - np.logspace(-6, -1, 11)[::-1]
             rep = asymptotics.check_lemma4(model, xs)
-            report(rep, rep.ok(), f"sup deviation/Lambda {rep.sup:.3f}")
+            report(rep, "x", rep.ok(), f"sup deviation/Lambda {rep.sup:.3f}")
         else:
             verdicts.skip("lemma4", "needs gamma > 0")
 

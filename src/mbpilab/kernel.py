@@ -151,31 +151,40 @@ def _offspring(model) -> BranchingLaw:
 
 
 def exact_R(law: BranchingLaw, t: float, s) -> np.ndarray:
-    """Closed-form R(t; s) for the stable families.
+    """Closed-form R(t; s) for the stable families, from the law's tail spec
+    c (1 + kappa x**(-theta)).
 
-    Plain stable: R = ((1-s)**(-nu) + c*nu*t)**(-1/nu).  Perturbed stable:
-    with w = R**(-nu), the flow conserves  w - kappa*log(w + kappa) - c*nu*t,
-    solved for w by Newton from the plain-stable start.  R = w**(-1/nu) is
+    Plain stable: R = ((1-s)**(-nu) + c*nu*t)**(-1/nu).  Perturbed stable
+    (theta = nu, else ModelError): with w = R**(-nu), the flow conserves
+    w - kappa*log(w + kappa) - c*nu*t, solved for w by Newton from the
+    plain-stable start wherever that start is finite.  R = w**(-1/nu) is
     the complex power wherever that is finite; where the power overflows
     inside (R underflows) it comes from log|w| and arg w, 0 at |w| = inf.
     """
     if not law.closed_form:
         raise ModelError("exact_R needs a stable-family law")
+    nu, sv = law.nu, law.sv_spec
+    if sv.kappa and sv.exponent != nu:
+        raise ModelError("exact_R needs the remainder exponent theta = nu; "
+                         f"the tail spec has theta = {sv.exponent:g}, nu = {nu:g}")
     w0 = 1.0 - np.atleast_1d(np.asarray(s, dtype=complex))
     at_one = w0 == 0
     w0 = np.where(at_one, 1.0, w0)
-    nu, c, kappa = law.nu, law.scale, law.kappa
+    c, kappa = sv.c, sv.kappa
     w = w0 ** (-nu) + c * nu * t
     if kappa:
-        target = w0 ** (-nu) - kappa * np.log(w0 ** (-nu) + kappa) + c * nu * t
+        live = np.isfinite(w)   # w = inf where c*nu*t overflows: R = 0 there
+        target = (w0 ** (-nu) - kappa * np.log(w0 ** (-nu) + kappa) + c * nu * t)[live]
+        v = w[live]
         for _ in range(100):
-            h = w - kappa * np.log(w + kappa) - target
-            step = h * (w + kappa) / w
-            w = w - step
-            if np.max(np.abs(step) / np.abs(w)) < 1e-14:
+            h = v - kappa * np.log(v + kappa) - target
+            step = h * (v + kappa) / v
+            v = v - step
+            if np.max(np.abs(step) / np.abs(v), initial=0.0) < 1e-14:
                 break
         else:
             raise NumericsError("implicit closed form for the perturbed flow stalled")
+        w[live] = v
     with np.errstate(over="ignore", invalid="ignore"):
         R = w ** (-1.0 / nu)
     lost = ~np.isfinite(R)
@@ -433,11 +442,6 @@ def _log_P_i(logP, F, i):
     return np.where(i > 0, np.where(zero, -np.inf, logP + i * log_F), logP)[()]
 
 
-# Circle samples inverted at once: bounds the memory of a batch of rows
-# (16 rows at M = 1024) without giving up the batched FFT.
-_BLOCK_SAMPLES = 2 ** 14
-
-
 def transition_grid(model: ModelSpec, i_values, t_grid, J_out: int,
                     r: float = 0.9, M: int = 4096, method: str = "auto",
                     clamp: bool = False) -> CoefficientSeries:
@@ -448,9 +452,8 @@ def transition_grid(model: ModelSpec, i_values, t_grid, J_out: int,
 
     P(t; s) and F(t; s) on the half circle |s| = r come from one
     :func:`compute_P_grid` march (``method`` one of :data:`METHODS`); every
-    row is the circle inversion of P_i = F**i P, taken in log space.  The
-    rows are inverted in blocks of ``_BLOCK_SAMPLES`` samples (one row at
-    least), so memory does not grow with the number of rows.
+    row is the circle inversion of P_i = F**i P, taken in log space, and all
+    rows are inverted in one batched call.
     """
     i_arr = np.atleast_1d(np.asarray(i_values))
     t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))
@@ -460,20 +463,5 @@ def transition_grid(model: ModelSpec, i_values, t_grid, J_out: int,
     logp, R, _ = compute_P_grid(model, s_half, t_arr, method=method)
     F = np.where((t_arr == 0)[:, None], s_half, 1.0 - R)
     i_col = i_arr.astype(int)[:, None]
-    block = max(1, _BLOCK_SAMPLES // M)
-    parts = []
-    for logp_t, F_t in zip(logp, F):
-        for lo in range(0, i_col.size, block):
-            half = np.exp(_log_P_i(logp_t, F_t, i_col[lo:lo + block]))
-            parts.append(coefficients_from_samples(complete_circle(half, M), r,
-                                                   J_out, clamp=clamp))
-
-    def joined(name):
-        arr = np.concatenate([getattr(part, name) for part in parts])
-        return arr.reshape((t_arr.size, i_col.size) + arr.shape[1:])
-
-    return CoefficientSeries(
-        values=joined("values"), radius=r, aliasing_bound=joined("aliasing_bound"),
-        noise_scale=joined("noise_scale"), clamp_magnitude=joined("clamp_magnitude"),
-        imag_residual=joined("imag_residual"))
-
+    half = np.exp(_log_P_i(logp[:, None], F[:, None], i_col))
+    return coefficients_from_samples(complete_circle(half, M), r, J_out, clamp=clamp)

@@ -7,20 +7,23 @@ b_0 < 0, b_j >= 0 for j >= 1 and zero total mass; g(s) = sum b_j s^j.
 One frozen dataclass carries either.  Its role subclasses, BranchingLaw (f)
 and ImmigrationLaw (g), only fix the sign SIGN (+1, -1) and the offset
 SHIFT (1, 0): the position of the negative coefficient and the highest
-order of the moments that vanish.  The built-in stable families are
+order of the moments that vanish.  A law with a tail spec
+c*(1 + kappa*x**(-theta)) (:class:`mbpilab.rvcalc.SlowlyVaryingSpec`) and
+a truncation order has the closed form
 
-    SIGN * scale * ((1-s)**(SHIFT+index) + kappa*(1-s)**(SHIFT+2*index)),
+    SIGN * c * ((1-s)**(SHIFT+index) + kappa*(1-s)**(SHIFT+index+theta)),
 
-f with index nu and scale c, g with index delta and scale d, whose tail
-functions are scale*(1 + kappa*x**(-index)).  Coefficients come from the
-generalized binomial expansion, truncated at order J; the residual mass is
-folded into the last coefficient and, for f, the drift into a_1, so the
-truncated law is exactly conservative and f exactly critical.  A stable law
-builds that truncated series on the first read of its coefficients (the
-kernel, rate, lemma and invariant computations run on the closed form and
-never read it), except where the re-balance can break the sign pattern:
-with kappa > 0 and index > 1/2 the (1-s)**(SHIFT+2*index) branch has
-negative terms, so construction builds and checks the series at once.
+whose tail function is that spec; the built-in stable families are f with
+index nu and scale c, g with index delta and scale d, both with
+theta = index.  Coefficients come from the generalized binomial expansion,
+truncated at order J; the residual mass is folded into the last coefficient
+and, for f, the drift into a_1, so the truncated law is exactly
+conservative and f exactly critical.  A stable law builds that truncated
+series on the first read of its coefficients (the kernel, rate, lemma and
+invariant computations run on the closed form and never read it), except
+where the re-balance can break the sign pattern: with kappa > 0 and
+index + theta > 1 the (1-s)**(SHIFT+index+theta) branch has negative
+terms, so construction builds and checks the series at once.
 """
 
 from __future__ import annotations
@@ -124,19 +127,27 @@ class _Truncated:
 
 @dataclass(frozen=True)
 class _IntensityLaw:
-    """An intensity law: its coefficients, tail index (nu or delta) and tail
-    spec and, for a stable family, the closed form's scale (c or d; None
-    for no closed form), perturbation weight and truncation order J.  A
+    """An intensity law: its coefficients, tail index (nu or delta), tail
+    spec, series tail bound and, for a law with a closed form, truncation
+    order J.  The closed form is the spec's (see the module docstring); a
     stable law's ``coefficients`` and ``series_tail_bound`` are built from
-    those fields on first read (see :meth:`_truncate`)."""
+    it on first read (see :meth:`_truncate`)."""
 
     coefficients: np.ndarray = _Truncated()
     index: Optional[float] = None
     sv_spec: Optional[SlowlyVaryingSpec] = None
-    scale: Optional[float] = None
-    kappa: float = 0.0
     series_tail_bound: float = _Truncated()
     truncation: Optional[int] = None
+
+    @property
+    def scale(self) -> Optional[float]:
+        """The closed form's scale (c or d), the spec's c; None for none."""
+        return self.sv_spec.c if self.closed_form else None
+
+    @property
+    def kappa(self) -> float:
+        """The closed form's perturbation weight, the spec's kappa."""
+        return self.sv_spec.kappa if self.closed_form else 0.0
 
     @property
     def truncation_order(self) -> int:
@@ -147,7 +158,7 @@ class _IntensityLaw:
 
     @property
     def closed_form(self) -> bool:
-        return self.scale is not None
+        return self.truncation is not None
 
     def gf(self, z, mode: str = "auto"):
         """Evaluate the generating function at z, |z| <= 1.
@@ -183,10 +194,11 @@ class _IntensityLaw:
         return mode == "closed"
 
     def _closed_gf_one_minus(self, y):
+        sv = self.sv_spec
         val = y ** (self.SHIFT + self.index)
-        if self.kappa:
-            val = val + self.kappa * y ** (self.SHIFT + 2.0 * self.index)
-        return self.SIGN * self.scale * val
+        if sv.kappa:
+            val = val + sv.kappa * y ** (self.SHIFT + (self.index + sv.exponent))
+        return self.SIGN * sv.c * val
 
     @classmethod
     def _stable(cls, index: float, scale: float, kappa: float, J: int):
@@ -204,10 +216,10 @@ class _IntensityLaw:
         if J < k + 1:
             raise ModelError(f"{role} truncation order must be at least {k + 1}")
         spec = sv_perturbed(scale, kappa, index) if kappa else sv_constant(scale)
-        law = cls(index=index, sv_spec=spec, scale=scale, kappa=kappa, truncation=J)
-        if kappa and index > 0.5:
-            # Only a branch exponent SHIFT + 2*index above SHIFT + 1 has
-            # negative terms that can break the sign pattern: check it now.
+        law = cls(index=index, sv_spec=spec, truncation=J)
+        if spec.kappa and index + spec.exponent > 1.0:
+            # Only a branch exponent SHIFT + index + theta above SHIFT + 1
+            # has negative terms that can break the sign pattern: check now.
             law._truncate()
         return law
 
@@ -216,13 +228,14 @@ class _IntensityLaw:
         coefficients and its series tail bound: the size of the mass s0 the
         truncation cut plus those of the corrections to a_J and a_SHIFT.
         A series that overflows raises NumericsError."""
-        k, J, index, kappa = self.SHIFT, self.truncation, self.index, self.kappa
-        sign_scale = self.SIGN * self.scale
+        k, J, index, sv = self.SHIFT, self.truncation, self.index, self.sv_spec
+        sign_scale = self.SIGN * sv.c
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 a = sign_scale * signed_binomials(k + index, J)
-                if kappa:
-                    a = a + sign_scale * kappa * signed_binomials(k + 2.0 * index, J)
+                if sv.kappa:
+                    a = a + sign_scale * sv.kappa * signed_binomials(
+                        k + (index + sv.exponent), J)
                 s0 = math.fsum(a.tolist())
                 d_last, d_neg = -s0, 0.0
                 if k:  # f is critical too: a_J and a_1 take the mass and the drift
@@ -236,21 +249,20 @@ class _IntensityLaw:
             tail = math.inf
         if not (math.isfinite(tail) and np.all(np.isfinite(a))):
             raise NumericsError(f"the {self.ROLE} series truncated at J = {J} overflows "
-                                f"at {self.SCALE} = {self.scale:g}")
+                                f"at {self.SCALE} = {sv.c:g}")
         if a[k] >= 0 or np.any(a[:k] <= 0) or np.any(a[k + 1:] < 0):
-            raise ModelError("sign pattern broken after truncation adjustment; kappa "
-                             f"is too large for the (1-s)**({k + 2.0 * index:g}) branch")
+            raise ModelError("sign pattern broken after truncation adjustment; kappa is "
+                             f"too large for the (1-s)**({k + (index + sv.exponent):g}) branch")
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "series_tail_bound", tail)
 
     @classmethod
-    def _from_coefficients(cls, coefficients, index, sv_spec):
+    def _from_coefficients(cls, coefficients, index):
         a = np.asarray(list(coefficients), dtype=float)
         if a.size < cls.SHIFT + 2:
             raise ModelError(f"an {cls.ROLE} law needs at least coefficients "
                              f"{cls.SYMBOL}_0..{cls.SYMBOL}_{cls.SHIFT + 1}")
-        return cls(coefficients=a, index=index, sv_spec=sv_spec,
-                   series_tail_bound=0.0)
+        return cls(coefficients=a, index=index, series_tail_bound=0.0)
 
 
 class BranchingLaw(_IntensityLaw):
@@ -288,15 +300,13 @@ def make_stable_immigration(delta: float, d: float, kappa: float = 0.0,
 
 
 def offspring_from_coefficients(coefficients: Sequence[float],
-                                nu: Optional[float] = None,
-                                sv_spec: Optional[SlowlyVaryingSpec] = None) -> BranchingLaw:
-    return BranchingLaw._from_coefficients(coefficients, nu, sv_spec)
+                                nu: Optional[float] = None) -> BranchingLaw:
+    return BranchingLaw._from_coefficients(coefficients, nu)
 
 
 def immigration_from_coefficients(coefficients: Sequence[float],
-                                  delta: Optional[float] = None,
-                                  sv_spec: Optional[SlowlyVaryingSpec] = None) -> ImmigrationLaw:
-    return ImmigrationLaw._from_coefficients(coefficients, delta, sv_spec)
+                                  delta: Optional[float] = None) -> ImmigrationLaw:
+    return ImmigrationLaw._from_coefficients(coefficients, delta)
 
 
 @dataclass
@@ -407,7 +417,7 @@ class ModelSpec:
     def canonical(self) -> bool:
         """Both laws stable and the offspring law unperturbed (kappa = 0):
         the case with elementary closed forms for log P, U and pi."""
-        return self.has_closed_form and not self.offspring.kappa
+        return self.has_closed_form and not self.offspring.sv_spec.kappa
 
     def context(self) -> RVContext:
         if self.offspring.sv_spec is None or self.immigration.sv_spec is None:

@@ -274,6 +274,28 @@ def test_lemma1_table_states_the_summary_verdict(tmp_path, monkeypatch):
     assert head["verdict"] == "fail"
 
 
+def test_lemma_tables_index_each_statistic_by_its_own_variable(tmp_path):
+    # lemma 1 reports the final deviation per s, lemma 4 one value per x, and
+    # lemmas 2 and 3 one per t; each table's first column holds that variable
+    out = tmp_path / "out"
+    path = write(tmp_path, _config(out, "lemmas", points="7", kappa_offspring="1.0"))
+    assert run_config(path) == 0
+
+    def table(name):
+        lines = [line for line in (out / f"{name}.csv").read_text().splitlines()
+                 if line[0] != "#"]
+        return lines[0], np.array([[float(x) for x in line.split(",")]
+                                   for line in lines[1:]])
+
+    grid = np.logspace(2, 6, 7)
+    xs = 1.0 - np.logspace(-6, -1, 11)[::-1]
+    for name, column, points in (("lemma1", "s", [0.0, 0.3, 0.7]), ("lemma2", "t", grid),
+                                 ("lemma3", "t", grid), ("lemma4", "x", xs)):
+        header, rows = table(name)
+        assert header == f"{column},statistic"
+        assert np.array_equal(rows[:, 0], points), name
+
+
 @pytest.mark.parametrize("option", [False, True])
 def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, option):
     # an existing file stands where a directory is needed: as the parent of

@@ -1,5 +1,5 @@
 import ast
-import tracemalloc
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,7 @@ from mbpilab import kernel, telemetry
 from mbpilab.inversion import circle_points
 from mbpilab.kernel import flow_on_grid, log_limit, transition_grid
 from mbpilab.laws import make_stable_offspring, offspring_from_coefficients
+from mbpilab.rvcalc import sv_constant, sv_perturbed
 
 from oracles import (direct_segment_integral, scipy_R, scipy_gf_integral,
                      time_route_P)
@@ -61,13 +62,34 @@ def test_perturbed_implicit_matches_ode(g025_pert_off):
             assert abs(implicit - ode) / abs(implicit) < 1e-8
 
 
-@pytest.mark.parametrize("c, kappa", [(1e300, 0.0), (1.7e308, 0.0), (1e300, 1.0)])
+@pytest.mark.parametrize("c, kappa", [(1e300, 0.0), (1.7e308, 0.0), (1e300, 1.0),
+                                      (1.7e308, 1.0)])
 def test_exact_R_is_zero_where_R_underflows(c, kappa):
     # w = R**(-nu) reaches 5e301 at t = 100, or inf where the Python product
-    # c nu t overflows; R = w**-2 underflows, and the complex power gave nan
-    # with RuntimeWarnings, which the suite's filter turns into errors
+    # c nu t overflows (no Newton start there); R = w**-2 underflows to 0
+    # with no RuntimeWarning, which the suite's filter would turn into errors
     R = exact_R(make_stable_offspring(0.5, c, kappa), 100.0, [0, 0.3])
     assert np.array_equal(R, [0.0, 0.0])
+
+
+def test_closed_and_quad_routes_read_one_tail_spec():
+    # the closed form's c is the spec's: a law given another spec moves both
+    # routes alike
+    law = dataclasses.replace(make_stable_offspring(0.5, 1.0, J=50), sv_spec=sv_constant(2.0))
+    assert law.scale == 2.0
+    closed = flow_on_grid(law, [0.3], [10.0], method="closed")
+    quad = flow_on_grid(law, [0.3], [10.0], method="quad", rtol=1e-10)
+    assert abs(quad - closed).max() <= 1e-9 * abs(closed).max()
+
+
+def test_exact_R_refuses_a_remainder_exponent_other_than_nu():
+    # its Newton solve conserves w - kappa log(w + kappa), the theta = nu flow
+    law = dataclasses.replace(make_stable_offspring(0.5, 1.0, 1.0, J=50),
+                              sv_spec=sv_perturbed(1.0, 1.0, 0.25))
+    with pytest.raises(ModelError, match="theta = nu"):
+        exact_R(law, 1.0, [0.3])
+    assert exact_R(dataclasses.replace(law, sv_spec=sv_perturbed(1.0, 0.0, 0.25)),
+                   1.0, [0.3]).shape == (1,)
 
 
 def test_complex_circle_batch(g025):
@@ -287,7 +309,7 @@ def test_transition_probs_parameter_validation(g025):
 
 
 def test_transition_rows_match_single_extractions(g025):
-    # 16 rows per inversion block at M = 1024: i_max = 20 spans two blocks
+    # all 21 rows are inverted in one batched call
     rows = transition_grid(g025, np.arange(21), [1.0], 24, r=0.9, M=1024).row(0)
     assert rows.values.shape == (21, 25) and rows.aliasing_bound.shape == (21,)
     for i in (0, 2, 15, 16, 20):
@@ -308,19 +330,6 @@ def test_transition_grid_rows_are_the_single_rows(g025):
             assert grid.clamp_magnitude[a, b] == single.clamp_magnitude
     with pytest.raises(ModelError):
         transition_grid(g025, [0, 1.5], [1.0], 16, M=256)
-
-
-def test_transition_rows_memory_flat(g025):
-    """Rows are inverted in blocks, so 257 rows at M = 1024 stay far below
-    the 8 MB that their samples and transforms would take at once."""
-    transition_grid(g025, np.arange(257), [1.0], 128, M=1024)
-    tracemalloc.start()
-    try:
-        transition_grid(g025, np.arange(257), [1.0], 128, M=1024)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4e6
 
 
 def test_csv_formats(g025, run_task):

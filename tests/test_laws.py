@@ -267,9 +267,11 @@ def test_truncation_order_and_closed_form_follow_the_fields():
     assert "coefficients" not in vars(law)  # J is read without the series
     bare = offspring_from_coefficients([0.5, -1.0, 0.5])
     assert bare.truncation_order == 2 and not bare.closed_form
-    # coefficients stay an init keyword; the derived properties are not
+    # coefficients stay an init keyword; the derived properties are not, and
+    # the closed form's scale and kappa are views of the tail spec
     assert type(law)(coefficients=law.coefficients).truncation_order == 40
-    for derived in ("truncation_order", "closed_form"):
+    assert (law.scale, law.kappa) == (0.25, 0.0) and (bare.scale, bare.kappa) == (None, 0.0)
+    for derived in ("truncation_order", "closed_form", "scale", "kappa"):
         with pytest.raises(TypeError):
             type(law)(coefficients=law.coefficients, **{derived: 3})
 
