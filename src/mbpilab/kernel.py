@@ -40,13 +40,11 @@ from .quadrature import doubling_quadrature
 # The routes of every kernel function that takes a ``method``:
 #   "closed"  the stable-family closed forms: exact_R for the flow, and for
 #             log P on canonical models h(s) - h(F), h its closed terms;
-#   "quad"    numerics on the law's preferred evaluation: the flow ODE, and
-#             log P = h(s) - h(F), h's offspring-remainder term by quadrature;
-#   "series"  numerics on the truncated series end to end: the exact kernel
-#             of the truncated law, e.g. for simulator cross-checks;
+#   "quad"    numerics on the laws as they evaluate: the flow ODE, and log P
+#             by the potential h(s) - h(F) or the series path integral;
 #   "auto"    "closed" where the layer has an exact closed form, else "quad".
-# The laws evaluate with mode = "auto" | "closed" | "series" in the same sense.
-METHODS = ("auto", "closed", "quad", "series")
+# The truncated laws' exact kernel is that of ``model.truncated()``.
+METHODS = ("auto", "closed", "quad")
 
 
 def _check_method(method: str) -> None:
@@ -146,10 +144,6 @@ def _rk45(rhs, y0, t_out, rtol):
         telemetry.add("flow.rhs_points", evals * y.size)
 
 
-def _offspring(model) -> BranchingLaw:
-    return model.offspring if isinstance(model, ModelSpec) else model
-
-
 def exact_R(law: BranchingLaw, t: float, s) -> np.ndarray:
     """Closed-form R(t; s) for the stable families, from the law's tail spec
     c (1 + kappa x**(-theta)).
@@ -157,9 +151,7 @@ def exact_R(law: BranchingLaw, t: float, s) -> np.ndarray:
     Plain stable: R = ((1-s)**(-nu) + c*nu*t)**(-1/nu).  Perturbed stable
     (theta = nu, else ModelError): with w = R**(-nu), the flow conserves
     w - kappa*log(w + kappa) - c*nu*t, solved for w by Newton from the
-    plain-stable start wherever that start is finite.  R = w**(-1/nu) is
-    the complex power wherever that is finite; where the power overflows
-    inside (R underflows) it comes from log|w| and arg w, 0 at |w| = inf.
+    plain-stable start wherever that start is finite; R is :func:`_R_of_w`.
     """
     if not law.closed_form:
         raise ModelError("exact_R needs a stable-family law")
@@ -185,13 +177,19 @@ def exact_R(law: BranchingLaw, t: float, s) -> np.ndarray:
         else:
             raise NumericsError("implicit closed form for the perturbed flow stalled")
         w[live] = v
+    return np.where(at_one, 0.0, _R_of_w(w, nu))
+
+
+def _R_of_w(w, nu: float) -> np.ndarray:
+    """R = w**(-1/nu), the complex power wherever that is finite; where R
+    underflows, exp(-log|w|/nu) exp(-i arg w/nu), 0 at |w| = inf."""
     with np.errstate(over="ignore", invalid="ignore"):
         R = w ** (-1.0 / nu)
     lost = ~np.isfinite(R)
     if np.any(lost):
         log_w = np.log(w[lost])
         R[lost] = np.exp(-log_w.real / nu) * np.exp(-1j * log_w.imag / nu)
-    return np.where(at_one, 0.0, R)
+    return R
 
 
 def solve_F(model, t: float, s, rtol: float = 1e-10,
@@ -201,12 +199,12 @@ def solve_F(model, t: float, s, rtol: float = 1e-10,
     return flow_on_grid(model, s, [t], method=method, rtol=rtol)[0]
 
 
-def _flow_route(model, method: str) -> str:
+def _flow_route(law: BranchingLaw, method: str) -> str:
     """The flow route ``method`` names, "auto" resolved: "closed" when the
     offspring law has a closed form, else "quad"."""
     _check_method(method)
     if method == "auto":
-        return "closed" if _offspring(model).closed_form else "quad"
+        return "closed" if law.closed_form else "quad"
     return method
 
 
@@ -215,20 +213,19 @@ def _flow_error(model, t: float, method: str, rtol: float) -> float:
     t = 0, roundoff on the closed-form route, else the tolerance."""
     if t == 0:
         return 0.0
-    closed = _flow_route(model, method) == "closed"
+    closed = _flow_route(model.offspring, method) == "closed"
     return 4.0 * np.finfo(float).eps if closed else rtol
 
 
-def _flow_rhs(law: BranchingLaw, route: str, nu: float):
-    """dw/dt as a function of w = R**(-nu) on the ODE route ``route``.  On
-    "quad" a law with a closed form gives nu L(1/R) from its tail spec,
-    nu c (1 + kappa w**(-theta/nu)), the constant nu c when kappa = 0: it
-    forms no R and no w/R = R**(-1-nu), so it holds where that would
-    overflow (R below about 2e-294 at nu = 0.05, reached by t = 1e16).
-    Everywhere else it is nu (w/R) f(1-R) from the truncated series, since
-    a spec describes only the series' asymptotics."""
+def _flow_rhs(law: BranchingLaw, nu: float):
+    """dw/dt as a function of w = R**(-nu).  A law with a closed form gives
+    nu L(1/R) from its tail spec, nu c (1 + kappa w**(-theta/nu)), the
+    constant nu c when kappa = 0: it forms no R and no w/R = R**(-1-nu), so
+    it holds where that would overflow (R below about 2e-294 at nu = 0.05,
+    reached by t = 1e16).  A bare law gives nu (w/R) f(1-R) from its
+    series."""
     sv = law.sv_spec
-    if route == "quad" and law.closed_form:
+    if law.closed_form:
         if not sv.kappa:
             return lambda w: np.full_like(w, nu * sv.c)
         power = -sv.exponent / nu
@@ -236,7 +233,7 @@ def _flow_rhs(law: BranchingLaw, route: str, nu: float):
 
     def rhs(w):
         R = w ** (-1.0 / nu)
-        return nu * (w / R) * law.gf_at_one_minus(R, mode="series")
+        return nu * (w / R) * law.gf_at_one_minus(R)
     return rhs
 
 
@@ -244,13 +241,11 @@ def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
                  rtol: float = 1e-10) -> np.ndarray:
     """R(t; s), shape (len(t_grid), len(s_batch)), rows in the caller's order,
     by the route ``method`` of :data:`METHODS`: "closed" is :func:`exact_R`,
-    "quad" and "series" integrate the flow ODE with the law's preferred or
-    its truncated-series evaluation.
+    "quad" integrates the flow ODE.  The flow is autonomous, F(t2; s) =
+    F(t2 - t1; F(t1; s)), so that route marches once along the sorted
+    distinct times for the whole batch.
 
-    The flow is autonomous, F(t2; s) = F(t2 - t1; F(t1; s)), so the ODE routes
-    march once along the sorted distinct times for the whole batch.
-
-    The ODE routes integrate w = R**(-nu) (nu = law.nu, or 1 for a law that
+    The ODE route integrates w = R**(-nu) (nu = law.nu, or 1 for a law that
     declares none), in which the flow dF/dt = f(F) reads
     dw/dt = nu (w/R) f(1-R) = nu L(1/R), L the offspring tail function of
     f(1-R) = R**(1+nu) L(1/R) (see :func:`_flow_rhs`): linear in t up to
@@ -264,7 +259,7 @@ def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
     relative to w at nu * rtol, which is rtol relative to R.  Lanes with
     s = 1 stay at R = 0 and never enter the integrator.
     """
-    law = _offspring(model)
+    law = model.offspring if isinstance(model, ModelSpec) else model
     route = _flow_route(law, method)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     s_arr = np.atleast_1d(np.asarray(s_batch, dtype=complex))
@@ -283,9 +278,9 @@ def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
         nu = law.nu if law.nu is not None else 1.0
         moving = s_arr != 1.0
         if positive.any() and moving.any():
-            w = _rk45(_flow_rhs(law, route, nu), (1.0 - s_arr[moving]) ** -nu,
+            w = _rk45(_flow_rhs(law, nu), (1.0 - s_arr[moving]) ** -nu,
                       times[positive].tolist(), nu * rtol)
-            R[np.ix_(positive, moving)] = w ** (-1.0 / nu)
+            R[np.ix_(positive, moving)] = _R_of_w(w, nu)
     return R[order]
 
 
@@ -375,9 +370,10 @@ def log_limit(model: ModelSpec, one_minus_s):
 
 
 def gf_segment_integral(model: ModelSpec, one_minus_s, one_minus_F):
-    """integral_s^F g(u)/f(u) du of the truncated-series ratio g/f along the
-    geometric path 1-u = exp((1-x) log(1-s) + x log(1-F)), x in [0, 1]: the
-    log P of the series route, and of laws without tail specs.
+    """integral_s^F g(u)/f(u) du of the laws' ratio g/f along the geometric
+    path 1-u = exp((1-x) log(1-s) + x log(1-F)), x in [0, 1]: the log P of
+    laws without tail specs, such as the truncated laws of
+    :meth:`ModelSpec.truncated`.
 
     The path stays in the half-plane Re(1-u) > 0; in the x parameter the
     integrand varies like an exponential, so uniform panels resolve it.
@@ -395,8 +391,7 @@ def gf_segment_integral(model: ModelSpec, one_minus_s, one_minus_F):
     def fun(x):
         w = np.exp(logw0[None, :] - x[:, None] * D[None, :])
         u = 1.0 - w
-        return (model.immigration.gf(u, mode="series")
-                / model.offspring.gf(u, mode="series")) * w * D[None, :]
+        return model.immigration.gf(u) / model.offspring.gf(u) * w * D[None, :]
 
     dmax = float(np.max(np.abs(D)))
     if dmax < 1e-13:     # one midpoint evaluation is exact to roundoff
@@ -422,7 +417,7 @@ def compute_P_grid(model: ModelSpec, s_batch, t_grid, rtol: float = 1e-10,
     R = flow_on_grid(model, s_arr, t_arr, method=method, rtol=rtol)
     at_one = s_arr == 1.0
     w0, w1 = np.where(at_one, 1.0, 1.0 - s_arr), np.where(at_one, 1.0, R)
-    if method != "series" and model.C_ratio is not None:    # both tail specs
+    if model.C_ratio is not None:    # both tail specs
         (h_s, err_s), (h_F, err_F) = _potential(model, w0), _potential(model, w1.ravel())
         logp, err = h_s - h_F.reshape(R.shape), err_s + err_F
     else:

@@ -23,7 +23,9 @@ series on the first read of its coefficients (the kernel, rate, lemma and
 invariant computations run on the closed form and never read it), except
 where the re-balance can break the sign pattern: with kappa > 0 and
 index + theta > 1 the (1-s)**(SHIFT+index+theta) branch has negative
-terms, so construction builds and checks the series at once.
+terms, so construction builds and checks the series at once.  A law
+evaluates its closed form where it has one, else its series; truncated()
+gives the bare law of its series, the law the simulator draws from.
 """
 
 from __future__ import annotations
@@ -98,17 +100,12 @@ def _series_value(coefficients: np.ndarray, z):
     return out.reshape(z.shape)[()]
 
 
-def _check_unit_disc(z):
-    if np.any(np.abs(np.asarray(z)) > 1.0 + 1e-12):
-        raise ModelError("generating functions are only evaluated for |z| <= 1")
-
-
 class _Truncated:
     """A field of a law that a stable law fills from its truncated series.
 
-    A value given at construction is kept.  Otherwise (a stable law built
-    with its truncation order) the first read builds the series, which sets
-    both such fields, and every later read returns the kept value."""
+    A value given at construction is kept unless the law has a truncation
+    order.  Then (a stable law) the first read builds the series from its
+    spec, which sets both such fields, and every later read returns it."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -160,38 +157,32 @@ class _IntensityLaw:
     def closed_form(self) -> bool:
         return self.truncation is not None
 
-    def gf(self, z, mode: str = "auto"):
-        """Evaluate the generating function at z, |z| <= 1.
+    def __post_init__(self):
+        # drop series fields handed over (dataclasses.replace reads them from
+        # the law it copies): a law with a truncation order builds its own
+        if self.closed_form:
+            self.__dict__.pop("coefficients", None)
+            self.__dict__.pop("series_tail_bound", None)
 
-        mode, a word of :data:`mbpilab.kernel.METHODS` but "quad" (a route,
-        not an evaluation): "auto" prefers the closed form when the law
-        carries one, "closed" demands it, "series" sums the truncated
-        coefficients.
-        """
-        _check_unit_disc(z)
-        if self._closed(mode):
+    def truncated(self):
+        """The bare law of its coefficients and index: no spec, no closed form."""
+        return self._from_coefficients(self.coefficients, self.index)
+
+    def gf(self, z):
+        """Evaluate the generating function at z, |z| <= 1: the closed form
+        where the law carries one, else the sum of its coefficients."""
+        if np.any(np.abs(np.asarray(z)) > 1.0 + 1e-12):
+            raise ModelError("generating functions are only evaluated for |z| <= 1")
+        if self.closed_form:
             return self._closed_gf_one_minus(1.0 - np.asarray(z))
         return _series_value(self.coefficients, z)
 
-    def gf_at_one_minus(self, y, mode: str = "auto"):
-        """Evaluate the generating function at 1 - y.
-
-        The closed forms take y directly, which is the numerically safe way
-        to evaluate near the fixed point (y -> 0).
-        """
-        if self._closed(mode):
+    def gf_at_one_minus(self, y):
+        """Evaluate the generating function at 1 - y.  The closed form takes
+        y directly, the numerically safe way near the fixed point (y -> 0)."""
+        if self.closed_form:
             return self._closed_gf_one_minus(np.asarray(y))
-        return self.gf(1.0 - np.asarray(y), mode="series")
-
-    def _closed(self, mode: str) -> bool:
-        """Whether ``mode`` resolves to the closed form (else the series)."""
-        if mode == "auto":
-            return self.closed_form
-        if mode == "closed" and not self.closed_form:
-            raise ModelError("law has no closed form")
-        if mode not in ("closed", "series"):
-            raise ModelError(f"unknown evaluation mode {mode!r}")
-        return mode == "closed"
+        return self.gf(1.0 - np.asarray(y))
 
     def _closed_gf_one_minus(self, y):
         sv = self.sv_spec
@@ -418,6 +409,10 @@ class ModelSpec:
         """Both laws stable and the offspring law unperturbed (kappa = 0):
         the case with elementary closed forms for log P, U and pi."""
         return self.has_closed_form and not self.offspring.sv_spec.kappa
+
+    def truncated(self) -> ModelSpec:
+        """The model of the laws' truncated series, which the simulator draws from."""
+        return ModelSpec(self.offspring.truncated(), self.immigration.truncated())
 
     def context(self) -> RVContext:
         if self.offspring.sv_spec is None or self.immigration.sv_spec is None:

@@ -97,12 +97,20 @@ class RVContext:
             raise ModelError("nu(t;s) needs s < 1")
         return self.Lambda(1.0 - np.asarray(s)) * self.nu * np.asarray(t) + 1.0
 
+    def _x(self, t, name: str) -> float:
+        """(nu t)**(1/nu) for ``name``; an overflow raises NumericsError."""
+        try:
+            return (self.nu * t) ** (1.0 / self.nu)
+        except OverflowError:
+            raise NumericsError(f"{name}: (nu t)**(1/nu) overflows at t={t:g}, "
+                                f"nu={self.nu:g}") from None
+
     def script_N(self, t):
         """Fixed point N of  N = L((nu t)**(1/nu) / N) ** (-1/nu)  at t > 0,
         to 1e-12 relative within 200 iterations."""
         if not t > 0:
             raise ModelError("script_N needs t > 0")
-        x_t = (self.nu * t) ** (1.0 / self.nu)
+        x_t = self._x(t, "script_N")
         g = lambda n: float(self.L(x_t / n)) ** (-1.0 / self.nu)
         n = float(self.L(x_t)) ** (-1.0 / self.nu)
         prev_step = np.inf
@@ -124,7 +132,7 @@ class RVContext:
 
     def tau(self, t):
         """tau(t) = (nu t)**(1/nu) / N(t)."""
-        return (self.nu * t) ** (1.0 / self.nu) / self.script_N(t)
+        return self._x(t, "tau") / self.script_N(t)
 
     def big_T(self, t):
         """T(t) = tau(t)**|gamma|; only meaningful in the transient case gamma < 0."""

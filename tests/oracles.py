@@ -95,7 +95,7 @@ def time_route_P(model, t: float, s, rtol=1e-10):
         vals = np.empty((u.size, s_arr.size), dtype=complex)
         for row, uu in enumerate(u):
             R = exact_R(model.offspring, float(uu), s_arr)
-            vals[row] = law_g.gf_at_one_minus(R, mode="closed")
+            vals[row] = law_g.gf_at_one_minus(R)
         return vals
 
     val, _ = adaptive_quadrature(fun, 0.0, t, rtol=rtol, initial_panels=16)

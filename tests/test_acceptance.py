@@ -258,7 +258,7 @@ def test_criterion8_simulation_cross_check(g025):
     config = SimConfig(model=g025, horizon=5.0, replicates=100_000, seed=seed)
     result = estimate_pmf(config)
     # same truncated law on the kernel side: series evaluation end to end
-    series = transition_grid(g025, [0], [5.0], 64, r=0.9, M=256, method="series",
+    series = transition_grid(g025.truncated(), [0], [5.0], 64, r=0.9, M=256,
                              clamp=True).row((0, 0))
     checked = worst_z = 0
     ok_states = True

@@ -62,3 +62,27 @@ def test_law_classes_keep_the_tracer_contract():
         assert method not in vars(laws.BranchingLaw)
         assert method not in vars(laws.ImmigrationLaw)
 
+
+
+def _law_counters(spans):
+    return {name: value for name, value in spans.count.items()
+            if name.startswith("laws.") and value}
+
+
+def test_tracer_counts_the_truncated_kernel_as_series():
+    # the truncated model's kernel evaluates only series, and its flow
+    # right-hand sides are offspring evaluations inside the integrator
+    from mbpilab import kernel
+    model = laws.stable_model(0.5, 1.0, 0.75, 0.25, J=2000).truncated()
+    spans = tracer.Tracer()
+    with spans.patched():
+        kernel.transition_grid(model, [0], [5.0], 64, M=256, clamp=True)
+    assert _law_counters(spans).keys() == {
+        "laws.series_calls", "laws.series_points", "laws.series_s"}
+    assert spans.count["kernel.flow_rhs_evals"] > 0
+    # a stable law evaluates its closed form
+    spans = tracer.Tracer()
+    with spans.patched():
+        laws.make_stable_offspring(0.5, 1.0, J=50).gf([0.0, 0.3])
+    assert _law_counters(spans).keys() == {
+        "laws.closed_calls", "laws.closed_points", "laws.closed_s"}

@@ -385,15 +385,18 @@ def test_stats_json_invariance_terms(tmp_path, text, kind):
 
 
 def test_overflow_exits_4(tmp_path, capsys):
-    # script_N takes (nu t) ** (1 / nu) as a Python float, which overflows:
-    # at nu = 0.04 and the largest admitted time, (nu t) ** 25 ~ 1e365.  The
-    # kernel's exact_R before it gives R = 0 where R underflows, with no
-    # RuntimeWarning
-    out = tmp_path / "out"
-    path = write(tmp_path, _config(out, "lemmas", nu="0.04", delta="0.29",
-                                   t_max="1e16", points="7"))
-    assert run_config(path) == 4
-    assert "numeric failure in stage 'task'" in capsys.readouterr().err
+    # script_N and tau take (nu t) ** (1 / nu) as a Python float, which
+    # overflows: at nu = 0.04 and the largest admitted time, (nu t) ** 25 ~
+    # 1e365.  The kernel's exact_R before it gives R = 0 where R underflows,
+    # with no RuntimeWarning.  The message names the evaluator, t and nu
+    for task, name in (("lemmas", "script_N"), ("rates", "tau")):
+        out = tmp_path / task
+        path = write(tmp_path, _config(out, task, nu="0.04", delta="0.29",
+                                       t_max="1e16", points="7"))
+        assert run_config(path) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure in stage 'task'" in err
+        assert f"{name}: (nu t)**(1/nu) overflows at t=1e+16, nu=0.04" in err
 
 
 @pytest.mark.parametrize("c", ["1e308", "1.7e308"])
@@ -433,6 +436,17 @@ def test_closed_form_tasks_build_no_truncated_series(run_task, monkeypatch, mode
     monkeypatch.setattr(laws._IntensityLaw, "_truncate", refused)
     for task in ("kernel", "rates", "lemmas", "invariant"):
         assert run_task(task, **_WORKLOAD_MODELS[model])[0] == 0
+
+
+@pytest.mark.parametrize("model", _WORKLOAD_MODELS)
+def test_compare_evaluates_no_closed_form(run_task, monkeypatch, model):
+    # the cross-check is the exact kernel of the truncated laws the
+    # simulator draws from: no closed form enters it
+    def refused(law, y):
+        raise AssertionError(f"the {law.ROLE} law evaluated its closed form")
+    monkeypatch.setattr(laws._IntensityLaw, "_closed_gf_one_minus", refused)
+    code, _ = run_task("compare", replicates="2000", **_WORKLOAD_MODELS[model])
+    assert code == 0
 
 
 @pytest.mark.parametrize("model", _WORKLOAD_MODELS)

@@ -92,6 +92,20 @@ def test_exact_R_refuses_a_remainder_exponent_other_than_nu():
                    1.0, [0.3]).shape == (1,)
 
 
+def test_ode_route_is_zero_where_R_underflows():
+    # at nu = 0.04, w = R**(-nu) is about 4e14 at t = 1e16 and R = w**-25
+    # underflows; the ODE route inverts w as exact_R does, with no
+    # RuntimeWarning, and the two routes agree where R is still a double
+    model = stable_model(0.04, 1.0, 0.29, 0.25)
+    s = [0.0, 0.3, 0.9j]
+    for t in (1e12, 1e16):
+        quad = flow_on_grid(model, s, [t], method="quad")
+        closed = flow_on_grid(model, s, [t], method="closed")
+        assert np.all(np.isfinite(quad))
+        assert np.max(np.abs(quad - closed)) <= 1e-10 * np.max(np.abs(closed))
+    assert np.array_equal(quad, np.zeros((1, 3)))
+
+
 def test_complex_circle_batch(g025):
     s = circle_points(0.9, 64)
     ode = solve_F(g025, 2.0, s, method="quad")
@@ -148,7 +162,7 @@ def test_P_quad_matches_scipy(g025, gneg):
 
 def test_P_series_route_close_to_closed(g025):
     # truncated law differs from the exact one only by the re-balanced tail
-    q = np.exp(compute_P_grid(g025, [0.0], [5.0], method="series")[0][0, 0])
+    q = np.exp(compute_P_grid(g025.truncated(), [0.0], [5.0])[0][0, 0])
     c = np.exp(compute_P_grid(g025, [0.0], [5.0], method="closed")[0][0, 0])
     assert abs(q - c) / abs(c) < 1e-3
 
@@ -442,7 +456,7 @@ def test_compute_P_grid_rejects_unknown_method_before_marching(g025, monkeypatch
 
 
 # Route words of earlier vocabularies, which no entry point accepts.
-RETIRED_METHODS = ("exact", "ode", "ode-series", "sv")
+RETIRED_METHODS = ("exact", "ode", "ode-series", "sv", "series")
 
 
 def _method_entry_points(model):
@@ -487,19 +501,22 @@ def test_package_exports_are_the_names_it_imports():
     assert imported == set(mbpilab.__all__)
 
 
-@pytest.mark.parametrize("method", ["auto", "closed", "quad", "series"])
-def test_compute_P_is_the_single_time_grid(g025, method):
+@pytest.mark.parametrize("truncated, method",
+                         [pytest.param(False, m, id=m) for m in METHODS]
+                         + [pytest.param(True, "auto", id="series")])
+def test_compute_P_is_the_single_time_grid(g025, truncated, method):
     """compute_P_grid at one time marches the flow solve_F gives, bit for
     bit, with P = 1 at t = 0 and at s = 1, and its error estimate carries
-    the flow's: the tolerance on the ODE routes, roundoff on the
-    closed-form one."""
+    the flow's: the tolerance on the ODE route (the only one of the
+    truncated laws), roundoff on the closed-form one."""
+    model = g025.truncated() if truncated else g025
     s = np.array([0.0, 0.3, -0.5 + 0.2j, 0.95, 1.0])
     for t in (0.0, 0.5, 5.0, 1e3):
-        logp, R, err = kernel.compute_P_grid(g025, s, [t], method=method)
+        logp, R, err = kernel.compute_P_grid(model, s, [t], method=method)
         assert logp.shape == R.shape == (1, s.size)
-        assert np.array_equal(R[0], solve_F(g025, t, s, method=method))
+        assert np.array_equal(R[0], solve_F(model, t, s, method=method))
         assert logp[0, -1] == 0.0 and (t > 0 or np.all(logp == 0.0))
-        if t > 0 and method in ("quad", "series"):
+        if t > 0 and (truncated or method == "quad"):
             assert 1e-10 <= err < 2e-10
         elif method in ("auto", "closed"):
             assert err < 1e-14
@@ -549,8 +566,8 @@ def test_tail_function_rhs_is_the_flow_in_w(name, request):
                                 np.linspace(-0.99, 0.99, 21) * nu * np.pi / 2)
     w = (radius * np.exp(1j * angle)).ravel()
     R = w ** (-1.0 / nu)
-    direct = nu * (w / R) * law.gf_at_one_minus(R, mode="closed")
-    got = kernel._flow_rhs(law, "quad", nu)(w)
+    direct = nu * (w / R) * law.gf_at_one_minus(R)
+    got = kernel._flow_rhs(law, nu)(w)
     assert got.shape == w.shape
     assert np.max(np.abs(got - direct) / np.abs(direct)) <= 1e-13
 

@@ -12,6 +12,7 @@ from mbpilab import (ModelError, ModelSpec, PreconditionError,
                      validate_law)
 from mbpilab.laws import (CRIT_TOL, MASS_TOL, immigration_from_coefficients,
                           offspring_from_coefficients)
+from mbpilab.rvcalc import sv_constant
 
 from oracles import binom_coeff, polyval_series
 
@@ -92,10 +93,35 @@ def test_validate_canonical_passes():
 
 
 def _with_coefficient(law, index, value):
-    """A copy of ``law`` with one coefficient replaced."""
+    """A copy of ``law``'s truncated law with one coefficient replaced."""
     coefficients = law.coefficients.copy()
     coefficients[index] = value
-    return dataclasses.replace(law, coefficients=coefficients)
+    return dataclasses.replace(law.truncated(), coefficients=coefficients)
+
+
+def test_a_law_given_another_spec_builds_its_own_series():
+    # dataclasses.replace reads the old law's series and hands it over; a
+    # law with a truncation order drops it and builds its own from its spec
+    law = dataclasses.replace(make_stable_offspring(0.5, 1.0, J=50),
+                              sv_spec=sv_constant(2.0))
+    assert law.coefficients[0] == 2.0
+    y = np.linspace(0.0, 1.0, 11)
+    assert (np.max(np.abs(law.truncated().gf_at_one_minus(y) - law.gf_at_one_minus(y)))
+            <= law.series_tail_bound)
+
+
+@pytest.mark.parametrize("name", ["g025", "gneg", "gneg_pert", "g025_pert_off"])
+def test_truncated_model_is_the_bare_series(name, request):
+    model = request.getfixturevalue(name)
+    bare = model.truncated()
+    assert (bare.nu, bare.delta) == (model.nu, model.delta)
+    assert not bare.has_closed_form and bare.C_ratio is None
+    for law, cut in ((model.offspring, bare.offspring),
+                     (model.immigration, bare.immigration)):
+        assert type(cut) is type(law) and cut.index == law.index
+        assert cut.coefficients.tobytes() == law.coefficients.tobytes()
+        assert not cut.closed_form and cut.sv_spec is None
+        assert cut.series_tail_bound == 0.0
 
 
 def test_validate_flags_injected_negative_coefficient():
@@ -115,10 +141,10 @@ def test_validate_flags_broken_criticality():
 
 def test_gf_closed_form_values():
     off = make_stable_offspring(0.5, 1.0, J=100)
-    assert off.gf(1.0, mode="closed") == pytest.approx(0.0, abs=1e-15)
-    assert off.gf(0.5, mode="closed") == pytest.approx(0.5 ** 1.5, abs=1e-15)
+    assert off.gf(1.0) == pytest.approx(0.0, abs=1e-15)
+    assert off.gf(0.5) == pytest.approx(0.5 ** 1.5, abs=1e-15)
     imm = make_stable_immigration(0.75, 0.25, J=100)
-    assert imm.gf(0.0, mode="series") == pytest.approx(-0.25, abs=1e-12)
+    assert imm.truncated().gf(0.0) == pytest.approx(-0.25, abs=1e-12)
 
 
 def test_gf_outside_disc_rejected():
@@ -135,8 +161,8 @@ def test_series_matches_closed_form_within_tail_bound(rng):
                 make_stable_immigration(0.75, 0.25, J=2000),
                 make_stable_immigration(0.6, 0.5, kappa=0.3, J=2000)):
         s = rng.uniform(0.0, 1.0, size=100)
-        closed = law.gf(s, mode="closed")
-        series = law.gf(s, mode="series")
+        closed = law.gf(s)
+        series = law.truncated().gf(s)
         assert np.max(np.abs(closed - series)) <= law.series_tail_bound
 
 
@@ -155,16 +181,16 @@ def test_series_mode_matches_horner_oracle(n_coef, rng):
         if shape:
             z.flat[0], z.flat[-1] = 1.0, -1.0
         for points in (z, np.real(z)):
-            got = law.gf(points, mode="series")
+            got = law.gf(points)
             want = polyval_series(c, points)
             assert np.shape(got) == np.shape(want)
             assert np.iscomplexobj(got) == np.iscomplexobj(want)
             assert np.max(np.abs(got - want)) <= tol
             y = 1.0 - points
-            got = law.gf_at_one_minus(y, mode="series")
+            got = law.gf_at_one_minus(y)
             assert np.max(np.abs(got - polyval_series(c, 1.0 - y))) <= tol
-    assert law.gf(1.0, mode="series") == pytest.approx(np.sum(c), abs=tol)
-    assert law.gf(0, mode="series") == c[0]
+    assert law.gf(1.0) == pytest.approx(np.sum(c), abs=tol)
+    assert law.gf(0) == c[0]
 
 
 def test_coefficient_positivity_across_indices(rng):

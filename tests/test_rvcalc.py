@@ -73,9 +73,9 @@ def test_lambda_matches_paired_law(g025, g025_pert_off):
     ys = np.logspace(-6, 0, 50)
     for model in (g025, g025_pert_off):
         ctx = model.context()
-        f_closed = model.offspring.gf_at_one_minus(ys, mode="closed")
+        f_closed = model.offspring.gf_at_one_minus(ys)
         assert np.allclose(ctx.Lambda(ys) * ys, f_closed, rtol=1e-12)
-        f_series = model.offspring.gf_at_one_minus(ys, mode="series")
+        f_series = model.offspring.truncated().gf_at_one_minus(ys)
         assert np.max(np.abs(ctx.Lambda(ys) * ys - f_series)) \
             <= model.offspring.series_tail_bound
 
