@@ -35,7 +35,7 @@ from .inversion import (CoefficientSeries, circle_points,
                         coefficients_from_samples, complete_circle,
                         sample_count)
 from .kernel import compute_P_grid, log_limit
-from .laws import ModelSpec, signed_binomials
+from .laws import ModelSpec, series_value, signed_binomials
 
 
 def series_coefficients(model: ModelSpec, kind: str, J: int) -> np.ndarray:
@@ -141,12 +141,13 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec,
     :func:`compute_P_grid` call and log m(F) from one :func:`log_limit`
     call, so one circle inversion of the product predicts every
     coefficient, at any lag.  The same inversion takes the product with the
-    truncated m_I(z) = sum_{i<=I} m_i z^i (by Horner over the extracted
-    coefficients): the report keeps that sum as ``truncated`` and its
-    largest departure from the prediction as the component
-    ``i_truncation``, the part of sum_{i>I} m_i p_ij(tau) the extracted
-    coefficients leave out.  The other components are the extraction's
-    error sources; ``quad_error`` adds the estimates of log P and log m(F).
+    truncated m_I(z) = sum_{i<=I} m_i z^i (the extracted coefficients summed
+    by :func:`mbpilab.laws.series_value`): the report keeps that sum as
+    ``truncated`` and its largest departure from the prediction as the
+    component ``i_truncation``, the part of sum_{i>I} m_i p_ij(tau) the
+    extracted coefficients leave out.  The other components are the
+    extraction's error sources; ``quad_error`` adds the estimates of log P
+    and log m(F).
     The prediction is taken as exp(log P + log m(F)), one exponent, which
     stays finite at long transient lags where P underflows and m(F)
     overflows.
@@ -162,10 +163,7 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec,
     logp, R, err = compute_P_grid(model, s_half, [tau])
     log_mF, limit_err = log_limit(model, R[0])
     F = s_half if tau == 0 else 1.0 - R[0]
-    m_of_F = np.zeros_like(F)
-    for coefficient in m[::-1]:
-        m_of_F = m_of_F * F + coefficient
-    half = np.stack([np.exp(logp[0] + log_mF), np.exp(logp[0]) * m_of_F])
+    half = np.stack([np.exp(logp[0] + log_mF), np.exp(logp[0]) * series_value(m, F)])
     both = coefficients_from_samples(complete_circle(half, M), r, j_max)
     prediction, truncated = both.row(0), both.values[1]
     residuals = np.abs(prediction.values - m[:j_max + 1])

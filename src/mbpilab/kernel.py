@@ -64,6 +64,7 @@ _DP_A = np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
     [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
 ])
+_DP_ROWS = [_DP_A[i, :i] for i in range(7)]
 _DP_B5 = _DP_A[6]
 _DP_E = _DP_B5 - np.array([5179 / 57600, 0, 7571 / 16695, 393 / 640,
                            -92097 / 339200, 187 / 2100, 1 / 40])
@@ -84,7 +85,10 @@ def _rk45(rhs, y0, t_out, rtol):
     products take K's float view, real and imaginary parts side by side, so
     they stay real matrix-vector products: a complex one casts the tableau,
     and with OpenBLAS on a 2-CPU machine a 1025-wide one ran on two threads
-    for no gain in wall time.
+    for no gain in wall time.  At the width of one lane a step costs numpy
+    dispatch, not arithmetic, so the rows A[i, :i] are sliced once, at
+    import, and the error norm takes ``ndarray.max``; the floating-point
+    operations and their order are those of the plain scheme.
 
     Each call reports once to ``telemetry``: ``flow.calls``, ``flow.steps``
     (accepted), ``flow.rejected``, ``flow.landings`` (the times of t_out
@@ -98,8 +102,8 @@ def _rk45(rhs, y0, t_out, rtol):
     t = 0.0
     K[0] = rhs(y)
     evals, steps, rejected = 1, 0, 0
-    d0 = float(np.max(np.abs(y)))
-    d1 = float(np.max(np.abs(K[0])))
+    d0 = float(np.abs(y).max())
+    d1 = float(np.abs(K[0]).max())
     h = min(t_out[-1], 0.01 * d0 / d1) if d1 > 0 else t_out[-1]
     try:
         for _ in range(200_000):     # the step budget
@@ -107,11 +111,11 @@ def _rk45(rhs, y0, t_out, rtol):
             h_free = h               # resumed after landing on an inner time
             h = min(h, t_end - t)
             for i in range(1, 7):
-                K[i] = rhs(y + h * (_DP_A[i, :i] @ K_re[:i]).view(complex))
+                K[i] = rhs(y + h * (_DP_ROWS[i] @ K_re[:i]).view(complex))
                 evals += 1
             y5 = y + h * (_DP_B5 @ K_re).view(complex)
-            err = float(np.max(np.abs(h * (_DP_E @ K_re).view(complex))
-                               / (rtol * np.maximum(np.abs(y), np.abs(y5)))))
+            err = float((np.abs(h * (_DP_E @ K_re).view(complex))
+                         / (rtol * np.maximum(np.abs(y), np.abs(y5)))).max())
             if err <= 1.0:
                 steps += 1
                 t += h
@@ -144,14 +148,21 @@ def _rk45(rhs, y0, t_out, rtol):
         telemetry.add("flow.rhs_points", evals * y.size)
 
 
-def exact_R(law: BranchingLaw, t: float, s) -> np.ndarray:
+def exact_R(law: BranchingLaw, t, s) -> np.ndarray:
     """Closed-form R(t; s) for the stable families, from the law's tail spec
-    c (1 + kappa x**(-theta)).
+    c (1 + kappa x**(-theta)).  t is a time or an array of times, taken as a
+    column against the batch s: one time gives R of s's shape (a batch of
+    one for a scalar), m times give m rows.
 
     Plain stable: R = ((1-s)**(-nu) + c*nu*t)**(-1/nu).  Perturbed stable
     (theta = nu, else ModelError): with w = R**(-nu), the flow conserves
     w - kappa*log(w + kappa) - c*nu*t, solved for w by Newton from the
     plain-stable start wherever that start is finite; R is :func:`_R_of_w`.
+    Each lane stops on its own, after the step from a residual h at
+    roundoff, |h| <= 4 eps (|w| + |kappa log(w + kappa)| + |target|), or
+    after a step below 1e-14 relative, and does not move again: a lane's R
+    does not depend on the batch it is solved in, and a lane whose residual
+    cannot fall below its roundoff (kappa = 10 reaches that) still stops.
     """
     if not law.closed_form:
         raise ModelError("exact_R needs a stable-family law")
@@ -161,18 +172,28 @@ def exact_R(law: BranchingLaw, t: float, s) -> np.ndarray:
                          f"the tail spec has theta = {sv.exponent:g}, nu = {nu:g}")
     w0 = 1.0 - np.atleast_1d(np.asarray(s, dtype=complex))
     at_one = w0 == 0
-    w0 = np.where(at_one, 1.0, w0)
+    w0 = np.where(at_one, 1.0, w0) ** (-nu)
     c, kappa = sv.c, sv.kappa
-    w = w0 ** (-nu) + c * nu * t
+    with np.errstate(over="ignore"):    # inf where c*nu*t overflows: R = 0 there
+        drift = c * nu * np.asarray(t, dtype=float)[..., None]
+    w = w0 + drift
     if kappa:
-        live = np.isfinite(w)   # w = inf where c*nu*t overflows: R = 0 there
-        target = (w0 ** (-nu) - kappa * np.log(w0 ** (-nu) + kappa) + c * nu * t)[live]
-        v = w[live]
+        live = np.isfinite(w)
+        v, target = w[live], (w0 - kappa * np.log(w0 + kappa) + drift)[live]
+        todo = np.arange(v.size)        # the lanes still moving
         for _ in range(100):
-            h = v - kappa * np.log(v + kappa) - target
-            step = h * (v + kappa) / v
-            v = v - step
-            if np.max(np.abs(step) / np.abs(v), initial=0.0) < 1e-14:
+            x, y = v[todo], target[todo]
+            log_term = kappa * np.log(x + kappa)
+            h = x - log_term - y
+            at_roundoff = np.abs(h) <= 4.0 * np.finfo(float).eps * (
+                np.abs(x) + np.abs(log_term) + np.abs(y))
+            # ufunc calls, not operators: an operator may reuse a temporary
+            # of 256 KiB or more as its output, and numpy's complex product
+            # into its second operand rounds otherwise than into a new array
+            step = np.divide(np.multiply(h, x + kappa), x)
+            v[todo] = x = x - step
+            todo = todo[~(at_roundoff | (np.abs(step) / np.abs(x) < 1e-14))]
+            if not todo.size:
                 break
         else:
             raise NumericsError("implicit closed form for the perturbed flow stalled")
@@ -227,7 +248,13 @@ def _flow_rhs(law: BranchingLaw, nu: float):
     sv = law.sv_spec
     if law.closed_form:
         if not sv.kappa:
-            return lambda w: np.full_like(w, nu * sv.c)
+            rate = nu * sv.c
+
+            def constant(w):
+                out = np.empty_like(w)
+                out.fill(rate)
+                return out
+            return constant
         power = -sv.exponent / nu
         return lambda w: nu * sv.c * (1.0 + sv.kappa * w ** power)
 
@@ -240,10 +267,11 @@ def _flow_rhs(law: BranchingLaw, nu: float):
 def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
                  rtol: float = 1e-10) -> np.ndarray:
     """R(t; s), shape (len(t_grid), len(s_batch)), rows in the caller's order,
-    by the route ``method`` of :data:`METHODS`: "closed" is :func:`exact_R`,
-    "quad" integrates the flow ODE.  The flow is autonomous, F(t2; s) =
-    F(t2 - t1; F(t1; s)), so that route marches once along the sorted
-    distinct times for the whole batch.
+    by the route ``method`` of :data:`METHODS`: "closed" is one
+    :func:`exact_R` call for the positive distinct times as a column
+    against the batch, "quad" integrates the flow ODE.  The flow is
+    autonomous, F(t2; s) = F(t2 - t1; F(t1; s)), so that route marches once
+    along the sorted distinct times for the whole batch.
 
     The ODE route integrates w = R**(-nu) (nu = law.nu, or 1 for a law that
     declares none), in which the flow dF/dt = f(F) reads
@@ -272,8 +300,8 @@ def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
     R[times == 0] = 1.0 - s_arr
     positive = times > 0
     if route == "closed":
-        for row in np.flatnonzero(positive):
-            R[row] = exact_R(law, float(times[row]), s_arr)
+        if positive.any():
+            R[positive] = exact_R(law, times[positive], s_arr)
     else:
         nu = law.nu if law.nu is not None else 1.0
         moving = s_arr != 1.0
@@ -343,12 +371,18 @@ def _potential(model: ModelSpec, one_minus_s):
         w0 = np.where(w == 0, 1.0, w.astype(complex))
         pert_g, pert_L = (_separable_pert(sv, 1.0 / a, w0) for sv in (ell, L))
 
-        def fun(q):
-            return (1.0 + pert_g(q)) / (1.0 + pert_L(q))
-
         k = _smoothing([sv.exponent / a for sv in (ell, L) if sv.kappa])
-        inner, err = doubling_quadrature(fun if k == 1 else (
-            lambda v: fun(v ** k) * (k * v ** (k - 1))[:, None]), 0.0, 1.0)
+
+        def fun(v):     # in place in pert_L's array: (nodes, batch) temporaries cost
+            q = v ** k
+            out = pert_L(q)
+            out += 1.0
+            np.divide(1.0 + pert_g(q), out, out=out)
+            if k > 1:
+                out *= (k * v ** (k - 1))[:, None]
+            return out
+
+        inner, err = doubling_quadrature(fun, 0.0, 1.0)
         prefactor = model.C_ratio * L.kappa * w ** a / a
         h = h + prefactor * inner
         err *= float(np.max(np.abs(prefactor)))

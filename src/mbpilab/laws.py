@@ -100,6 +100,14 @@ def _series_value(coefficients: np.ndarray, z):
     return out.reshape(z.shape)[()]
 
 
+def series_value(coefficients, z):
+    """sum_j c_j z**j for real coefficients c_j, by the blocked Horner of the
+    laws' own series.  The laws call the private ``_series_value``:
+    bench/tracer.py wraps every public function in a span but counts a law
+    evaluation apart, so a span inside one would count its time twice."""
+    return _series_value(np.asarray(coefficients, dtype=float), z)
+
+
 class _Truncated:
     """A field of a law that a stable law fills from its truncated series.
 

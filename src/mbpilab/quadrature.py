@@ -68,14 +68,20 @@ def _eval_panel(fun, lo, hi):
     """K15 sum over one panel, its per-entry |K15 - G7| and the K15 sum of
     |f| (QUADPACK's resabs); the (15, batch) integrand array is freed on
     return.  The sums are einsum reductions, not matrix products, so that
-    they stay off threaded BLAS."""
+    they stay off threaded BLAS, and a complex integrand's are taken on its
+    float view, real and imaginary parts side by side, so that the weights
+    stay real; the G7 rows are the odd rows, a view."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     fx = np.asarray(fun(mid + half * _XK))
     if fx.ndim == 1:
         fx = fx[:, None]
-    i15 = half * np.einsum("k,kb->b", _WK, fx)
-    i7 = half * np.einsum("k,kb->b", _WG, fx[_GIDX])
+    split = fx.dtype == complex
+    parts = np.ascontiguousarray(fx).view(float) if split else fx
+    i15 = half * np.einsum("k,kb->b", _WK, parts)
+    i7 = half * np.einsum("k,kb->b", _WG, parts[1::2])
+    if split:
+        i15, i7 = i15.view(complex), i7.view(complex)
     return i15, np.abs(i15 - i7), half * np.einsum("k,kb->b", _WK, np.abs(fx))
 
 

@@ -420,6 +420,19 @@ def test_lemmas_at_a_huge_scale_exits_4(run_task, capsys, c):
     assert "numeric failure in stage 'task'" in err and "script_N" in err
 
 
+def test_kernel_at_a_large_offspring_kappa_exits_0(run_task):
+    # at kappa = 10 some lanes' Newton residual cannot fall below its
+    # roundoff, so their relative step never reaches 1e-14: each lane stops
+    # on its own residual too, where the batch once stalled (exit 4)
+    code, out = run_task("kernel", kappa_offspring="10")
+    assert code == 0
+    assert re.search(r"^kernel_oracle .* PASS$", (out / "summary.txt").read_text(), re.M)
+
+
+def test_invariant_at_a_large_offspring_kappa_exits_0(run_task):
+    assert run_task("invariant", kappa_offspring="30")[0] == 0
+
+
 # The benchmark's four models (tests/conftest.py) at truncation 2000.
 _WORKLOAD_MODELS = {
     "g025": {"nu": "0.5", "delta": "0.75"},

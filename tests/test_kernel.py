@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -65,8 +66,8 @@ def test_perturbed_implicit_matches_ode(g025_pert_off):
 @pytest.mark.parametrize("c, kappa", [(1e300, 0.0), (1.7e308, 0.0), (1e300, 1.0),
                                       (1.7e308, 1.0)])
 def test_exact_R_is_zero_where_R_underflows(c, kappa):
-    # w = R**(-nu) reaches 5e301 at t = 100, or inf where the Python product
-    # c nu t overflows (no Newton start there); R = w**-2 underflows to 0
+    # w = R**(-nu) reaches 5e301 at t = 100, or inf where the product c nu t
+    # overflows (no Newton start there); R = w**-2 underflows to 0
     # with no RuntimeWarning, which the suite's filter would turn into errors
     R = exact_R(make_stable_offspring(0.5, c, kappa), 100.0, [0, 0.3])
     assert np.array_equal(R, [0.0, 0.0])
@@ -104,6 +105,50 @@ def test_ode_route_is_zero_where_R_underflows():
         assert np.all(np.isfinite(quad))
         assert np.max(np.abs(quad - closed)) <= 1e-10 * np.max(np.abs(closed))
     assert np.array_equal(quad, np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("name", ["g025", "gneg", "gneg_pert", "g025_pert_off", "kappa10"])
+def test_closed_grid_is_the_rows_bit_for_bit(name, request):
+    # one exact_R call covers the (t, s) grid; each Newton lane stops on its
+    # own, so a lane's R is the same in a grid of 40 x 1031 lanes, in its
+    # row and alone
+    model = (stable_model(0.5, 1.0, 0.75, 0.25, kappa_offspring=10.0)
+             if name == "kappa10" else request.getfixturevalue(name))
+    s = np.concatenate([circle_points(0.9, 2048, half=True),
+                        [0.0, 0.3, 0.7, 1.0, -1.0, 0.3 + 0.4j]])
+    grid = np.concatenate([[0.0], np.logspace(-3, 8, 40)])
+    R = flow_on_grid(model, s, grid, method="closed")
+    rows = [exact_R(model.offspring, t, s) for t in grid[1:]]
+    assert np.array_equal(R.view(float), np.vstack([1.0 - s] + rows).view(float))
+    for row, t in ((1, grid[1]), (20, grid[20]), (40, grid[40])):
+        for lane in (0, 517, s.size - 1):
+            alone = exact_R(model.offspring, t, s[lane])
+            assert np.array_equal(alone.view(float), R[row, lane:lane + 1].view(float))
+
+
+def test_closed_route_makes_one_exact_R_call_per_grid(g025_pert_off, monkeypatch):
+    calls, solve = [], kernel.exact_R
+
+    def counted(law, t, s):
+        calls.append(np.shape(t))
+        return solve(law, t, s)
+    monkeypatch.setattr(kernel, "exact_R", counted)
+    R = flow_on_grid(g025_pert_off, S_BATCH, [5.0, 0.0, 1e3, 5.0, 2.0], method="closed")
+    assert calls == [(3,)] and R.shape == (5, len(S_BATCH))
+    flow_on_grid(g025_pert_off, S_BATCH, [0.0], method="closed")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+def test_closed_grid_is_zero_at_a_huge_scale(kappa):
+    # c nu t, an array product, overflows to inf on every row but the
+    # first; R is 0 there with no RuntimeWarning
+    law = make_stable_offspring(0.5, 1.7e308, kappa)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R = flow_on_grid(law, [0.0, 0.3, 0.9j], [1e-300, 1.0, 100.0, 1e300], method="closed")
+    assert np.array_equal(R[1:], np.zeros((3, 3)))
+    assert np.all(np.isfinite(R[0])) and np.all(R[0] != 0)
 
 
 def test_complex_circle_batch(g025):

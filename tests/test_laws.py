@@ -11,7 +11,7 @@ from mbpilab import (ModelError, ModelSpec, PreconditionError,
                      make_stable_immigration, make_stable_offspring,
                      validate_law)
 from mbpilab.laws import (CRIT_TOL, MASS_TOL, immigration_from_coefficients,
-                          offspring_from_coefficients)
+                          offspring_from_coefficients, series_value)
 from mbpilab.rvcalc import sv_constant
 
 from oracles import binom_coeff, polyval_series
@@ -191,6 +191,19 @@ def test_series_mode_matches_horner_oracle(n_coef, rng):
             assert np.max(np.abs(got - polyval_series(c, 1.0 - y))) <= tol
     assert law.gf(1.0) == pytest.approx(np.sum(c), abs=tol)
     assert law.gf(0) == c[0]
+
+
+def test_series_value_sums_any_real_coefficients(rng):
+    # the laws' blocked Horner, public for sums that are no law's, such as
+    # the invariance check's truncated measure: a list of coefficients of
+    # any signs, one point or a batch, within a few ulps of a plain loop
+    c = rng.uniform(-1.0, 1.0, size=257)
+    z = 0.9 * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=513))
+    tol = 1e-13 * np.sum(np.abs(c))
+    got = series_value(c.tolist(), z)
+    assert got.shape == z.shape
+    assert np.max(np.abs(got - polyval_series(c, z))) <= tol
+    assert series_value(c, 0.5) == pytest.approx(polyval_series(c, 0.5), abs=tol)
 
 
 def test_coefficient_positivity_across_indices(rng):

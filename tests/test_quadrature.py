@@ -102,6 +102,23 @@ def test_complex_integrand():
     assert val[0] == pytest.approx(2j, abs=1e-12)
 
 
+def test_complex_panel_sums_are_the_real_ones():
+    # a complex integrand's K15 and G7 sums are taken on its float view:
+    # its two parts integrate bit for bit as the real integrands do
+    rng = np.random.default_rng(7)
+    freq, phase = rng.uniform(0.5, 9.0, 5), rng.uniform(0.0, 6.0, 5)
+    re = lambda x: np.cos(np.outer(x, freq) + phase)
+    im = lambda x: np.sin(np.outer(x, freq) - phase) / (1.0 + x[:, None])
+    i15, err, resabs = quadrature._eval_panel(lambda x: re(x) + 1j * im(x), 0.2, 1.7)
+    for part, fun in ((i15.real, re), (i15.imag, im)):
+        assert np.array_equal(part, quadrature._eval_panel(fun, 0.2, 1.7)[0])
+    nodes, _, gauss, wg = kronrod_rule()
+    x = 0.95 + 0.75 * nodes
+    i7 = 0.75 * (wg @ (re(x) + 1j * im(x))[gauss])
+    assert err == pytest.approx(np.abs(i15 - i7), rel=1e-10)
+    assert np.all(resabs >= np.abs(i15))
+
+
 def test_panel_cap_raises():
     nasty = lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / np.pi))
     with pytest.raises(NumericsError):
