@@ -30,11 +30,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ModelError, PreconditionError
+from .errors import ModelError, NumericsError, PreconditionError
 from .inversion import (CoefficientSeries, circle_points,
                         coefficients_from_samples, complete_circle,
                         sample_count)
-from .kernel import compute_P_grid, log_limit
+from .kernel import flow_error, flow_on_grid, log_limit
 from .laws import ModelSpec, series_value, signed_binomials
 
 
@@ -137,33 +137,46 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec,
 
     By the branching property the sum has the generating function
     P(tau; s) * m(F(tau; s)), where m is the limit generating function
-    (U for gamma > 0, pi for gamma < 0).  P and F come from one
-    :func:`compute_P_grid` call and log m(F) from one :func:`log_limit`
-    call, so one circle inversion of the product predicts every
-    coefficient, at any lag.  The same inversion takes the product with the
-    truncated m_I(z) = sum_{i<=I} m_i z^i (the extracted coefficients summed
-    by :func:`mbpilab.laws.series_value`): the report keeps that sum as
+    (U for gamma > 0, pi for gamma < 0).  F comes from one
+    :func:`flow_on_grid` call, and h(1 - s) and h(F) = log m(F) from two
+    :func:`log_limit` calls (three potentials per invariant task, with the
+    extraction's); log P = h(s) - h(F), 0 where F = s, as
+    :func:`mbpilab.kernel.compute_P_grid` takes it.  One circle inversion
+    of the product predicts every coefficient, at any lag.  The same
+    inversion takes the product with the truncated
+    m_I(z) = sum_{i<=I} m_i z^i (the extracted coefficients summed by
+    :func:`mbpilab.laws.series_value`): the report keeps that sum as
     ``truncated`` and its largest departure from the prediction as the
     component ``i_truncation``, the part of sum_{i>I} m_i p_ij(tau) the
-    extracted coefficients leave out.  The other components are the
+    extracted coefficients leave out, plus the roundoff of m_I(F) that the
+    inversion amplifies by r**(-j).  The other components are the
     extraction's error sources; ``quad_error`` adds the estimates of log P
-    and log m(F).
+    (h(s)'s and h(F)'s, plus :func:`mbpilab.kernel.flow_error`) and of
+    log m(F), in that order.
     The prediction is taken as exp(log P + log m(F)), one exponent, which
     stays finite at long transient lags where P underflows and m(F)
     overflows.
 
     log P is h(s) - h(F) for the h that :func:`log_limit` returns, so the
     prediction is m(s) up to roundoff and the verdict checks the two
-    inversions and the i-truncation, not the kernel's log P.
+    inversions and the i-truncation, not the kernel's log P.  For
+    gamma < 0 it raises NumericsError where F(tau; s) rounds to 1 on the
+    check circle, since log pi diverges there.
     """
     m = measure.coefficients
     j_max = (m.size - 1) // 2
     r, M = 0.9, sample_count(j_max, 1024)
     s_half = circle_points(r, M, half=True)
-    logp, R, err = compute_P_grid(model, s_half, [tau])
-    log_mF, limit_err = log_limit(model, R[0])
-    F = s_half if tau == 0 else 1.0 - R[0]
-    half = np.stack([np.exp(logp[0] + log_mF), np.exp(logp[0]) * series_value(m, F)])
+    R = flow_on_grid(model, s_half, [tau], "auto", 1e-10)[0]
+    if model.gamma < 0 and not R.all():
+        raise NumericsError(f"F(tau; s) rounds to 1 on the check circle at "
+                            f"tau = {tau:g}, where log pi diverges")
+    w = 1.0 - s_half
+    h_s, err_s = log_limit(model, w)
+    log_mF, err_F = log_limit(model, R)
+    logp = np.where(w == R, 0.0, h_s - log_mF)
+    F = s_half if tau == 0 else 1.0 - R
+    half = np.stack([np.exp(logp + log_mF), np.exp(logp) * series_value(m, F)])
     both = coefficients_from_samples(complete_circle(half, M), r, j_max)
     prediction, truncated = both.row(0), both.values[1]
     residuals = np.abs(prediction.values - m[:j_max + 1])
@@ -174,7 +187,8 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec,
         "measure_noise": float(np.max(measure.series.coefficient_bound()[:j_max + 1])),
         "measure_tail": measure.tail_estimate,
         "i_truncation": float(np.max(np.abs(prediction.values - truncated))),
-        "quad_error": err + limit_err,
+        "quad_error": (float(err_s + err_F) + flow_error(model, tau, "auto", 1e-10)
+                       + err_F),
     }
     return InvarianceReport(tau=tau, predicted=prediction.values,
                             truncated=truncated, residuals=residuals,

@@ -28,6 +28,8 @@ a batch of one.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import telemetry
@@ -229,9 +231,10 @@ def _flow_route(law: BranchingLaw, method: str) -> str:
     return method
 
 
-def _flow_error(model, t: float, method: str, rtol: float) -> float:
-    """The error :func:`compute_P_grid` reports for the flow to t: none at
-    t = 0, roundoff on the closed-form route, else the tolerance."""
+def flow_error(model, t: float, method: str, rtol: float) -> float:
+    """The error of :func:`flow_on_grid`'s R to t by the route ``method`` at
+    the tolerance ``rtol``: none at t = 0, roundoff on the closed-form
+    route, else the tolerance."""
     if t == 0:
         return 0.0
     closed = _flow_route(model.offspring, method) == "closed"
@@ -312,14 +315,14 @@ def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
     return R[order]
 
 
-def _separable_pert(sv, q_scale: float, w0):
+def _separable_pert(sv, q_scale: float, w0_power):
     """q -> kappa * x**(-theta) of the spec ``sv`` at x = q**(-q_scale) / w0
     for nodes q > 0, as the outer product of the real powers
-    q**(theta*q_scale) with the per-call row kappa * w0**theta, exact for
-    Re w0 > 0; 0.0 when kappa = 0."""
+    q**(theta*q_scale) with the per-call row kappa * w0**theta, w0**theta
+    given as ``w0_power(theta)``, exact for Re w0 > 0; 0.0 when kappa = 0."""
     if not sv.kappa:
         return lambda q: 0.0
-    row = sv.kappa * w0 ** sv.exponent
+    row = sv.kappa * w0_power(sv.exponent)
     return lambda q: np.multiply.outer(q ** (sv.exponent * q_scale), row)
 
 
@@ -357,19 +360,36 @@ def _potential(model: ModelSpec, one_minus_s):
     Re w > 0): one complex power of w per kappa != 0 term.  The closed
     terms are taken in the argument's dtype; 1 - s given directly keeps
     full precision for s near 1.  The error is the integral's times the
-    largest |C kappa_L w**a/a|, plus 8 eps of the largest |h|."""
+    largest |C kappa_L w**a/a|, plus 8 eps of the largest |h|.
+
+    Every power of w (the closed terms' w**e, the rows kappa w**theta, the
+    prefactor's w**a) and the e <= 0 terms' log w come from one np.log(w),
+    taken only when some power needs it: numpy's complex w**e is
+    exp(e log w) for every real e but the integers (repeated squaring) and
+    1/2 (sqrt), so exp(e * log w) is that power bit for bit, at one complex
+    log less per power.  Those two exponent kinds, a real w (libm's pow)
+    and a batch with a lane at w = 0 (where log w is -inf) take w**e."""
     w = np.atleast_1d(np.asarray(one_minus_s))
+    log_w = functools.cache(lambda: np.log(w))
+    shared = w.dtype.kind == "c" and w.all()
+
+    def power(x, e):    # x**e for x = w, or the copy of w with 1 at w = 0
+        if shared and not float(e).is_integer() and e != 0.5:
+            return np.exp(e * log_w())
+        return x ** e
+
     (beta, e), *later = model.potential_terms
-    h = beta * (w ** e / e)
+    h = beta * (power(w, e) / e)
     for beta, e in later:
-        h = h + beta * (w ** e / e if e > 0 else
-                        np.log(w) if e == 0 else np.expm1(e * np.log(w)) / e)
+        h = h + beta * (power(w, e) / e if e > 0 else
+                        log_w() if e == 0 else np.expm1(e * log_w()) / e)
     err = 0.0
     L, ell = model.offspring.sv_spec, model.immigration.sv_spec
     if L.kappa:
         a = model.gamma + L.exponent
         w0 = np.where(w == 0, 1.0, w.astype(complex))
-        pert_g, pert_L = (_separable_pert(sv, 1.0 / a, w0) for sv in (ell, L))
+        pert_g, pert_L = (_separable_pert(sv, 1.0 / a, lambda e: power(w0, e))
+                          for sv in (ell, L))
 
         k = _smoothing([sv.exponent / a for sv in (ell, L) if sv.kappa])
 
@@ -383,7 +403,7 @@ def _potential(model: ModelSpec, one_minus_s):
             return out
 
         inner, err = doubling_quadrature(fun, 0.0, 1.0)
-        prefactor = model.C_ratio * L.kappa * w ** a / a
+        prefactor = model.C_ratio * L.kappa * power(w, a) / a
         h = h + prefactor * inner
         err *= float(np.max(np.abs(prefactor)))
     return h, err + 8.0 * np.finfo(float).eps * float(np.max(np.abs(h)))
@@ -393,14 +413,19 @@ def log_limit(model: ModelSpec, one_minus_s):
     """The log of the limit generating function at s = 1 - ``one_minus_s``,
     |s| <= 1, and its error estimate: the potential h of
     :func:`_potential`, log U for gamma > 0 and log pi for gamma < 0, where
-    it raises the error of :meth:`ModelSpec.require_transient_limit`."""
+    it raises the error of :meth:`ModelSpec.require_transient_limit`, and a
+    ModelError at s = 1, where log pi diverges."""
+    w = np.asarray(one_minus_s)
     if model.gamma < 0:
         model.require_transient_limit()
+        if not w.all():
+            raise ModelError("log pi diverges at s = 1 (gamma < 0): the "
+                             "transient limit needs s != 1")
     if model.C_ratio is None:
         raise ModelError("the limit needs the built-in tail-function specs")
-    if np.any(np.abs(1.0 - np.asarray(one_minus_s)) > 1 + 1e-12):
+    if np.any(np.abs(1.0 - w) > 1 + 1e-12):
         raise ModelError("the limit needs |s| <= 1")
-    return _potential(model, one_minus_s)
+    return _potential(model, w)
 
 
 def gf_segment_integral(model: ModelSpec, one_minus_s, one_minus_F):
@@ -459,7 +484,7 @@ def compute_P_grid(model: ModelSpec, s_batch, t_grid, rtol: float = 1e-10,
                                         w1.ravel())
         logp = logp.reshape(R.shape)
     logp = np.where(w0 == w1, 0.0, logp)      # F = s: at t = 0 and at s = 1
-    flow_err = _flow_error(model, float(t_arr.max()), method, rtol)
+    flow_err = flow_error(model, float(t_arr.max()), method, rtol)
     return logp, R, float(err) + flow_err
 
 

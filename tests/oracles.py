@@ -16,8 +16,11 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad, solve_ivp
 
 from mbpilab import sim
-from mbpilab.inversion import sample_count
-from mbpilab.kernel import exact_R, transition_grid
+from mbpilab.inversion import (circle_points, coefficients_from_samples,
+                               complete_circle, sample_count)
+from mbpilab.kernel import (_smoothing, compute_P_grid, exact_R, log_limit,
+                            transition_grid)
+from mbpilab.laws import series_value
 from mbpilab.quadrature import adaptive_quadrature, doubling_quadrature
 
 
@@ -143,6 +146,75 @@ def direct_log_limit(model, one_minus_s, rtol=1e-10):
     if gamma > 0:
         return -(w0 ** gamma) / gamma * inner, err
     return w ** (-g_abs) + w0 ** (-g_abs) * inner, err
+
+
+def potential_by_powers(model, one_minus_s):
+    """kernel._potential with each power of w taken by numpy's own w ** e
+    (the closed terms' w**e, the rows kappa w**theta, the prefactor's w**a)
+    and np.log(w) taken afresh in each e <= 0 term: the reference the
+    kernel's powers from one shared log must equal bit for bit."""
+    w = np.atleast_1d(np.asarray(one_minus_s))
+    (beta, e), *later = model.potential_terms
+    h = beta * (w ** e / e)
+    for beta, e in later:
+        h = h + beta * (w ** e / e if e > 0 else
+                        np.log(w) if e == 0 else np.expm1(e * np.log(w)) / e)
+    err = 0.0
+    L, ell = model.offspring.sv_spec, model.immigration.sv_spec
+    if L.kappa:
+        a = model.gamma + L.exponent
+        w0 = np.where(w == 0, 1.0, w.astype(complex))
+
+        def pert(sv):
+            if not sv.kappa:
+                return lambda q: 0.0
+            row = sv.kappa * w0 ** sv.exponent
+            return lambda q: np.multiply.outer(q ** (sv.exponent * (1.0 / a)), row)
+
+        pert_g, pert_L = pert(ell), pert(L)
+        k = _smoothing([sv.exponent / a for sv in (ell, L) if sv.kappa])
+
+        def fun(v):
+            q = v ** k
+            out = pert_L(q)
+            out += 1.0
+            np.divide(1.0 + pert_g(q), out, out=out)
+            if k > 1:
+                out *= (k * v ** (k - 1))[:, None]
+            return out
+
+        inner, err = doubling_quadrature(fun, 0.0, 1.0)
+        prefactor = model.C_ratio * L.kappa * w ** a / a
+        h = h + prefactor * inner
+        err *= float(np.max(np.abs(prefactor)))
+    return h, err + 8.0 * np.finfo(float).eps * float(np.max(np.abs(h)))
+
+
+def invariance_by_compute_P(measure, model, tau: float):
+    """check_invariance's predicted and truncated rows, residuals and
+    components with log P, R and the error taken from one compute_P_grid
+    call and log m(F) from one more log_limit call, h(F) computed twice."""
+    m = measure.coefficients
+    j_max = (m.size - 1) // 2
+    r, M = 0.9, sample_count(j_max, 1024)
+    s_half = circle_points(r, M, half=True)
+    logp, R, err = compute_P_grid(model, s_half, [tau])
+    log_mF, limit_err = log_limit(model, R[0])
+    F = s_half if tau == 0 else 1.0 - R[0]
+    half = np.stack([np.exp(logp[0] + log_mF), np.exp(logp[0]) * series_value(m, F)])
+    both = coefficients_from_samples(complete_circle(half, M), r, j_max)
+    prediction, truncated = both.row(0), both.values[1]
+    residuals = np.abs(prediction.values - m[:j_max + 1])
+    components = {
+        "prediction_aliasing": float(prediction.aliasing_bound),
+        "prediction_noise": float(np.max(prediction.noise_floor())),
+        "measure_noise": float(np.max(measure.series.coefficient_bound()[:j_max + 1])),
+        "measure_tail": measure.tail_estimate,
+        "i_truncation": float(np.max(np.abs(prediction.values - truncated))),
+        "quad_error": err + limit_err,
+    }
+    return SimpleNamespace(predicted=prediction.values, truncated=truncated,
+                           residuals=residuals, components=components)
 
 
 def direct_segment_integral(model, w0, w1, rtol=1e-10):

@@ -325,11 +325,11 @@ def test_invariant_task(tmp_path):
 
 def test_invariant_quadrature_counters(tmp_path):
     # without an offspring kappa the potential is closed: no quadrature runs.
-    # With one, its remainder integral runs four times, the measure's on the
-    # 4097 points of the half circle and, on 513, h(s) and h(F) of the
-    # check's log P and its log m(F); each starts from one panel and doubles
-    # the count at each further level, and each stops at its second level,
-    # 1 + 2 panels
+    # With one, its remainder integral runs three times, the measure's on the
+    # 4097 points of the half circle and, on 513, the check's h(s) and h(F),
+    # which serves both its log P and its log m(F); each starts from one
+    # panel and doubles the count at each further level, and each stops at
+    # its second level, 1 + 2 panels
     cfg = write(tmp_path, RECURRENT.format(
         task="invariant", extra="j_out = 256\nsamples = 8192",
         out=tmp_path / "out"))
@@ -341,9 +341,9 @@ def test_invariant_quadrature_counters(tmp_path):
                         out=tmp_path / "pert"), name="pert.ini")
     assert run_config(cfg) == 0
     counters = json.loads((tmp_path / "pert" / "stats.json").read_text())["counters"]
-    assert counters["quad.calls"] == 4
-    assert counters["quad.levels"] == 8 and counters["quad.panels"] == 12
-    assert counters["quad.integrand_values"] == 15 * 3 * (4097 + 3 * 513)
+    assert counters["quad.calls"] == 3
+    assert counters["quad.levels"] == 6 and counters["quad.panels"] == 9
+    assert counters["quad.integrand_values"] == 15 * 3 * (4097 + 2 * 513)
     assert 0.0 <= counters["quad.max_error"] < 1e-10
 
 
@@ -778,3 +778,44 @@ def test_stats_json_flow_counters(tmp_path):
         counters["flow.calls"]
         + 6 * (counters["flow.steps"] + counters["flow.rejected"]))
     assert counters["flow.rhs_points"] == counters["flow.rhs_evals"]
+
+
+# the indices of the conftest fixtures g025, gneg, gneg_pert and g025_pert_off
+FIXTURE_MODELS = {
+    "g025": {"nu": "0.5", "delta": "0.75"},
+    "gneg": {"nu": "0.75", "delta": "0.5"},
+    "gneg_pert": {"nu": "0.75", "delta": "0.5", "kappa_immigration": "1.0"},
+    "g025_pert_off": {"nu": "0.5", "delta": "0.75", "kappa_offspring": "1.0"},
+}
+
+
+def _strict_json(text):
+    """json.loads that refuses the NaN and Infinity JSON does not define."""
+    def refuse(constant):
+        raise ValueError(f"stats.json holds {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_MODELS))
+def test_stats_json_holds_no_nan_or_infinity(tmp_path, name):
+    for task in ("kernel", "rates", "lemmas", "invariant"):
+        out = tmp_path / task
+        path = write(tmp_path, _config(out, task, truncation="2000",
+                                       **FIXTURE_MODELS[name]), name=f"{task}.ini")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_config(path) == 0
+        stats = _strict_json((out / "stats.json").read_text())
+        assert stats["task"] == task
+
+
+def test_invariance_where_F_rounds_to_one_exits_4(tmp_path, capsys):
+    # at c = 1e300 on gneg's indices F(1; s) rounds to 1 on the check
+    # circle, where log pi diverges: the run names that and exits 4, where it
+    # wrote NaN into stats.json and failed its verdict on a NaN residual
+    out = tmp_path / "out"
+    path = write(tmp_path, _config(out, "invariant", nu="0.75", delta="0.5",
+                                   c="1e300", d="2.5e299"))
+    assert run_config(path) == 4
+    err = capsys.readouterr().err
+    assert "numeric failure in stage 'task'" in err and "rounds to 1" in err
+    assert not (out / "stats.json").exists()

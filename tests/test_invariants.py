@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mbpilab import (ModelError, PreconditionError, check_invariance,
-                     extract_measure, log_limit, series_coefficients,
-                     stable_model, transition_grid)
+from mbpilab import (ModelError, NumericsError, PreconditionError,
+                     check_invariance, extract_measure, log_limit,
+                     series_coefficients, stable_model, transition_grid)
 from mbpilab import kernel, telemetry
 from mbpilab.inversion import circle_points, suggest_radius
 from mbpilab.kernel import compute_P_grid
@@ -11,7 +11,8 @@ from mbpilab.quadrature import doubling_quadrature
 from mbpilab.rvcalc import SlowlyVaryingSpec
 
 from oracles import (direct_log_limit, direct_segment_integral,
-                     mp_exp_series_coeffs, row_sum_invariance, scipy_gf_integral)
+                     invariance_by_compute_P, mp_exp_series_coeffs,
+                     row_sum_invariance, scipy_gf_integral)
 
 # The half circle behind extract_measure's default M = 2**14.
 HALF_CIRCLE = circle_points(0.9, 16384, half=True)
@@ -197,6 +198,41 @@ def test_invariance_residual_pi(gneg):
     assert report.ok(1e-5)
 
 
+@pytest.mark.parametrize("name", ["g025", "gneg", "gneg_pert", "g025_pert_off"])
+def test_invariance_takes_h_of_F_once_bit_for_bit(name, request):
+    """The check's one flow and two potentials, h(1 - s) and h(F), give the
+    prediction, truncated sum, residuals and components of one
+    compute_P_grid call plus one log_limit call, bit for bit, quad_error's
+    terms added in the same order."""
+    model = request.getfixturevalue(name)
+    measure = extract_measure(model, J_out=256, r=suggest_radius(256, 8192), M=8192)
+    for tau in (0.0, 1.0, 1e4):
+        report = check_invariance(measure, model, tau)
+        ref = invariance_by_compute_P(measure, model, tau)
+        for field in ("predicted", "truncated", "residuals"):
+            assert getattr(report, field).tobytes() == getattr(ref, field).tobytes()
+        assert repr(report.components) == repr(ref.components)
+
+
+def test_log_pi_refuses_s_at_one(gneg):
+    # log pi diverges at s = 1: a ModelError names it, where a power of 0
+    # warned and returned inf or NaN
+    for one_minus_s in (0.0, 0j, [0.5, 0.0]):
+        with pytest.raises(ModelError, match="diverges at s = 1"):
+            log_limit(gneg, one_minus_s)
+
+
+def test_invariance_refuses_F_rounded_to_one():
+    """At c = 1e300 on gneg's indices F(1; s) rounds to 1 on the check
+    circle (R ~ (c nu t)**(-1/nu) underflows), where log pi diverges: the
+    check raises NumericsError, not a NaN residual.  The measure does not
+    depend on c, so its extraction still works."""
+    model = stable_model(nu=0.75, c=1e300, delta=0.5, d=2.5e299, J=200)
+    measure = extract_measure(model, J_out=64, r=suggest_radius(64, 2048), M=2048)
+    with pytest.raises(NumericsError, match="rounds to 1"):
+        check_invariance(measure, model, 1.0)
+
+
 def test_schroder_equation(g025, rng):
     # U(F(tau; s)) * P(tau; s) = U(s)
     for _ in range(5):
@@ -351,7 +387,7 @@ def test_quad_route_matches_reference_integral(name, request):
         for t in (1.0, 1e2, 1e4, 1e6):
             logp, R, err = compute_P_grid(model, s, [t], method=method)
             ref, ref_err = direct_segment_integral(model, 1.0 - s, R[0])
-            h_err = err - kernel._flow_error(model, t, method, 1e-10)
+            h_err = err - kernel.flow_error(model, t, method, 1e-10)
             scale = np.abs(h_s) + np.abs(kernel._potential(model, R[0])[0])
             bound = h_err + ref_err + 8 * np.finfo(float).eps * scale
             assert np.all(np.abs(logp[0] - ref) <= bound)

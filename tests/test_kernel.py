@@ -5,18 +5,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 import mbpilab
 from mbpilab import (METHODS, ModelError, NumericsError, compute_P_grid,
                      exact_R, solve_F, stable_model)
 from mbpilab import kernel, telemetry
-from mbpilab.inversion import circle_points
+from mbpilab.inversion import circle_points, suggest_radius
 from mbpilab.kernel import flow_on_grid, log_limit, transition_grid
 from mbpilab.laws import make_stable_offspring, offspring_from_coefficients
 from mbpilab.rvcalc import sv_constant, sv_perturbed
 
-from oracles import (direct_segment_integral, scipy_R, scipy_gf_integral,
-                     time_route_P)
+from oracles import (direct_segment_integral, potential_by_powers, scipy_R,
+                     scipy_gf_integral, time_route_P)
 
 
 def test_initial_condition(g025):
@@ -640,3 +642,64 @@ def test_march_survives_R_underflow_at_small_nu(nu, delta):
     R = flow_on_grid(model, s, [1e16], method="quad", rtol=1e-12)[0]
     exact = exact_R(model.offspring, 1e16, s)
     assert np.max(np.abs(R - exact) / np.abs(exact)) <= 1e-13
+
+
+def _same_potential(model, one_minus_s):
+    """kernel._potential's h and error are those of numpy's own powers,
+    bit for bit."""
+    h, err = kernel._potential(model, one_minus_s)
+    ref, ref_err = potential_by_powers(model, one_minus_s)
+    assert h.dtype == ref.dtype and h.tobytes() == ref.tobytes()
+    assert repr(err) == repr(ref_err)
+
+
+# w = 1 - s on the invariant task's extraction circle and on the invariance
+# check's circle, complex and free of 0: every non-integer power but 1/2
+# comes from the one shared log there
+POTENTIAL_CIRCLES = {
+    "extraction": 1.0 - circle_points(suggest_radius(256, 16384), 16384, half=True),
+    "check": 1.0 - circle_points(0.9, 1024, half=True),
+}
+
+
+@pytest.mark.parametrize("circle", sorted(POTENTIAL_CIRCLES))
+@pytest.mark.parametrize("name", ["g025", "gneg", "gneg_pert", "g025_pert_off"])
+def test_potential_powers_are_numpys_bit_for_bit(name, circle, request):
+    _same_potential(request.getfixturevalue(name), POTENTIAL_CIRCLES[circle])
+
+
+@pytest.mark.parametrize("name", ["g025", "gneg", "gneg_pert", "g025_pert_off"])
+def test_potential_on_real_w_is_numpys_bit_for_bit(name, request):
+    # a real w keeps libm's pow in the closed terms
+    _same_potential(request.getfixturevalue(name), np.geomspace(1e-6, 1.0, 101))
+
+
+@pytest.mark.parametrize("name", ["g025", "g025_pert_off"])
+def test_potential_with_a_zero_lane_is_numpys_bit_for_bit(name, request):
+    # gamma > 0 admits s = 1, where log w is -inf: the batch takes w**e
+    w = np.array([0.0, 0.5, 0.3 + 0.4j, 1.0 - 0.9j, 2.0], dtype=complex)
+    _same_potential(request.getfixturevalue(name), w)
+    assert kernel._potential(request.getfixturevalue(name), w)[0][0] == 0.0
+
+
+@given(nu=st.one_of(st.just(0.5), st.floats(0.05, 0.95)),
+       delta=st.one_of(st.just(0.5), st.floats(0.05, 0.95)),
+       d=st.floats(0.05, 2.0), kappa_offspring=st.sampled_from([0.0, 0.3, 1.0]),
+       kappa_immigration=st.sampled_from([0.0, 0.2, 1.0]))
+@example(nu=0.5, delta=0.75, d=0.25, kappa_offspring=1.0, kappa_immigration=0.2)
+@example(nu=0.75, delta=0.5, d=0.25, kappa_offspring=0.3, kappa_immigration=1.0)
+@example(nu=0.5, delta=0.25, d=0.25, kappa_offspring=0.0, kappa_immigration=0.5)
+@example(nu=0.5, delta=0.25, d=0.25, kappa_offspring=1.0, kappa_immigration=0.5)
+def test_drawn_potentials_are_numpys_bit_for_bit(nu, delta, d, kappa_offspring,
+                                                 kappa_immigration):
+    """On drawn admitted models, by the check circle: nu = 1/2 puts the
+    rows kappa w**theta, and delta = 1/2 the prefactor's w**a, on numpy's
+    sqrt; the examples with mu = 2 delta - nu = 0 take the log w term."""
+    assume(abs(delta - nu) > 1e-3)
+    try:
+        model = stable_model(nu=nu, c=1.0, delta=delta, d=d, J=200,
+                             kappa_offspring=kappa_offspring,
+                             kappa_immigration=kappa_immigration)
+    except ModelError:
+        assume(False)
+    _same_potential(model, POTENTIAL_CIRCLES["check"])
