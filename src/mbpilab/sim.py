@@ -9,16 +9,19 @@ is exactly the truncated, re-balanced law carried by the model, so kernel
 cross-checks against the same truncated law are free of truncation bias.
 
 Randomness: counter-based Philox streams, so that replicates are
-independent and bit-reproducible in any order.  Replicates 256b .. 256b+255
-form block b.  Its stream, keyed (seed, b) with the counter at (0, 0, 0, 1),
-gives a (256, 16) exponential draw and then a (256, 16, 3) uniform draw:
-row r mod 256 holds the first 16 events of replicate r.  A path that goes
-past them continues on its own stream, keyed (seed, r) with the counter at
-0, in chunks of 64 exponentials and then 64 x 3 uniforms.  The two kinds
-of stream never overlap, as they start 2**192 counter steps apart.  Since a
-Philox stream is a pure function of its key and counter, a generator whose
-state is reset reproduces any stream exactly, without building a generator
-per replicate.  ``RNG_SCHEME`` states this layout in one line.
+independent and bit-reproducible in any order.  An event draws one
+exponential and two uniforms: one for its type, one for its alias pick,
+which takes the column and the accept test from the same uniform.
+Replicates 256b .. 256b+255 form block b.  Its stream, keyed (seed, b) with
+the counter at (0, 0, 0, 1), gives a (256, 16) exponential draw and then a
+(256, 16, 2) uniform draw: row r mod 256 holds the first 16 events of
+replicate r.  A path that goes past them continues on its own stream, keyed
+(seed, r) with the counter at 0, in chunks of 128 exponentials and then
+128 x 2 uniforms.  The two kinds of stream never overlap, as they start
+2**192 counter steps apart.  Since a Philox stream is a pure function of its
+key and counter, a generator whose state is reset reproduces any stream
+exactly, without building a generator per replicate.  ``RNG_SCHEME`` states
+this layout in one line.
 
 ``simulate_path`` runs the scalar event loop on the chunks of any
 generator.  ``estimate_pmf`` runs the streams above in two phases, both
@@ -27,7 +30,7 @@ replicate the same path.  The block phase takes a group of blocks through
 their first 16 draws, one numpy pass per draw position over every
 replicate of the group; most paths end there.  The paths that need a 17th
 draw go on in numpy lanes, each on its own stream: one step takes every
-lane through up to 32 events, guessed to be branching events and accepted
+lane through up to 64 events, guessed to be branching events and accepted
 up to the first that is not.  Its memory does not grow with the replicate
 count.  The result is arrays (the pmf and its standard errors), and
 ``zscore_table`` gives the rows that compare them with kernel probabilities.
@@ -47,23 +50,27 @@ from .laws import ModelSpec
 
 # Chunk sizes and block layout fix every stream: changing one changes the
 # simulated paths.
-_CHUNK = 64  # events per refill from a replicate's own stream
+_CHUNK = 128  # events per refill from a replicate's own stream
 _BLOCK = 256  # replicates whose first chunks come from one bulk draw
 _FIRST = 16  # events in a replicate's first chunk, drawn with its block
+_UNIFORMS = 2  # uniforms per event: its type, then its alias pick
 _LANES = 256  # replicates advanced together by one numpy step
-# blocks the block phase runs at a time: their first chunks hold as many
-# draws as the lane buffer
-_GROUP = max(1, _LANES * _CHUNK // (_BLOCK * _FIRST))
-_WINDOW = 32  # draws of its chunk one numpy step may take a lane through
+_GROUP = 4  # blocks the block phase runs at a time
+_WINDOW = 64  # draws of its chunk one numpy step may take a lane through
 _ZERO_WORDS = (0, 0, 0, 0)
 _BLOCK_COUNTER = (0, 0, 0, 1)  # 2**192 steps past any replicate stream
 RNG_SCHEME = ("philox: events 1-16 from key=(seed, replicate // 256)"
               " counter=2**192 row replicate % 256, then "
-              "key=(seed, replicate) in 64-event chunks")
+              "key=(seed, replicate) in 128-event chunks; an event draws"
+              " an exponential, then uniforms for its type and its alias pick")
 
 
 class AliasTable:
-    """Vose alias sampler over a nonnegative weight vector."""
+    """Vose alias sampler over a nonnegative weight vector.
+
+    One uniform u makes a pick: v = u * n gives the column i = floor(v)
+    (at most n - 1) and the accept test v - i < prob[i], which takes i,
+    else alias[i]."""
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=float)
@@ -96,10 +103,15 @@ class AliasTable:
         self.alias = np.array(alias, dtype=np.int64)
         self._prob, self._alias = prob, alias
 
-    def pick_many(self, u_index, u_accept):
-        i = np.minimum((np.asarray(u_index) * self.n).astype(np.int64), self.n - 1)
-        return np.where(np.asarray(u_accept) < self.prob.take(i), i,
-                        self.alias.take(i))
+    def pick_many(self, u):
+        v = np.multiply(u, self.n)
+        i = v.astype(np.int64)
+        np.minimum(i, self.n - 1, out=i)
+        v -= i  # the accept fraction v - i, in place
+        accept = v < self.prob.take(i)
+        pick = self.alias.take(i)
+        np.copyto(pick, i, where=accept)
+        return pick
 
 
 @dataclass(frozen=True)
@@ -176,7 +188,7 @@ def simulate_path(model: ModelSpec, initial: int, horizon: float,
     while not capped:
         if ptr == end:  # refill at the end of whatever chunk rng gave
             exps = rng.standard_exponential(_CHUNK).tolist()
-            unis = rng.random((_CHUNK, 3)).tolist()
+            unis = rng.random((_CHUNK, _UNIFORMS)).tolist()
             ptr, end = 0, len(exps)
         branch_rate = x * a_rate
         rate = branch_rate + b_rate
@@ -187,21 +199,23 @@ def simulate_path(model: ModelSpec, initial: int, horizon: float,
         if t_next > horizon:
             break
         t = t_next
-        u_type, u_idx, u_acc = unis[ptr]
+        u_type, u_pick = unis[ptr]
         ptr += 1
         events += 1
         # The alias-table pick, inlined: a method call would cost about a
         # fifth of the loop's time per event.
         if u_type * rate < branch_rate:
-            i = int(u_idx * n_off)
+            v = u_pick * n_off
+            i = int(v)
             if i >= n_off:
                 i = n_off - 1
-            jump = (i if u_acc < off_prob[i] else off_alias[i]) - 1
+            jump = (i if v - i < off_prob[i] else off_alias[i]) - 1
         else:
-            i = int(u_idx * n_imm)
+            v = u_pick * n_imm
+            i = int(v)
             if i >= n_imm:
                 i = n_imm - 1
-            jump = i if u_acc < imm_prob[i] else imm_alias[i]
+            jump = i if v - i < imm_prob[i] else imm_alias[i]
         x += jump
         if log is not None:
             log.append((t, jump, x))
@@ -258,9 +272,58 @@ def _tally(histogram: np.ndarray, values: np.ndarray) -> np.ndarray:
     return histogram
 
 
+def _step(x, t, ptr, row, exps_flat, unis_rows, samplers, horizon, cap):
+    """One numpy step of the lanes (see ``estimate_pmf``): take each lane,
+    at state ``x`` and time ``t``, through up to ``_WINDOW`` of the draws
+    left in its chunk, from draw ``ptr`` of the slot rows that start at
+    ``row``.  Returns the lanes' states and times, the draws each took and
+    whether its path ended before an event past the horizon or at a zero
+    rate.  The (lanes, window) temporaries die on return, before any ended
+    lane takes a new path and maybe runs the block phase."""
+    a_rate, b_rate, off, imm = samplers
+    lane = np.arange(x.size)
+    window = np.arange(_WINDOW)
+    room = _CHUNK - ptr  # draws left in each lane's chunk
+    at = np.minimum(ptr[:, None] + window, _CHUNK - 1)
+    at += row[:, None]
+    u = unis_rows.take(at, axis=0)
+    # xs[:, k] is the state before event k if events 0..k-1 branch
+    xs = np.concatenate((x[:, None], off.pick_many(u[..., 1]) - 1),
+                        axis=1).cumsum(axis=1)
+    branch_rate = xs[:, :-1] * a_rate
+    rate = branch_rate + b_rate
+    u_type = u[..., 0]
+    u_type *= rate  # u_type * rate, in place
+    branch = u_type < branch_rate
+    # each array is freed once read: a step's peak memory grows with the
+    # number of (lanes, window) arrays alive at once
+    del u, u_type, branch_rate
+    # ts[:, k + 1] is the time of event k; cumsum adds left to right
+    ts = np.concatenate((t[:, None], exps_flat.take(at) / rate),
+                        axis=1).cumsum(axis=1)
+    del at
+    stop = (ts[:, 1:] > horizon) | (rate == 0.0) | (window >= room[:, None])
+    end = stop | ~branch | (xs[:, 1:] >= cap)
+    first = np.where(end.any(axis=1), end.argmax(axis=1), _WINDOW)
+    hit = first < _WINDOW
+    at_first = np.minimum(first, _WINDOW - 1)
+    halt = hit & stop[lane, at_first]
+    taken = first + (hit & ~halt)
+    x = xs[lane, taken]
+    arrive = (hit & ~halt & ~branch[lane, at_first]).nonzero()[0]
+    if arrive.size:
+        x[arrive] = xs[arrive, first[arrive]] + imm.pick_many(
+            unis_rows[row[arrive] + ptr[arrive] + first[arrive], 1])
+    return x, ts[lane, taken], taken, halt & (first < room)
+
+
 def estimate_pmf(config: SimConfig) -> SimResult:
     """Empirical transition pmf from the configured initial state, in two
     exact phases.
+
+    A chunk of C events is ``standard_exponential(C)`` and then
+    ``random((C, 2))``: a block draws the (256, 16) first chunks of its
+    replicates at once, and a lane draws C = ``_CHUNK`` = 128 at a time.
 
     The block phase takes ``_GROUP`` blocks at a time.  It draws each
     block's first chunks in one bulk draw, makes every draw's offspring and
@@ -282,10 +345,11 @@ def estimate_pmf(config: SimConfig) -> SimResult:
     operations on the same draws.  Ended lanes are tallied by ``bincount``
     and take the next waiting path, running the block phase on the next
     group when none waits.  Memory is O(lanes * chunk + group * block *
-    first chunk + largest state + longest path).
+    first chunk + lanes * window + largest state + longest path): at the
+    defaults the fixed buffers take about 1.3 MB, 0.79 MB of it the lanes'
+    chunks.
     """
-    model = config.model
-    a_rate, b_rate, off, imm = _samplers(model)
+    samplers = a_rate, b_rate, off, imm = _samplers(config.model)
     n, horizon, cap, x0 = (config.replicates, config.horizon,
                            config.state_cap, config.initial)
     seed_word = config.seed & 0xFFFFFFFFFFFFFFFF
@@ -297,10 +361,10 @@ def estimate_pmf(config: SimConfig) -> SimResult:
     gens = [None] * width
     block = np.random.Generator(np.random.Philox(key=0))
     exps = np.empty((width, _CHUNK))
-    unis = np.empty((width, _CHUNK, 3))
+    unis = np.empty((width, _CHUNK, _UNIFORMS))
     group = min(_GROUP, n_blocks)
     block_exps = np.empty((_BLOCK, _FIRST))
-    block_unis = np.empty((_BLOCK, _FIRST, 3))
+    block_unis = np.empty((_BLOCK, _FIRST, _UNIFORMS))
     # row k of the group's (draw, replicate) arrays holds draw k of every
     # replicate, so that the block phase reads it from contiguous memory;
     # each draw's jump if the event branches and if it is an immigration
@@ -326,12 +390,12 @@ def estimate_pmf(config: SimConfig) -> SimResult:
             _rekey(block.bit_generator, seed_word, blocks + g, _BLOCK_COUNTER)
             block.standard_exponential(out=block_exps)
             block.random(out=block_unis)
-            u_index, u_accept = block_unis[..., 1], block_unis[..., 2]
+            u_pick = block_unis[..., 1]
             cols = slice(g * _BLOCK, (g + 1) * _BLOCK)
             first_e[:, cols] = block_exps.T
             first_u[:, cols] = block_unis[..., 0].T
-            branch_jump[:, cols] = (off.pick_many(u_index, u_accept) - 1).T
-            arrive_jump[:, cols] = imm.pick_many(u_index, u_accept).T
+            branch_jump[:, cols] = (off.pick_many(u_pick) - 1).T
+            arrive_jump[:, cols] = imm.pick_many(u_pick).T
         rep = np.arange(min(size * _BLOCK, n - blocks * _BLOCK))
         x = np.full(rep.size, x0, dtype=np.int64)
         t = np.zeros(rep.size)
@@ -396,46 +460,18 @@ def estimate_pmf(config: SimConfig) -> SimResult:
         slot, x, t = enter(np.arange(width))
         # flat views: gathering with take on one index is cheaper than 2-d
         # fancy indexing
-        exps_flat, unis_rows = exps.reshape(-1), unis.reshape(-1, 3)
+        exps_flat, unis_rows = exps.reshape(-1), unis.reshape(-1, _UNIFORMS)
         row = slot * _CHUNK
         ptr = np.zeros(slot.size, dtype=np.int64)
         events = np.full(slot.size, _FIRST, dtype=np.int64)
-        window = np.arange(_WINDOW)
         while slot.size:
             steps += 1
-            lane = np.arange(slot.size)
-            room = _CHUNK - ptr  # draws left in each lane's chunk
-            at = row[:, None] + np.minimum(ptr[:, None] + window, _CHUNK - 1)
-            u = unis_rows.take(at, axis=0)
-            # xs[:, k] is the state before event k if events 0..k-1 branch
-            xs = np.concatenate(
-                (x[:, None], off.pick_many(u[..., 1], u[..., 2]) - 1),
-                axis=1).cumsum(axis=1)
-            branch_rate = xs[:, :-1] * a_rate
-            rate = branch_rate + b_rate
-            # ts[:, k + 1] is the time of event k; cumsum adds left to right
-            ts = np.concatenate((t[:, None], exps_flat.take(at) / rate),
-                                axis=1).cumsum(axis=1)
-            stop = ((ts[:, 1:] > horizon) | (rate == 0.0)
-                    | (window >= room[:, None]))
-            branch = u[..., 0] * rate < branch_rate
-            end = stop | ~branch | (xs[:, 1:] >= cap)
-            first = np.where(end.any(axis=1), end.argmax(axis=1), _WINDOW)
-            hit = first < _WINDOW
-            at_first = np.minimum(first, _WINDOW - 1)
-            halt = hit & stop[lane, at_first]
-            taken = first + (hit & ~halt)
-            x = xs[lane, taken]
-            t = ts[lane, taken]
-            arrive = (hit & ~halt & ~branch[lane, at_first]).nonzero()[0]
-            if arrive.size:
-                v = u[arrive, first[arrive]]
-                x[arrive] = xs[arrive, first[arrive]] + imm.pick_many(
-                    v[:, 1], v[:, 2])
+            x, t, taken, halted = _step(x, t, ptr, row, exps_flat, unis_rows,
+                                        samplers, horizon, cap)
             ptr += taken
             events += taken
             is_capped = x >= cap
-            done = ((halt & (first < room)) | is_capped).nonzero()[0]
+            done = (halted | is_capped).nonzero()[0]
             if done.size:
                 capped += int(is_capped[done].sum())
                 ended = done[~is_capped[done]]
@@ -462,6 +498,8 @@ def estimate_pmf(config: SimConfig) -> SimResult:
     telemetry.add("sim.events", int(lengths @ np.arange(lengths.size)))
     telemetry.add("sim.capped", capped)
     telemetry.add("sim.refills", refills)
+    telemetry.add("sim.draws", (blocks * _BLOCK * _FIRST + refills * _CHUNK)
+                  * (1 + _UNIFORMS))
     telemetry.add("sim.steps", steps)
     telemetry.add("sim.lane_paths", lane_paths)
     telemetry.put("sim.events_p50", _quantile(lengths, 0.5))

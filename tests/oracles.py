@@ -262,14 +262,16 @@ def replicate_rngs(seed, replicates):
     """The generator of each replicate under estimate_pmf's block layout,
     built from the layout's description alone: per block b of 256
     replicates, one stream keyed (seed, b) at counter 2**192 gives a
-    (256, 16) exponential and then a (256, 16, 3) uniform draw, and row
-    r mod 256 is replicate r's first chunk; the stream keyed (seed, r) at
-    counter 0 gives the rest in 64-event chunks."""
+    (256, 16) exponential and then a (256, 16, 2) uniform draw (an event's
+    type, then its alias pick), and row r mod 256 is replicate r's first
+    chunk; the stream keyed (seed, r) at counter 0 gives the rest in
+    128-event chunks, each 128 exponentials and then (128, 2) uniforms, as
+    simulate_path asks for them."""
     seed_word = seed & 0xFFFFFFFFFFFFFFFF
     for b in range(-(-replicates // 256)):
         block = _philox(seed_word, b, counter=1)
         exps = block.standard_exponential((256, 16))
-        unis = block.random((256, 16, 3))
+        unis = block.random((256, 16, 2))
         for r in range(256 * b, min(256 * (b + 1), replicates)):
             yield _FirstChunkThen(exps[r % 256], unis[r % 256],
                                   _philox(seed_word, r))

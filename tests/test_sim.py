@@ -34,13 +34,23 @@ def test_alias_table_implied_distribution(weights):
     w = np.asarray(weights)
     error = np.max(np.abs(implied / n - w / w.sum()))
     assert error <= 4 * n * np.finfo(float).eps
+    # and so must a pick, which takes both the column and the accept test
+    # from one uniform: the midpoints of n * 2**m equal cells of [0, 1) put
+    # 2**m accept fractions (l + 0.5) / 2**m in each column, so a value's
+    # frequency misses its weight by the table's rounding and at most half
+    # a cell per column
+    m = 10
+    cells = n * 2 ** m
+    freq = np.bincount(table.pick_many((np.arange(cells) + 0.5) / cells),
+                       minlength=n) / cells
+    error = np.max(np.abs(freq - w / w.sum()))
+    assert error <= 4 * n * np.finfo(float).eps + 2.0 ** -m
 
 
 def test_alias_table_sampling_agrees(rng):
     w = np.array([0.2, 0.0, 0.5, 0.3])
     table = AliasTable(w)
-    u1, u2 = rng.random(200_000), rng.random(200_000)
-    draws = table.pick_many(u1, u2)
+    draws = table.pick_many(rng.random(200_000))
     freq = np.bincount(draws, minlength=4) / draws.size
     assert np.max(np.abs(freq - w)) < 5e-3
 
@@ -84,15 +94,15 @@ def test_path_event_log(g025_small):
 
 
 def test_path_event_log_pinned(g025_small):
-    # 1004 events: fifteen refills of the 64-draw chunk, both jump kinds.
-    path = simulate_path(g025_small, 3, 20.0, _rng(seed=11, rep=3),
+    # 2395 events: eighteen refills of the 128-draw chunk, both jump kinds.
+    path = simulate_path(g025_small, 3, 20.0, _rng(seed=11, rep=7),
                          collect_events=True)
-    assert path.events == len(path.log) == 1004
+    assert path.events == len(path.log) == 2395
     assert path.log[-1][2] == path.state
     assert 3 + sum(jump for _, jump, _ in path.log) == path.state
     text = ";".join(f"{float(t)!r},{jump},{x}" for t, jump, x in path.log)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "a8ea064737c004de1ef406b4abad919605c1136a0ba147932b192ddd2820eab3")
+        "e59586929f2f5f42100b624080ab1ec883d7244f2ebb208b286be5aaf98b5632")
 
 
 # sha256 of the sim.csv a simulate run writes for fixed configs on
@@ -102,18 +112,20 @@ def test_path_event_log_pinned(g025_small):
 # layout, draw order or floating-point operation changes a digest.
 GOLDEN_SIM = [
     (dict(horizon=2.0, replicates=2000, seed=123),
-     "5c7edbb226a0729f26bccb001e7a5b629b099a524040b3946302b25618bd603b"),
+     "b9c56dda39957d3aed866fdbf4e38356989871914080c411d221adc5dfe6745c"),
     (dict(horizon=4.0, replicates=1500, seed=7, initial=5),
-     "1ef538a51ab5074fcddcce05ffdc48e8e3ef2c412e1893d781b0fc6648709a40"),
+     "034050c4c22c70b6b586d5b5abfab959b7319d11ea3b437436c142047ee39630"),
     (dict(horizon=5.0, replicates=500, seed=3, initial=1, state_cap=2),
-     "3821df07bc23c079ab409f200f71eb6611e4ed8785946357c089a334c43540a4"),
+     "24eb6c1afe863c8862b1d779cfd8b8c02524b54e528411f752ec6261976f7577"),
     (dict(horizon=5.0, replicates=800, seed=2 ** 63 + 5, initial=2,
           state_cap=40),
-     "9710b6a1578499d8969b963cadd419096f3ac1e2812eb3d1aa5bccfc353b0879"),
+     "ffc09891651c3aff1f148f3e16539c8dd0863cef0e2b98db154f53227a41c11f"),
 ]
 
 
-@pytest.mark.parametrize("fields,digest", GOLDEN_SIM)
+# ids name the config by its seed, so that a re-pin keeps them
+@pytest.mark.parametrize("fields,digest", GOLDEN_SIM,
+                         ids=[f"seed{fields['seed']}" for fields, _ in GOLDEN_SIM])
 def test_sim_csv_pinned(run_task, fields, digest):
     code, out = run_task("simulate", truncation=500, **fields)
     assert code == 0
@@ -236,8 +248,9 @@ def gneg_pert_small():
 
 # The lane engine against the per-replicate loop.  (lanes, window) sets the
 # lane width and the number of draws one step may take a lane through:
-# window 0 keeps the default _WINDOW, 64 lets a step run to the chunk's
-# end.  A case runs on g025_small unless it names another model fixture.
+# window 64 is the default _WINDOW, 0 lets a step run to the chunk's end
+# (_CHUNK).  A case runs on g025_small unless it names another model
+# fixture.
 LANE_SETTINGS = [(1, 64), (3, 64), (256, 64), (3, 0), (256, 0)]
 LANE_CASES = {
     "no_events": dict(horizon=0.0, replicates=301, seed=4, initial=2),
@@ -259,16 +272,16 @@ LANE_CASES = {
                              state_cap=200),
     # one full block of 256 first chunks and one replicate of the next
     "partial_last_block": dict(horizon=2.0, replicates=257, seed=10),
-    # three paths take exactly the 16 events of their first chunk, so
-    # they enter the lanes and draw a chunk of their own stream that they
-    # do not use; four take more
-    "first_refill_at_16": dict(horizon=3.0, replicates=40, seed=20,
+    # two paths take exactly the 16 events of their first chunk, so they
+    # enter the lanes and draw a chunk of their own stream that they do
+    # not use; six take more
+    "first_refill_at_16": dict(horizon=3.0, replicates=40, seed=36,
                                initial=2),
-    # every path ends within its first chunk, by event 12 at most: the
+    # every path ends within its first chunk, by event 11 at most: the
     # block phase does all the work
     "all_end_in_block": dict(horizon=0.2, replicates=301, seed=3, initial=2),
-    # many paths reach the cap within their first chunk, one of them at
-    # its 16th event
+    # many paths reach the cap within their first chunk, four of them at
+    # their 16th event
     "cap_in_block": dict(horizon=5.0, replicates=301, seed=1, initial=3,
                          state_cap=8),
 }
@@ -279,7 +292,7 @@ LANE_CASES = {
 def test_lanes_match_per_replicate_loop(request, monkeypatch, case, lanes,
                                         window):
     monkeypatch.setattr(sim, "_LANES", lanes)
-    monkeypatch.setattr(sim, "_WINDOW", window or sim._WINDOW)
+    monkeypatch.setattr(sim, "_WINDOW", window or sim._CHUNK)
     fields = dict(LANE_CASES[case])
     model = request.getfixturevalue(fields.pop("model", "g025_small"))
     config = SimConfig(model=model, **fields)
@@ -403,12 +416,13 @@ def test_horizon_on_an_event_time(g025_small):
                                      replicates=1, seed=seed, initial=3))
         return int(np.flatnonzero(res.pmf)[0])
 
-    # the first event of 40 paths, and every 56th of a 4036-event path with
-    # the last event of its first chunk and the first of its own stream
+    # the first event of 40 paths, and every 36th of a 2592-event path with
+    # the last event of its first chunk, the first of its own stream and
+    # the two about its first refill
     logs = [simulate_path(g025_small, 3, 20.0, next(replicate_rngs(seed, 1)),
                           collect_events=True).log for seed in range(40)]
     checks = ([(seed, 0) for seed in range(40)]
-              + [(8, k) for k in [15, 16, *range(1, 4036, 56)]])
+              + [(28, k) for k in [15, 16, 143, 144, *range(1, 2592, 36)]])
     for seed, k in checks:
         time, _, state = logs[seed][k]
         before = logs[seed][k - 1][2] if k else 3
@@ -417,9 +431,9 @@ def test_horizon_on_an_event_time(g025_small):
 
 
 def test_lane_steps_take_many_events(g025_small):
-    # A step takes a lane through up to _WINDOW events: here 196 steps for
-    # 69,645 events (0.0028 a step).  Steps of one event each take 6151
-    # (0.088), so the bound of 1/100 fails them.
+    # A step takes a lane through up to _WINDOW events: here 91 steps for
+    # 59,745 events (0.0015 a step).  Steps of one event each take 5809
+    # (0.097), so the bound of 1/100 fails them.
     config = SimConfig(model=g025_small, horizon=5.0, replicates=2000, seed=7)
     with telemetry.recording() as record:
         estimate_pmf(config)
@@ -428,10 +442,10 @@ def test_lane_steps_take_many_events(g025_small):
 
 
 def test_memory_flat_in_replicates(g025_small, monkeypatch):
-    # 16 lanes and one-block groups keep the fixed buffers near 260 kB and
-    # the peak near 450 kB, so one 8-byte word per replicate (320 kB at
-    # 40k) would show; the default four-block groups peak near 740 kB,
-    # where it would not
+    # 16 lanes and one-block groups keep the fixed buffers near 250 kB and
+    # the peak near 420 kB, so one 8-byte word per replicate (320 kB at
+    # 40k) would show; 256 lanes and four-block groups peak near 1.5 MB at
+    # 5k, where it would not
     monkeypatch.setattr(sim, "_LANES", 16)
     monkeypatch.setattr(sim, "_GROUP", 1)
     # the laws build their truncated series on first read: before either peak
