@@ -8,7 +8,7 @@ invariance identity P(t; s) m(F(t; s)) = m(s), every rate error is
 
     |exp(T(t)) P(t;s)/m(s) - 1| = |expm1(T(t) - log m(F(t;s)))|,
 
-one limit evaluation at the marched F, never a quotient of nearly equal
+one limit evaluation at the flow's F, never a quotient of nearly equal
 numbers; :func:`rate_fits` reads the regime from gamma.
 
 * theorem 1 (gamma > 0): predicted envelope Delta(t;s) * K(tau(t)) with
@@ -21,7 +21,7 @@ numbers; :func:`rate_fits` reads the regime from gamma.
   specs and -mu/nu otherwise.
 * corollary (gamma < 0): the same error at s = 0, as exp(T(t)) p_00(t)
   against pi(0), taken with theorem 2 at s and the uniformity ratio over s
-  from one march.
+  from one flow grid.
 
 Everything that can overflow (exp(T) with T -> infinity) is handled by
 summing exponents in log space before a single expm1.
@@ -108,13 +108,14 @@ UNIFORM_S = (0.0, 0.25, 0.5, 0.75)
 
 def rate_fits(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
               rsq_min: float = 0.99):
-    """(fits, uniformity ratio) of the regime gamma reads, from one march:
+    """(fits, uniformity ratio) of the regime gamma reads, from one flow grid:
     ([theorem-1 fit at s], None) for gamma > 0, s in [0, 0.95], batch (s,);
     ([theorem-2 fit at s, corollary-1 fit], ratio) for gamma < 0, s in
     [-1, 1) (log pi diverges at s = 1), batch UNIFORM_S + (s,).
 
     The errors take log m(F) from one :func:`log_limit` call on the whole
-    march, with the flow solved to 1e-12 relative: for gamma < 0, T(t)
+    grid, with R from :func:`flow_on_grid`'s "auto" route: exact_R for the
+    built-in stable laws, else the march at rtol 1e-12.  For gamma < 0, T(t)
     cancels against log pi(F) ~ R**(-|gamma|), which amplifies any error in
     R.  The corollary reads p_00 = P(t; 0), column 0, at the tolerance
     max(slope_tol, 0.15); the uniformity ratio is max over s in UNIFORM_S
@@ -130,7 +131,7 @@ def rate_fits(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
     t_grid = np.asarray(t_grid, dtype=float)
     ctx = model.context()
     batch = (s,) if recurrent else UNIFORM_S + ((s,) if s not in UNIFORM_S else ())
-    R = flow_on_grid(model, batch, t_grid, method="quad", rtol=1e-12)
+    R = flow_on_grid(model, batch, t_grid, rtol=1e-12)
     log_mF = np.real(log_limit(model, R.ravel())[0]).reshape(R.shape)
     tau = np.array([ctx.tau(float(t)) for t in t_grid])
     # T = tau**|gamma| as RVContext.big_T takes it, on Python floats (a numpy

@@ -159,11 +159,14 @@ def _t_grid(task):
                        task["points"])
 
 
-def _table(path, columns, row_format, rows, comments):
+def _table(path, header, row_format, columns, comments):
     """Write ``path``: a ``# key = value`` line per pair of ``comments``, the
-    ``columns`` line, then each of ``rows`` filled into ``row_format``."""
+    ``header`` line, then row k of the equal-length ``columns`` filled into
+    ``row_format``.  Each column is formatted as Python scalars (one
+    ``tolist`` call): format() on numpy scalars gives the same text, slower."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
     lines = [f"# {key} = {value}" for key, value in comments]
-    lines += [columns] + [row_format.format(*row) for row in rows]
+    lines += [header] + [row_format.format(*row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -202,7 +205,7 @@ def _task_kernel(model, task, out, verdicts):
     columns = (t, s.real, s.imag, F.real, F.imag, P.real, P.imag,
                np.full(R.shape, err))
     _table(out / "kernel.csv", "t,s_re,s_im,F_re,F_im,P_re,P_im,err",
-           "{:.17g}," * 7 + "{:.3g}", zip(*(c.ravel() for c in columns)), ())
+           "{:.17g}," * 7 + "{:.3g}", [c.ravel() for c in columns], ())
     if model.offspring.closed_form:
         exact = kernel.flow_on_grid(model, s_list, t_list, method="closed")
         worst = float(np.max(np.abs(R - exact) / np.maximum(np.abs(exact), 1e-300)))
@@ -219,7 +222,7 @@ def _task_invariant(model, task, out, verdicts):
     measure = invariants.extract_measure(model, J_out=j_out, r=r, M=M)
     m, bound = measure.coefficients, measure.series.coefficient_bound()
     _table(out / "measure.csv", "j,m_j,bound", "{},{:.17g},{:.3g}",
-           zip(range(m.size), m, bound),
+           (np.arange(m.size), m, bound),
            [("J_out", j_out), ("M", M), ("gamma", model.gamma),
             ("kind", measure.kind), ("r", r)])
     floor = bound + 1e-9
@@ -246,7 +249,7 @@ def _task_rates(model, task, out, verdicts):
     for fit in fits:
         _table(out / f"rate_{fit.label}.csv", "t,error,predicted_envelope,ratio",
                "{:.17g},{:.17g},{:.17g},{:.17g}",
-               zip(fit.t_grid, fit.errors, fit.envelope, fit.envelope_ratio),
+               (fit.t_grid, fit.errors, fit.envelope, fit.envelope_ratio),
                [("label", fit.label),
                 ("fitted_slope", f"{fit.fitted_slope:.17g}"),
                 ("predicted_slope", f"{fit.predicted_slope:.17g}"),
@@ -265,7 +268,7 @@ def _task_lemmas(model, task, out, verdicts):
 
     def report(rep, variable, ok, detail):
         _table(out / f"{rep.name}.csv", f"{variable},statistic", "{:.17g},{:.17g}",
-               zip(rep.grid, rep.values),
+               (rep.grid, rep.values),
                [("check", rep.name), ("bound", f"{rep.bound:.17g}"),
                 ("sup", f"{rep.sup:.17g}"), ("verdict", "pass" if ok else "fail")])
         verdicts.record(rep.name, ok, detail)
@@ -307,7 +310,7 @@ def _task_simulate(model, task, out, verdicts):
         result = sim.estimate_pmf(config)
     pmf, n = result.pmf, result.n
     _table(out / "sim.csv", "j,p_hat,se,n", "{},{:.17g},{:.17g},{}",
-           zip(range(pmf.size), pmf, result.se, [n] * pmf.size),
+           (np.arange(pmf.size), pmf, result.se, np.full(pmf.size, n)),
            [("seed", config.seed), ("config_hash", config.digest()),
             ("rng", sim.RNG_SCHEME),
             ("capped_fraction", f"{result.capped_fraction:.17g}")])
@@ -328,7 +331,7 @@ def _task_compare(model, task, out, verdicts):
                                         clamp=True).row((0, 0))
     rows = sim.zscore_table(result, series.values, task["min_prob"])
     _table(out / "compare.csv", "j,p_hat,se,p_kernel,z",
-           "{},{:.17g},{:.17g},{:.17g},{:.4f}", rows, ())
+           "{},{:.17g},{:.17g},{:.17g},{:.4f}", zip(*rows), ())
     z_max = task["z_max"]
     worst = max((abs(row[4]) for row in rows), default=0.0)
     verdicts.record("compare", worst <= z_max,

@@ -274,7 +274,9 @@ def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
     :func:`exact_R` call for the positive distinct times as a column
     against the batch, "quad" integrates the flow ODE.  The flow is
     autonomous, F(t2; s) = F(t2 - t1; F(t1; s)), so that route marches once
-    along the sorted distinct times for the whole batch.
+    along the sorted distinct times for the whole batch.  The closed route
+    reports ``flow.closed_calls`` and ``flow.closed_points`` (times times
+    lanes) to ``telemetry``; the march reports through :func:`_rk45`.
 
     The ODE route integrates w = R**(-nu) (nu = law.nu, or 1 for a law that
     declares none), in which the flow dF/dt = f(F) reads
@@ -305,6 +307,9 @@ def flow_on_grid(model, s_batch, t_grid, method: str = "auto",
     if route == "closed":
         if positive.any():
             R[positive] = exact_R(law, times[positive], s_arr)
+            telemetry.add("flow.closed_calls")
+            telemetry.add("flow.closed_points",
+                          int(np.count_nonzero(positive)) * s_arr.size)
     else:
         nu = law.nu if law.nu is not None else 1.0
         moving = s_arr != 1.0

@@ -107,7 +107,10 @@ class RVContext:
 
     def script_N(self, t):
         """Fixed point N of  N = L((nu t)**(1/nu) / N) ** (-1/nu)  at t > 0,
-        to 1e-12 relative within 200 iterations."""
+        to 1e-12 relative within 200 iterations.  A constant L = c (kappa = 0)
+        has the first iterate c**(-1/nu) as its fixed point, returned once it
+        passes the same range check: bit for bit what the loop returns one
+        L call later."""
         if not t > 0:
             raise ModelError("script_N needs t > 0")
         x_t = self._x(t, "script_N")
@@ -118,6 +121,8 @@ class RVContext:
             if not 0.0 < n < np.inf:  # L(x_t) ** (-1/nu) under- or overflowed
                 raise NumericsError(f"script_N left the floating-point range at "
                                     f"t={t:g} (N = {n:g})")
+            if not self.L.kappa:
+                return n
             n_new = g(n)
             step = abs(n_new - n)
             if step > prev_step:          # oscillation: damp

@@ -5,7 +5,8 @@ limit deficit straight from the specs) that the kernel's separable forms
 replaced (run through the package's own quadrature, so that the two differ
 only in how the integrand is evaluated), the occupation-time route to
 P(t; s), the reference integral of g/f from s to F for compute_P_grid's quad
-route, and the simulator's pmf one replicate at a time."""
+route, script_N's fixed point by its iteration alone, and the
+simulator's pmf one replicate at a time."""
 
 import warnings
 from types import SimpleNamespace
@@ -146,6 +147,25 @@ def direct_log_limit(model, one_minus_s, rtol=1e-10):
     if gamma > 0:
         return -(w0 ** gamma) / gamma * inner, err
     return w ** (-g_abs) + w0 ** (-g_abs) * inner, err
+
+
+def script_N_by_iteration(ctx, t: float) -> float:
+    """RVContext.script_N's fixed point by its damped iteration alone, for
+    every L: the reference its constant-L return must equal bit for bit."""
+    x_t = (ctx.nu * t) ** (1.0 / ctx.nu)
+    n = float(ctx.L(x_t)) ** (-1.0 / ctx.nu)
+    prev_step = np.inf
+    for _ in range(200):
+        n_new = float(ctx.L(x_t / n)) ** (-1.0 / ctx.nu)
+        step = abs(n_new - n)
+        if step > prev_step:
+            n_new = 0.5 * (n + n_new)
+            step = abs(n_new - n)
+        prev_step = step
+        n = n_new
+        if step <= 1e-12 * abs(n):
+            return n
+    raise AssertionError(f"no fixed point at t={t:g}")
 
 
 def potential_by_powers(model, one_minus_s):

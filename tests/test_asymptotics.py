@@ -1,11 +1,12 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from mbpilab import (ModelError, PreconditionError, asymptotics, check_lemma1,
                      check_lemma2, check_lemma3, check_lemma4, fit_loglog,
-                     rate_fits, sv_constant, sv_perturbed)
+                     kernel, rate_fits, stable_model, sv_constant, sv_perturbed)
 from mbpilab.asymptotics import transient_predicted_slope
 from mbpilab.laws import ModelSpec
 
@@ -54,6 +55,38 @@ def test_theorem1_perturbed_offspring_exponent_only(g025_pert_off):
     fit = rate_fits(g025_pert_off, 0.0, np.logspace(2, 5, 19))[0][0]
     assert abs(fit.fitted_slope + 0.5) <= 0.1
     assert fit.r_squared >= 0.99
+
+
+def _rate_outcome(model, t_grid):
+    try:
+        return rate_fits(model, 0.0, t_grid)
+    except ModelError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("t_max", [1e6, 1e16])
+@pytest.mark.parametrize("name", ["g025", "gneg", "gneg_pert", "g025_pert_off",
+                                  "g025_kappa10"])
+def test_rate_fits_exact_route_agrees_with_the_march(request, monkeypatch,
+                                                     name, t_max):
+    # rate_fits takes R from exact_R; the march at rtol 1e-12 must give the
+    # same errors to 1e-12 relative and the same verdicts or refusal
+    model = (stable_model(nu=0.5, c=1.0, delta=0.75, d=0.25, kappa_offspring=10.0)
+             if name == "g025_kappa10" else request.getfixturevalue(name))
+    t_grid = np.logspace(2, np.log10(t_max), 25)
+    exact = _rate_outcome(model, t_grid)
+    monkeypatch.setattr(asymptotics, "flow_on_grid",
+                        functools.partial(kernel.flow_on_grid, method="quad"))
+    marched = _rate_outcome(model, t_grid)
+    if name == "gneg" and t_max == 1e16:
+        assert exact == marched == "fewer than 3 usable points in the fit window"
+        return
+    (fits, ratio), (quad_fits, quad_ratio) = exact, marched
+    assert [f.verdict for f in fits] == [f.verdict for f in quad_fits]
+    for fit, quad_fit in zip(fits, quad_fits):
+        np.testing.assert_allclose(fit.errors, quad_fit.errors, rtol=1e-12, atol=0)
+    if ratio is not None:
+        np.testing.assert_allclose(ratio, quad_ratio, rtol=1e-12, atol=0)
 
 
 def test_theorem1_preconditions(g025, monkeypatch):

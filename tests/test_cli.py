@@ -763,21 +763,30 @@ def test_stats_json_written_by_every_task(tmp_path):
 
 
 def test_stats_json_flow_counters(tmp_path):
-    # a rates run of g025 marches the flow once, one lane wide, landing on
-    # each of its 13 times; Dormand-Prince with first-same-as-last costs one
-    # evaluation plus six per attempted step
+    # a rates run of g025 takes its 13 times from one closed-form flow call,
+    # one lane wide, and marches nothing
     cfg = write(tmp_path, RECURRENT.format(
         task="rates", extra="t_min = 1e2\nt_max = 1e5\npoints = 13",
-        out=tmp_path / "out"))
+        out=tmp_path / "rates"))
     assert run_config(cfg) == 0
-    counters = json.loads((tmp_path / "out" / "stats.json").read_text())["counters"]
+    counters = json.loads((tmp_path / "rates" / "stats.json").read_text())["counters"]
+    assert counters["flow.closed_calls"] == 1
+    assert counters["flow.closed_points"] == 13
+    assert "flow.steps" not in counters
+    # a default kernel run marches the flow once, four lanes wide, landing on
+    # each of its 6 times; Dormand-Prince with first-same-as-last costs one
+    # evaluation plus six per attempted step
+    cfg = write(tmp_path, RECURRENT.format(task="kernel", extra="",
+                                           out=tmp_path / "kernel"))
+    assert run_config(cfg) == 0
+    counters = json.loads((tmp_path / "kernel" / "stats.json").read_text())["counters"]
     assert counters["flow.calls"] == 1
-    assert counters["flow.steps"] >= 13
-    assert counters["flow.landings"] == 13
+    assert counters["flow.steps"] >= 6
+    assert counters["flow.landings"] == 6
     assert counters["flow.rhs_evals"] == (
         counters["flow.calls"]
         + 6 * (counters["flow.steps"] + counters["flow.rejected"]))
-    assert counters["flow.rhs_points"] == counters["flow.rhs_evals"]
+    assert counters["flow.rhs_points"] == 4 * counters["flow.rhs_evals"]
 
 
 # the indices of the conftest fixtures g025, gneg, gneg_pert and g025_pert_off

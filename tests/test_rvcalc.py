@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from mbpilab import ModelError, sv_constant, sv_perturbed
 from mbpilab.rvcalc import RVContext
 
-from oracles import ratio_deficit
+from oracles import ratio_deficit, script_N_by_iteration
 
 
 def ctx_const(nu=0.5, c=1.0, delta=0.75, d=0.25):
@@ -98,6 +98,18 @@ def test_script_N_constant_specs():
         assert ctx.script_N(t) == pytest.approx(1.0, abs=1e-14)
     c2 = RVContext(nu=0.5, delta=0.75, L=sv_constant(2.0), ell=sv_constant(0.25))
     assert c2.script_N(3.0) == pytest.approx(0.25, abs=1e-14)
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("c", [1e-3, 1.0, 2.7, 1e3])
+def test_script_N_constant_L_is_the_iteration_bit_for_bit(nu, c):
+    # a constant L returns its first iterate c**(-1/nu), the value the
+    # iteration lands on one L call later
+    ctx = RVContext(nu=nu, delta=0.5 * (1.0 + nu), L=sv_constant(c),
+                    ell=sv_constant(0.25))
+    for t in np.logspace(-3, 12, 31).tolist():
+        n = ctx.script_N(t)
+        assert n == script_N_by_iteration(ctx, t) == float(c) ** (-1.0 / nu)
 
 
 def test_script_N_perturbed_fixed_point_residual():
