@@ -228,8 +228,8 @@ def _task_invariant(model, task, out, verdicts):
     floor = bound + 1e-9
     nonneg = bool(np.all(m >= -floor))
     verdicts.record("coefficients_nonnegative", nonneg, f"min {m.min():.3e}")
-    if measure.kind == "distribution" and measure.tail_estimate is not None:
-        defect = measure.normalization_defect()
+    defect = measure.normalization_defect()
+    if defect is not None:
         verdicts.record("normalization", defect <= 1e-8,
                         f"|sum+tail-1| = {defect:.3e}")
     tau, tol = task["tau"], task["residual_tol"]
@@ -329,13 +329,13 @@ def _task_compare(model, task, out, verdicts):
                                         [task["horizon"]], j_out, r=0.9,
                                         M=sample_count(j_out, 256),
                                         clamp=True).row((0, 0))
-    rows = sim.zscore_table(result, series.values, task["min_prob"])
+    columns = sim.zscore_table(result, series.values, task["min_prob"])
     _table(out / "compare.csv", "j,p_hat,se,p_kernel,z",
-           "{},{:.17g},{:.17g},{:.17g},{:.4f}", zip(*rows), ())
-    z_max = task["z_max"]
-    worst = max((abs(row[4]) for row in rows), default=0.0)
+           "{},{:.17g},{:.17g},{:.17g},{:.4f}", columns, ())
+    z, z_max = columns[-1], task["z_max"]
+    worst = float(np.max(np.abs(z), initial=0.0))
     verdicts.record("compare", worst <= z_max,
-                    f"max |z| {worst:.2f} over {len(rows)} states (bound {z_max:g})")
+                    f"max |z| {worst:.2f} over {z.size} states (bound {z_max:g})")
 
 
 _TASK_RUNNERS = {"validate": _task_validate, "kernel": _task_kernel,

@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import ModelError, NumericsError, PreconditionError
 from .inversion import (CoefficientSeries, circle_points,
-                        coefficients_from_samples, complete_circle,
-                        sample_count)
+                        coefficients_from_samples, sample_count)
 from .kernel import flow_error, flow_on_grid, log_limit
 from .laws import ModelSpec, series_value, signed_binomials
 
@@ -93,7 +92,8 @@ class InvariantMeasure:
 def extract_measure(model: ModelSpec, J_out: int = 512, r: float = 0.9,
                     M: int = 16384) -> InvariantMeasure:
     """Circle-inversion extraction of the invariant coefficients: of U (kind
-    "distribution") for gamma > 0, of pi (kind "measure") for gamma < 0.
+    "distribution") for gamma > 0, of pi (kind "measure") for gamma < 0,
+    from exp(log_limit) sampled on the half circle |s| = r.
 
     Coefficients are reported raw (no clamping); negative entries within the
     reported noise floor are extraction noise, not signal.  For heavy-tail
@@ -102,10 +102,8 @@ def extract_measure(model: ModelSpec, J_out: int = 512, r: float = 0.9,
     reports :func:`log_limit`'s estimate as ``quad_error``.
     """
     kind = "distribution" if model.gamma > 0 else "measure"
-    s_half = circle_points(r, M, half=True)
-    log_vals, _ = log_limit(model, 1.0 - s_half)
-    samples = complete_circle(np.exp(np.atleast_1d(log_vals)), M)
-    series = coefficients_from_samples(samples, r, J_out)
+    log_vals, _ = log_limit(model, 1.0 - circle_points(r, M))
+    series = coefficients_from_samples(np.exp(np.atleast_1d(log_vals)), r, J_out)
     tail = None
     if kind == "distribution" and model.canonical:
         exact = series_coefficients(model, "distribution", J_out)
@@ -142,8 +140,8 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec,
     :func:`log_limit` calls (three potentials per invariant task, with the
     extraction's); log P = h(s) - h(F), 0 where F = s, as
     :func:`mbpilab.kernel.compute_P_grid` takes it.  One circle inversion
-    of the product predicts every coefficient, at any lag.  The same
-    inversion takes the product with the truncated
+    of the product on the half circle |s| = 0.9 predicts every coefficient,
+    at any lag.  The same inversion takes the product with the truncated
     m_I(z) = sum_{i<=I} m_i z^i (the extracted coefficients summed by
     :func:`mbpilab.laws.series_value`): the report keeps that sum as
     ``truncated`` and its largest departure from the prediction as the
@@ -166,7 +164,7 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec,
     m = measure.coefficients
     j_max = (m.size - 1) // 2
     r, M = 0.9, sample_count(j_max, 1024)
-    s_half = circle_points(r, M, half=True)
+    s_half = circle_points(r, M)
     R = flow_on_grid(model, s_half, [tau], "auto", 1e-10)[0]
     if model.gamma < 0 and not R.all():
         raise NumericsError(f"F(tau; s) rounds to 1 on the check circle at "
@@ -177,7 +175,7 @@ def check_invariance(measure: InvariantMeasure, model: ModelSpec,
     logp = np.where(w == R, 0.0, h_s - log_mF)
     F = s_half if tau == 0 else 1.0 - R
     half = np.stack([np.exp(logp + log_mF), np.exp(logp) * series_value(m, F)])
-    both = coefficients_from_samples(complete_circle(half, M), r, j_max)
+    both = coefficients_from_samples(half, r, j_max)
     prediction, truncated = both.row(0), both.values[1]
     residuals = np.abs(prediction.values - m[:j_max + 1])
     worst = int(np.argmax(residuals))

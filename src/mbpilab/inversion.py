@@ -10,6 +10,9 @@ error source: roundoff of size ~eps*max|G| in the samples is amplified by
 r**(-j), which caps the largest trustworthy index for a given radius.  The
 series object reports both bounds; ``suggest_radius`` inverts the noise
 bound for callers that need many coefficients.
+
+Callers sample G at k = 0..M/2 only; :func:`coefficients_from_samples`
+fills in V_{M-k} = conj(V_k), which holds for real coefficients.
 """
 
 from __future__ import annotations
@@ -32,26 +35,13 @@ def sample_count(J_out: int, minimum: int = 4) -> int:
     return M
 
 
-def circle_points(r: float, M: int, half: bool = False) -> np.ndarray:
-    """Sample points r*exp(2*pi*i*k/M); with half=True only k = 0..M/2."""
+def circle_points(r: float, M: int) -> np.ndarray:
+    """Half-circle sample points r*exp(2*pi*i*k/M), k = 0..M/2."""
     if not 0.0 < r < 1.0:
         raise ModelError("inversion radius must lie in (0, 1)")
     if M < 4 or (M & (M - 1)) != 0:
         raise ModelError("sample count M must be a power of two, M >= 4")
-    k = np.arange(M // 2 + 1 if half else M)
-    return r * np.exp(2j * np.pi * k / M)
-
-
-def complete_circle(half_values: np.ndarray, M: int) -> np.ndarray:
-    """Extend samples at k = 0..M/2 (last axis; leading axes are a batch) to
-    the full circle by conjugate symmetry (valid for generating functions
-    with real coefficients)."""
-    if half_values.shape[-1] != M // 2 + 1:
-        raise ModelError("expected M/2 + 1 samples")
-    full = np.empty(half_values.shape[:-1] + (M,), dtype=complex)
-    full[..., :M // 2 + 1] = half_values
-    full[..., M // 2 + 1:] = np.conj(half_values[..., M // 2 - 1:0:-1])
-    return full
+    return r * np.exp(2j * np.pi * np.arange(M // 2 + 1) / M)
 
 
 @dataclass
@@ -101,25 +91,31 @@ class CoefficientSeries:
 
 def coefficients_from_samples(samples: np.ndarray, r: float, J_out: int,
                               clamp: bool = False) -> CoefficientSeries:
-    """Invert full-circle samples (last axis; leading axes are a batch, each
-    entry inverted on its own) to coefficients 0..J_out.  Reports
-    ``inversion.calls`` (one per batch entry), ``inversion.fft_points``
-    (batch entries times M) and ``inversion.M`` (the largest M) to the run's
-    telemetry."""
-    M = samples.shape[-1]
+    """Invert samples at the half circle k = 0..M/2 of :func:`circle_points`
+    (last axis; leading axes are a batch, each entry inverted on its own) to
+    coefficients 0..J_out; M, a power of two >= 4, is read from the length.
+    Reports ``inversion.calls`` (one per batch entry),
+    ``inversion.fft_points`` (batch entries times M) and ``inversion.M``
+    (the largest M) to the run's telemetry."""
+    half = np.asarray(samples, dtype=complex)
+    M = 2 * (half.shape[-1] - 1)
+    if M < 4 or (M & (M - 1)) != 0:
+        raise ModelError(f"expected M/2 + 1 samples for a power of two M >= 4; "
+                         f"got {half.shape[-1]}")
     if M < 4 * J_out:
         raise ModelError(f"need M >= 4*J_out; got M={M}, J_out={J_out}")
-    telemetry.add("inversion.calls", samples.size // M)
-    telemetry.add("inversion.fft_points", samples.size)
+    full = np.concatenate([half, np.conj(half[..., M // 2 - 1:0:-1])], axis=-1)
+    telemetry.add("inversion.calls", full.size // M)
+    telemetry.add("inversion.fft_points", full.size)
     telemetry.peak("inversion.M", M)
     j = np.arange(J_out + 1)
-    raw = np.fft.fft(samples)[..., :J_out + 1] / M * r ** (-j.astype(float))
-    maxabs = np.max(np.abs(samples), axis=-1)
+    raw = np.fft.fft(full)[..., :J_out + 1] / M * r ** (-j.astype(float))
+    maxabs = np.max(np.abs(full), axis=-1)
     aliasing = maxabs * r ** M / (1.0 - r)
     noise = NOISE_FACTOR * np.finfo(float).eps * maxabs / np.sqrt(M)
     vals = np.real(raw)
     imag_residual = np.max(np.abs(np.imag(raw)), axis=-1)
-    clamp_mag = np.zeros(samples.shape[:-1])
+    clamp_mag = np.zeros(full.shape[:-1])
     if clamp:
         clamp_mag = np.maximum(clamp_mag, -np.min(vals, axis=-1))
         vals = np.maximum(vals, 0.0)

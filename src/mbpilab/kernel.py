@@ -34,8 +34,7 @@ import numpy as np
 
 from . import telemetry
 from .errors import ModelError, NumericsError
-from .inversion import (CoefficientSeries, circle_points,
-                        coefficients_from_samples, complete_circle)
+from .inversion import CoefficientSeries, circle_points, coefficients_from_samples
 from .laws import BranchingLaw, ModelSpec
 from .quadrature import doubling_quadrature
 
@@ -512,15 +511,16 @@ def transition_grid(model: ModelSpec, i_values, t_grid, J_out: int,
     P(t; s) and F(t; s) on the half circle |s| = r come from one
     :func:`compute_P_grid` march (``method`` one of :data:`METHODS`); every
     row is the circle inversion of P_i = F**i P, taken in log space, and all
-    rows are inverted in one batched call.
+    rows go to one batched :func:`coefficients_from_samples` call as they
+    are, on the half circle.
     """
     i_arr = np.atleast_1d(np.asarray(i_values))
     t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(i_arr < 0) or np.any(i_arr != np.floor(i_arr)):
         raise ModelError("initial state i must be a nonnegative integer")
-    s_half = circle_points(r, M, half=True)
+    s_half = circle_points(r, M)
     logp, R, _ = compute_P_grid(model, s_half, t_arr, method=method)
     F = np.where((t_arr == 0)[:, None], s_half, 1.0 - R)
     i_col = i_arr.astype(int)[:, None]
     half = np.exp(_log_P_i(logp[:, None], F[:, None], i_col))
-    return coefficients_from_samples(complete_circle(half, M), r, J_out, clamp=clamp)
+    return coefficients_from_samples(half, r, J_out, clamp=clamp)

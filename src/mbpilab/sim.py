@@ -511,24 +511,21 @@ def estimate_pmf(config: SimConfig) -> SimResult:
 
 
 def zscore_table(result: SimResult, kernel_probs: np.ndarray,
-                 min_prob: float = 1e-2) -> list:
-    """Rows (j, p_hat, se, p_kernel, z) for states with kernel mass >= min_prob.
+                 min_prob: float = 1e-2) -> tuple:
+    """Columns (j, p_hat, se, p_kernel, z) for states with kernel mass >= min_prob.
 
     z uses the null-hypothesis binomial deviation sqrt(p (1-p) / n), which is
-    well defined even when a state was never observed.
+    well defined even when a state was never observed.  Where p is 0 or 1
+    (roundoff outside [0, 1] goes to the nearer end) z is +-inf or 0.
     """
-    rows = []
-    for j, p in enumerate(kernel_probs):
-        if p < min_prob:
-            continue
-        p_hat = result.pmf[j] if j < result.pmf.size else 0.0
-        se_hat = result.se[j] if j < result.se.size else 0.0
-        var = p * (1.0 - p) / result.n
-        if var > 0:
-            z = (p_hat - p) / np.sqrt(var)
-        else:  # p is 0 or 1 (roundoff outside [0, 1] goes to the nearer end)
-            gap = p_hat - min(max(p, 0.0), 1.0)
-            z = np.copysign(np.inf, gap) if gap else 0.0
-        rows.append((j, p_hat, se_hat, p, z))
-    return rows
-
+    p = np.asarray(kernel_probs, dtype=float)
+    j = np.flatnonzero(p >= min_prob)
+    p_hat, se_hat = (np.concatenate([v, np.zeros(p.size)])[j]   # 0 past the support
+                     for v in (result.pmf, result.se))
+    p = p[j]
+    var = p * (1.0 - p) / result.n
+    live = var > 0
+    gap = p_hat - np.clip(p, 0.0, 1.0)
+    z = np.where(live, (p_hat - p) / np.sqrt(np.where(live, var, 1.0)),
+                 np.where(gap != 0, np.copysign(np.inf, gap), 0.0))
+    return j, p_hat, se_hat, p, z

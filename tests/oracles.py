@@ -5,8 +5,9 @@ limit deficit straight from the specs) that the kernel's separable forms
 replaced (run through the package's own quadrature, so that the two differ
 only in how the integrand is evaluated), the occupation-time route to
 P(t; s), the reference integral of g/f from s to F for compute_P_grid's quad
-route, script_N's fixed point by its iteration alone, and the
-simulator's pmf one replicate at a time."""
+route, script_N's fixed point by its iteration alone, the
+simulator's pmf one replicate at a time, and the circle inversion on the
+full circle, extended by hand from the half circle."""
 
 import warnings
 from types import SimpleNamespace
@@ -17,8 +18,8 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad, solve_ivp
 
 from mbpilab import sim
-from mbpilab.inversion import (circle_points, coefficients_from_samples,
-                               complete_circle, sample_count)
+from mbpilab.inversion import (NOISE_FACTOR, CoefficientSeries, circle_points,
+                               coefficients_from_samples, sample_count)
 from mbpilab.kernel import (_smoothing, compute_P_grid, exact_R, log_limit,
                             transition_grid)
 from mbpilab.laws import series_value
@@ -210,6 +211,37 @@ def potential_by_powers(model, one_minus_s):
     return h, err + 8.0 * np.finfo(float).eps * float(np.max(np.abs(h)))
 
 
+def full_circle(half):
+    """Samples at k = 0..M/2 (last axis) extended to all M points of the
+    circle by conjugate symmetry, V_{M-k} = conj(V_k)."""
+    M = 2 * (half.shape[-1] - 1)
+    full = np.empty(half.shape[:-1] + (M,), dtype=complex)
+    full[..., :M // 2 + 1] = half
+    full[..., M // 2 + 1:] = np.conj(half[..., M // 2 - 1:0:-1])
+    return full
+
+
+def full_circle_inversion(half, r, J_out, clamp=False):
+    """coefficients_from_samples spelled out on the full circle: the
+    conjugate extension by hand, one np.fft.fft over all M points, and the
+    bounds of the series from those M samples."""
+    full = full_circle(half)
+    M = full.shape[-1]
+    j = np.arange(J_out + 1)
+    raw = np.fft.fft(full)[..., :J_out + 1] / M * r ** (-j.astype(float))
+    maxabs = np.max(np.abs(full), axis=-1)
+    vals = np.real(raw)
+    clamp_mag = np.zeros(full.shape[:-1])
+    if clamp:
+        clamp_mag = np.maximum(clamp_mag, -np.min(vals, axis=-1))
+        vals = np.maximum(vals, 0.0)
+    return CoefficientSeries(
+        values=vals, radius=r, aliasing_bound=maxabs * r ** M / (1.0 - r),
+        noise_scale=NOISE_FACTOR * np.finfo(float).eps * maxabs / np.sqrt(M),
+        clamp_magnitude=clamp_mag[()],
+        imag_residual=np.max(np.abs(np.imag(raw)), axis=-1))
+
+
 def invariance_by_compute_P(measure, model, tau: float):
     """check_invariance's predicted and truncated rows, residuals and
     components with log P, R and the error taken from one compute_P_grid
@@ -217,12 +249,12 @@ def invariance_by_compute_P(measure, model, tau: float):
     m = measure.coefficients
     j_max = (m.size - 1) // 2
     r, M = 0.9, sample_count(j_max, 1024)
-    s_half = circle_points(r, M, half=True)
+    s_half = circle_points(r, M)
     logp, R, err = compute_P_grid(model, s_half, [tau])
     log_mF, limit_err = log_limit(model, R[0])
     F = s_half if tau == 0 else 1.0 - R[0]
     half = np.stack([np.exp(logp[0] + log_mF), np.exp(logp[0]) * series_value(m, F)])
-    both = coefficients_from_samples(complete_circle(half, M), r, j_max)
+    both = coefficients_from_samples(half, r, j_max)
     prediction, truncated = both.row(0), both.values[1]
     residuals = np.abs(prediction.values - m[:j_max + 1])
     components = {

@@ -15,7 +15,7 @@ from oracles import (direct_log_limit, direct_segment_integral,
                      row_sum_invariance, scipy_gf_integral)
 
 # The half circle behind extract_measure's default M = 2**14.
-HALF_CIRCLE = circle_points(0.9, 16384, half=True)
+HALF_CIRCLE = circle_points(0.9, 16384)
 
 
 @pytest.fixture(scope="module")
@@ -401,7 +401,7 @@ def test_integrands_never_evaluate_specs_on_the_node_grid(
         raise AssertionError(f"{spec} evaluated on {np.size(x)} points")
 
     monkeypatch.setattr(SlowlyVaryingSpec, "__call__", refuse)
-    s = circle_points(0.9, 2048, half=True)
+    s = circle_points(0.9, 2048)
     for model in (g025_pert_off, gneg_pert, g025_pert_both):
         extract_measure(model, J_out=64, r=0.9, M=2048)
         # the potential h(s) - h(F), behind the quad route
@@ -414,7 +414,7 @@ def test_measure_extraction_reports_quadrature_error(g025_pert_off):
     # top of the closed terms' roundoff
     with telemetry.recording() as record:
         extract_measure(g025_pert_off, J_out=64, r=0.9, M=2048)
-    log_m, err = log_limit(g025_pert_off, 1.0 - circle_points(0.9, 2048, half=True))
+    log_m, err = log_limit(g025_pert_off, 1.0 - circle_points(0.9, 2048))
     assert record.counters["quad.calls"] == 1
     assert np.isfinite(err) and err > 8 * np.finfo(float).eps * np.max(np.abs(log_m))
 
@@ -435,7 +435,7 @@ def test_potential_error_bounds_a_shifted_integral(name, request, monkeypatch):
         model = stable_model(nu=nu, c=1.0, delta=delta, d=d, kappa_offspring=k_off)
     else:
         model = request.getfixturevalue(name)
-    w = 1.0 - circle_points(0.9, 2048, half=True)
+    w = 1.0 - circle_points(0.9, 2048)
     h, _ = log_limit(model, w)
 
     def shifted(fun, a, b):

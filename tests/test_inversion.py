@@ -3,21 +3,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mbpilab import ModelError
+from mbpilab import ModelError, telemetry
 from mbpilab.inversion import (circle_points, coefficients_from_samples,
-                               complete_circle, sample_count,
-                               suggest_radius)
+                               sample_count, suggest_radius)
+from oracles import full_circle, full_circle_inversion
 
 
 def test_circle_points_layout():
-    pts = circle_points(0.5, 8)
-    assert pts.size == 8
-    assert pts[0] == pytest.approx(0.5)
-    assert np.allclose(np.abs(pts), 0.5)
-    half = circle_points(0.5, 8, half=True)
+    # the half circle k = 0..M/2; its conjugate extension is the whole circle
+    half = circle_points(0.5, 8)
     assert half.size == 5
-    full = complete_circle(half, 8)
-    assert np.allclose(full, pts)
+    assert half[0] == pytest.approx(0.5)
+    assert np.allclose(np.abs(half), 0.5)
+    full = full_circle(half)
+    assert full.size == 8
+    assert np.allclose(full, 0.5 * np.exp(2j * np.pi * np.arange(8) / 8))
 
 
 def test_circle_points_validation():
@@ -89,7 +89,49 @@ def test_noise_floor_validated_against_recurrence(g025):
     assert err[valid * 3 // 2:].max() > 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_sample_count_is_checked_before_the_fft(n, monkeypatch):
+    # n samples stand for M = 2 (n - 1): 0, 2 and 10 are no power of two >= 4
+    def no_fft(*args, **kwargs):
+        raise AssertionError("FFT reached")
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    with telemetry.recording() as record, pytest.raises(ModelError, match="M/2 \\+ 1"):
+        coefficients_from_samples(np.ones(n), 0.9, 0)
+    assert record.counters == {}
+
+
 _BOUNDS = ("aliasing_bound", "noise_scale", "clamp_magnitude", "imag_residual")
+
+
+def _half_circle_samples(batch, r, M):
+    """Half-circle samples of random real polynomials of degree 19, one per
+    batch entry."""
+    coef = np.random.default_rng(7).uniform(-0.2, 1.0, batch + (20,))
+    return np.polynomial.polynomial.polyval(circle_points(r, M),
+                                            np.moveaxis(coef, -1, 0))
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("clamp", [False, True])
+def test_half_circle_inversion_is_the_full_circle_fft(batch, clamp):
+    """Half-circle samples invert bit for bit as the full-circle reference
+    does, in values and every bound, and count M points per batch entry."""
+    r, M, J = 0.85, 64, 12
+    half = _half_circle_samples(batch, r, M)
+    with telemetry.recording() as record:
+        series = coefficients_from_samples(half, r, J, clamp=clamp)
+    ref = full_circle_inversion(half, r, J, clamp=clamp)
+    assert series.radius == ref.radius
+    assert np.array_equal(series.values, ref.values)
+    for name in _BOUNDS:
+        assert np.array_equal(getattr(series, name), getattr(ref, name)), name
+        assert np.shape(getattr(series, name)) == batch
+    assert np.array_equal(series.noise_floor(), ref.noise_floor())
+    assert np.array_equal(series.coefficient_bound(), ref.coefficient_bound())
+    entries = int(np.prod(batch))
+    assert record.counters == {"inversion.calls": entries,
+                               "inversion.fft_points": entries * M,
+                               "inversion.M": M}
 
 
 @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
@@ -98,17 +140,13 @@ def test_batched_inversion_matches_rows(batch, clamp):
     """Leading batch axes are inverted row by row: values and every bound
     equal the single-row calls exactly."""
     r, M, J = 0.85, 64, 12
-    rng = np.random.default_rng(7)
-    coef = rng.uniform(-0.2, 1.0, batch + (20,))
-    s_half = circle_points(r, M, half=True)
-    half = np.polynomial.polynomial.polyval(s_half, np.moveaxis(coef, -1, 0))
-    full = complete_circle(half, M)
-    series = coefficients_from_samples(full, r, J, clamp=clamp)
-    assert full.shape == batch + (M,) and series.values.shape == batch + (J + 1,)
+    half = _half_circle_samples(batch, r, M)
+    series = coefficients_from_samples(half, r, J, clamp=clamp)
+    assert half.shape == batch + (M // 2 + 1,)
+    assert series.values.shape == batch + (J + 1,)
     for idx in np.ndindex(*batch):
-        one_full = complete_circle(half[idx], M)
-        assert np.array_equal(full[idx], one_full)
-        one = coefficients_from_samples(one_full, r, J, clamp=clamp)
+        assert np.array_equal(full_circle(half)[idx], full_circle(half[idx]))
+        one = coefficients_from_samples(half[idx], r, J, clamp=clamp)
         row = series.row(idx)
         assert np.array_equal(row.values, one.values)
         for name in _BOUNDS:
@@ -131,9 +169,8 @@ def test_round_trip_within_coefficient_bound(coef, r, log2_M):
         exact[k, :min(len(c), J + 1)] = c[:J + 1]
     width = max(len(c) for c in coef)
     padded = np.array([c + [0.0] * (width - len(c)) for c in coef])
-    half = np.polynomial.polynomial.polyval(circle_points(r, M, half=True),
-                                            padded.T)
-    series = coefficients_from_samples(complete_circle(half, M), r, J)
+    half = np.polynomial.polynomial.polyval(circle_points(r, M), padded.T)
+    series = coefficients_from_samples(half, r, J)
     for k in range(len(coef)):
         row = series.row(k)
         assert np.all(np.abs(row.values - exact[k]) <= row.coefficient_bound())

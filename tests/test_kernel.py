@@ -116,7 +116,7 @@ def test_closed_grid_is_the_rows_bit_for_bit(name, request):
     # row and alone
     model = (stable_model(0.5, 1.0, 0.75, 0.25, kappa_offspring=10.0)
              if name == "kappa10" else request.getfixturevalue(name))
-    s = np.concatenate([circle_points(0.9, 2048, half=True),
+    s = np.concatenate([circle_points(0.9, 2048),
                         [0.0, 0.3, 0.7, 1.0, -1.0, 0.3 + 0.4j]])
     grid = np.concatenate([[0.0], np.logspace(-3, 8, 40)])
     R = flow_on_grid(model, s, grid, method="closed")
@@ -154,7 +154,7 @@ def test_closed_grid_is_zero_at_a_huge_scale(kappa):
 
 
 def test_complex_circle_batch(g025):
-    s = circle_points(0.9, 64)
+    s = 0.9 * np.exp(2j * np.pi * np.arange(64) / 64)   # the whole circle
     ode = solve_F(g025, 2.0, s, method="quad")
     exact = exact_R(g025.offspring, 2.0, s)
     assert np.max(np.abs(ode - exact) / np.abs(exact)) < 1e-9
@@ -303,7 +303,7 @@ def test_log_limit_takes_few_panels(name, request):
     else:
         model = request.getfixturevalue(name)
     with telemetry.recording() as record:
-        log_limit(model, 1.0 - circle_points(0.9, 4096, half=True))
+        log_limit(model, 1.0 - circle_points(0.9, 4096))
     assert record.counters.get("quad.calls", 0) == bool(model.offspring.kappa)
     assert record.counters.get("quad.panels", 0) <= 15
 
@@ -657,8 +657,8 @@ def _same_potential(model, one_minus_s):
 # check's circle, complex and free of 0: every non-integer power but 1/2
 # comes from the one shared log there
 POTENTIAL_CIRCLES = {
-    "extraction": 1.0 - circle_points(suggest_radius(256, 16384), 16384, half=True),
-    "check": 1.0 - circle_points(0.9, 1024, half=True),
+    "extraction": 1.0 - circle_points(suggest_radius(256, 16384), 16384),
+    "check": 1.0 - circle_points(0.9, 1024),
 }
 
 

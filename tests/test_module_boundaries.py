@@ -1,7 +1,9 @@
 """No module of the package reaches into another one's private names: a name
 with a leading underscore is imported and read only in the module that
 defines it.  No module but ``cli`` formats a result table: the numerical
-layers return arrays, and ``cli`` writes every table."""
+layers return arrays, and ``cli`` writes every table.  No module but
+``inversion`` calls numpy's FFT: coefficients come from its one inversion
+primitive."""
 
 import ast
 import re
@@ -94,3 +96,47 @@ def test_only_cli_formats_tables():
     formatting = sorted(path.stem for path in PACKAGE.glob("*.py")
                         if float_formats(path.read_text()))
     assert formatting == ["cli"]
+
+
+def fft_uses(source):
+    """'numpy.fft.<name>' for every attribute of numpy.fft that ``source``
+    reads or imports, through any alias of numpy or of numpy.fft."""
+    tree = ast.parse(source)
+    numpy, fft, uses = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy.fft" and alias.asname:
+                    fft.add(alias.asname)
+                elif alias.name.split(".")[0] == "numpy":
+                    numpy.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                if node.module == "numpy.fft":
+                    uses.append(f"numpy.fft.{alias.name}")
+                elif node.module == "numpy" and alias.name == "fft":
+                    fft.add(alias.asname or "fft")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = ast.unparse(node.value)
+            if owner in fft or owner in {f"{name}.fft" for name in numpy}:
+                uses.append(f"numpy.fft.{node.attr}")
+    return uses
+
+
+def test_fft_scan_finds_every_spelling():
+    source = ("import numpy as np\n"
+              "import numpy.fft as F\n"
+              "from numpy import fft as ft, linalg\n"
+              "from numpy.fft import irfft\n"
+              "a = np.fft.fft(x) + F.rfft(x) + ft.ifft(x)\n"
+              "b = np.linalg.norm(x), linalg.fft, fft.fft(x), np.fft\n")
+    assert sorted(fft_uses(source)) == [
+        "numpy.fft.fft", "numpy.fft.ifft", "numpy.fft.irfft", "numpy.fft.rfft"]
+    assert fft_uses("import numpy\ny = numpy.fft.fft(x)\n") == ["numpy.fft.fft"]
+
+
+def test_only_inversion_calls_the_fft():
+    calling = sorted(path.stem for path in PACKAGE.glob("*.py")
+                     if fft_uses(path.read_text()))
+    assert calling == ["inversion"]

@@ -209,9 +209,10 @@ def test_cross_check_against_kernel(g025_small):
     res = estimate_pmf(cfg)
     series = transition_grid(g025_small.truncated(), [0], [2.0], 32, r=0.9,
                              M=256, clamp=True).row((0, 0))
-    rows = zscore_table(res, series.values, min_prob=2e-3)
-    assert len(rows) >= 8
-    worst = max(abs(z) for _, _, _, _, z in rows)
+    j, p_hat, se, p, z = zscore_table(res, series.values, min_prob=2e-3)
+    assert z.size >= 8
+    assert np.array_equal(p, series.values[j]) and np.all(p >= 2e-3)
+    worst = np.max(np.abs(z))
     assert worst <= 4.0
 
 
@@ -221,10 +222,22 @@ def test_zscore_where_the_kernel_is_certain(g025_small):
     res = estimate_pmf(SimConfig(model=g025_small, horizon=2.0,
                                  replicates=200, seed=3))
     assert 0.0 < res.pmf[0] < 1.0 and res.pmf[1] > 0.0
-    rows = zscore_table(res, np.array([1.0, 0.0]), min_prob=0.0)
-    assert [z for *_, z in rows] == [-np.inf, np.inf]
-    (_, _, _, _, z), = zscore_table(res, np.array([1.0 + 2.0 ** -52]))
-    assert z == -np.inf
+    *_, z = zscore_table(res, np.array([1.0, 0.0]), min_prob=0.0)
+    assert z.tolist() == [-np.inf, np.inf]
+    *_, z = zscore_table(res, np.array([1.0 + 2.0 ** -52]))
+    assert z.tolist() == [-np.inf]
+
+
+def test_zscore_past_the_simulated_support(g025_small):
+    # states beyond the simulated pmf score an estimate of 0
+    res = estimate_pmf(SimConfig(model=g025_small, horizon=2.0,
+                                 replicates=200, seed=3))
+    n = res.pmf.size
+    j, p_hat, se, p, z = zscore_table(res, np.full(n + 2, 0.5))
+    assert np.array_equal(j, np.arange(n + 2)) and np.all(p == 0.5)
+    assert np.array_equal(p_hat[:n], res.pmf) and np.array_equal(se[:n], res.se)
+    assert p_hat[n:].tolist() == se[n:].tolist() == [0.0, 0.0]
+    assert np.array_equal(z, (p_hat - 0.5) / np.sqrt(0.25 / res.n))
 
 
 def test_sim_csv_manifest(run_task):
