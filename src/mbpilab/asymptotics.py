@@ -134,8 +134,8 @@ def rate_fits(model: ModelSpec, s: float, t_grid, slope_tol: float = 0.1,
     R = flow_on_grid(model, batch, t_grid, rtol=1e-12)
     log_mF = np.real(log_limit(model, R.ravel())[0]).reshape(R.shape)
     tau = np.array([ctx.tau(float(t)) for t in t_grid])
-    # T = tau**|gamma| as RVContext.big_T takes it, on Python floats (a numpy
-    # power can differ in the last bit), so script_N runs once per t
+    # T = tau**|gamma| on Python floats (a numpy power can differ in the
+    # last bit), with tau from above, so script_N runs once per t
     T = 0.0 if recurrent else np.array([x ** abs(ctx.gamma) for x in tau.tolist()])[:, None]
     log_rel = T - log_mF
     errors = np.abs(np.expm1(log_rel))

@@ -206,13 +206,10 @@ def _task_kernel(model, task, out, verdicts):
                np.full(R.shape, err))
     _table(out / "kernel.csv", "t,s_re,s_im,F_re,F_im,P_re,P_im,err",
            "{:.17g}," * 7 + "{:.3g}", [c.ravel() for c in columns], ())
-    if model.offspring.closed_form:
-        exact = kernel.flow_on_grid(model, s_list, t_list, method="closed")
-        worst = float(np.max(np.abs(R - exact) / np.maximum(np.abs(exact), 1e-300)))
-        verdicts.record("kernel_oracle", worst <= tol,
-                        f"max_rel_err {worst:.3e} (tol {tol:g})")
-    else:
-        verdicts.skip("kernel_oracle", "no closed form for this law")
+    exact = kernel.flow_on_grid(model, s_list, t_list, method="closed")
+    worst = float(np.max(np.abs(R - exact) / np.maximum(np.abs(exact), 1e-300)))
+    verdicts.record("kernel_oracle", worst <= tol,
+                    f"max_rel_err {worst:.3e} (tol {tol:g})")
 
 
 def _task_invariant(model, task, out, verdicts):
@@ -283,7 +280,7 @@ def _task_lemmas(model, task, out, verdicts):
                f"sup remainder/log {rep.sup:.3f} (bound {rep.bound:g})")
     if "3" in which:
         spec = model.offspring.sv_spec
-        if spec is None or not spec.kappa:
+        if not spec.kappa:
             verdicts.skip("lemma3", "offspring tail spec has no remainder; "
                           "exactly-constant specs satisfy the statement trivially")
         else:
@@ -333,7 +330,11 @@ def _task_compare(model, task, out, verdicts):
     _table(out / "compare.csv", "j,p_hat,se,p_kernel,z",
            "{},{:.17g},{:.17g},{:.17g},{:.4f}", columns, ())
     z, z_max = columns[-1], task["z_max"]
-    worst = float(np.max(np.abs(z), initial=0.0))
+    if not z.size:
+        verdicts.record("compare", False, f"no state has kernel mass >= "
+                        f"min_prob {task['min_prob']:g}: nothing compared")
+        return
+    worst = float(np.max(np.abs(z)))
     verdicts.record("compare", worst <= z_max,
                     f"max |z| {worst:.2f} over {z.size} states (bound {z_max:g})")
 

@@ -49,8 +49,8 @@ class CoefficientSeries:
     """Extracted coefficients plus the error accounting of the extraction.
 
     A batched extraction keeps its leading batch axes in ``values`` and in
-    every bound; :meth:`row` takes out one entry.  :meth:`validity_index`
-    and :attr:`total` read a single row."""
+    every bound; :meth:`row` takes out one entry.  :meth:`coefficient_bound`
+    gives the bound per coefficient; :attr:`total` reads a single row."""
 
     values: np.ndarray            # real coefficients, last axis j = 0..J_out
     radius: float
@@ -78,11 +78,6 @@ class CoefficientSeries:
         and the rounding of the coefficient itself (eps * |m_j|)."""
         return (self.noise_floor() + np.expand_dims(self.aliasing_bound, -1)
                 + np.finfo(float).eps * np.abs(self.values))
-
-    def validity_index(self, target: float) -> int:
-        """Largest index whose error bound stays below ``target`` (-1: none)."""
-        ok = np.nonzero(self.coefficient_bound() <= target)[0]
-        return int(ok[-1]) if ok.size else -1
 
     @property
     def total(self) -> float:

@@ -24,8 +24,10 @@ invariant computations run on the closed form and never read it), except
 where the re-balance can break the sign pattern: with kappa > 0 and
 index + theta > 1 the (1-s)**(SHIFT+index+theta) branch has negative
 terms, so construction builds and checks the series at once.  A law
-evaluates its closed form where it has one, else its series; truncated()
-gives the bare law of its series, the law the simulator draws from.
+evaluates its closed form where it has one, else its series.  A bare law,
+one with coefficients and no closed form, comes from the classmethod
+``from_coefficients``; truncated() gives the bare law of a law's series,
+the law the simulator draws from.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ class _IntensityLaw:
 
     def truncated(self):
         """The bare law of its coefficients and index: no spec, no closed form."""
-        return self._from_coefficients(self.coefficients, self.index)
+        return self.from_coefficients(self.coefficients, self.index)
 
     def gf(self, z):
         """Evaluate the generating function at z, |z| <= 1: the closed form
@@ -256,7 +258,10 @@ class _IntensityLaw:
         object.__setattr__(self, "series_tail_bound", tail)
 
     @classmethod
-    def _from_coefficients(cls, coefficients, index):
+    def from_coefficients(cls, coefficients: Sequence[float],
+                          index: Optional[float] = None):
+        """The bare law of the role with these coefficients and tail index:
+        no spec, no closed form, series tail bound 0."""
         a = np.asarray(list(coefficients), dtype=float)
         if a.size < cls.SHIFT + 2:
             raise ModelError(f"an {cls.ROLE} law needs at least coefficients "
@@ -296,16 +301,6 @@ def make_stable_immigration(delta: float, d: float, kappa: float = 0.0,
                             J: int = DEFAULT_TRUNCATION) -> ImmigrationLaw:
     """Truncated, re-balanced coefficients of -d((1-s)^delta + kappa(1-s)^(2delta))."""
     return ImmigrationLaw._stable(delta, d, kappa, J)
-
-
-def offspring_from_coefficients(coefficients: Sequence[float],
-                                nu: Optional[float] = None) -> BranchingLaw:
-    return BranchingLaw._from_coefficients(coefficients, nu)
-
-
-def immigration_from_coefficients(coefficients: Sequence[float],
-                                  delta: Optional[float] = None) -> ImmigrationLaw:
-    return ImmigrationLaw._from_coefficients(coefficients, delta)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Gauss-Kronrod panel quadrature with global adaptive refinement.
 
-Two engines are provided on top of the classical (G7, K15) pair:
+Two engines are provided on top of the classical (G7, K15) pair, whose
+tables ``_XK``, ``_WK`` and ``_WG`` are private: the G7 nodes are the odd
+K15 nodes, ``_XK[1::2]``.
 
 * ``doubling_quadrature`` -- composite K15 on 1, 2, 4, ... equal panels,
   accepted on its own embedded |K15 - G7| estimate, doubling the panel
@@ -10,7 +12,7 @@ Two engines are provided on top of the classical (G7, K15) pair:
   right engine for integrands evaluated simultaneously at many circle
   points.  It is the one engine the lab computes with.
 * ``adaptive_quadrature`` -- a worst-panel-first refinement loop, kept as
-  an independent reference for the tests' oracles.
+  an independent reference for the tests' oracles; no CLI task runs it.
 
 Each call of either engine reports once to ``telemetry``: ``quad.calls``,
 ``quad.panels``, ``quad.levels`` (levels evaluated, or bisections),
@@ -53,15 +55,9 @@ _WG_POS = np.array([
 ])
 _XK = np.concatenate((-_XK_POS[:-1], _XK_POS[::-1]))
 _WK = np.concatenate((_WK_POS[:-1], _WK_POS[::-1]))
-_GIDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.concatenate((_WG_POS[:-1], _WG_POS[::-1]))
 # QUADPACK's roundoff floor on an accepted error, in units of resabs
 _ROUNDOFF = 50 * np.finfo(float).eps
-
-
-def kronrod_rule():
-    """Return (nodes, kronrod_weights, gauss_indices, gauss_weights) on [-1, 1]."""
-    return _XK.copy(), _WK.copy(), _GIDX.copy(), _WG.copy()
 
 
 def _eval_panel(fun, lo, hi):

@@ -7,7 +7,6 @@ slowly varying at infinity) with indices nu and delta, this module evaluates
     Lambda(y)  = y**nu * L(1/y)
     N(t)       = the fixed point of N = L((nu t)**(1/nu) / N) ** (-1/nu)
     tau(t)     = (nu t)**(1/nu) / N(t)
-    T(t)       = tau(t)**|gamma|            (gamma = delta - nu < 0)
     M(s)       = integral_1^{1/(1-s)} dx / (x**(1-nu) L(x))
     K(x)       = L(x)**(-delta/nu) * ell(x)
 
@@ -138,12 +137,6 @@ class RVContext:
     def tau(self, t):
         """tau(t) = (nu t)**(1/nu) / N(t)."""
         return self._x(t, "tau") / self.script_N(t)
-
-    def big_T(self, t):
-        """T(t) = tau(t)**|gamma|; only meaningful in the transient case gamma < 0."""
-        if not self.gamma < 0:
-            raise ModelError("T(t) requires gamma < 0")
-        return self.tau(t) ** abs(self.gamma)
 
     def M(self, s):
         """Invariant-measure generating function of the no-immigration process:

@@ -1,9 +1,9 @@
 """The benchmark's correctness gate (bench/gate.py) reads what the CLI
 wrote and a few names of the package: ``series_coefficients(model, kind,
-J)``, ``ModelSpec.has_closed_form``, the ``kind`` and ``r`` header lines of
-measure.csv and the columns of sim.csv.  Running it here on real task runs
-makes a refactor that breaks one of those bindings fail the test suite and
-not only the benchmark's own runs."""
+J)``, ``ModelSpec.has_closed_form``, ``model.offspring.kappa``, the ``kind``
+and ``r`` header lines of measure.csv and the columns of sim.csv.  Running
+it here on real task runs makes a refactor that breaks one of those
+bindings fail the test suite and not only the benchmark's own runs."""
 
 import importlib.util
 from pathlib import Path

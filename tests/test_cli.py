@@ -192,7 +192,8 @@ def test_rates_transient_task_off_uniformity_set(tmp_path):
     logp, _, _ = kernel.compute_P_grid(model, [0.3], grid, rtol=1e-12,
                                        method="quad")
     log_pi = np.real(kernel.log_limit(model, 0.7)[0])
-    T = np.array([model.context().big_T(t) for t in grid])
+    ctx = model.context()
+    T = np.array([ctx.tau(t) ** abs(ctx.gamma) for t in grid.tolist()])
     rho = np.abs(np.expm1(T + np.real(logp[:, 0]) - log_pi))
     assert errors == pytest.approx(rho, rel=1e-12)
 
@@ -525,6 +526,17 @@ def test_compare_at_horizon_zero_agrees_exactly(tmp_path, extra):
     rows = (tmp_path / "out" / "compare.csv").read_text().splitlines()[1:]
     assert len(rows) == (17 if "min_prob" in extra else 1)
     assert all(float(row.split(",")[-1]) == 0.0 for row in rows)
+
+
+def test_compare_over_no_state_fails(run_task):
+    # min_prob above every kernel mass leaves no state to compare: the
+    # verdict fails and names min_prob, where it passed over 0 states
+    code, out = run_task("compare", truncation="200", replicates="10",
+                         j_out="16", min_prob="2")
+    assert code == 1
+    summary = (out / "summary.txt").read_text()
+    assert re.search(r"^compare .*min_prob 2\b.* FAIL$", summary, re.M)
+    assert (out / "compare.csv").read_text() == "j,p_hat,se,p_kernel,z\n"
 
 
 def test_manifest_rederives_tables(tmp_path):

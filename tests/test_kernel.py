@@ -14,7 +14,7 @@ from mbpilab import (METHODS, ModelError, NumericsError, compute_P_grid,
 from mbpilab import kernel, telemetry
 from mbpilab.inversion import circle_points, suggest_radius
 from mbpilab.kernel import flow_on_grid, log_limit, transition_grid
-from mbpilab.laws import make_stable_offspring, offspring_from_coefficients
+from mbpilab.laws import BranchingLaw, make_stable_offspring
 from mbpilab.rvcalc import sv_constant, sv_perturbed
 
 from oracles import (direct_segment_integral, potential_by_powers, scipy_R,
@@ -483,7 +483,7 @@ def test_flow_of_a_law_without_nu_uses_w_equal_one_over_R():
     f(s) = (1-s)**2 / 2 that flow is dw/dt = 1/2 exactly.  Its series
     right-hand side loses eps/R**2 to cancellation, so the grid stops at
     t = 1e3 (R ~ 2e-3)."""
-    law = offspring_from_coefficients([0.5, -1.0, 0.5])
+    law = BranchingLaw.from_coefficients([0.5, -1.0, 0.5])
     assert law.nu is None
     s = np.array([0.0, 0.5, -1.0, 0.3 + 0.6j, 1.0])
     grid = np.logspace(-1, 3, 9)

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mbpilab import (ModelError, ModelSpec, PreconditionError,
-                     make_stable_immigration, make_stable_offspring,
-                     validate_law)
-from mbpilab.laws import (CRIT_TOL, MASS_TOL, immigration_from_coefficients,
-                          offspring_from_coefficients, series_value)
+from mbpilab import (BranchingLaw, ImmigrationLaw, ModelError, ModelSpec,
+                     PreconditionError, make_stable_immigration,
+                     make_stable_offspring, validate_law)
+from mbpilab.laws import CRIT_TOL, MASS_TOL, series_value
 from mbpilab.rvcalc import sv_constant
 
 from oracles import binom_coeff, polyval_series
@@ -172,8 +171,7 @@ def test_series_mode_matches_horner_oracle(n_coef, rng):
     # block split (K = 1, 2 with a short tail, 32), point blocks split
     # (255, 257, 1025 points), |z| <= 1 with z = +-1, real and complex z.
     c = rng.uniform(-1.0, 1.0, size=n_coef)
-    law = (immigration_from_coefficients if n_coef == 2
-           else offspring_from_coefficients)(c)
+    law = (ImmigrationLaw if n_coef == 2 else BranchingLaw).from_coefficients(c)
     tol = 1e-13 * np.sum(np.abs(c))
     for shape in [(), (1,), (255,), (257,), (1025,), (15, 257), (15, 1025)]:
         z = (np.sqrt(rng.uniform(0.0, 1.0, size=shape))
@@ -229,7 +227,7 @@ def test_transient_limit_precondition(gneg, g025):
 
 
 def test_coefficients_from_text():
-    law = offspring_from_coefficients([1.0, -1.5, 0.375, 0.125], nu=0.5)
+    law = BranchingLaw.from_coefficients([1.0, -1.5, 0.375, 0.125], 0.5)
     assert law.truncation_order == 3
     report = validate_law(law)
     assert not report.ok  # sums do not balance for this short list
@@ -272,7 +270,7 @@ def test_validate_law_tolerance_follows_the_scale():
     shift = 1e-6 * np.abs(a).sum()
     a[2] += shift
     a[0] -= shift
-    report = validate_law(offspring_from_coefficients(a, nu=0.3))
+    report = validate_law(BranchingLaw.from_coefficients(a, 0.3))
     passed = {check.name: check.passed for check in report.checks}
     assert passed["mass_balance"] and not passed["criticality"]
 
@@ -304,7 +302,7 @@ def test_truncation_order_and_closed_form_follow_the_fields():
     law = make_stable_immigration(0.5, 0.25, J=40)
     assert law.truncation_order == 40 and law.closed_form
     assert "coefficients" not in vars(law)  # J is read without the series
-    bare = offspring_from_coefficients([0.5, -1.0, 0.5])
+    bare = BranchingLaw.from_coefficients([0.5, -1.0, 0.5])
     assert bare.truncation_order == 2 and not bare.closed_form
     # coefficients stay an init keyword; the derived properties are not, and
     # the closed form's scale and kappa are views of the tail spec

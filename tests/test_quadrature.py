@@ -12,12 +12,16 @@ from scipy.integrate import quad
 from mbpilab import asymptotics, kernel, quadrature, telemetry
 from mbpilab.cli import run_config
 from mbpilab.errors import NumericsError
-from mbpilab.quadrature import (adaptive_quadrature, doubling_quadrature,
-                                kronrod_rule)
+from mbpilab.quadrature import adaptive_quadrature, doubling_quadrature
+
+# the module's K15 nodes and weights and G7 weights; the G7 nodes are the
+# odd K15 nodes, the rows _eval_panel takes
+K15_NODES, K15_WEIGHTS, G7_WEIGHTS = quadrature._XK, quadrature._WK, quadrature._WG
+G7 = slice(1, None, 2)
 
 
 def test_kronrod_rule_polynomial_exactness():
-    nodes, weights, gidx, gweights = kronrod_rule()
+    nodes, weights, gidx, gweights = K15_NODES, K15_WEIGHTS, G7, G7_WEIGHTS
     # K15 integrates polynomials up to degree 22 exactly on [-1, 1]
     for deg in range(0, 23):
         exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
@@ -32,7 +36,7 @@ def test_kronrod_moments_within_four_ulp():
     # the full-precision constants: each moment of K15 (x**k, k <= 22) and of
     # G7 (k <= 13) lies within 4 ulp of sum_i w_i |x_i|**k; 15-digit
     # constants left sum(w) short of 2 by 27 ulp
-    nodes, weights, gidx, gweights = kronrod_rule()
+    nodes, weights, gidx, gweights = K15_NODES, K15_WEIGHTS, G7, G7_WEIGHTS
     for x, w, top in ((nodes, weights, 22), (nodes[gidx], gweights, 13)):
         for deg in range(top + 1):
             exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
@@ -42,7 +46,7 @@ def test_kronrod_moments_within_four_ulp():
 
 
 def test_gauss_rule_is_legendre():
-    nodes, _, gidx, gweights = kronrod_rule()
+    nodes, gidx, gweights = K15_NODES, G7, G7_WEIGHTS
     ref_x, ref_w = np.polynomial.legendre.leggauss(7)
     # leggauss refines its roots by Newton steps in double precision and
     # lands within 1 ulp of the nodes (4 ulp of the weights)
@@ -112,7 +116,7 @@ def test_complex_panel_sums_are_the_real_ones():
     i15, err, resabs = quadrature._eval_panel(lambda x: re(x) + 1j * im(x), 0.2, 1.7)
     for part, fun in ((i15.real, re), (i15.imag, im)):
         assert np.array_equal(part, quadrature._eval_panel(fun, 0.2, 1.7)[0])
-    nodes, _, gauss, wg = kronrod_rule()
+    nodes, gauss, wg = K15_NODES, G7, G7_WEIGHTS
     x = 0.95 + 0.75 * nodes
     i7 = 0.75 * (wg @ (re(x) + 1j * im(x))[gauss])
     assert err == pytest.approx(np.abs(i15 - i7), rel=1e-10)
@@ -161,7 +165,7 @@ def test_doubling_accepts_the_first_level_on_its_own_estimate():
     assert np.all(np.abs(val - exact) <= 1e-10 * np.abs(exact))
     # the error is the largest entry of the sum over panels of |K15 - G7|,
     # floored at 50 eps times the sum over panels of the K15 sum of |f|
-    nodes, wk, gidx, wg = kronrod_rule()
+    nodes, wk, gidx, wg = K15_NODES, K15_WEIGHTS, G7, G7_WEIGHTS
     edges = np.linspace(a, b, 9)
     est = resabs = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -124,11 +124,10 @@ def test_script_N_perturbed_fixed_point_residual():
 def test_tau_and_T():
     ctx = RVContext(nu=0.75, delta=0.5, L=sv_constant(1.0), ell=sv_constant(0.25))
     assert ctx.tau(4.0) == pytest.approx(3.0 ** (4.0 / 3.0), rel=1e-13)
-    assert ctx.big_T(4.0) == pytest.approx(3.0 ** (1.0 / 3.0), rel=1e-13)
+    # T(t) = tau(t)**|gamma|, as rate_fits takes it
+    assert ctx.tau(4.0) ** abs(ctx.gamma) == pytest.approx(3.0 ** (1.0 / 3.0), rel=1e-13)
     half = ctx_const()
     assert half.tau(2.0) == pytest.approx(1.0, abs=1e-13)
-    with pytest.raises(ModelError):
-        half.big_T(2.0)  # gamma > 0 here
 
 
 def test_M_closed_forms():
